@@ -1,7 +1,8 @@
 """Binary event-driven spiking transformer engine.
 
 Binarized weights and attention maps, LIF spiking dynamics over discrete
-timesteps, bit-packed AND/popcount linear kernels, reversible encoder
+timesteps, exact float32 BLAS forward on 1-bit sign matrices with
+bit-packed AND/popcount storage and oracle kernels, reversible encoder
 blocks with an exact closed-form inverse, hard-label distillation
 training, and resource instrumentation.
 """

@@ -52,16 +52,13 @@ class PackedBits:
         return self.words.size * 8
 
 
-def _to_bits(m: Tensor, alphabet: str) -> np.ndarray:
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ShapeError(f"pack expects a 2-D matrix, got shape {m.shape}")
+def require_alphabet(m: np.ndarray, alphabet: str) -> None:
+    """Raise EncodingError naming the first element of `m` outside the
+    alphabet ({0,1} spikes or {-1,+1} signs)."""
     if alphabet == ALPHABET_01:
         ok = (m == 0) | (m == 1)
-        bits = m != 0
     elif alphabet == ALPHABET_PM1:
         ok = (m == -1) | (m == 1)
-        bits = m > 0
     else:
         raise ConfigError(f"unknown alphabet {alphabet!r}")
     if not ok.all():
@@ -70,6 +67,14 @@ def _to_bits(m: Tensor, alphabet: str) -> np.ndarray:
             f"element {m[tuple(idx)]!r} at index {tuple(int(i) for i in idx)} "
             f"is outside alphabet {alphabet!r}"
         )
+
+
+def _to_bits(m: Tensor, alphabet: str) -> np.ndarray:
+    m = np.asarray(m)
+    if m.ndim != 2:
+        raise ShapeError(f"pack expects a 2-D matrix, got shape {m.shape}")
+    require_alphabet(m, alphabet)
+    bits = m != 0 if alphabet == ALPHABET_01 else m > 0
     return bits.astype(np.uint8)
 
 
@@ -230,6 +235,15 @@ def apply_lambda(spikes: Tensor, lam: LambdaScale) -> Tensor:
         raise ConfigError("lambda scale must be strictly positive")
     scale = lam.values.reshape((lam.timesteps,) + (1,) * (spikes.ndim - 1))
     return (spikes * scale).astype(DTYPE)
+
+
+def read_exact(fh, n: int, what: str) -> bytes:
+    """Read exactly `n` bytes of a binary container section from `fh`;
+    a short read raises DataError naming the section."""
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise DataError(f"{what} truncated: expected {n} bytes, got {len(raw)}")
+    return raw
 
 
 def write_packed(path, pb: PackedBits) -> None:

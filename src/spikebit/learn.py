@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binary import read_exact
 from .errors import ConfigError, DataError, TrainingError
 from .model import Param, SpikingTransformer
 from .numeric import DTYPE, Rng, Tensor, finite_diff_grad
@@ -135,18 +136,28 @@ class TeacherLogitsCache:
 
     @classmethod
     def load(cls, path) -> "TeacherLogitsCache":
+        """Inverse of `save`: n records of (u32 id, c float32 logits) with
+        ids 0..n-1 in order. A short or long payload raises DataError."""
         with open(path, "rb") as fh:
             magic = fh.read(len(_CACHE_MAGIC))
             if magic != _CACHE_MAGIC:
                 raise DataError(f"bad logits-cache magic: {magic!r}")
-            n, c, data_hash = struct.unpack("<IIQ", fh.read(16))
-            logits = np.empty((n, c), dtype=DTYPE)
-            for i in range(n):
-                (sid,) = struct.unpack("<I", fh.read(4))
-                if sid != i:
-                    raise DataError(f"logits cache out of order: expected id {i}, got {sid}")
-                logits[i] = np.frombuffer(fh.read(4 * c), dtype="<f4")
-        return cls(logits, data_hash)
+            n, c, data_hash = struct.unpack("<IIQ", read_exact(fh, 16, "logits-cache header"))
+            record = np.dtype([("id", "<u4"), ("logits", "<f4", (c,))])
+            raw = fh.read()
+        if len(raw) != n * record.itemsize:
+            raise DataError(
+                f"logits-cache payload is {len(raw)} bytes; {n} records of {c} classes "
+                f"need {n * record.itemsize}"
+            )
+        records = np.frombuffer(raw, dtype=record, count=n)
+        bad = np.flatnonzero(records["id"] != np.arange(n))
+        if bad.size:
+            i = int(bad[0])
+            raise DataError(
+                f"logits cache out of order: expected id {i}, got {int(records['id'][i])}"
+            )
+        return cls(records["logits"].copy(), data_hash)
 
 
 def build_logits_cache(teacher: SpikingTransformer, x: Tensor, y: Tensor,

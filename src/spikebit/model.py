@@ -2,10 +2,11 @@
 
 Layers are small forward/backward objects with explicit caches (no
 autodiff): LIF populations unrolled over time, binary linear/conv layers
-running on the packed popcount kernel, batch normalization, the
-spike-attention block (BSSA), the binary MLP (BMLP), and two encoder
-topologies: reversible two-stream blocks with a closed-form inverse, and
-the standard residual baseline.
+(forward in exact float32 BLAS on the +-1 sign matrix; the packed
+popcount kernel is the 1-bit storage format and the test oracle), batch
+normalization, the spike-attention block (BSSA), the binary MLP (BMLP),
+and two encoder topologies: reversible two-stream blocks with a
+closed-form inverse, and the standard residual baseline.
 
 Array layout is time-major: activations are (T, B, N, D) for token
 streams and (T, B, C, H, W) inside the convolutional stem. Spikes are
@@ -31,9 +32,13 @@ from . import binary, neuron
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numeric import DTYPE, BatchNormParams, Rng, Tensor
 
-# Runtime validation of spike alphabets / attention integrality. Cheap at
-# desk scale; cmd_bench disables it around timed sections.
+# Runtime validation of attention integrality. Cheap at desk scale. The
+# {0,1} input check of binary layers does not depend on it.
 strict_checks = True
+
+# float32 holds every integer below 2**24 exactly, so a binary layer's
+# float32 BLAS forward is exact while in_features stays below this.
+EXACT_FEATURES = 2**24
 
 
 def set_strict_checks(enabled: bool) -> bool:
@@ -46,8 +51,8 @@ def set_strict_checks(enabled: bool) -> bool:
 class Param:
     """A trainable array plus its gradient accumulator.
 
-    `version` increments on every optimizer update so binary-weight packs
-    can be cached at inference and invalidated on change.
+    `version` increments on every optimizer update so binary-weight sign
+    matrices can be cached between updates and invalidated on change.
     """
 
     __slots__ = ("value", "grad", "version", "positive")
@@ -131,14 +136,23 @@ class LifLayer:
 class BinaryLinearLayer:
     """Linear layer over the trailing feature axis.
 
-    In `binary` mode the latent weights are standardized and signed each
-    forward pass (cached between passes at inference) and the product is
-    computed by the packed AND/popcount kernel, so inputs must be {0,1}
-    spikes. In `full` mode the latent weights are used directly.
+    In `binary` mode the latent weights are standardized and signed (the
+    +-1 sign matrix is cached until the next weight update), inputs must
+    be {0,1} spikes, and the product is float32 BLAS on the sign matrix.
+    That is exact: every partial sum is an integer of magnitude at most
+    in_features, which stays below 2**24, so the result equals the packed
+    AND/popcount kernel's (`binary.packed_linear`, the 1-bit storage
+    format and the test oracle). In `full` mode the latent weights are
+    used directly.
     """
 
     def __init__(self, name: str, in_features: int, out_features: int, rng: Rng,
                  mode: str = "binary", ste_clip: float = 1.0, per_channel: bool = False):
+        if mode == "binary" and in_features >= EXACT_FEATURES:
+            raise ConfigError(
+                f"{name}: in_features {in_features} >= 2**24; float32 sums of "
+                f"binary products are no longer exact"
+            )
         self.name = name
         self.in_features = in_features
         self.out_features = out_features
@@ -147,19 +161,18 @@ class BinaryLinearLayer:
         self.per_channel = per_channel
         std = 1.0 / np.sqrt(in_features)
         self.weight = Param(rng.normal((out_features, in_features), std=std))
-        self._pack_cache = None  # (version, PackedBits, signs)
+        self._sign_cache = None  # (weight version, +-1 signs)
         self._in2d = None
         self._signs = None
         self.last_in_spikes = 0.0  # spike count seen by the last forward
 
-    def _binary_operands(self):
-        cached = self._pack_cache
+    def _binary_signs(self) -> Tensor:
+        cached = self._sign_cache
         if cached is not None and cached[0] == self.weight.version:
-            return cached[1], cached[2]
-        pb, _ = binary.binarize_weights(self.weight.value, self.per_channel)
-        signs = binary.unpack(pb, binary.ALPHABET_PM1)
-        self._pack_cache = (self.weight.version, pb, signs)
-        return pb, signs
+            return cached[1]
+        signs = binary.binary_signs(self.weight.value, self.per_channel)
+        self._sign_cache = (self.weight.version, signs)
+        return signs
 
     def forward(self, x: Tensor, cache: bool = False) -> Tensor:
         if x.shape[-1] != self.in_features:
@@ -170,14 +183,11 @@ class BinaryLinearLayer:
         flat = np.ascontiguousarray(x.reshape(-1, self.in_features))
         self.last_in_spikes = float(flat.sum(dtype=np.float64))
         if self.mode == "binary":
-            pb, signs = self._binary_operands()
-            # pack() validates the {0,1} spike alphabet as a side effect.
-            out = binary.packed_linear(binary.pack(flat, binary.ALPHABET_01), pb)
-            out = out.astype(DTYPE)
-            mat = signs
+            binary.require_alphabet(flat, binary.ALPHABET_01)
+            mat = self._binary_signs()
         else:
             mat = self.weight.value
-            out = flat @ mat.T
+        out = flat @ mat.T
         if cache:
             self._in2d = flat
             self._signs = mat
@@ -641,7 +651,7 @@ class BssaBlock:
     """Binary spiking self attention.
 
     Each projection has its own input LIF turning the real-valued stream
-    into spikes for the packed kernel; Q/K/V then pass through their own
+    into spikes for the binary projection; Q/K/V then pass through their own
     LIF after BN so the attention product QK^T is a nonnegative integer
     map. That map is binarized by a soft-reset LIF over time and scaled
     by the learnable per-timestep lambda; the context is accumulated from
@@ -1163,12 +1173,18 @@ def save_checkpoint(model: SpikingTransformer, path) -> None:
 
 
 def load_checkpoint(path) -> SpikingTransformer:
+    """Inverse of `save_checkpoint`. A truncated, malformed or overlong
+    container raises DataError."""
+    read = binary.read_exact  # raises DataError on a short read
     with open(path, "rb") as fh:
         magic = fh.read(len(SpikingTransformer.CKPT_MAGIC))
         if magic != SpikingTransformer.CKPT_MAGIC:
             raise DataError(f"bad checkpoint magic: {magic!r}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen))
+        (hlen,) = struct.unpack("<I", read(fh, 4, "checkpoint header length"))
+        try:
+            header = json.loads(read(fh, hlen, "checkpoint header"))
+        except ValueError as exc:
+            raise DataError(f"checkpoint header is not valid JSON: {exc}") from None
         if header.get("format") != 1:
             raise DataError(f"unsupported checkpoint format {header.get('format')!r}")
         cfg = ModelConfig.from_dict(header["config"])
@@ -1181,8 +1197,11 @@ def load_checkpoint(path) -> SpikingTransformer:
             want = tuple(spec["shape"])
             if tuple(arr.shape) != want:
                 raise DataError(f"shape mismatch for {spec['name']}: {want} vs {arr.shape}")
-            raw = fh.read(arr.size * 4)
+            raw = read(fh, arr.size * 4, f"checkpoint array {spec['name']}")
             arr[...] = np.frombuffer(raw, dtype="<f4").reshape(arr.shape)
         for spec in header["packed"]:
-            binary.packed_from_bytes(fh.read(spec["size"]))  # validated, then discarded
+            # validated, then discarded
+            binary.packed_from_bytes(read(fh, spec["size"], f"checkpoint image {spec['name']}"))
+        if fh.read(1):
+            raise DataError("checkpoint has trailing bytes after its last section")
     return model

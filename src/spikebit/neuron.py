@@ -124,13 +124,12 @@ def boolean_binarize(x: Tensor) -> Tensor:
 
 
 def _sigmoid(z: Tensor) -> Tensor:
-    # overflow-safe logistic: exp only ever sees non-positive arguments
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # overflow-safe logistic: exp only ever sees non-positive arguments.
+    # Each side evaluates the same expression as the masked two-branch form
+    # (1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z)) below), so results are
+    # bit-identical to it, without its boolean gathers and scatters.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def surrogate_relaxation(u_pre: Tensor, p: LifParams) -> Tensor:

@@ -40,7 +40,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     The contraction runs left-to-right over the inner axis (einsum's
     sequential C loop, no BLAS dispatch), so results are reproducible
     bit-for-bit across runs. Intended for reference computations and
-    oracles; hot paths use the integer-exact packed kernels instead.
+    oracles; hot paths use BLAS on integer-exact float32 operands instead.
     """
     a = np.asarray(a)
     b = np.asarray(b)

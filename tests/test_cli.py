@@ -201,6 +201,22 @@ class TestEvalInspect:
                        "--dataset", str(bad), "--format", "raw"])
         assert rc == 2
 
+    @pytest.mark.parametrize("damage", ["truncated_header", "truncated_arrays", "trailing_bytes"])
+    def test_corrupt_checkpoint_is_data_error(self, trained, tmp_path, damage):
+        cfg_path, out = trained
+        raw = (out / "ckpt-last.bin").read_bytes()
+        # magic (6 bytes), u32 header length, JSON header, then the arrays
+        arrays_at = 6 + 4 + int.from_bytes(raw[6:10], "little")
+        bad = {"truncated_header": raw[: arrays_at - 20],
+               "truncated_arrays": raw[: arrays_at + 100],
+               "trailing_bytes": raw + b"\0"}[damage]
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bad)
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+        rc = cli.main(["eval", "--checkpoint", str(path), "--config", str(cfg_path)])
+        assert rc == 2
+
     def test_inspect_emits_one_record_per_block(self, trained, tmp_path):
         cfg_path, out = trained
         rec_path = tmp_path / "rep.jsonl"

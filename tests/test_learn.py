@@ -123,6 +123,15 @@ class TestTeacher:
         cached = teacher_predict(loaded, x[:16], ids=ids)
         assert np.array_equal(live.hard_label, cached.hard_label)
         assert np.allclose(live.logits, cached.logits, atol=1e-6)
+        # header: magic (6) + n, c, hash (16); then n records of id + c logits
+        raw = path.read_bytes()
+        swapped = bytearray(raw)
+        swapped[22:26] = (1).to_bytes(4, "little")
+        for bad, match in [(raw[:12], "header truncated"), (raw[:-3], "payload"),
+                           (raw + b"\0", "payload"), (bytes(swapped), "out of order")]:
+            path.write_bytes(bad)
+            with pytest.raises(DataError, match=match):
+                TeacherLogitsCache.load(path)
 
     def test_cache_requires_ids(self):
         cache = TeacherLogitsCache(np.zeros((4, 3), dtype=np.float32), 0)

@@ -3,9 +3,10 @@ import pytest
 
 from conftest import toy_config
 from spikebit import model as M
-from spikebit.binary import ALPHABET_PM1, binary_signs
-from spikebit.errors import ConfigError, DataError
+from spikebit.binary import ALPHABET_01, ALPHABET_PM1, binary_signs, pack, packed_linear
+from spikebit.errors import ConfigError, DataError, EncodingError
 from spikebit.model import (
+    BinaryLinearLayer,
     BssaBlock,
     LifLayer,
     ModelConfig,
@@ -135,6 +136,34 @@ class TestBmlp:
         signs = binary_signs(blk.fc1.weight.value)
         want = spikes.astype(np.int64) @ signs.T.astype(np.int64)
         assert np.array_equal(got.astype(np.int64), want)
+
+
+class TestBinaryLinear:
+    @pytest.mark.parametrize("rows,inp,out,density", [
+        (2, 1, 3, 0.5), (7, 64, 5, 0.3), (9, 65, 12, 0.9), (16, 130, 33, 0.05),
+    ])
+    def test_forward_equals_packed_oracle_bytewise(self, rows, inp, out, density):
+        lyr = BinaryLinearLayer("l", inp, out, Rng(rows))
+        lyr.weight.value[0] = -10.0  # an all-(-1) sign row
+        signs = binary_signs(lyr.weight.value)
+        assert (signs[0] == -1).all()
+        x = (Rng(inp).uniform((rows, inp)) < density).astype(np.float32)
+        x[0] = 0.0  # an all-zero spike row
+        got = lyr.forward(x)
+        want = packed_linear(pack(x, ALPHABET_01), pack(signs, ALPHABET_PM1))
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.astype(np.float32).tobytes()  # no -0.0 either
+
+    def test_non_spike_input_rejected(self):
+        lyr = BinaryLinearLayer("l", 8, 4, Rng(0))
+        x = np.zeros((3, 8), dtype=np.float32)
+        x[2, 5] = 0.5
+        with pytest.raises(EncodingError, match=r"index \(2, 5\)"):
+            lyr.forward(x)
+
+    def test_width_beyond_float32_exactness_rejected(self):
+        with pytest.raises(ConfigError, match="2\\*\\*24"):
+            BinaryLinearLayer("l", 2**24, 1, Rng(0))
 
 
 class TestReversible:

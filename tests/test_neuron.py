@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikebit import neuron
 from spikebit.errors import ConfigError, ShapeError
 from spikebit.neuron import (
     LifParams,
@@ -16,7 +17,7 @@ from spikebit.neuron import (
     surrogate_grad,
     surrogate_relaxation,
 )
-from spikebit.numeric import finite_diff_grad
+from spikebit.numeric import Rng, finite_diff_grad
 
 HARD = LifParams(tau=0.5, v_threshold=1.0, reset=Reset.HARD)
 SOFT = LifParams(tau=0.5, v_threshold=1.0, reset=Reset.SOFT)
@@ -129,6 +130,26 @@ class TestSurrogates:
         p = LifParams(surrogate=SurrogateSpec(SurrogateKind.SIGMOID, 4.0))
         far = np.array([-20.0, 30.0])
         assert (surrogate_grad(far, p) < 1e-6).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_two_branch_reference_bytewise(self, dtype):
+        def reference(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        mags = np.concatenate([[0.0, 1e-30, 1e-7, 1.0, 88.7, 89.0, 700.0, 746.0, np.inf],
+                               np.logspace(-8, 3, 500), np.linspace(0.0, 40.0, 2001)])
+        z = np.concatenate([mags, -mags, Rng(3).normal((4000,), std=8.0), [np.nan]])
+        z = z.astype(dtype)
+        got, want = neuron._sigmoid(z), reference(z)
+        assert got.dtype == want.dtype == dtype
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
     def test_symmetry_about_threshold(self):
         for kind in SurrogateKind:
