@@ -13,6 +13,7 @@ set and -1 where it is clear.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ from .numeric import DTYPE, Tensor, require_finite
 
 WORD_BITS = 64
 _PACK_MAGIC = b"SPKBITS\x01"
+_READ_CHUNK = 1 << 24
 
 # {0,1} spikes: 1 -> set bit.  {-1,+1} signs: +1 -> set bit.
 ALPHABET_01 = "01"
@@ -239,8 +241,18 @@ def apply_lambda(spikes: Tensor, lam: LambdaScale) -> Tensor:
 
 def read_exact(fh, n: int, what: str) -> bytes:
     """Read exactly `n` bytes of a binary container section from `fh`;
-    a short read raises DataError naming the section."""
-    raw = fh.read(n)
+    a short read raises DataError naming the section. Reads go in bounded
+    chunks, so a corrupt length field costs at most the file's size in
+    memory, not `n` bytes."""
+    parts = []
+    left = n
+    while left > 0:
+        part = fh.read(min(left, _READ_CHUNK))
+        if not part:
+            break
+        parts.append(part)
+        left -= len(part)
+    raw = b"".join(parts)
     if len(raw) != n:
         raise DataError(f"{what} truncated: expected {n} bytes, got {len(raw)}")
     return raw
@@ -256,17 +268,10 @@ def write_packed(path, pb: PackedBits) -> None:
 
 
 def read_packed(path) -> PackedBits:
+    """Inverse of `write_packed`. A truncated, malformed or overlong file
+    raises DataError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_PACK_MAGIC))
-        if magic != _PACK_MAGIC:
-            raise DataError(f"bad packed-bits magic: {magic!r}")
-        rows, cols = struct.unpack("<II", fh.read(8))
-        words_per_row = (cols + WORD_BITS - 1) // WORD_BITS
-        raw = fh.read(rows * words_per_row * 8)
-        if len(raw) != rows * words_per_row * 8:
-            raise DataError("packed-bits payload truncated")
-        words = np.frombuffer(raw, dtype="<u8").reshape(rows, words_per_row).copy()
-    return PackedBits(rows=rows, cols=cols, words=words)
+        return packed_from_bytes(fh.read())
 
 
 def packed_bytes(pb: PackedBits) -> bytes:
@@ -275,14 +280,15 @@ def packed_bytes(pb: PackedBits) -> bytes:
 
 
 def packed_from_bytes(buf: bytes) -> PackedBits:
-    if buf[: len(_PACK_MAGIC)] != _PACK_MAGIC:
-        raise DataError("bad packed-bits magic in buffer")
-    rows, cols = struct.unpack_from("<II", buf, len(_PACK_MAGIC))
+    """Inverse of `packed_bytes`; the buffer must hold exactly one image.
+    A short, malformed or overlong buffer raises DataError."""
+    fh = io.BytesIO(buf)
+    if fh.read(len(_PACK_MAGIC)) != _PACK_MAGIC:
+        raise DataError("bad packed-bits magic")
+    rows, cols = struct.unpack("<II", read_exact(fh, 8, "packed-bits header"))
     words_per_row = (cols + WORD_BITS - 1) // WORD_BITS
-    off = len(_PACK_MAGIC) + 8
-    expected = rows * words_per_row * 8
-    payload = buf[off : off + expected]
-    if len(payload) != expected:
-        raise DataError("packed-bits payload truncated")
-    words = np.frombuffer(payload, dtype="<u8").reshape(rows, words_per_row).copy()
+    raw = read_exact(fh, rows * words_per_row * 8, "packed-bits payload")
+    if fh.read(1):
+        raise DataError("packed-bits image has trailing bytes")
+    words = np.frombuffer(raw, dtype="<u8").reshape(rows, words_per_row).copy()
     return PackedBits(rows=rows, cols=cols, words=words)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import logging
+import math
 import os
 import struct
 import sys
@@ -118,19 +119,25 @@ def save_raw_dataset(path, x: Tensor, y: np.ndarray, num_classes: int) -> None:
 
 
 def load_raw_dataset(path) -> Dataset:
+    """Inverse of `save_raw_dataset`. A truncated, malformed or overlong
+    file, or one with no samples, raises DataError."""
+    read = binary.read_exact  # raises DataError on a short read
     with open(path, "rb") as fh:
         magic = fh.read(len(_RAW_MAGIC))
         if magic != _RAW_MAGIC:
             raise DataError(f"bad raw dataset magic: {magic!r}")
-        n, ndim, classes = struct.unpack("<III", fh.read(12))
-        dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-        y = np.frombuffer(fh.read(8 * n), dtype="<i8").copy()
-        x = np.frombuffer(fh.read(), dtype="<f4").reshape((n,) + dims).copy()
-    if y.size != n:
-        raise DataError("raw dataset labels truncated")
+        n, ndim, classes = struct.unpack("<III", read(fh, 12, "raw dataset header"))
+        dims = struct.unpack(f"<{ndim}I", read(fh, 4 * ndim, "raw dataset shape"))
+        y = np.frombuffer(read(fh, 8 * n, "raw dataset labels"), dtype="<i8").copy()
+        size = n * math.prod(dims)
+        x = np.frombuffer(read(fh, 4 * size, "raw dataset samples"), dtype="<f4")
+        if fh.read(1):
+            raise DataError("raw dataset has trailing bytes after its samples")
+    if n == 0:
+        raise DataError("raw dataset holds no samples")
     if y.min() < 0 or y.max() >= classes:
         raise DataError(f"raw dataset labels outside [0, {classes})")
-    return Dataset(x, y, None, None, classes)
+    return Dataset(x.reshape((n,) + dims).copy(), y, None, None, classes)
 
 
 def load_dataset(spec: DatasetSpec, seed: int) -> Dataset:

@@ -154,7 +154,7 @@ def param_counts(cfg: ModelConfig) -> dict:
     block_weights = cfg.depth * (4 * D * D + 2 * hidden * D)
     block_bn_ch = cfg.depth * (4 * D + hidden + D)
     lam = cfg.depth * cfg.timesteps if cfg.weight_mode == "binary" else 0
-    lifs = stem_lifs + cfg.depth * 10
+    lifs = stem_lifs + cfg.depth * 8  # BSSA: x_in, o_in, q, k, v, attn; BMLP: 2
     head = D * cfg.num_classes + cfg.num_classes
     weight_count = stem_weights + block_weights
     aux_fp = 4 * (stem_bn_ch + block_bn_ch) + lam + head + 2 * lifs

@@ -80,7 +80,8 @@ class LifLayer:
     Forward caches the pre-reset membranes for backprop-through-time; the
     backward pass routes gradients through the surrogate derivative at
     each firing decision and through the decay recurrence, with the reset
-    gate held constant.
+    gate held constant. Forward runs the operations of `neuron.lif_step`
+    in the same order, in reused per-timestep buffers.
     """
 
     def __init__(self, params: neuron.LifParams):
@@ -89,44 +90,62 @@ class LifLayer:
         self._spikes = None
 
     def forward(self, x: Tensor, cache: bool = False) -> Tensor:
-        T = x.shape[0]
         dt = x.dtype if x.dtype.kind == "f" else DTYPE
-        u = np.zeros(x.shape[1:], dtype=dt)
         spikes = np.empty_like(x)
         u_pre = np.empty_like(x) if cache else None
+        u, up, tmp = (np.empty(x.shape[1:], dtype=dt) for _ in range(3))
         tau = dt.type(self.p.tau)
         vth = dt.type(self.p.v_threshold)
-        for t in range(T):
-            up = tau * u + x[t]
-            s = (up >= vth).astype(dt)
+        hard = self.p.reset is neuron.Reset.HARD
+        for t in range(x.shape[0]):
             if cache:
-                u_pre[t] = up
-            spikes[t] = s
-            if self.p.reset is neuron.Reset.HARD:
-                u = (1.0 - s) * up
+                up = u_pre[t]
+            if t:
+                np.multiply(tau, u, out=up)
+                np.add(up, x[t], out=up)  # tau * u + x[t]
             else:
-                u = up - vth * s
+                np.add(x[0], 0.0, out=up)  # the membrane starts at +0, and tau * +0 is +0
+            s = np.greater_equal(up, vth, out=spikes[t])
+            if t == x.shape[0] - 1:
+                break  # no later step reads the reset membrane
+            if hard:
+                np.subtract(1.0, s, out=tmp)
+                np.multiply(tmp, up, out=u)  # (1 - s) * up
+            else:
+                np.multiply(vth, s, out=tmp)
+                np.subtract(up, tmp, out=u)  # up - vth * s
         if cache:
             self._u_pre = u_pre
             self._spikes = spikes
         return spikes
 
-    def backward(self, g_spikes: Tensor) -> Tensor:
+    def backward(self, *g_spikes: Tensor) -> Tensor:
+        """Gradient with respect to the input current.
+
+        A population whose spikes feed several layers takes one upstream
+        gradient per layer. The surrogate derivative and the reset gate are
+        computed once per timestep; each gradient runs its own decay
+        recurrence, and the input gradients are summed from zero in
+        argument order, exactly as summing separate backward calls would.
+        """
         u_pre, spikes = self._u_pre, self._spikes
-        T = g_spikes.shape[0]
+        T = u_pre.shape[0]
         tau = DTYPE(self.p.tau)
-        g_x = np.empty_like(g_spikes)
-        g_u = np.zeros(g_spikes.shape[1:], dtype=g_spikes.dtype)
         hard = self.p.reset is neuron.Reset.HARD
+        shared = len(g_spikes) > 1
+        g_x = (np.zeros_like if shared else np.empty_like)(g_spikes[0])
+        g_u = [np.zeros(g.shape[1:], dtype=g.dtype) for g in g_spikes]
         for t in range(T - 1, -1, -1):
             sg = neuron.surrogate_grad(u_pre[t], self.p)
-            g_upre = g_spikes[t] * sg
-            if hard:
-                g_upre = g_upre + g_u * (1.0 - spikes[t])
-            else:
-                g_upre = g_upre + g_u
-            g_x[t] = g_upre
-            g_u = tau * g_upre
+            keep = 1.0 - spikes[t] if hard else None
+            for i, g in enumerate(g_spikes):
+                g_upre = g[t] * sg
+                g_upre += g_u[i] * keep if hard else g_u[i]
+                if shared:
+                    g_x[t] += g_upre
+                else:
+                    g_x[t] = g_upre
+                g_u[i] = np.multiply(tau, g_upre, out=g_upre)
         return g_x
 
     def params(self):
@@ -181,11 +200,16 @@ class BinaryLinearLayer:
             )
         lead = x.shape[:-1]
         flat = np.ascontiguousarray(x.reshape(-1, self.in_features))
-        self.last_in_spikes = float(flat.sum(dtype=np.float64))
         if self.mode == "binary":
-            binary.require_alphabet(flat, binary.ALPHABET_01)
+            # {0,1} input exactly when every element equals 0 or 1 (two
+            # boolean counts; counting nonzero floats directly is slower)
+            ones = np.count_nonzero(flat == 1)
+            if ones + np.count_nonzero(flat == 0) != flat.size:
+                binary.require_alphabet(flat, binary.ALPHABET_01)  # raises, naming the element
+            self.last_in_spikes = float(ones)
             mat = self._binary_signs()
         else:
+            self.last_in_spikes = float(flat.sum(dtype=np.float64))
             mat = self.weight.value
         out = flat @ mat.T
         if cache:
@@ -231,8 +255,9 @@ class BatchNormLayer:
         dt = x.dtype if x.dtype.kind == "f" else DTYPE
         if training:
             flat = x.reshape(-1, self.channels)
-            mean = flat.mean(axis=0, dtype=np.float64).astype(dt)
-            var = flat.var(axis=0, dtype=np.float64).astype(dt)
+            mean64 = flat.mean(axis=0, dtype=np.float64, keepdims=True)
+            var = flat.var(axis=0, dtype=np.float64, mean=mean64).astype(dt)  # mean not summed twice
+            mean = mean64[0].astype(dt)
             m = self.momentum
             self.running_mean[:] = ((1.0 - m) * self.running_mean + m * mean).astype(DTYPE)
             self.running_var[:] = ((1.0 - m) * self.running_var + m * var).astype(DTYPE)
@@ -242,25 +267,35 @@ class BatchNormLayer:
         if np.any(denom <= 0):
             raise NumericError(f"{self.name}: variance + epsilon <= 0")
         inv = 1.0 / np.sqrt(denom)
-        xhat = (x - mean) * inv
+        xhat = np.subtract(x, mean)
+        xhat *= inv  # (x - mean) * inv
         if cache:
             self._xhat = xhat
             self._inv = inv
             self._training = training
-        return xhat * self.gamma.value + self.beta.value
+        # without a cache the normalized map's buffer becomes the output
+        out = xhat * self.gamma.value if cache else np.multiply(xhat, self.gamma.value, out=xhat)
+        out += self.beta.value
+        return out
 
     def backward(self, g_out: Tensor) -> Tensor:
         xhat, inv = self._xhat, self._inv
         axes = tuple(range(g_out.ndim - 1))
         self.beta.grad += g_out.sum(axis=axes)
-        self.gamma.grad += (g_out * xhat).sum(axis=axes)
+        tmp = g_out * xhat
+        self.gamma.grad += tmp.sum(axis=axes)
         g_xhat = g_out * self.gamma.value
         if not self._training:
-            return g_xhat * inv
+            g_xhat *= inv
+            return g_xhat
         n = float(np.prod(g_out.shape[:-1]))
         mean_g = g_xhat.sum(axis=axes) / n
-        mean_gx = (g_xhat * xhat).sum(axis=axes) / n
-        return (g_xhat - mean_g - xhat * mean_gx) * inv
+        mean_gx = np.multiply(g_xhat, xhat, out=tmp).sum(axis=axes) / n
+        # (g_xhat - mean_g - xhat * mean_gx) * inv
+        g_xhat -= mean_g
+        g_xhat -= np.multiply(xhat, mean_gx, out=tmp)
+        g_xhat *= inv
+        return g_xhat
 
     def params(self):
         return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
@@ -650,11 +685,12 @@ def bsps_stem(images: Tensor, cfg: ModelConfig, rng: Rng | None = None,
 class BssaBlock:
     """Binary spiking self attention.
 
-    Each projection has its own input LIF turning the real-valued stream
-    into spikes for the binary projection; Q/K/V then pass through their own
-    LIF after BN so the attention product QK^T is a nonnegative integer
-    map. That map is binarized by a soft-reset LIF over time and scaled
-    by the learnable per-timestep lambda; the context is accumulated from
+    One input LIF turns the real-valued stream into spikes that feed the
+    Q, K and V binary projections alike (three LIFs with the same
+    parameters and input would emit the same spikes); Q/K/V then pass
+    through their own LIF after BN so the attention product QK^T is a
+    nonnegative integer map. That map is binarized by a soft-reset LIF
+    over time and scaled by the learnable per-timestep lambda; the context is accumulated from
     V's spikes and leaves through the output projection's LIF -> binary
     linear -> BN.
 
@@ -672,7 +708,7 @@ class BssaBlock:
         mk = lambda tag, i: BinaryLinearLayer(
             f"{name}.{tag}", D, D, rng.child(i), mode=cfg.weight_mode, ste_clip=cfg.ste_clip
         )
-        self.q_in, self.k_in, self.v_in, self.o_in = (LifLayer(cfg.lif()) for _ in range(4))
+        self.x_in, self.o_in = LifLayer(cfg.lif()), LifLayer(cfg.lif())
         self.q_proj, self.k_proj, self.v_proj, self.o_proj = (
             mk("q", 1), mk("k", 2), mk("v", 3), mk("o", 4)
         )
@@ -699,18 +735,10 @@ class BssaBlock:
         return np.ascontiguousarray(x.transpose(0, 1, 3, 2, 4)).reshape(T, B, N, h * d)
 
     def forward(self, x: Tensor, training: bool, cache: bool = False) -> Tensor:
-        q = self.q_lif.forward(
-            self.q_bn.forward(self.q_proj.forward(self.q_in.forward(x, cache), cache), training, cache),
-            cache,
-        )
-        k = self.k_lif.forward(
-            self.k_bn.forward(self.k_proj.forward(self.k_in.forward(x, cache), cache), training, cache),
-            cache,
-        )
-        v = self.v_lif.forward(
-            self.v_bn.forward(self.v_proj.forward(self.v_in.forward(x, cache), cache), training, cache),
-            cache,
-        )
+        s = self.x_in.forward(x, cache)
+        q = self.q_lif.forward(self.q_bn.forward(self.q_proj.forward(s, cache), training, cache), cache)
+        k = self.k_lif.forward(self.k_bn.forward(self.k_proj.forward(s, cache), training, cache), cache)
+        v = self.v_lif.forward(self.v_bn.forward(self.v_proj.forward(s, cache), training, cache), cache)
         qh, kh, vh = self._split(q), self._split(k), self._split(v)
         attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
         if strict_checks:
@@ -750,25 +778,22 @@ class BssaBlock:
             g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx, optimize=True) * self.attn_scale
         g_qh = np.einsum("tbhnm,tbhmd->tbhnd", g_attn, kh, optimize=True)
         g_kh = np.einsum("tbhnm,tbhnd->tbhmd", g_attn, qh, optimize=True)
-        g_x = np.zeros(g_out.shape, dtype=g_out.dtype)
-        for gh, lif, bn, proj, lin in (
-            (g_qh, self.q_lif, self.q_bn, self.q_proj, self.q_in),
-            (g_kh, self.k_lif, self.k_bn, self.k_proj, self.k_in),
-            (g_vh, self.v_lif, self.v_bn, self.v_proj, self.v_in),
-        ):
-            gp = lif.backward(self._merge(gh))
-            gp = bn.backward(gp)
-            gp = proj.backward(gp)
-            g_x += lin.backward(gp)
-        return g_x
+        g_s = [
+            proj.backward(bn.backward(lif.backward(self._merge(gh))))
+            for gh, lif, bn, proj in (
+                (g_qh, self.q_lif, self.q_bn, self.q_proj),
+                (g_kh, self.k_lif, self.k_bn, self.k_proj),
+                (g_vh, self.v_lif, self.v_bn, self.v_proj),
+            )
+        ]
+        return self.x_in.backward(*g_s)
 
     def layers(self):
         return [self.q_proj, self.k_proj, self.v_proj, self.o_proj,
                 self.q_bn, self.k_bn, self.v_bn, self.o_bn, self.lam]
 
     def lifs(self):
-        return [self.q_in, self.k_in, self.v_in, self.o_in,
-                self.q_lif, self.k_lif, self.v_lif, self.attn_lif]
+        return [self.x_in, self.o_in, self.q_lif, self.k_lif, self.v_lif, self.attn_lif]
 
     def params(self):
         out = []
@@ -858,16 +883,20 @@ class ReversibleBlock:
         # borderline spikes. Sub-blocks always evaluate on the float32
         # cast, so both directions see bit-identical inputs.
         a = self.bssa.forward(np.ascontiguousarray(s.x1, dtype=DTYPE), training, cache)
-        x0n = a.astype(s.x0.dtype) + 0.5 * (s.x0 + s.x1)
+        x0n = s.x0 + s.x1
+        x0n *= 0.5
+        x0n += a  # a + 0.5 * (x0 + x1), in the state dtype
         m = self.bmlp.forward(np.ascontiguousarray(x0n, dtype=DTYPE), training, cache)
-        x1n = m.astype(s.x0.dtype) + 0.5 * (s.x1 + x0n)
+        x1n = s.x1 + x0n
+        x1n *= 0.5
+        x1n += m  # m + 0.5 * (x1 + x0n)
         return ReversibleState(x0=x0n, x1=x1n)
 
     def inverse(self, s: ReversibleState) -> ReversibleState:
         m = self.bmlp.forward(np.ascontiguousarray(s.x0, dtype=DTYPE), training=False)
-        x1 = 2.0 * (s.x1 - m.astype(s.x0.dtype)) - s.x0
+        x1 = 2.0 * (s.x1 - m) - s.x0
         a = self.bssa.forward(np.ascontiguousarray(x1, dtype=DTYPE), training=False)
-        x0 = 2.0 * (s.x0 - a.astype(s.x0.dtype)) - x1
+        x0 = 2.0 * (s.x0 - a) - x1
         return ReversibleState(x0=x0, x1=x1)
 
     def backward(self, g0: Tensor, g1: Tensor) -> tuple[Tensor, Tensor]:
@@ -896,7 +925,7 @@ class ResidualBlock:
 
     def forward(self, x: Tensor, training: bool, cache: bool = False) -> Tensor:
         x = x + self.bssa.forward(x, training, cache)
-        return (x + self.bmlp.forward(x, training, cache)).astype(DTYPE)
+        return (x + self.bmlp.forward(x, training, cache)).astype(DTYPE, copy=False)
 
     def backward(self, g: Tensor) -> Tensor:
         g = g + self.bmlp.backward(g)
@@ -973,7 +1002,7 @@ class SpikingTransformer:
         # capability.
         taps = []
         if self.reversible:
-            state = ReversibleState(x0=e.copy(), x1=e.copy())
+            state = ReversibleState(x0=e, x1=e)  # blocks never write their input state
             for blk in self.blocks:
                 state = blk.forward(state, training, cache)
                 if self.capture_taps:
@@ -1146,7 +1175,7 @@ def checkpoint_bytes(model: SpikingTransformer) -> bytes:
     packed_entries = []
     for lyr in model.binary_linear_layers():
         if lyr.mode == "binary":
-            pb, _ = binary.binarize_weights(lyr.weight.value, lyr.per_channel)
+            pb = binary.pack(lyr._binary_signs(), binary.ALPHABET_PM1)
             packed_entries.append((f"{lyr.name}.packed", binary.packed_bytes(pb)))
     header = {
         "format": 1,

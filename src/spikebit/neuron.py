@@ -127,9 +127,14 @@ def _sigmoid(z: Tensor) -> Tensor:
     # overflow-safe logistic: exp only ever sees non-positive arguments.
     # Each side evaluates the same expression as the masked two-branch form
     # (1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z)) below), so results are
-    # bit-identical to it, without its boolean gathers and scatters.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # bit-identical to it, without its boolean gathers and scatters. The
+    # numerator is 1 where z >= 0 and e elsewhere, NaN included; the work
+    # runs in two fresh buffers.
+    e = np.copysign(z, -1.0, out=np.empty_like(z))  # -|z|
+    np.exp(e, out=e)
+    den = np.add(e, 1.0, out=np.empty_like(e))
+    np.copyto(e, 1.0, where=z >= 0)
+    return np.divide(e, den, out=e)
 
 
 def surrogate_relaxation(u_pre: Tensor, p: LifParams) -> Tensor:
@@ -160,8 +165,12 @@ def surrogate_grad(u_pre: Tensor, p: LifParams) -> Tensor:
     if spec.kind is SurrogateKind.RECTANGULAR:
         return (np.abs(d) <= 0.5 * a).astype(u.dtype) / a
     if spec.kind is SurrogateKind.SIGMOID:
-        s = _sigmoid(a * d)
-        return a * s * (1.0 - s)
+        # a * s * (1 - s), with s = sigmoid(a * d), in place on d and s
+        d = np.multiply(d, a, out=np.asarray(d))
+        s = _sigmoid(d)
+        one_minus = np.subtract(1.0, s, out=d)
+        np.multiply(s, a, out=s)
+        return np.multiply(s, one_minus, out=s)
     if spec.kind is SurrogateKind.ARCTAN:
         return (0.5 * a) / (1.0 + (0.5 * np.pi * a * d) ** 2)
     raise ConfigError(f"unknown surrogate kind: {spec.kind!r}")

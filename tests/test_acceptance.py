@@ -275,6 +275,7 @@ def test_criterion_08_representation_trend(trend_stats):
            f"baseline {trend_stats['res_last_mean']:.2f}")
 
 
+@pytest.mark.slow
 def test_criterion_09_toy_training_with_distillation():
     t0 = time.time()
     stem = StemSpec(kind="vector", in_features=64, tokens=4)

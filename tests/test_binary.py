@@ -23,6 +23,7 @@ from spikebit.binary import (
 )
 from spikebit.errors import (
     ConfigError,
+    DataError,
     DegenerateWeightsError,
     EncodingError,
     ShapeError,
@@ -81,6 +82,18 @@ class TestPackUnpack:
         assert np.array_equal(again.words, pb.words)
         # serialize -> parse -> serialize is byte identical
         assert packed_bytes(packed_from_bytes(packed_bytes(pb))) == packed_bytes(pb)
+
+    @pytest.mark.parametrize("damage", ["short_header", "short_payload", "trailing_bytes"])
+    def test_damaged_file_is_data_error(self, tmp_path, damage):
+        good = packed_bytes(pack(np.ones((3, 70), dtype=np.float32), ALPHABET_01))
+        bad = {"short_header": good[:12], "short_payload": good[:-1],
+               "trailing_bytes": good + b"\0\0"}[damage]
+        path = tmp_path / "bits.bin"
+        path.write_bytes(bad)
+        with pytest.raises(DataError):
+            read_packed(path)
+        with pytest.raises(DataError):
+            packed_from_bytes(bad)
 
 
 class TestPackedLinear:

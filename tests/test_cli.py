@@ -121,6 +121,23 @@ class TestDatasets:
         with pytest.raises(DataError):
             load_raw_dataset(path)
 
+    @pytest.mark.parametrize("damage", ["short_header", "short_samples", "trailing_bytes",
+                                        "huge_count", "no_samples"])
+    def test_raw_damaged_is_data_error(self, tmp_path, damage):
+        path = tmp_path / "d.bin"
+        if damage == "no_samples":
+            save_raw_dataset(path, np.zeros((0, 6), dtype=np.float32), np.zeros(0), 3)
+        else:
+            save_raw_dataset(path, Rng(7).normal((10, 6)), np.zeros(10), 3)
+            good = path.read_bytes()
+            # magic (6 bytes), u32 count, ndim and classes, then the shape
+            path.write_bytes({"short_header": good[:14], "short_samples": good[:-5],
+                              "trailing_bytes": good + b"\0" * 4,
+                              "huge_count": good[:6] + (2**32 - 1).to_bytes(4, "little")
+                              + good[10:]}[damage])
+        with pytest.raises(DataError):
+            load_raw_dataset(path)
+
 
 class TestTrainCommand:
     def test_zero_epochs_writes_initial_checkpoint(self, tmp_path):
@@ -199,6 +216,15 @@ class TestEvalInspect:
         save_raw_dataset(bad, x, y, 3)  # model has 10 classes
         rc = cli.main(["eval", "--checkpoint", str(out / "ckpt-last.bin"),
                        "--dataset", str(bad), "--format", "raw"])
+        assert rc == 2
+
+    def test_eval_truncated_raw_dataset_exits_2(self, trained, tmp_path):
+        _, out = trained
+        path = tmp_path / "cut.bin"
+        save_raw_dataset(path, Rng(1).normal((8, 64)), np.zeros(8), 10)
+        path.write_bytes(path.read_bytes()[:-5])
+        rc = cli.main(["eval", "--checkpoint", str(out / "ckpt-last.bin"),
+                       "--dataset", str(path), "--format", "raw"])
         assert rc == 2
 
     @pytest.mark.parametrize("damage", ["truncated_header", "truncated_arrays", "trailing_bytes"])

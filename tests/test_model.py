@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import toy_config
+from spikebit import binary, learn, neuron
 from spikebit import model as M
 from spikebit.binary import ALPHABET_01, ALPHABET_PM1, binary_signs, pack, packed_linear
 from spikebit.errors import ConfigError, DataError, EncodingError
 from spikebit.model import (
+    BatchNormLayer,
     BinaryLinearLayer,
     BssaBlock,
     LifLayer,
@@ -18,7 +20,7 @@ from spikebit.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from spikebit.neuron import Reset
+from spikebit.neuron import Reset, lif_run
 from spikebit.numeric import Rng
 
 
@@ -161,6 +163,23 @@ class TestBinaryLinear:
         with pytest.raises(EncodingError, match=r"index \(2, 5\)"):
             lyr.forward(x)
 
+    @pytest.mark.parametrize("bad", [2.0, -1.0, np.nan, np.inf])
+    def test_other_non_spike_values_rejected(self, bad):
+        lyr = BinaryLinearLayer("l", 8, 4, Rng(0))
+        x = np.zeros((3, 8), dtype=np.float32)
+        x[0, 1] = 1.0
+        x[2, 5] = bad
+        with pytest.raises(EncodingError, match=r"index \(2, 5\)"):
+            lyr.forward(x)
+
+    def test_negative_zero_is_a_zero_spike(self):
+        lyr = BinaryLinearLayer("l", 8, 4, Rng(0))
+        x = np.zeros((3, 8), dtype=np.float32)
+        x[1, :3] = 1.0
+        x[2, 5] = -0.0
+        assert lyr.forward(x).tobytes() == lyr.forward(np.abs(x)).tobytes()
+        assert lyr.last_in_spikes == 3.0
+
     def test_width_beyond_float32_exactness_rejected(self):
         with pytest.raises(ConfigError, match="2\\*\\*24"):
             BinaryLinearLayer("l", 2**24, 1, Rng(0))
@@ -302,3 +321,212 @@ class TestCheckpoint:
         path = tmp_path / "conv.bin"
         save_checkpoint(net, path)
         assert checkpoint_bytes(load_checkpoint(path)) == path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels against the plain expressions they replaced, byte for byte
+
+
+def _bytes_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # signed zeros and NaN payloads included
+
+
+def _lif_forward_reference(p, x):
+    dt = x.dtype
+    u = np.zeros(x.shape[1:], dtype=dt)
+    spikes, u_pre = np.empty_like(x), np.empty_like(x)
+    tau, vth = dt.type(p.tau), dt.type(p.v_threshold)
+    for t in range(x.shape[0]):
+        up = tau * u + x[t]
+        s = (up >= vth).astype(dt)
+        u_pre[t] = up
+        spikes[t] = s
+        u = (1.0 - s) * up if p.reset is Reset.HARD else up - vth * s
+    return spikes, u_pre
+
+
+def _lif_backward_reference(p, u_pre, spikes, g_spikes):
+    tau = np.float32(p.tau)
+    g_x = np.empty_like(g_spikes)
+    g_u = np.zeros(g_spikes.shape[1:], dtype=g_spikes.dtype)
+    for t in range(g_spikes.shape[0] - 1, -1, -1):
+        g_upre = g_spikes[t] * neuron.surrogate_grad(u_pre[t], p)
+        if p.reset is Reset.HARD:
+            g_upre = g_upre + g_u * (1.0 - spikes[t])
+        else:
+            g_upre = g_upre + g_u
+        g_x[t] = g_upre
+        g_u = tau * g_upre
+    return g_x
+
+
+def _lif_input(dtype, seed=40):
+    x = Rng(seed).normal((5, 7, 9), std=1.5).astype(dtype)
+    x[0, 0, :4] = [np.inf, -np.inf, np.nan, -0.0]
+    x[2, 1, :3] = [np.nan, np.inf, -np.inf]
+    x[1, 2, :] = 1.0  # exactly at threshold
+    x[1, 3, :] = 20.0  # saturates the surrogate: its derivative rounds to 0
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the reset
+class TestLifKernel:
+    @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_matches_reference_bytewise(self, reset, dtype):
+        p = toy_config("residual").lif(reset=reset)
+        x = _lif_input(dtype)
+        want_s, want_u = _lif_forward_reference(p, x)
+        lif = LifLayer(p)
+        _bytes_equal(lif.forward(x), want_s)
+        _bytes_equal(lif.forward(x, cache=True), want_s)
+        _bytes_equal(lif._u_pre, want_u)
+
+    @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
+    def test_forward_matches_lif_run(self, reset):
+        p = toy_config("residual").lif(reset=reset)
+        x = Rng(41).normal((6, 4, 11), std=1.5)
+        assert LifLayer(p).forward(x).tobytes() == lif_run(x, p).tobytes()
+
+    @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_matches_reference_bytewise(self, reset, dtype):
+        p = toy_config("residual").lif(reset=reset)
+        x = _lif_input(dtype)
+        lif = LifLayer(p)
+        lif.forward(x, cache=True)
+        gs = [Rng(42 + i).normal(x.shape).astype(dtype) for i in range(3)]
+        for g in gs:
+            g[1:, 3, :] = -1.0  # into the saturated row
+        for g in gs:
+            want = _lif_backward_reference(p, lif._u_pre, lif._spikes, g)
+            if reset is Reset.HARD:  # the reset gate zeroes the carry: -0.0 input gradients
+                assert np.signbit(want[1, 3]).all() and not want[1, 3].any()
+            _bytes_equal(lif.backward(g), want)
+        # several upstream gradients: summed from zero in argument order
+        want = np.zeros_like(gs[0])
+        for g in gs:
+            want += _lif_backward_reference(p, lif._u_pre, lif._spikes, g)
+        _bytes_equal(lif.backward(*gs), want)
+
+
+def _bn_reference_forward(bn, x, training):
+    dt = x.dtype
+    if training:
+        flat = x.reshape(-1, bn.channels)
+        mean = flat.mean(axis=0, dtype=np.float64).astype(dt)
+        var = flat.var(axis=0, dtype=np.float64).astype(dt)
+    else:
+        mean, var = bn.running_mean, bn.running_var
+    inv = 1.0 / np.sqrt(var + dt.type(bn.epsilon))
+    xhat = (x - mean) * inv
+    return xhat * bn.gamma.value + bn.beta.value, xhat, inv, mean, var
+
+
+def _bn_reference_backward(bn, g_out, xhat, inv, training):
+    axes = tuple(range(g_out.ndim - 1))
+    g_beta = g_out.sum(axis=axes)
+    g_gamma = (g_out * xhat).sum(axis=axes)
+    g_xhat = g_out * bn.gamma.value
+    if not training:
+        return g_xhat * inv, g_gamma, g_beta
+    n = float(np.prod(g_out.shape[:-1]))
+    mean_g = g_xhat.sum(axis=axes) / n
+    mean_gx = (g_xhat * xhat).sum(axis=axes) / n
+    return (g_xhat - mean_g - xhat * mean_gx) * inv, g_gamma, g_beta
+
+
+class TestBatchNormKernel:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("strided_grad", [False, True])
+    def test_forward_backward_match_reference_bytewise(self, training, dtype, strided_grad):
+        C = 6
+        bn = BatchNormLayer("bn", C)
+        r = Rng(43)
+        for prm in (bn.gamma, bn.beta):
+            prm.value = (prm.value + r.normal((C,), std=0.5)).astype(dtype)
+            prm.grad = np.zeros_like(prm.value)
+        bn.running_mean[:] = r.normal((C,))
+        bn.running_var[:] = 1.0 + r.uniform((C,))
+        x = (r.normal((3, 4, 5, C), std=2.0) + 0.7).astype(dtype)
+        before = bn.running_mean.copy(), bn.running_var.copy()
+        want, xhat, inv, mean, var = _bn_reference_forward(bn, x, training)
+        for cache in (False, True):
+            bn.running_mean[:], bn.running_var[:] = before
+            _bytes_equal(bn.forward(x, training, cache=cache), want)
+        if training:
+            m = bn.momentum
+            assert bn.running_mean.tobytes() == (
+                ((1.0 - m) * before[0] + m * mean).astype(np.float32)).tobytes()
+            assert bn.running_var.tobytes() == (
+                ((1.0 - m) * before[1] + m * var).astype(np.float32)).tobytes()
+        g = r.normal(x.shape).astype(dtype)
+        if strided_grad:  # channels-last view of a channels-first array, as in the conv stem
+            g = np.moveaxis(np.ascontiguousarray(np.moveaxis(g, -1, 2)), 2, -1)
+        want_g, want_gamma, want_beta = _bn_reference_backward(bn, g, xhat, inv, training)
+        _bytes_equal(bn.backward(g), want_g)
+        _bytes_equal(bn.gamma.grad, want_gamma)
+        _bytes_equal(bn.beta.grad, want_beta)
+
+
+class TestSharedInputLif:
+    def _reference_three_lifs(self, blk, cfg, x, g_out):
+        """The BSSA forward and backward with one input LIF per projection."""
+        ins = [LifLayer(cfg.lif()) for _ in range(3)]
+        outs = []
+        for lin, proj, bn, lif in zip(ins, (blk.q_proj, blk.k_proj, blk.v_proj),
+                                      (blk.q_bn, blk.k_bn, blk.v_bn),
+                                      (blk.q_lif, blk.k_lif, blk.v_lif)):
+            outs.append(lif.forward(bn.forward(proj.forward(lin.forward(x, True), True),
+                                               True, True), True))
+        qh, kh, vh = (blk._split(a) for a in outs)
+        attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
+        s_attn = blk.attn_lif.forward(attn, True)
+        ctx = blk.lam.forward(np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True), True)
+        out = blk.o_bn.forward(blk.o_proj.forward(blk.o_in.forward(blk._merge(ctx), True), True),
+                               True, True)
+        g = blk.o_in.backward(blk.o_proj.backward(blk.o_bn.backward(g_out)))
+        g_ctx0 = blk.lam.backward(blk._split(g))
+        g_sattn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx0, vh, optimize=True)
+        g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx0, optimize=True)
+        g_attn = blk.attn_lif.backward(g_sattn)
+        g_qh = np.einsum("tbhnm,tbhmd->tbhnd", g_attn, kh, optimize=True)
+        g_kh = np.einsum("tbhnm,tbhnd->tbhmd", g_attn, qh, optimize=True)
+        g_x = np.zeros(g_out.shape, dtype=g_out.dtype)
+        for gh, lif, bn, proj, lin in zip((g_qh, g_kh, g_vh), (blk.q_lif, blk.k_lif, blk.v_lif),
+                                          (blk.q_bn, blk.k_bn, blk.v_bn),
+                                          (blk.q_proj, blk.k_proj, blk.v_proj), ins):
+            g_x += lin.backward(proj.backward(bn.backward(lif.backward(blk._merge(gh)))))
+        return out, g_x
+
+    @pytest.mark.parametrize("seed", [50, 51])
+    def test_gradients_match_three_lif_reference_bytewise(self, seed):
+        cfg = toy_config("residual", timesteps=3)
+        x = Rng(seed).normal((3, 4, 5, 32), std=2.0)
+        g_out = Rng(seed + 1).normal(x.shape)
+        got_blk, ref_blk = BssaBlock("b", cfg, Rng(seed)), BssaBlock("b", cfg, Rng(seed))
+        got_out = got_blk.forward(x, training=True, cache=True)
+        got_g = got_blk.backward(g_out)
+        want_out, want_g = self._reference_three_lifs(ref_blk, cfg, x, g_out)
+        assert got_out.tobytes() == want_out.tobytes()
+        assert got_g.tobytes() == want_g.tobytes()
+        for (name, got), (_, want) in zip(got_blk.params(), ref_blk.params()):
+            assert got.grad.tobytes() == want.grad.tobytes(), name
+        assert len(got_blk.lifs()) == 6  # x_in, o_in, q, k, v, attn
+
+
+class TestCheckpointImages:
+    def test_packed_images_equal_fresh_binarization(self):
+        net = SpikingTransformer(toy_config("reversible"), seed=37)
+        x, y = Rng(38).normal((8, 64)), np.arange(8) % 10
+        learn.train_model(net, (x, y), epochs=2, rng=Rng(39), batch_size=4)
+        for lyr in net.binary_linear_layers():
+            lyr.forward(np.zeros((1, lyr.in_features), dtype=np.float32))  # fill the sign cache
+        # the images close the container, in layer order
+        fresh = b"".join(
+            binary.packed_bytes(binary.binarize_weights(lyr.weight.value, lyr.per_channel)[0])
+            for lyr in net.binary_linear_layers()
+        )
+        assert checkpoint_bytes(net).endswith(fresh)

@@ -151,6 +151,31 @@ class TestSurrogates:
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
 
+    @pytest.mark.parametrize("kind", list(SurrogateKind))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grad_matches_plain_expression_bytewise(self, kind, dtype):
+        def reference(u, p):
+            d = u - p.v_threshold
+            a = p.surrogate.width_or_alpha
+            if kind is SurrogateKind.RECTANGULAR:
+                return (np.abs(d) <= 0.5 * a).astype(u.dtype) / a
+            if kind is SurrogateKind.SIGMOID:
+                z = a * d
+                e = np.exp(-np.abs(z))
+                s = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+                return a * s * (1.0 - s)
+            return (0.5 * a) / (1.0 + (0.5 * np.pi * a * d) ** 2)
+
+        p = LifParams(surrogate=SurrogateSpec(kind, 4.0))
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 1.0 + 1e-7, 30.0, -200.0]
+        u = np.concatenate([special, np.linspace(-30.0, 30.0, 6001),
+                            Rng(4).normal((2000,), std=3.0)]).astype(dtype)
+        got, want = surrogate_grad(u, p), reference(u, p)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()  # NaN payloads included
+        # a 0-d input gives the same value
+        assert surrogate_grad(u[6], p) == want[6]
+
     def test_symmetry_about_threshold(self):
         for kind in SurrogateKind:
             p = LifParams(surrogate=SurrogateSpec(kind, 2.0))
