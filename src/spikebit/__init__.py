@@ -56,8 +56,6 @@ from .model import (
     SpikingTransformer,
     StemSpec,
     load_checkpoint,
-    reversible_forward,
-    reversible_inverse,
     save_checkpoint,
 )
 from .neuron import (

@@ -21,6 +21,7 @@ import os
 import struct
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -98,7 +99,16 @@ def synthetic_clusters(spec: DatasetSpec, seed: int) -> Dataset:
 
 
 def load_csv_dataset(path, num_classes: int | None = None) -> Dataset:
-    rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    """Comma-separated rows of features, label last. A non-numeric field,
+    ragged rows, or a file without samples raises DataError."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data"; rejected below
+            rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"csv dataset {path}: {exc}") from None
+    if rows.shape[0] == 0 or rows.shape[1] < 2:
+        raise DataError(f"csv dataset {path} needs rows of features and a label")
     x = rows[:, :-1].astype(DTYPE)
     y = rows[:, -1].astype(np.int64)
     classes = num_classes if num_classes else int(y.max()) + 1

@@ -40,6 +40,11 @@ strict_checks = True
 # float32 BLAS forward is exact while in_features stays below this.
 EXACT_FEATURES = 2**24
 
+# Binary-mode inference forwards run in sample tiles of this many rows
+# (T * samples * tokens), so each tile's activations stay near L2 size.
+# 1024 was the fastest budget on the eval_wide benchmark; see forward.
+INFER_TILE_ROWS = 1024
+
 
 def set_strict_checks(enabled: bool) -> bool:
     global strict_checks
@@ -194,23 +199,31 @@ class BinaryLinearLayer:
         return signs
 
     def forward(self, x: Tensor, cache: bool = False) -> Tensor:
+        flat = self._flat(x)
+        return self._product(flat, self._spike_count(flat), x.shape[:-1], cache)
+
+    def _flat(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
             raise ShapeError(
                 f"{self.name}: input features {x.shape[-1]} != {self.in_features}"
             )
-        lead = x.shape[:-1]
-        flat = np.ascontiguousarray(x.reshape(-1, self.in_features))
-        if self.mode == "binary":
-            # {0,1} input exactly when every element equals 0 or 1 (two
-            # boolean counts; counting nonzero floats directly is slower)
-            ones = np.count_nonzero(flat == 1)
-            if ones + np.count_nonzero(flat == 0) != flat.size:
-                binary.require_alphabet(flat, binary.ALPHABET_01)  # raises, naming the element
-            self.last_in_spikes = float(ones)
-            mat = self._binary_signs()
-        else:
-            self.last_in_spikes = float(flat.sum(dtype=np.float64))
-            mat = self.weight.value
+        return np.ascontiguousarray(x.reshape(-1, self.in_features))
+
+    def _spike_count(self, flat: Tensor) -> float:
+        """Spikes in a flattened input; in binary mode also its {0,1} check."""
+        if self.mode != "binary":
+            return float(flat.sum(dtype=np.float64))
+        # {0,1} input exactly when every element equals 0 or 1 (two
+        # boolean counts; counting nonzero floats directly is slower)
+        ones = np.count_nonzero(flat == 1)
+        if ones + np.count_nonzero(flat == 0) != flat.size:
+            binary.require_alphabet(flat, binary.ALPHABET_01)  # raises, naming the element
+        return float(ones)
+
+    def _product(self, flat: Tensor, spikes: float, lead: tuple, cache: bool) -> Tensor:
+        """The product on a flattened input that `_spike_count` has checked."""
+        self.last_in_spikes = spikes
+        mat = self._binary_signs() if self.mode == "binary" else self.weight.value
         out = flat @ mat.T
         if cache:
             self._in2d = flat
@@ -668,16 +681,6 @@ class ConvStem:
         return out
 
 
-def bsps_stem(images: Tensor, cfg: ModelConfig, rng: Rng | None = None,
-              training: bool = False) -> ReversibleState:
-    """Build a fresh patch-splitting stem, run it, and seed the two
-    reversible streams with identical copies of the token embedding."""
-    stem = ConvStem(cfg, rng if rng is not None else Rng(0)) if cfg.stem.kind == "conv" \
-        else VectorStem(cfg, rng if rng is not None else Rng(0))
-    e = stem.forward(np.asarray(images, dtype=DTYPE), training)
-    return ReversibleState(x0=e.copy(), x1=e.copy())
-
-
 # ---------------------------------------------------------------------------
 # encoder blocks
 
@@ -736,9 +739,16 @@ class BssaBlock:
 
     def forward(self, x: Tensor, training: bool, cache: bool = False) -> Tensor:
         s = self.x_in.forward(x, cache)
-        q = self.q_lif.forward(self.q_bn.forward(self.q_proj.forward(s, cache), training, cache), cache)
-        k = self.k_lif.forward(self.k_bn.forward(self.k_proj.forward(s, cache), training, cache), cache)
-        v = self.v_lif.forward(self.v_bn.forward(self.v_proj.forward(s, cache), training, cache), cache)
+        # Q, K and V read the same spikes: check and count them once
+        flat = self.q_proj._flat(s)
+        spikes = self.q_proj._spike_count(flat)
+        lead = s.shape[:-1]
+        q, k, v = (
+            lif.forward(bn.forward(proj._product(flat, spikes, lead, cache), training, cache), cache)
+            for proj, bn, lif in ((self.q_proj, self.q_bn, self.q_lif),
+                                  (self.k_proj, self.k_bn, self.k_lif),
+                                  (self.v_proj, self.v_bn, self.v_lif))
+        )
         qh, kh, vh = self._split(q), self._split(k), self._split(v)
         attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
         if strict_checks:
@@ -941,15 +951,6 @@ class ResidualBlock:
         return self.bssa.buffers() + self.bmlp.buffers()
 
 
-def reversible_forward(s: ReversibleState, blk: ReversibleBlock,
-                       training: bool = False) -> ReversibleState:
-    return blk.forward(s, training)
-
-
-def reversible_inverse(s: ReversibleState, blk: ReversibleBlock) -> ReversibleState:
-    return blk.inverse(s)
-
-
 # ---------------------------------------------------------------------------
 # the full network
 
@@ -994,40 +995,90 @@ class SpikingTransformer:
 
     def forward(self, x: Tensor, training: bool = False,
                 cache: bool = False) -> tuple[Tensor, Tensor | None]:
+        """Classification logits and distillation logits (None without a
+        distillation head) for a batch of samples.
+
+        A binary-mode inference forward (no training, no cache) runs the
+        stem and the encoder blocks over sample tiles of INFER_TILE_ROWS
+        rows (T * samples * tokens), then the heads once on the whole
+        batch's pooled means. This is bit-identical to one full-batch pass:
+        every binary-layer and attention product is an exact integer sum,
+        so BLAS blocking cannot round it; BN with running statistics, the
+        LIFs, the stream updates and the time/token mean work sample by
+        sample. The heads stay untiled because their float32 BLAS product
+        can round differently at another row count; full-mode models stay
+        untiled for the same reason, since their layer products are float
+        sums. After a tiled forward, each binary layer's `last_in_spikes`,
+        each BSSA block's `last_sops` and `block_taps` cover the whole
+        batch, while the per-layer `last_attn` and `last_out` describe the
+        last tile.
+        """
         cache = cache or training
+        x = np.asarray(x, dtype=DTYPE)
+        tile = max(1, INFER_TILE_ROWS // (self.cfg.timesteps * self.stem.tokens))
+        if cache or self.cfg.weight_mode != "binary" or x.shape[0] <= tile:
+            pooled, taps = self._encode(x, training, cache)
+        else:
+            pooled, taps = self._encode_tiled(x, tile)
+        if self.capture_taps:
+            self.block_taps = taps
+        if self.reversible:
+            return self._dual_heads(*pooled, cache)
+        return self.head_cls.forward(pooled[0], cache), None
+
+    def _encode(self, x: Tensor, training: bool,
+                cache: bool) -> tuple[list[Tensor], list[tuple[str, Tensor]]]:
+        """Stem and encoder blocks on one batch. Returns the time/token
+        mean of each stream (x0, x1 or the residual stream) and the taps."""
         e = self.embed(x, training, cache)
         # Taps record each block's final normalized map (the last
         # LIF -> binary-linear -> BN output inside the block), the
         # real-valued quantity whose value diversity tracks representation
         # capability.
         taps = []
-        if self.reversible:
-            state = ReversibleState(x0=e, x1=e)  # blocks never write their input state
-            for blk in self.blocks:
-                state = blk.forward(state, training, cache)
-                if self.capture_taps:
-                    taps.append((blk.name, blk.bmlp.last_out.copy()))
-            x0, x1 = state.x0, state.x1
-            pooled0 = x0.mean(axis=(0, 2))
-            pooled1 = x1.mean(axis=(0, 2))
-            self._pool_shape = x0.shape
-            if self.cfg.classify_on == "x0":
-                cls_in, dist_in = pooled0, pooled1
-            else:
-                cls_in, dist_in = pooled1, pooled0
-            logits = self.head_cls.forward(cls_in, cache)
-            dist_logits = self.head_dist.forward(dist_in, cache) if self.head_dist else None
+        # blocks never write their input state, so both streams share e
+        state = ReversibleState(x0=e, x1=e) if self.reversible else e
+        for blk in self.blocks:
+            state = blk.forward(state, training, cache)
+            if self.capture_taps:
+                taps.append((blk.name, blk.bmlp.last_out.copy()))
+        streams = (state.x0, state.x1) if self.reversible else (state,)
+        self._pool_shape = streams[0].shape
+        return [h.mean(axis=(0, 2)) for h in streams], taps
+
+    def _encode_tiled(self, x: Tensor,
+                      tile: int) -> tuple[list[Tensor], list[tuple[str, Tensor]]]:
+        """`_encode` for inference, `tile` samples at a time. Pooled means
+        and taps are concatenated along the batch axis; spike and
+        synaptic-op counts are summed to batch totals."""
+        linears = list(self.binary_linear_layers())
+        bssas = list(self.bssa_blocks())
+        spikes = [0.0] * len(linears)
+        sops = [0.0] * len(bssas)
+        tile_pooled, tile_taps = [], []
+        for start in range(0, x.shape[0], tile):
+            pooled, taps = self._encode(x[start:start + tile], training=False, cache=False)
+            tile_pooled.append(pooled)
+            tile_taps.append(taps)
+            spikes = [n + lyr.last_in_spikes for n, lyr in zip(spikes, linears)]
+            sops = [n + b.last_sops for n, b in zip(sops, bssas)]
+        for lyr, n in zip(linears, spikes):
+            lyr.last_in_spikes = n
+        for b, n in zip(bssas, sops):
+            b.last_sops = n
+        pooled = [np.concatenate(stream) for stream in zip(*tile_pooled)]
+        taps = [(block[0][0], np.concatenate([tap for _, tap in block], axis=1))
+                for block in zip(*tile_taps)]
+        return pooled, taps
+
+    def _dual_heads(self, pooled0: Tensor, pooled1: Tensor,
+                    cache: bool = False) -> tuple[Tensor, Tensor | None]:
+        if self.cfg.classify_on == "x0":
+            cls_in, dist_in = pooled0, pooled1
         else:
-            h = e
-            for blk in self.blocks:
-                h = blk.forward(h, training, cache)
-                if self.capture_taps:
-                    taps.append((blk.name, blk.bmlp.last_out.copy()))
-            self._pool_shape = h.shape
-            logits = self.head_cls.forward(h.mean(axis=(0, 2)), cache)
-            dist_logits = None
-        if self.capture_taps:
-            self.block_taps = taps
+            cls_in, dist_in = pooled1, pooled0
+        logits = self.head_cls.forward(cls_in, cache)
+        dist_logits = self.head_dist.forward(dist_in, cache) if self.head_dist else None
         return logits, dist_logits
 
     def backward(self, g_logits: Tensor, g_dist: Tensor | None = None) -> None:
@@ -1102,15 +1153,7 @@ class SpikingTransformer:
 
     def heads_forward(self, s: ReversibleState) -> tuple[Tensor, Tensor | None]:
         """Apply the pooled dual heads to a final reversible state."""
-        pooled0 = s.x0.mean(axis=(0, 2))
-        pooled1 = s.x1.mean(axis=(0, 2))
-        if self.cfg.classify_on == "x0":
-            cls_in, dist_in = pooled0, pooled1
-        else:
-            cls_in, dist_in = pooled1, pooled0
-        y = self.head_cls.forward(cls_in)
-        y_d = self.head_dist.forward(dist_in) if self.head_dist else None
-        return y, y_d
+        return self._dual_heads(s.x0.mean(axis=(0, 2)), s.x1.mean(axis=(0, 2)))
 
     # -- parameter plumbing --------------------------------------------------
 

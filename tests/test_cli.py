@@ -227,6 +227,18 @@ class TestEvalInspect:
                        "--dataset", str(path), "--format", "raw"])
         assert rc == 2
 
+    @pytest.mark.parametrize("text", ["1.0,abc,0\n", ""], ids=["non_numeric", "empty"])
+    def test_eval_bad_csv_dataset_exits_2(self, trained, tmp_path, capsys, text):
+        _, out = trained
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError):
+            cli.load_csv_dataset(path)
+        rc = cli.main(["eval", "--checkpoint", str(out / "ckpt-last.bin"),
+                       "--dataset", str(path), "--format", "csv"])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("damage", ["truncated_header", "truncated_arrays", "trailing_bytes"])
     def test_corrupt_checkpoint_is_data_error(self, trained, tmp_path, damage):
         cfg_path, out = trained

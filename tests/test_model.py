@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import toy_config
-from spikebit import binary, learn, neuron
+from spikebit import binary, learn, metrics, neuron
 from spikebit import model as M
 from spikebit.binary import ALPHABET_01, ALPHABET_PM1, binary_signs, pack, packed_linear
 from spikebit.errors import ConfigError, DataError, EncodingError
@@ -15,7 +17,6 @@ from spikebit.model import (
     ReversibleState,
     SpikingTransformer,
     StemSpec,
-    bsps_stem,
     checkpoint_bytes,
     load_checkpoint,
     save_checkpoint,
@@ -60,9 +61,15 @@ class TestStem:
             assert np.array_equal(first[t], first[0])
 
     def test_stem_seeds_both_streams_identically(self):
-        cfg = toy_config("reversible")
-        state = bsps_stem(Rng(3).normal((2, 64)), cfg, rng=Rng(0))
-        assert np.array_equal(state.x0, state.x1)
+        for cfg, x, stem_cls in (
+            (toy_config("reversible"), Rng(3).normal((2, 64)), M.VectorStem),
+            (conv_config(image=16), Rng(3).normal((2, 3, 16, 16)), M.ConvStem),
+        ):
+            net = SpikingTransformer(cfg, seed=0)
+            assert type(net.stem) is stem_cls
+            stem_state, _ = net.run_reversible(x)
+            e = net.stem.forward(x, training=False)
+            assert np.array_equal(stem_state.x0, e) and np.array_equal(stem_state.x1, e)
 
     def test_indivisible_extents_rejected(self):
         with pytest.raises(ConfigError):
@@ -228,13 +235,13 @@ class TestReversible:
         twice = blk.inverse(once)
         assert np.abs(twice.x0 - s.x0).max() > 1e-2
 
-    def test_module_level_wrappers(self):
+    def test_block_forward_inverse_roundtrip(self):
         cfg = toy_config("reversible", depth=1)
         net = SpikingTransformer(cfg, seed=21)
         net.forward(Rng(22).normal((4, 64)), training=True)
         s = self._states(23)
-        out = M.reversible_forward(s, net.blocks[0])
-        back = M.reversible_inverse(out, net.blocks[0])
+        blk = net.blocks[0]
+        back = blk.inverse(blk.forward(s, training=False))
         assert np.abs(back.x0 - s.x0).max() <= 1e-4
 
 
@@ -516,6 +523,19 @@ class TestSharedInputLif:
             assert got.grad.tobytes() == want.grad.tobytes(), name
         assert len(got_blk.lifs()) == 6  # x_in, o_in, q, k, v, attn
 
+    def test_one_alphabet_check_feeds_all_three_projections(self, monkeypatch):
+        blk = BssaBlock("b", toy_config("residual"), Rng(52))
+        checked = []
+        count = BinaryLinearLayer._spike_count
+        monkeypatch.setattr(BinaryLinearLayer, "_spike_count",
+                            lambda lyr, flat: checked.append(lyr.name) or count(lyr, flat))
+        for lyr in (blk.q_proj, blk.k_proj, blk.v_proj):
+            lyr.last_in_spikes = -1.0
+        blk.forward(Rng(53).normal((2, 3, 4, 32), std=2.0), training=False)
+        assert checked == ["b.q", "b.o"]  # x_in's spikes once, then o_in's
+        spikes = blk.q_proj.last_in_spikes
+        assert spikes > 0 and blk.k_proj.last_in_spikes == blk.v_proj.last_in_spikes == spikes
+
 
 class TestCheckpointImages:
     def test_packed_images_equal_fresh_binarization(self):
@@ -530,3 +550,64 @@ class TestCheckpointImages:
             for lyr in net.binary_linear_layers()
         )
         assert checkpoint_bytes(net).endswith(fresh)
+
+
+class TestTiledInference:
+    """Binary-mode inference forwards run in sample tiles and must match a
+    full-batch pass byte for byte."""
+
+    @staticmethod
+    def _tile(net):
+        return M.INFER_TILE_ROWS // (net.cfg.timesteps * net.stem.tokens)
+
+    @staticmethod
+    def _outputs(net, x):
+        y, y_d = net.forward(x, training=False)
+        return (y.tobytes(), None if y_d is None else y_d.tobytes(),
+                repr(metrics.cost_report(net, x).record()),
+                repr(metrics.representation_report(net, x).records()))
+
+    @pytest.mark.parametrize("kind", ["reversible", "residual", "conv"])
+    def test_byte_identical_to_untiled(self, kind, monkeypatch):
+        cfg = conv_config(image=16) if kind == "conv" else toy_config(kind)
+        shape = (3, 16, 16) if kind == "conv" else (64,)
+        net = SpikingTransformer(cfg, seed=60)
+        net.calibrate(Rng(61).normal((8,) + shape, std=2.0))
+        tile = self._tile(net)
+        assert tile > 2
+        for batch in (1, tile - 1, tile, tile + 1, 2 * tile + 3):
+            x = Rng(batch).normal((batch,) + shape, std=2.0)
+            tiled = self._outputs(net, x)
+            with monkeypatch.context() as m:
+                m.setattr(M, "INFER_TILE_ROWS", 2**62)  # one tile holds any batch
+                untiled = self._outputs(net, x)
+            assert tiled == untiled, batch
+
+    @pytest.mark.parametrize("mode,training,cache,tiled", [
+        ("binary", False, False, True),
+        ("binary", False, True, False),
+        ("binary", True, False, False),
+        ("full", False, False, False),
+    ])
+    def test_only_binary_inference_is_tiled(self, mode, training, cache, tiled):
+        net = SpikingTransformer(toy_config("reversible", weight_mode=mode), seed=62)
+        tile = self._tile(net)
+        seen = []
+        stem_forward = net.stem.forward
+        net.stem.forward = lambda x, *a: seen.append(x.shape[0]) or stem_forward(x, *a)
+        net.forward(Rng(63).normal((2 * tile + 3, 64)), training=training, cache=cache)
+        assert seen == ([tile, tile, 3] if tiled else [2 * tile + 3])
+
+    def test_peak_memory_flat_in_batch(self):
+        net = SpikingTransformer(
+            toy_config("reversible", embed_dim=64, timesteps=4, tokens=8), seed=64)
+        tile = self._tile(net)
+        x = Rng(65).normal((8 * tile, 64), std=2.0)
+        net.forward(x[:1])  # fill the sign caches outside the measurement
+        peaks = []
+        for batch in (tile, 8 * tile):
+            tracemalloc.start()
+            net.forward(x[:batch])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
