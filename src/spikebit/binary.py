@@ -158,6 +158,15 @@ def standardize_latent(w: Tensor, per_channel: bool = False) -> Tensor:
     return z
 
 
+def _signs(z: np.ndarray) -> Tensor:
+    """+1 where z >= 0 (-0.0 included), -1 elsewhere, as float32: the
+    compare writes 1.0/0.0 straight into the output, then 2s - 1."""
+    s = np.greater_equal(z, 0, out=np.empty(z.shape, dtype=DTYPE))
+    s *= 2
+    s -= 1
+    return s
+
+
 def binarize_weights(w: Tensor, per_channel: bool = False) -> tuple[PackedBits, StandardizationRecord]:
     """Standardize the latent weights and take signs, packed +1 -> bit 1.
 
@@ -169,14 +178,12 @@ def binarize_weights(w: Tensor, per_channel: bool = False) -> tuple[PackedBits, 
         raise ShapeError(f"binarize_weights expects a 2-D matrix, got shape {w.shape}")
     require_finite(w, "latent weights")
     z, record = _standardize(w, per_channel)
-    signs = np.where(z >= 0, 1.0, -1.0).astype(DTYPE)
-    return pack(signs, ALPHABET_PM1), record
+    return pack(_signs(z), ALPHABET_PM1), record
 
 
 def binary_signs(w: Tensor, per_channel: bool = False) -> Tensor:
     """Float +-1 image of `binarize_weights` without packing."""
-    z = standardize_latent(w, per_channel)
-    return np.where(z >= 0, 1.0, -1.0).astype(DTYPE)
+    return _signs(standardize_latent(w, per_channel))
 
 
 def ste_backward(grad_out: Tensor, latent: Tensor, clip: float = 1.0,
@@ -258,6 +265,15 @@ def read_exact(fh, n: int, what: str) -> bytes:
     return raw
 
 
+def open_input(path, what: str):
+    """Open the binary file `what` at `path` for reading; a missing or
+    unreadable file raises DataError naming it."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+
 def write_packed(path, pb: PackedBits) -> None:
     """Serialize to the on-disk layout: magic, u32 rows, u32 cols, then
     rows * words_per_row little-endian u64 words."""
@@ -270,7 +286,7 @@ def write_packed(path, pb: PackedBits) -> None:
 def read_packed(path) -> PackedBits:
     """Inverse of `write_packed`. A truncated, malformed or overlong file
     raises DataError."""
-    with open(path, "rb") as fh:
+    with open_input(path, "packed-bits file") as fh:
         return packed_from_bytes(fh.read())
 
 

@@ -99,18 +99,24 @@ def synthetic_clusters(spec: DatasetSpec, seed: int) -> Dataset:
 
 
 def load_csv_dataset(path, num_classes: int | None = None) -> Dataset:
-    """Comma-separated rows of features, label last. A non-numeric field,
-    ragged rows, or a file without samples raises DataError."""
+    """Comma-separated rows of features, label last. A missing file, a
+    non-numeric field, ragged rows, a label that is not a whole number, or
+    a file without samples raises DataError."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "no data"; rejected below
             rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except OSError as exc:
+        raise DataError(f"cannot read csv dataset {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise DataError(f"csv dataset {path}: {exc}") from None
     if rows.shape[0] == 0 or rows.shape[1] < 2:
         raise DataError(f"csv dataset {path} needs rows of features and a label")
+    labels = rows[:, -1]
+    if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
+        raise DataError(f"csv dataset {path} has a label that is not a whole number")
     x = rows[:, :-1].astype(DTYPE)
-    y = rows[:, -1].astype(np.int64)
+    y = labels.astype(np.int64)
     classes = num_classes if num_classes else int(y.max()) + 1
     if y.min() < 0 or y.max() >= classes:
         raise DataError(f"csv labels outside [0, {classes})")
@@ -130,9 +136,9 @@ def save_raw_dataset(path, x: Tensor, y: np.ndarray, num_classes: int) -> None:
 
 def load_raw_dataset(path) -> Dataset:
     """Inverse of `save_raw_dataset`. A truncated, malformed or overlong
-    file, or one with no samples, raises DataError."""
+    file, a missing one, or one with no samples raises DataError."""
     read = binary.read_exact  # raises DataError on a short read
-    with open(path, "rb") as fh:
+    with binary.open_input(path, "raw dataset") as fh:
         magic = fh.read(len(_RAW_MAGIC))
         if magic != _RAW_MAGIC:
             raise DataError(f"bad raw dataset magic: {magic!r}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary import read_exact
+from .binary import open_input, read_exact
 from .errors import ConfigError, DataError, TrainingError
 from .model import Param, SpikingTransformer
 from .numeric import DTYPE, Rng, Tensor, finite_diff_grad
@@ -137,8 +137,9 @@ class TeacherLogitsCache:
     @classmethod
     def load(cls, path) -> "TeacherLogitsCache":
         """Inverse of `save`: n records of (u32 id, c float32 logits) with
-        ids 0..n-1 in order. A short or long payload raises DataError."""
-        with open(path, "rb") as fh:
+        ids 0..n-1 in order. A short or long payload, or a missing file,
+        raises DataError."""
+        with open_input(path, "logits cache") as fh:
             magic = fh.read(len(_CACHE_MAGIC))
             if magic != _CACHE_MAGIC:
                 raise DataError(f"bad logits-cache magic: {magic!r}")

@@ -1246,9 +1246,9 @@ def save_checkpoint(model: SpikingTransformer, path) -> None:
 
 def load_checkpoint(path) -> SpikingTransformer:
     """Inverse of `save_checkpoint`. A truncated, malformed or overlong
-    container raises DataError."""
+    container, or a missing file, raises DataError."""
     read = binary.read_exact  # raises DataError on a short read
-    with open(path, "rb") as fh:
+    with binary.open_input(path, "checkpoint") as fh:
         magic = fh.read(len(SpikingTransformer.CKPT_MAGIC))
         if magic != SpikingTransformer.CKPT_MAGIC:
             raise DataError(f"bad checkpoint magic: {magic!r}")

@@ -128,13 +128,17 @@ def _sigmoid(z: Tensor) -> Tensor:
     # Each side evaluates the same expression as the masked two-branch form
     # (1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z)) below), so results are
     # bit-identical to it, without its boolean gathers and scatters. The
-    # numerator is 1 where z >= 0 and e elsewhere, NaN included; the work
-    # runs in two fresh buffers.
-    e = np.copysign(z, -1.0, out=np.empty_like(z))  # -|z|
+    # numerator is max(e, [z >= 0]) with e = exp(-|z|): where z >= 0, e <= 1
+    # and the maximum is exactly 1; below, the mask is +0 <= e and the
+    # maximum is e; a NaN e passes through with its payload. The numerator
+    # fills the mask's buffer and the denominator e's: two fresh buffers.
+    e = np.abs(z, out=np.empty_like(z))
+    np.negative(e, out=e)
     np.exp(e, out=e)
-    den = np.add(e, 1.0, out=np.empty_like(e))
-    np.copyto(e, 1.0, where=z >= 0)
-    return np.divide(e, den, out=e)
+    num = np.greater_equal(z, 0, out=np.empty_like(z))
+    np.maximum(e, num, out=num)
+    den = np.add(e, 1.0, out=e)
+    return np.divide(num, den, out=num)
 
 
 def surrogate_relaxation(u_pre: Tensor, p: LifParams) -> Tensor:

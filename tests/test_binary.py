@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spikebit import binary
 from spikebit.binary import (
     ALPHABET_01,
     ALPHABET_PM1,
@@ -177,6 +178,23 @@ class TestBinarizeWeights:
         signs = binary_signs(w, per_channel=True)
         assert signs[0].tolist() == [-1.0, 1.0, 1.0]
         assert signs[1].tolist() == [1.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize("per_channel", [False, True])
+    def test_signs_match_select_reference_bytewise(self, per_channel):
+        rng = np.random.default_rng(29)
+        v = rng.integers(-3, 4, size=(8, 32)).astype(np.float32)
+        mats = [rng.normal(size=(64, 256)).astype(np.float32),
+                np.concatenate([v, -v], axis=1)]  # zero-mean rows: exact zeros in z
+        for w in mats:
+            z = standardize_latent(w, per_channel)
+            want = np.where(z >= 0, 1.0, -1.0).astype(np.float32)
+            got = binary_signs(w, per_channel)
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+            pb, _ = binarize_weights(w, per_channel)
+            assert np.array_equal(pb.words, pack(want, ALPHABET_PM1).words)
+        assert (z == 0).any()
+        zeros = np.array([[-0.0, 0.0, -1e-45, 1e-45]], dtype=np.float32)
+        assert binary._signs(zeros).tolist() == [[1.0, 1.0, -1.0, 1.0]]
 
 
 class TestSteBackward:

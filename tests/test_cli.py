@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikebit import cli, learn, metrics
+from spikebit import binary, cli, learn, metrics
 from spikebit.cli import (
     Dataset,
     DatasetSpec,
@@ -114,6 +114,20 @@ class TestDatasets:
         assert np.array_equal(ds.x_train, x)
         assert np.array_equal(ds.y_train, y)
         assert ds.num_classes == 3
+
+    @pytest.mark.parametrize("label", ["1.5", "-0.25", "nan", "inf"])
+    def test_csv_label_not_whole_number_rejected(self, tmp_path, label):
+        path = tmp_path / "d.csv"
+        path.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n")
+        with pytest.raises(DataError, match="whole number"):
+            cli.load_csv_dataset(path)
+
+    @pytest.mark.parametrize("loader", [load_checkpoint, load_raw_dataset, cli.load_csv_dataset,
+                                        learn.TeacherLogitsCache.load, binary.read_packed],
+                             ids=lambda f: f.__qualname__)
+    def test_missing_file_is_data_error(self, tmp_path, loader):
+        with pytest.raises(DataError, match="nothere"):
+            loader(tmp_path / "nothere.bin")
 
     def test_raw_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -238,6 +252,19 @@ class TestEvalInspect:
                        "--dataset", str(path), "--format", "csv"])
         assert rc == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_eval_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["eval", "--checkpoint", str(tmp_path / "nothere.bin")])
+        assert rc == 2
+        assert "nothere.bin" in capsys.readouterr().err
+
+    def test_eval_missing_csv_dataset_exits_2(self, trained, tmp_path, capsys):
+        _, out = trained
+        rc = cli.main(["eval", "--checkpoint", str(out / "ckpt-last.bin"),
+                       "--dataset", str(tmp_path / "missing.csv"), "--format", "csv"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "missing.csv" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("damage", ["truncated_header", "truncated_arrays", "trailing_bytes"])
     def test_corrupt_checkpoint_is_data_error(self, trained, tmp_path, damage):

@@ -137,19 +137,33 @@ class TestSurrogates:
             out = np.empty_like(z)
             pos = z >= 0
             out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-            ez = np.exp(z[~pos])
+            # -|z| is z itself for every z < 0; for a NaN it is the argument
+            # the kernel hands to exp, so NaN bytes compare on every CPU
+            ez = np.exp(-np.abs(z[~pos]))
             out[~pos] = ez / (1.0 + ez)
             return out
 
+        uint = np.dtype(dtype).str.replace("f", "u")
+        info = np.finfo(dtype)
         mags = np.concatenate([[0.0, 1e-30, 1e-7, 1.0, 88.7, 89.0, 700.0, 746.0, np.inf],
+                               [info.smallest_subnormal, 3 * info.smallest_subnormal,
+                                info.smallest_normal / 2, info.smallest_normal],
                                np.logspace(-8, 3, 500), np.linspace(0.0, 40.0, 2001)])
-        z = np.concatenate([mags, -mags, Rng(3).normal((4000,), std=8.0), [np.nan]])
-        z = z.astype(dtype)
-        got, want = neuron._sigmoid(z), reference(z)
+        # quiet and signaling NaNs of both signs with distinct payloads
+        inf_bits, sign_bit = np.array([np.inf, -0.0], dtype=dtype).view(uint)
+        payloads = [1, 0x1234, 1 << (info.nmant - 1), (1 << info.nmant) - 1]
+        nans = np.array([s | inf_bits | pl for s in (0, sign_bit) for pl in payloads],
+                        dtype=uint).view(dtype)
+        assert np.isnan(nans).all()
+        # random bit patterns reach every exponent, subnormals and NaNs included
+        bits = np.random.default_rng(11).integers(0, np.iinfo(uint).max, size=200_000,
+                                                  dtype=uint, endpoint=True)
+        values = np.concatenate([mags, -mags, Rng(3).normal((4000,), std=8.0)]).astype(dtype)
+        z = np.concatenate([values, nans, bits.view(dtype)])  # NaN bytes kept as built
+        with np.errstate(all="ignore"):
+            got, want = neuron._sigmoid(z), reference(z)
         assert got.dtype == want.dtype == dtype
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got), nan)
-        assert got[~nan].tobytes() == want[~nan].tobytes()
+        assert got.tobytes() == want.tobytes()  # NaN payloads included
 
     @pytest.mark.parametrize("kind", list(SurrogateKind))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
