@@ -233,7 +233,8 @@ class LambdaScale:
 
 
 def apply_lambda(spikes: Tensor, lam: LambdaScale) -> Tensor:
-    """Scale each timestep slice of a spike train by its lambda factor."""
+    """Scale each timestep slice of a spike train by its lambda factor.
+    Runs the product of the model's lambda layers."""
     spikes = np.asarray(spikes, dtype=DTYPE)
     if spikes.shape[0] != lam.timesteps:
         raise ShapeError(
@@ -242,8 +243,13 @@ def apply_lambda(spikes: Tensor, lam: LambdaScale) -> Tensor:
         )
     if np.any(lam.values <= 0):
         raise ConfigError("lambda scale must be strictly positive")
-    scale = lam.values.reshape((lam.timesteps,) + (1,) * (spikes.ndim - 1))
-    return (spikes * scale).astype(DTYPE)
+    return _scale_time(spikes, lam.values).astype(DTYPE, copy=False)
+
+
+def _scale_time(x: Tensor, values: Tensor) -> Tensor:
+    """x with each slice along its leading (time) axis multiplied by the
+    matching element of `values`."""
+    return x * values.reshape((values.shape[0],) + (1,) * (x.ndim - 1))
 
 
 def read_exact(fh, n: int, what: str) -> bytes:
@@ -278,9 +284,7 @@ def write_packed(path, pb: PackedBits) -> None:
     """Serialize to the on-disk layout: magic, u32 rows, u32 cols, then
     rows * words_per_row little-endian u64 words."""
     with open(path, "wb") as fh:
-        fh.write(_PACK_MAGIC)
-        fh.write(struct.pack("<II", pb.rows, pb.cols))
-        fh.write(pb.words.astype("<u8").tobytes())
+        fh.write(packed_bytes(pb))
 
 
 def read_packed(path) -> PackedBits:

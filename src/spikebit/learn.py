@@ -31,19 +31,15 @@ from .numeric import DTYPE, Rng, Tensor, finite_diff_grad
 _CACHE_MAGIC = b"SBLC\x01\x00"
 
 
-def softmax(logits: Tensor) -> Tensor:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _cache_record(classes: int) -> np.dtype:
+    """One logits-cache record: u32 sample id, then the float32 logits."""
+    return np.dtype([("id", "<u4"), ("logits", "<f4", (classes,))])
 
 
 def cross_entropy(logits: Tensor, target: int) -> float:
-    """-log softmax(logits)[target] with max subtraction, in float64."""
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if not 0 <= int(target) < logits.shape[0]:
-        raise IndexError(f"target {target} out of range for {logits.shape[0]} classes")
-    z = logits - logits.max()
-    return float(np.log(np.exp(z).sum()) - z[int(target)])
+    """-log softmax(logits)[target]: `batch_cross_entropy` on one row."""
+    row = np.asarray(logits, dtype=np.float64).reshape(1, -1)
+    return batch_cross_entropy(row, [target])[0]
 
 
 def batch_cross_entropy(logits: Tensor, targets: Tensor) -> tuple[float, Tensor]:
@@ -127,12 +123,13 @@ class TeacherLogitsCache:
         return TeacherOutput.from_logits(self.logits[ids])
 
     def save(self, path) -> None:
+        records = np.empty(self.num_samples, dtype=_cache_record(self.num_classes))
+        records["id"] = np.arange(self.num_samples)
+        records["logits"] = self.logits
         with open(path, "wb") as fh:
             fh.write(_CACHE_MAGIC)
             fh.write(struct.pack("<IIQ", self.num_samples, self.num_classes, self.data_hash))
-            for sid in range(self.num_samples):
-                fh.write(struct.pack("<I", sid))
-                fh.write(self.logits[sid].astype("<f4").tobytes())
+            fh.write(records.tobytes())
 
     @classmethod
     def load(cls, path) -> "TeacherLogitsCache":
@@ -144,7 +141,7 @@ class TeacherLogitsCache:
             if magic != _CACHE_MAGIC:
                 raise DataError(f"bad logits-cache magic: {magic!r}")
             n, c, data_hash = struct.unpack("<IIQ", read_exact(fh, 16, "logits-cache header"))
-            record = np.dtype([("id", "<u4"), ("logits", "<f4", (c,))])
+            record = _cache_record(c)
             raw = fh.read()
         if len(raw) != n * record.itemsize:
             raise DataError(

@@ -28,13 +28,9 @@ from typing import Iterator
 
 import numpy as np
 
-from . import binary, neuron
+from . import binary, neuron, numeric
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .numeric import DTYPE, BatchNormParams, Rng, Tensor
-
-# Runtime validation of attention integrality. Cheap at desk scale. The
-# {0,1} input check of binary layers does not depend on it.
-strict_checks = True
 
 # float32 holds every integer below 2**24 exactly, so a binary layer's
 # float32 BLAS forward is exact while in_features stays below this.
@@ -44,13 +40,6 @@ EXACT_FEATURES = 2**24
 # (T * samples * tokens), so each tile's activations stay near L2 size.
 # 1024 was the fastest budget on the eval_wide benchmark; see forward.
 INFER_TILE_ROWS = 1024
-
-
-def set_strict_checks(enabled: bool) -> bool:
-    global strict_checks
-    prev = strict_checks
-    strict_checks = bool(enabled)
-    return prev
 
 
 class Param:
@@ -85,8 +74,7 @@ class LifLayer:
     Forward caches the pre-reset membranes for backprop-through-time; the
     backward pass routes gradients through the surrogate derivative at
     each firing decision and through the decay recurrence, with the reset
-    gate held constant. Forward runs the operations of `neuron.lif_step`
-    in the same order, in reused per-timestep buffers.
+    gate held constant. Forward runs `neuron.lif_run`'s kernel.
     """
 
     def __init__(self, params: neuron.LifParams):
@@ -95,30 +83,7 @@ class LifLayer:
         self._spikes = None
 
     def forward(self, x: Tensor, cache: bool = False) -> Tensor:
-        dt = x.dtype if x.dtype.kind == "f" else DTYPE
-        spikes = np.empty_like(x)
-        u_pre = np.empty_like(x) if cache else None
-        u, up, tmp = (np.empty(x.shape[1:], dtype=dt) for _ in range(3))
-        tau = dt.type(self.p.tau)
-        vth = dt.type(self.p.v_threshold)
-        hard = self.p.reset is neuron.Reset.HARD
-        for t in range(x.shape[0]):
-            if cache:
-                up = u_pre[t]
-            if t:
-                np.multiply(tau, u, out=up)
-                np.add(up, x[t], out=up)  # tau * u + x[t]
-            else:
-                np.add(x[0], 0.0, out=up)  # the membrane starts at +0, and tau * +0 is +0
-            s = np.greater_equal(up, vth, out=spikes[t])
-            if t == x.shape[0] - 1:
-                break  # no later step reads the reset membrane
-            if hard:
-                np.subtract(1.0, s, out=tmp)
-                np.multiply(tmp, up, out=u)  # (1 - s) * up
-            else:
-                np.multiply(vth, s, out=tmp)
-                np.subtract(up, tmp, out=u)  # up - vth * s
+        spikes, u_pre = neuron._lif(x, self.p, cache)
         if cache:
             self._u_pre = u_pre
             self._spikes = spikes
@@ -263,32 +228,11 @@ class BatchNormLayer:
         self._training = False
 
     def forward(self, x: Tensor, training: bool, cache: bool = False) -> Tensor:
-        if x.shape[-1] != self.channels:
-            raise ShapeError(f"{self.name}: channel mismatch {x.shape[-1]} != {self.channels}")
-        dt = x.dtype if x.dtype.kind == "f" else DTYPE
-        if training:
-            flat = x.reshape(-1, self.channels)
-            mean64 = flat.mean(axis=0, dtype=np.float64, keepdims=True)
-            var = flat.var(axis=0, dtype=np.float64, mean=mean64).astype(dt)  # mean not summed twice
-            mean = mean64[0].astype(dt)
-            m = self.momentum
-            self.running_mean[:] = ((1.0 - m) * self.running_mean + m * mean).astype(DTYPE)
-            self.running_var[:] = ((1.0 - m) * self.running_var + m * var).astype(DTYPE)
-        else:
-            mean, var = self.running_mean, self.running_var
-        denom = var + dt.type(self.epsilon)
-        if np.any(denom <= 0):
-            raise NumericError(f"{self.name}: variance + epsilon <= 0")
-        inv = 1.0 / np.sqrt(denom)
-        xhat = np.subtract(x, mean)
-        xhat *= inv  # (x - mean) * inv
+        out, xhat, inv = numeric._batch_norm(x, self.bn_params(), training, cache, self.name)
         if cache:
             self._xhat = xhat
             self._inv = inv
             self._training = training
-        # without a cache the normalized map's buffer becomes the output
-        out = xhat * self.gamma.value if cache else np.multiply(xhat, self.gamma.value, out=xhat)
-        out += self.beta.value
         return out
 
     def backward(self, g_out: Tensor) -> Tensor:
@@ -320,7 +264,7 @@ class BatchNormLayer:
         ]
 
     def bn_params(self) -> BatchNormParams:
-        """Snapshot as the plain numeric-module parameter record."""
+        """Record over the layer's own arrays, so BN updates them in place."""
         return BatchNormParams(
             gamma=self.gamma.value, beta=self.beta.value,
             running_mean=self.running_mean, running_var=self.running_var,
@@ -352,29 +296,24 @@ class LinearHead:
 
 
 class LambdaLayer:
-    """Per-timestep learnable positive scale on binarized attention."""
+    """Per-timestep learnable positive scale on binarized attention; both
+    passes run `binary.apply_lambda`'s product."""
 
     def __init__(self, name: str, timesteps: int):
         self.name = name
         self.scale = Param(np.ones((timesteps, 1, 1), dtype=DTYPE), positive=True)
         self._pre = None
 
-    def to_scale(self) -> binary.LambdaScale:
-        return binary.LambdaScale(values=self.scale.value)
-
     def forward(self, x: Tensor, cache: bool = False) -> Tensor:
-        T = x.shape[0]
-        lam = self.scale.value.reshape((T,) + (1,) * (x.ndim - 1))
         if cache:
             self._pre = x
-        return x * lam
+        return binary._scale_time(x, self.scale.value)
 
     def backward(self, g_out: Tensor) -> Tensor:
         T = g_out.shape[0]
         axes = tuple(range(1, g_out.ndim))
         self.scale.grad += (g_out * self._pre).sum(axis=axes).reshape(T, 1, 1)
-        lam = self.scale.value.reshape((T,) + (1,) * (g_out.ndim - 1))
-        return g_out * lam
+        return binary._scale_time(g_out, self.scale.value)
 
     def params(self):
         return [(f"{self.name}.scale", self.scale)]
@@ -532,12 +471,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of `to_dict`; an unknown surrogate kind raises DataError."""
         d = dict(d)
         d["stem"] = StemSpec(**d["stem"])
         sur = d["surrogate"]
-        d["surrogate"] = neuron.SurrogateSpec(
-            kind=neuron.SurrogateKind(sur["kind"]), width_or_alpha=sur["width_or_alpha"]
-        )
+        try:
+            kind = neuron.SurrogateKind(sur["kind"])
+        except ValueError:
+            raise DataError(f"unknown surrogate kind {sur['kind']!r}") from None
+        d["surrogate"] = neuron.SurrogateSpec(kind=kind, width_or_alpha=sur["width_or_alpha"])
         return cls(**d)
 
 
@@ -751,9 +693,8 @@ class BssaBlock:
         )
         qh, kh, vh = self._split(q), self._split(k), self._split(v)
         attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
-        if strict_checks:
-            if np.any(attn < 0) or np.any(attn != np.round(attn)):
-                raise NumericError(f"{self.name}: attention map is not a nonnegative integer tensor")
+        if np.any(attn < 0) or np.any(attn != np.round(attn)):
+            raise NumericError(f"{self.name}: attention map is not a nonnegative integer tensor")
         self.last_attn = attn
         if self.binary_attn:
             s_attn = self.attn_lif.forward(attn, cache)
@@ -1200,9 +1141,6 @@ class SpikingTransformer:
 
     CKPT_MAGIC = b"SBCK\x01\x00"
 
-    def save_checkpoint(self, path) -> None:
-        save_checkpoint(self, path)
-
     @property
     def state_entries(self) -> list[tuple[str, Tensor]]:
         entries = [(n, p.value) for n, p in self.named_params()]
@@ -1244,6 +1182,26 @@ def save_checkpoint(model: SpikingTransformer, path) -> None:
         fh.write(checkpoint_bytes(model))
 
 
+def _require_like(value, ref, what: str) -> None:
+    """Raise DataError unless the JSON value `value` has the shape of `ref`:
+    objects with the same keys, lists whose items are each like ref's one
+    item, and leaves of the same type (an int may stand for a float)."""
+    if isinstance(ref, dict):
+        if not isinstance(value, dict):
+            raise DataError(f"{what} is not a JSON object")
+        if value.keys() != ref.keys():
+            raise DataError(f"{what}: unknown or missing keys {sorted(value.keys() ^ ref.keys())}")
+        for key in ref:
+            _require_like(value[key], ref[key], f"{what}.{key}")
+    elif isinstance(ref, list):
+        if not isinstance(value, list):
+            raise DataError(f"{what} is not a JSON list")
+        for i, item in enumerate(value):
+            _require_like(item, ref[0], f"{what}[{i}]")
+    elif type(value) is not type(ref) and not (type(ref) is float and type(value) is int):
+        raise DataError(f"{what} is {value!r}, expected {type(ref).__name__}")
+
+
 def load_checkpoint(path) -> SpikingTransformer:
     """Inverse of `save_checkpoint`. A truncated, malformed or overlong
     container, or a missing file, raises DataError."""
@@ -1257,10 +1215,15 @@ def load_checkpoint(path) -> SpikingTransformer:
             header = json.loads(read(fh, hlen, "checkpoint header"))
         except ValueError as exc:
             raise DataError(f"checkpoint header is not valid JSON: {exc}") from None
-        if header.get("format") != 1:
-            raise DataError(f"unsupported checkpoint format {header.get('format')!r}")
-        cfg = ModelConfig.from_dict(header["config"])
-        model = SpikingTransformer(cfg, seed=header["seed"])
+        if not isinstance(header, dict) or header.get("format") != 1:
+            raise DataError("checkpoint header is not a format-1 JSON object")
+        _require_like(header, {
+            "format": 1, "config": ModelConfig().to_dict(), "seed": 0,
+            "arrays": [{"name": "", "shape": [0]}], "packed": [{"name": "", "size": 0}],
+        }, "checkpoint header")
+        if header["seed"] < 0:
+            raise DataError(f"checkpoint seed {header['seed']} is negative")
+        model = SpikingTransformer(ModelConfig.from_dict(header["config"]), seed=header["seed"])
         entries = model.state_entries
         names = [e["name"] for e in header["arrays"]]
         if names != [n for n, _ in entries]:

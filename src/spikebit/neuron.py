@@ -98,22 +98,50 @@ def lif_step(state: LifState, current: Tensor, p: LifParams) -> tuple[Tensor, Li
     return spikes, LifState(membrane=new_membrane.astype(DTYPE))
 
 
-def lif_run(inputs: Tensor, p: LifParams, initial: LifState | None = None) -> Tensor:
-    """Unroll lif_step over the leading time axis.
+def lif_run(inputs: Tensor, p: LifParams) -> Tensor:
+    """The spikes of lif_step unrolled over the leading time axis, from a
+    zero membrane.
 
     `inputs` has shape (T, ...); the output spike train has the same
-    shape with every element in {0, 1}. Membrane starts at zero unless an
-    initial state is supplied.
+    shape with every element in {0, 1}. Runs the kernel of the model's
+    LIF layers, which matches a `lif_step` loop byte for byte.
     """
     inputs = np.asarray(inputs, dtype=DTYPE)
     if inputs.ndim < 1 or inputs.shape[0] == 0:
         raise ShapeError("lif_run needs at least one timestep")
     require_finite(inputs, "lif_run inputs")
-    state = initial if initial is not None else LifState.zeros(inputs.shape[1:])
-    out = np.empty_like(inputs)
-    for t in range(inputs.shape[0]):
-        out[t], state = lif_step(state, inputs[t], p)
-    return out
+    return _lif(inputs, p, cache=False)[0]
+
+
+def _lif(x: Tensor, p: LifParams, cache: bool) -> tuple[Tensor, Tensor | None]:
+    """Spikes of the LIF dynamics along x's leading time axis from a zero
+    membrane and, with `cache`, the pre-reset membranes. Runs `lif_step`'s
+    operations in the same order, in reused buffers, in x's float dtype."""
+    dt = x.dtype if x.dtype.kind == "f" else DTYPE
+    spikes = np.empty_like(x)
+    u_pre = np.empty_like(x) if cache else None
+    u, up, tmp = (np.empty(x.shape[1:], dtype=dt) for _ in range(3))
+    tau = dt.type(p.tau)
+    vth = dt.type(p.v_threshold)
+    hard = p.reset is Reset.HARD
+    for t in range(x.shape[0]):
+        if cache:
+            up = u_pre[t, ...]  # [t, ...] is a view even for a 1-D input
+        if t:
+            np.multiply(tau, u, out=up)
+            np.add(up, x[t], out=up)  # tau * u + x[t]
+        else:
+            np.add(x[0], 0.0, out=up)  # the membrane starts at +0, and tau * +0 is +0
+        s = np.greater_equal(up, vth, out=spikes[t, ...])
+        if t == x.shape[0] - 1:
+            break  # no later step reads the reset membrane
+        if hard:
+            np.subtract(1.0, s, out=tmp)
+            np.multiply(tmp, up, out=u)  # (1 - s) * up
+        else:
+            np.multiply(vth, s, out=tmp)
+            np.subtract(up, tmp, out=u)  # up - vth * s
+    return spikes, u_pre
 
 
 def boolean_binarize(x: Tensor) -> Tensor:

@@ -22,11 +22,6 @@ DTYPE = np.float32
 Tensor = np.ndarray
 
 
-def as_tensor(values, dtype=DTYPE) -> Tensor:
-    """Convert nested lists / arrays to a contiguous array of `dtype`."""
-    return np.ascontiguousarray(np.asarray(values, dtype=dtype))
-
-
 def require_finite(x: Tensor, what: str = "tensor") -> Tensor:
     if not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(np.ravel(x)))[0])
@@ -89,36 +84,46 @@ class BatchNormParams:
 
 
 def batch_norm(x: Tensor, p: BatchNormParams, training: bool = False) -> Tensor:
-    """Normalize-scale-shift over the trailing channel axis.
+    """Normalize-scale-shift over the trailing channel axis, in float32.
 
     Training mode uses the batch statistics (population variance, float64
-    accumulation) and updates the running statistics in place. Inference
-    mode uses the stored running statistics.
+    accumulation, then cast to float32) and blends them into the running
+    statistics in place, in float32. Inference mode uses the stored
+    running statistics. Runs the kernel of the model's BN layers.
     """
-    x = np.asarray(x, dtype=DTYPE)
+    return _batch_norm(np.asarray(x, dtype=DTYPE), p, training, False, "batch_norm")[0]
+
+
+def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, cache: bool,
+                what: str) -> tuple[Tensor, Tensor, Tensor]:
+    """Batch norm in x's float dtype: (out, xhat, inv), xhat = (x - mean) * inv.
+    Without `cache`, out reuses xhat's buffer. Errors name `what`."""
     if x.shape[-1] != p.channels:
         raise ShapeError(
-            f"batch_norm channel mismatch: input has {x.shape[-1]} channels, "
+            f"{what}: channel mismatch: input has {x.shape[-1]} channels, "
             f"params have {p.channels}"
         )
+    dt = x.dtype if x.dtype.kind == "f" else DTYPE
     if training:
         flat = x.reshape(-1, p.channels)
-        mean = flat.mean(axis=0, dtype=np.float64)
-        var = flat.var(axis=0, dtype=np.float64)
+        mean64 = flat.mean(axis=0, dtype=np.float64, keepdims=True)
+        var = flat.var(axis=0, dtype=np.float64, mean=mean64).astype(dt)  # mean not summed twice
+        mean = mean64[0].astype(dt)
         m = p.momentum
         p.running_mean[:] = ((1.0 - m) * p.running_mean + m * mean).astype(DTYPE)
         p.running_var[:] = ((1.0 - m) * p.running_var + m * var).astype(DTYPE)
-        mean = mean.astype(DTYPE)
-        var = var.astype(DTYPE)
     else:
-        mean = p.running_mean
-        var = p.running_var
-    denom = var + DTYPE(p.epsilon)
+        mean, var = p.running_mean, p.running_var
+    denom = var + dt.type(p.epsilon)
     if np.any(denom <= 0):
         bad = int(np.flatnonzero(denom <= 0)[0])
-        raise NumericError(f"batch_norm variance + epsilon <= 0 at channel {bad}")
-    inv = 1.0 / np.sqrt(denom, dtype=DTYPE)
-    return ((x - mean) * inv * p.gamma + p.beta).astype(DTYPE)
+        raise NumericError(f"{what}: variance + epsilon <= 0 at channel {bad}")
+    inv = 1.0 / np.sqrt(denom)
+    xhat = np.subtract(x, mean)
+    xhat *= inv  # (x - mean) * inv
+    out = xhat * p.gamma if cache else np.multiply(xhat, p.gamma, out=xhat)
+    out += p.beta
+    return out, xhat, inv
 
 
 def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-4) -> Tensor:

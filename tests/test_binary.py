@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from spikebit.errors import (
     EncodingError,
     ShapeError,
 )
+from spikebit.model import LambdaLayer
 from spikebit.numeric import Rng, finite_diff_grad
 
 
@@ -78,6 +81,9 @@ class TestPackUnpack:
         pb = pack(m, ALPHABET_01)
         path = tmp_path / "bits.bin"
         write_packed(path, pb)
+        # the documented layout: magic, u32 rows, u32 cols, little-endian u64 words
+        assert path.read_bytes() == (
+            b"SPKBITS\x01" + struct.pack("<II", 7, 130) + pb.words.astype("<u8").tobytes())
         again = read_packed(path)
         assert again.rows == pb.rows and again.cols == pb.cols
         assert np.array_equal(again.words, pb.words)
@@ -245,6 +251,19 @@ class TestLambdaScale:
         lam = LambdaScale(values=np.array([3.0, 2.0], dtype=np.float32).reshape(2, 1, 1))
         out = apply_lambda(s, lam)
         assert out[1, 0, 0] == 2.0 and out[0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("shape", [(3, 4, 2), (3, 2, 2, 5, 5)])
+    def test_matches_model_layer_bytewise(self, shape):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=shape).astype(np.float32)
+        x[0] = x[0] > 0  # a spike slice
+        lam = LambdaScale(values=rng.uniform(0.1, 3.0, size=(3, 1, 1)).astype(np.float32))
+        layer = LambdaLayer("lambda", 3)
+        layer.scale.value[:] = lam.values
+        want = apply_lambda(x, lam)
+        assert want.dtype == np.float32
+        for cache in (False, True):
+            assert layer.forward(x, cache=cache).tobytes() == want.tobytes()
 
     def test_time_axis_mismatch(self):
         with pytest.raises(ShapeError):

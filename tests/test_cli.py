@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -281,6 +284,34 @@ class TestEvalInspect:
             load_checkpoint(path)
         rc = cli.main(["eval", "--checkpoint", str(path), "--config", str(cfg_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("damage", ["list", "no_config", "no_arrays", "unknown_key",
+                                        "string_depth", "string_seed"])
+    def test_malformed_checkpoint_header_is_data_error(self, trained, tmp_path, capsys, damage):
+        cfg_path, out = trained
+        raw = (out / "ckpt-last.bin").read_bytes()
+        header_at, arrays_at = 6 + 4, 6 + 4 + int.from_bytes(raw[6:10], "little")
+        header = json.loads(raw[header_at:arrays_at])
+        if damage == "list":
+            header = [header]
+        elif damage == "no_config":
+            del header["config"]
+        elif damage == "no_arrays":
+            del header["arrays"]
+        elif damage == "unknown_key":
+            header["config"]["colour"] = "red"
+        elif damage == "string_depth":
+            header["config"]["depth"] = "2"
+        else:
+            header["seed"] = "x"
+        hb = json.dumps(header).encode()
+        path = tmp_path / "bad.bin"
+        path.write_bytes(raw[:6] + struct.pack("<I", len(hb)) + hb + raw[arrays_at:])
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+        rc = cli.main(["eval", "--checkpoint", str(path), "--config", str(cfg_path)])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_inspect_emits_one_record_per_block(self, trained, tmp_path):
         cfg_path, out = trained

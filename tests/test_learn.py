@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,15 @@ class TestCrossEntropy:
         want = float(np.log1p(np.exp(-20.0)))
         assert np.isclose(cross_entropy(np.array([10.0, -10.0]), 0), want, rtol=1e-6)
         assert want < 3e-9
+
+    def test_is_one_row_of_batch_cross_entropy(self):
+        rng = np.random.default_rng(7)
+        logits = rng.normal(size=(200, 7)) * rng.choice([0.01, 1.0, 100.0], size=(200, 1))
+        logits[0] = [50.0, -1e3, 0, 0, 0, 0, 0]  # a certain prediction: the loss is a zero
+        targets = np.concatenate([[0], rng.integers(0, 7, 199)])
+        for row, t in zip(logits, targets):
+            want = batch_cross_entropy(row[None], [t])[0]
+            assert np.float64(cross_entropy(row, t)).tobytes() == np.float64(want).tobytes()
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
@@ -125,6 +136,8 @@ class TestTeacher:
         assert np.allclose(live.logits, cached.logits, atol=1e-6)
         # header: magic (6) + n, c, hash (16); then n records of id + c logits
         raw = path.read_bytes()
+        assert raw == b"SBLC\x01\x00" + struct.pack("<IIQ", 32, cache.num_classes, cache.data_hash) + b"".join(
+            struct.pack("<I", i) + cache.logits[i].astype("<f4").tobytes() for i in range(32))
         swapped = bytearray(raw)
         swapped[22:26] = (1).to_bytes(4, "little")
         for bad, match in [(raw[:12], "header truncated"), (raw[:-3], "payload"),

@@ -21,8 +21,8 @@ from spikebit.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from spikebit.neuron import Reset, lif_run
-from spikebit.numeric import Rng
+from spikebit.neuron import LifState, Reset, lif_run, lif_step
+from spikebit.numeric import BatchNormParams, Rng, batch_norm
 
 
 def conv_config(image=32, patch=4, depth=1, D=32, T=2):
@@ -391,10 +391,16 @@ class TestLifKernel:
         _bytes_equal(lif._u_pre, want_u)
 
     @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
-    def test_forward_matches_lif_run(self, reset):
+    def test_forward_and_lif_run_match_lif_step_loop(self, reset):
         p = toy_config("residual").lif(reset=reset)
-        x = Rng(41).normal((6, 4, 11), std=1.5)
-        assert LifLayer(p).forward(x).tobytes() == lif_run(x, p).tobytes()
+        for shape in [(6, 4, 11), (6,)]:
+            x = Rng(41).normal(shape, std=1.5)
+            state = LifState.zeros(shape[1:])
+            want = np.empty_like(x)
+            for t in range(shape[0]):
+                want[t], state = lif_step(state, x[t], p)
+            _bytes_equal(LifLayer(p).forward(x), want)
+            _bytes_equal(lif_run(x, p), want)
 
     @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -463,6 +469,11 @@ class TestBatchNormKernel:
         for cache in (False, True):
             bn.running_mean[:], bn.running_var[:] = before
             _bytes_equal(bn.forward(x, training, cache=cache), want)
+        if dtype is np.float32:  # numeric.batch_norm works in float32
+            p = BatchNormParams(bn.gamma.value, bn.beta.value, before[0].copy(), before[1].copy())
+            _bytes_equal(batch_norm(x, p, training), want)
+            _bytes_equal(p.running_mean, bn.running_mean)
+            _bytes_equal(p.running_var, bn.running_var)
         if training:
             m = bn.momentum
             assert bn.running_mean.tobytes() == (
