@@ -50,9 +50,6 @@ class PackedBits:
     def words_per_row(self) -> int:
         return (self.cols + WORD_BITS - 1) // WORD_BITS
 
-    def nbytes(self) -> int:
-        return self.words.size * 8
-
 
 def require_alphabet(m: np.ndarray, alphabet: str) -> None:
     """Raise EncodingError naming the first element of `m` outside the

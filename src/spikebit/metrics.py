@@ -141,7 +141,7 @@ def param_counts(cfg: ModelConfig) -> dict:
     """Closed-form parameter audit for a config; matches the constructed
     model's accounting exactly (shape test)."""
     D = cfg.embed_dim
-    hidden = int(round(cfg.hidden_ratio * D))
+    hidden = cfg.hidden_dim
     if cfg.stem.kind == "vector":
         stem_weights = (cfg.stem.in_features // cfg.stem.tokens) * D
         stem_bn_ch = D

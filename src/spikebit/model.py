@@ -22,7 +22,11 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, asdict
 from typing import Iterator
 
@@ -36,10 +40,114 @@ from .numeric import DTYPE, BatchNormParams, Rng, Tensor
 # float32 BLAS forward is exact while in_features stays below this.
 EXACT_FEATURES = 2**24
 
-# Binary-mode inference forwards run in sample tiles of this many rows
-# (T * samples * tokens), so each tile's activations stay near L2 size.
-# 1024 was the fastest budget on the eval_wide benchmark; see forward.
+# Binary-mode inference forwards run in sample tiles; this many rows
+# (T * samples * tokens) are in flight across all tile workers, so the
+# live activations stay near L2 size. 1024 was the fastest budget on the
+# eval_wide benchmark; see forward.
 INFER_TILE_ROWS = 1024
+
+# Tiles run on at most this many threads. Two were measured on a 2-vCPU
+# host; four workers with 256-row tiles were slower there.
+INFER_MAX_WORKERS = 2
+
+# A cgroup v2 CPU quota ("<quota> <period>" or "max <period>"), such as
+# a container started with --cpus; its affinity mask still lists every
+# host CPU.
+CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+# Environment variables that set the BLAS threads; the first one set wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+# glibc's malloc hands the top of its heap back to the OS whenever more
+# than its trim threshold lies free there, and it raises that threshold
+# (to twice the block's size, up to 64 MiB) only when it frees a block it
+# had mapped on its own. An inference tile frees its whole working set as
+# it ends, so at glibc's start-up thresholds each tile faulted its working
+# set back in: 44,000 minor faults per eval_wide forward of 128 samples,
+# about a fifth of its time. Freeing one block of this size at import
+# raises the map threshold to 16 MiB and the trim threshold to 32 MiB.
+# Other allocators ignore it, and the block is never written, so it
+# costs no memory.
+HEAP_PRIME_BYTES = 16 << 20
+np.empty(HEAP_PRIME_BYTES, np.uint8)
+
+# One tile pool per process, created by the first forward that needs it,
+# so the thread cap holds however many models are loaded.
+_tile_pool: ThreadPoolExecutor | None = None
+_tile_pool_lock = threading.Lock()
+
+
+def _infer_workers() -> int:
+    """Threads for inference tiles: the CPUs this process may run on
+    (its affinity mask and its whole CPUs of cgroup quota) divided by
+    the threads each BLAS product may start, at most INFER_MAX_WORKERS.
+    A BLAS library with no thread setting starts one thread per CPU, so
+    tiles then run on one thread rather than oversubscribe the cores."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    try:
+        with open(CGROUP_CPU_MAX) as fh:
+            quota, period = fh.read().split()
+        cpus = min(cpus, int(quota) // int(period))  # "max" raises ValueError
+    except (OSError, ValueError):  # no cgroup v2 quota
+        pass
+    blas = next((int(v) for v in map(os.environ.get, BLAS_THREAD_VARS)
+                 if v and v.isdigit() and int(v) > 0), cpus)
+    return max(1, min(cpus // blas, INFER_MAX_WORKERS))
+
+
+def _tile_executor(workers: int) -> ThreadPoolExecutor:
+    global _tile_pool
+    with _tile_pool_lock:
+        if _tile_pool is None:
+            _tile_pool = ThreadPoolExecutor(workers, thread_name_prefix="spikebit-tile")
+        return _tile_pool
+
+
+def _forget_tile_pool() -> None:
+    # A forked child inherits the pool but none of its threads, so work
+    # submitted to it would never run; the child makes its own.
+    global _tile_pool, _tile_pool_lock
+    _tile_pool, _tile_pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_tile_pool)
+
+
+class ForwardRecord:
+    """What one forward over a batch or a tile counted, kept off the
+    shared layers so concurrent tiles cannot overwrite each other.
+
+    `spikes` maps each binary layer to the spikes that entered it, `sops`
+    each BSSA block to its attention synaptic ops. `taps`, when not None,
+    maps each BSSA block to its attention map and each BMLP block to its
+    final normalized map. Layers and blocks called without a record
+    write their counts to their own `last_in_spikes` and `last_sops`.
+    """
+
+    __slots__ = ("spikes", "sops", "taps")
+
+    def __init__(self, taps: bool = False):
+        self.spikes: dict = {}
+        self.sops: dict = {}
+        self.taps: dict | None = {} if taps else None
+
+    @classmethod
+    def merged(cls, records: list["ForwardRecord"]) -> "ForwardRecord":
+        """Batch totals of per-tile records: counts summed and taps
+        concatenated along the batch axis, in tile order."""
+        out = cls(records[0].taps is not None)
+        for key in records[0].spikes:
+            out.spikes[key] = sum((r.spikes[key] for r in records), 0.0)
+        for key in records[0].sops:
+            out.sops[key] = sum((r.sops[key] for r in records), 0.0)
+        if out.taps is not None:
+            for key in records[0].taps:
+                out.taps[key] = np.concatenate([r.taps[key] for r in records], axis=1)
+        return out
 
 
 class Param:
@@ -153,7 +261,7 @@ class BinaryLinearLayer:
         self._sign_cache = None  # (weight version, +-1 signs)
         self._in2d = None
         self._signs = None
-        self.last_in_spikes = 0.0  # spike count seen by the last forward
+        self.last_in_spikes = 0.0  # spikes into its last call; a model forward's batch total
 
     def _binary_signs(self) -> Tensor:
         cached = self._sign_cache
@@ -163,9 +271,9 @@ class BinaryLinearLayer:
         self._sign_cache = (self.weight.version, signs)
         return signs
 
-    def forward(self, x: Tensor, cache: bool = False) -> Tensor:
+    def forward(self, x: Tensor, cache: bool = False, rec: ForwardRecord | None = None) -> Tensor:
         flat = self._flat(x)
-        return self._product(flat, self._spike_count(flat), x.shape[:-1], cache)
+        return self._product(flat, self._spike_count(flat), x.shape[:-1], cache, rec)
 
     def _flat(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
@@ -185,9 +293,13 @@ class BinaryLinearLayer:
             binary.require_alphabet(flat, binary.ALPHABET_01)  # raises, naming the element
         return float(ones)
 
-    def _product(self, flat: Tensor, spikes: float, lead: tuple, cache: bool) -> Tensor:
+    def _product(self, flat: Tensor, spikes: float, lead: tuple, cache: bool,
+                 rec: ForwardRecord | None) -> Tensor:
         """The product on a flattened input that `_spike_count` has checked."""
-        self.last_in_spikes = spikes
+        if rec is None:
+            self.last_in_spikes = spikes
+        else:
+            rec.spikes[self] = spikes
         mat = self._binary_signs() if self.mode == "binary" else self.weight.value
         out = flat @ mat.T
         if cache:
@@ -352,10 +464,10 @@ class Conv3x3Layer:
         self.linear = BinaryLinearLayer(name, in_ch * 9, out_ch, rng, mode=mode, ste_clip=ste_clip)
         self._shape = None
 
-    def forward(self, x: Tensor, cache: bool = False) -> Tensor:
+    def forward(self, x: Tensor, cache: bool = False, rec: ForwardRecord | None = None) -> Tensor:
         T, B, C, H, W = x.shape
         cols = _im2col(x.reshape(T * B, C, H, W), 3, 1)
-        out = self.linear.forward(cols, cache=cache)
+        out = self.linear.forward(cols, cache, rec)
         if cache:
             self._shape = (T * B, C, H, W)
         return out.reshape(T, B, H, W, self.out_ch).transpose(0, 1, 4, 2, 3)
@@ -444,10 +556,17 @@ class ModelConfig:
     attn_scale: float = 0.125         # full-precision attention only
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ConfigError("depth must be >= 1")
-        if self.timesteps < 1:
-            raise ConfigError("timesteps must be >= 1")
+        sizes = {"depth": self.depth, "timesteps": self.timesteps, "embed_dim": self.embed_dim,
+                 "heads": self.heads, "num_classes": self.num_classes}
+        sizes.update((f"stem.{k}", v) for k, v in vars(self.stem).items() if k != "kind")
+        for name, value in sizes.items():
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if not math.isfinite(self.hidden_ratio) or self.hidden_dim < 1:
+            raise ConfigError(
+                f"hidden_ratio {self.hidden_ratio} must give a finite hidden width >= 1 "
+                f"at embed_dim {self.embed_dim}"
+            )
         if self.embed_dim % self.heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
@@ -458,6 +577,11 @@ class ModelConfig:
             raise ConfigError(f"unknown topology {self.topology!r}")
         if self.classify_on not in ("x0", "x1"):
             raise ConfigError(f"classify_on must be 'x0' or 'x1', got {self.classify_on!r}")
+
+    @property
+    def hidden_dim(self) -> int:
+        """The BMLP's hidden width."""
+        return int(round(self.hidden_ratio * self.embed_dim))
 
     def lif(self, reset=neuron.Reset.HARD) -> neuron.LifParams:
         return neuron.LifParams(
@@ -515,12 +639,13 @@ class VectorStem:
         )
         self.bn = BatchNormLayer("stem.bn", cfg.embed_dim)
 
-    def forward(self, x: Tensor, training: bool, cache: bool = False) -> Tensor:
+    def forward(self, x: Tensor, training: bool, cache: bool = False,
+                rec: ForwardRecord | None = None) -> Tensor:
         B = x.shape[0]
         tokens = x.reshape(B, self.tokens, self.chunk)
         rep = np.broadcast_to(tokens, (self.timesteps,) + tokens.shape).astype(DTYPE)
         s = self.lif.forward(rep, cache=cache)
-        h = self.linear.forward(s, cache=cache)
+        h = self.linear.forward(s, cache, rec)
         return self.bn.forward(h, training, cache=cache)
 
     def backward(self, g: Tensor) -> None:
@@ -576,12 +701,13 @@ class ConvStem:
         self.tokens = (spec.image_size // patch) ** 2
         self.embed_dim = D
 
-    def forward(self, x: Tensor, training: bool, cache: bool = False) -> Tensor:
+    def forward(self, x: Tensor, training: bool, cache: bool = False,
+                rec: ForwardRecord | None = None) -> Tensor:
         B = x.shape[0]
         h = np.broadcast_to(x, (self.timesteps,) + x.shape).astype(DTYPE)
         for lif, conv, bn, pool in self.stages:
             s = lif.forward(np.ascontiguousarray(h), cache=cache)
-            h = conv.forward(s, cache=cache)
+            h = conv.forward(s, cache, rec)
             # BN over channels: move channel axis last and back
             h = np.moveaxis(bn.forward(np.moveaxis(h, 2, -1), training, cache=cache), -1, 2)
             if pool is not None:
@@ -665,9 +791,7 @@ class BssaBlock:
         self.attn_lif = LifLayer(cfg.lif(reset=neuron.Reset.SOFT))
         self.lam = LambdaLayer(f"{name}.lambda", cfg.timesteps)
         self._cache = None
-        self.last_attn = None
-        self.last_out = None
-        self.last_sops = 0.0
+        self.last_sops = 0.0  # attention ops of its last call; a model forward's batch total
 
     def _split(self, x: Tensor) -> Tensor:
         T, B, N, D = x.shape
@@ -679,14 +803,16 @@ class BssaBlock:
         T, B, h, N, d = x.shape
         return np.ascontiguousarray(x.transpose(0, 1, 3, 2, 4)).reshape(T, B, N, h * d)
 
-    def forward(self, x: Tensor, training: bool, cache: bool = False) -> Tensor:
+    def forward(self, x: Tensor, training: bool, cache: bool = False,
+                rec: ForwardRecord | None = None) -> Tensor:
         s = self.x_in.forward(x, cache)
         # Q, K and V read the same spikes: check and count them once
         flat = self.q_proj._flat(s)
         spikes = self.q_proj._spike_count(flat)
         lead = s.shape[:-1]
         q, k, v = (
-            lif.forward(bn.forward(proj._product(flat, spikes, lead, cache), training, cache), cache)
+            lif.forward(bn.forward(proj._product(flat, spikes, lead, cache, rec), training, cache),
+                        cache)
             for proj, bn, lif in ((self.q_proj, self.q_bn, self.q_lif),
                                   (self.k_proj, self.k_bn, self.k_lif),
                                   (self.v_proj, self.v_bn, self.v_lif))
@@ -695,23 +821,27 @@ class BssaBlock:
         attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
         if np.any(attn < 0) or np.any(attn != np.round(attn)):
             raise NumericError(f"{self.name}: attention map is not a nonnegative integer tensor")
-        self.last_attn = attn
+        if rec is not None and rec.taps is not None:
+            rec.taps[self] = attn
         if self.binary_attn:
             s_attn = self.attn_lif.forward(attn, cache)
             ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
             ctx = self.lam.forward(ctx0, cache)
-            self.last_sops = float(q.sum()) * attn.shape[-1] + float(s_attn.sum()) * self.head_dim
+            sops = float(q.sum()) * attn.shape[-1] + float(s_attn.sum()) * self.head_dim
         else:
             s_attn = attn
             ctx = np.einsum("tbhnm,tbhmd->tbhnd", attn, vh, optimize=True) * self.attn_scale
-            self.last_sops = 0.0
+            sops = 0.0
+        if rec is None:
+            self.last_sops = sops
+        else:
+            rec.sops[self] = sops
         if cache:
             self._cache = (qh, kh, vh, s_attn)
-        out = self.o_bn.forward(
-            self.o_proj.forward(self.o_in.forward(self._merge(ctx), cache), cache), training, cache
+        return self.o_bn.forward(
+            self.o_proj.forward(self.o_in.forward(self._merge(ctx), cache), cache, rec),
+            training, cache,
         )
-        self.last_out = out
-        return out
 
     def backward(self, g_out: Tensor) -> Tensor:
         qh, kh, vh, s_attn = self._cache
@@ -767,7 +897,7 @@ class BmlpBlock:
 
     def __init__(self, name: str, cfg: ModelConfig, rng: Rng):
         D = cfg.embed_dim
-        hidden = int(round(cfg.hidden_ratio * D))
+        hidden = cfg.hidden_dim
         self.name = name
         self.lif1 = LifLayer(cfg.lif())
         self.fc1 = BinaryLinearLayer(f"{name}.fc1", D, hidden, rng.child(1),
@@ -777,12 +907,15 @@ class BmlpBlock:
         self.fc2 = BinaryLinearLayer(f"{name}.fc2", hidden, D, rng.child(2),
                                      mode=cfg.weight_mode, ste_clip=cfg.ste_clip)
         self.bn2 = BatchNormLayer(f"{name}.bn2", D)
-        self.last_out = None  # the block's final normalized map, for rep-cap probes
 
-    def forward(self, x: Tensor, training: bool, cache: bool = False) -> Tensor:
-        h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x, cache), cache), training, cache)
-        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h, cache), cache), training, cache)
-        self.last_out = out
+    def forward(self, x: Tensor, training: bool, cache: bool = False,
+                rec: ForwardRecord | None = None) -> Tensor:
+        h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x, cache), cache, rec),
+                             training, cache)
+        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h, cache), cache, rec),
+                               training, cache)
+        if rec is not None and rec.taps is not None:
+            rec.taps[self] = out  # the final normalized map, for rep-cap probes
         return out
 
     def backward(self, g: Tensor) -> Tensor:
@@ -825,7 +958,8 @@ class ReversibleBlock:
         self.bssa = BssaBlock(f"{name}.bssa", cfg, rng.child(1))
         self.bmlp = BmlpBlock(f"{name}.bmlp", cfg, rng.child(2))
 
-    def forward(self, s: ReversibleState, training: bool, cache: bool = False) -> ReversibleState:
+    def forward(self, s: ReversibleState, training: bool, cache: bool = False,
+                rec: ForwardRecord | None = None) -> ReversibleState:
         # The coupling algebra follows the state dtype. Training uses
         # float32 states; the reconstruction harness threads float64
         # states because the inverse amplifies stream error by a factor
@@ -833,11 +967,11 @@ class ReversibleBlock:
         # float32 storage rounding to the 1e-4 scale and can flip
         # borderline spikes. Sub-blocks always evaluate on the float32
         # cast, so both directions see bit-identical inputs.
-        a = self.bssa.forward(np.ascontiguousarray(s.x1, dtype=DTYPE), training, cache)
+        a = self.bssa.forward(np.ascontiguousarray(s.x1, dtype=DTYPE), training, cache, rec)
         x0n = s.x0 + s.x1
         x0n *= 0.5
         x0n += a  # a + 0.5 * (x0 + x1), in the state dtype
-        m = self.bmlp.forward(np.ascontiguousarray(x0n, dtype=DTYPE), training, cache)
+        m = self.bmlp.forward(np.ascontiguousarray(x0n, dtype=DTYPE), training, cache, rec)
         x1n = s.x1 + x0n
         x1n *= 0.5
         x1n += m  # m + 0.5 * (x1 + x0n)
@@ -874,9 +1008,10 @@ class ResidualBlock:
         self.bssa = BssaBlock(f"{name}.bssa", cfg, rng.child(1))
         self.bmlp = BmlpBlock(f"{name}.bmlp", cfg, rng.child(2))
 
-    def forward(self, x: Tensor, training: bool, cache: bool = False) -> Tensor:
-        x = x + self.bssa.forward(x, training, cache)
-        return (x + self.bmlp.forward(x, training, cache)).astype(DTYPE, copy=False)
+    def forward(self, x: Tensor, training: bool, cache: bool = False,
+                rec: ForwardRecord | None = None) -> Tensor:
+        x = x + self.bssa.forward(x, training, cache, rec)
+        return (x + self.bmlp.forward(x, training, cache, rec)).astype(DTYPE, copy=False)
 
     def backward(self, g: Tensor) -> Tensor:
         g = g + self.bmlp.backward(g)
@@ -931,8 +1066,9 @@ class SpikingTransformer:
 
     # -- forward / backward ------------------------------------------------
 
-    def embed(self, x: Tensor, training: bool, cache: bool = False) -> Tensor:
-        return self.stem.forward(np.asarray(x, dtype=DTYPE), training, cache)
+    def embed(self, x: Tensor, training: bool, cache: bool = False,
+              rec: ForwardRecord | None = None) -> Tensor:
+        return self.stem.forward(np.asarray(x, dtype=DTYPE), training, cache, rec)
 
     def forward(self, x: Tensor, training: bool = False,
                 cache: bool = False) -> tuple[Tensor, Tensor | None]:
@@ -940,77 +1076,87 @@ class SpikingTransformer:
         distillation head) for a batch of samples.
 
         A binary-mode inference forward (no training, no cache) runs the
-        stem and the encoder blocks over sample tiles of INFER_TILE_ROWS
-        rows (T * samples * tokens), then the heads once on the whole
-        batch's pooled means. This is bit-identical to one full-batch pass:
-        every binary-layer and attention product is an exact integer sum,
-        so BLAS blocking cannot round it; BN with running statistics, the
-        LIFs, the stream updates and the time/token mean work sample by
-        sample. The heads stay untiled because their float32 BLAS product
-        can round differently at another row count; full-mode models stay
-        untiled for the same reason, since their layer products are float
-        sums. After a tiled forward, each binary layer's `last_in_spikes`,
-        each BSSA block's `last_sops` and `block_taps` cover the whole
-        batch, while the per-layer `last_attn` and `last_out` describe the
-        last tile.
+        stem and the encoder blocks over sample tiles, then the heads once
+        on the whole batch's pooled means. The tiles run on
+        `_infer_workers()` threads (at most INFER_MAX_WORKERS, and one
+        unless BLAS runs on fewer threads than there are CPUs), and
+        INFER_TILE_ROWS rows (T * samples * tokens) are in flight across
+        them, so each worker's tile holds INFER_TILE_ROWS // workers
+        rows. This is bit-identical to one
+        full-batch pass on one thread: every binary-layer and attention
+        product is an exact integer sum, so BLAS blocking cannot round it;
+        BN with running statistics, the LIFs, the stream updates and the
+        time/token mean work sample by sample; and tiles write their
+        counts and taps to their own `ForwardRecord`, which are merged in
+        tile order. The heads stay untiled because their float32 BLAS
+        product can round differently at another row count; full-mode
+        models stay untiled for the same reason, since their layer
+        products are float sums. Training and cached forwards run untiled
+        on the calling thread.
+
+        After any forward, each binary layer's `last_in_spikes`, each
+        BSSA block's `last_sops` and, with `capture_taps`, `block_taps`
+        cover the whole batch.
         """
         cache = cache or training
         x = np.asarray(x, dtype=DTYPE)
-        tile = max(1, INFER_TILE_ROWS // (self.cfg.timesteps * self.stem.tokens))
-        if cache or self.cfg.weight_mode != "binary" or x.shape[0] <= tile:
-            pooled, taps = self._encode(x, training, cache)
+        if cache or self.cfg.weight_mode != "binary":
+            pooled, rec = self._encode(x, training, cache)
         else:
-            pooled, taps = self._encode_tiled(x, tile)
+            pooled, rec = self._encode_tiled(x)
+        for lyr, n in rec.spikes.items():
+            lyr.last_in_spikes = n
+        for blk, n in rec.sops.items():
+            blk.last_sops = n
         if self.capture_taps:
-            self.block_taps = taps
+            # each block's final normalized map (the last LIF -> binary-
+            # linear -> BN output inside the block), the real-valued
+            # quantity whose value diversity tracks representation capability
+            self.block_taps = [(blk.name, rec.taps[blk.bmlp]) for blk in self.blocks]
         if self.reversible:
             return self._dual_heads(*pooled, cache)
         return self.head_cls.forward(pooled[0], cache), None
 
     def _encode(self, x: Tensor, training: bool,
-                cache: bool) -> tuple[list[Tensor], list[tuple[str, Tensor]]]:
-        """Stem and encoder blocks on one batch. Returns the time/token
-        mean of each stream (x0, x1 or the residual stream) and the taps."""
-        e = self.embed(x, training, cache)
-        # Taps record each block's final normalized map (the last
-        # LIF -> binary-linear -> BN output inside the block), the
-        # real-valued quantity whose value diversity tracks representation
-        # capability.
-        taps = []
+                cache: bool) -> tuple[list[Tensor], ForwardRecord]:
+        """Stem and encoder blocks on one batch or tile. Returns the
+        time/token mean of each stream (x0, x1 or the residual stream)
+        and the record of its counts and taps. Writes to the model only
+        on the cached path, which backward reads."""
+        rec = ForwardRecord(taps=self.capture_taps)
+        e = self.embed(x, training, cache, rec)
         # blocks never write their input state, so both streams share e
         state = ReversibleState(x0=e, x1=e) if self.reversible else e
         for blk in self.blocks:
-            state = blk.forward(state, training, cache)
-            if self.capture_taps:
-                taps.append((blk.name, blk.bmlp.last_out.copy()))
+            state = blk.forward(state, training, cache, rec)
         streams = (state.x0, state.x1) if self.reversible else (state,)
-        self._pool_shape = streams[0].shape
-        return [h.mean(axis=(0, 2)) for h in streams], taps
+        if cache:
+            self._pool_shape = streams[0].shape
+        return [h.mean(axis=(0, 2)) for h in streams], rec
 
-    def _encode_tiled(self, x: Tensor,
-                      tile: int) -> tuple[list[Tensor], list[tuple[str, Tensor]]]:
-        """`_encode` for inference, `tile` samples at a time. Pooled means
-        and taps are concatenated along the batch axis; spike and
-        synaptic-op counts are summed to batch totals."""
-        linears = list(self.binary_linear_layers())
-        bssas = list(self.bssa_blocks())
-        spikes = [0.0] * len(linears)
-        sops = [0.0] * len(bssas)
-        tile_pooled, tile_taps = [], []
-        for start in range(0, x.shape[0], tile):
-            pooled, taps = self._encode(x[start:start + tile], training=False, cache=False)
-            tile_pooled.append(pooled)
-            tile_taps.append(taps)
-            spikes = [n + lyr.last_in_spikes for n, lyr in zip(spikes, linears)]
-            sops = [n + b.last_sops for n, b in zip(sops, bssas)]
-        for lyr, n in zip(linears, spikes):
-            lyr.last_in_spikes = n
-        for b, n in zip(bssas, sops):
-            b.last_sops = n
-        pooled = [np.concatenate(stream) for stream in zip(*tile_pooled)]
-        taps = [(block[0][0], np.concatenate([tap for _, tap in block], axis=1))
-                for block in zip(*tile_taps)]
-        return pooled, taps
+    def _encode_tiled(self, x: Tensor) -> tuple[list[Tensor], ForwardRecord]:
+        """`_encode` for binary-mode inference, one sample tile at a time.
+        With one worker, or one tile, the tiles run inline on the calling
+        thread. Pooled means are concatenated along the batch axis and
+        the tile records merged, both in tile order."""
+        workers = _infer_workers()
+        tile = max(1, INFER_TILE_ROWS // workers // (self.cfg.timesteps * self.stem.tokens))
+        tiles = [x[start:start + tile] for start in range(0, max(1, x.shape[0]), tile)]
+        if workers == 1 or len(tiles) == 1:
+            results = [self._encode(t, False, False) for t in tiles]
+        else:
+            for lyr in self.binary_linear_layers():
+                lyr._binary_signs()  # tiles only read the sign caches
+            pool = _tile_executor(workers)
+            futures = [pool.submit(self._encode, t, False, False) for t in tiles]
+            try:
+                results = [f.result() for f in futures]  # the first failure in tile order
+            finally:
+                for f in futures:
+                    f.cancel()
+                wait(futures)  # no tile outlives the call
+        pooled = [np.concatenate(stream) for stream in zip(*(p for p, _ in results))]
+        return pooled, ForwardRecord.merged([r for _, r in results])
 
     def _dual_heads(self, pooled0: Tensor, pooled1: Tensor,
                     cache: bool = False) -> tuple[Tensor, Tensor | None]:
@@ -1223,7 +1369,10 @@ def load_checkpoint(path) -> SpikingTransformer:
         }, "checkpoint header")
         if header["seed"] < 0:
             raise DataError(f"checkpoint seed {header['seed']} is negative")
-        model = SpikingTransformer(ModelConfig.from_dict(header["config"]), seed=header["seed"])
+        try:
+            model = SpikingTransformer(ModelConfig.from_dict(header["config"]), seed=header["seed"])
+        except ConfigError as exc:
+            raise DataError(f"checkpoint config is invalid: {exc}") from None
         entries = model.state_entries
         names = [e["name"] for e in header["arrays"]]
         if names != [n for n, _ in entries]:

@@ -286,7 +286,9 @@ class TestEvalInspect:
         assert rc == 2
 
     @pytest.mark.parametrize("damage", ["list", "no_config", "no_arrays", "unknown_key",
-                                        "string_depth", "string_seed"])
+                                        "string_depth", "string_seed", "zero_heads",
+                                        "negative_embed_dim", "negative_hidden_ratio",
+                                        "zero_stem_tokens"])
     def test_malformed_checkpoint_header_is_data_error(self, trained, tmp_path, capsys, damage):
         cfg_path, out = trained
         raw = (out / "ckpt-last.bin").read_bytes()
@@ -302,8 +304,16 @@ class TestEvalInspect:
             header["config"]["colour"] = "red"
         elif damage == "string_depth":
             header["config"]["depth"] = "2"
-        else:
+        elif damage == "string_seed":
             header["seed"] = "x"
+        elif damage == "zero_heads":
+            header["config"]["heads"] = 0
+        elif damage == "negative_embed_dim":
+            header["config"]["embed_dim"] = -4
+        elif damage == "negative_hidden_ratio":
+            header["config"]["hidden_ratio"] = -1.0
+        else:
+            header["config"]["stem"]["tokens"] = 0
         hb = json.dumps(header).encode()
         path = tmp_path / "bad.bin"
         path.write_bytes(raw[:6] + struct.pack("<I", len(hb)) + hb + raw[arrays_at:])

@@ -1,3 +1,9 @@
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -88,9 +94,10 @@ class TestBssa:
     def test_zero_input_produces_no_events(self):
         blk, cfg = self._block()
         x = np.zeros((2, 3, 4, 32), dtype=np.float32)
-        blk.forward(x, training=False)
-        assert blk.last_attn is not None and not blk.last_attn.any()
-        assert blk.o_proj.last_in_spikes == 0.0
+        rec = M.ForwardRecord(taps=True)
+        blk.forward(x, training=False, rec=rec)
+        assert rec.taps[blk] is not None and not rec.taps[blk].any()
+        assert rec.spikes[blk.o_proj] == 0.0
 
     def test_attention_neuron_is_soft_reset_and_matches_reference_trace(self):
         blk, _ = self._block()
@@ -103,8 +110,9 @@ class TestBssa:
     def test_attention_is_bounded_nonnegative_integer(self):
         blk, _ = self._block()
         x = Rng(5).normal((2, 4, 6, 32), std=2.0)
-        blk.forward(x, training=True)  # strict checks run inside
-        attn = blk.last_attn
+        rec = M.ForwardRecord(taps=True)
+        blk.forward(x, training=True, rec=rec)  # strict checks run inside
+        attn = rec.taps[blk]
         head_dim = 32 // 2
         assert attn.min() >= 0
         assert attn.max() <= head_dim
@@ -295,6 +303,12 @@ class TestModelPlumbing:
             ModelConfig(topology="loop")
         with pytest.raises(ConfigError):
             ModelConfig(classify_on="x2")
+        for bad in (dict(heads=0), dict(embed_dim=-4), dict(num_classes=0), dict(depth=0),
+                    dict(hidden_ratio=-1.0), dict(hidden_ratio=0.001), dict(hidden_ratio=np.nan),
+                    *(dict(stem=StemSpec(**{k: 0})) for k in
+                      ("in_features", "tokens", "in_channels", "image_size", "patch_size"))):
+            with pytest.raises(ConfigError):
+                ModelConfig(**bad)
 
 
 class TestCheckpoint:
@@ -564,12 +578,13 @@ class TestCheckpointImages:
 
 
 class TestTiledInference:
-    """Binary-mode inference forwards run in sample tiles and must match a
-    full-batch pass byte for byte."""
+    """Binary-mode inference forwards run in sample tiles, on one worker
+    thread or several, and must match a full-batch pass byte for byte."""
 
     @staticmethod
-    def _tile(net):
-        return M.INFER_TILE_ROWS // (net.cfg.timesteps * net.stem.tokens)
+    def _tile(net, workers):
+        """Samples per tile when `workers` threads share the row budget."""
+        return M.INFER_TILE_ROWS // workers // (net.cfg.timesteps * net.stem.tokens)
 
     @staticmethod
     def _outputs(net, x):
@@ -584,15 +599,19 @@ class TestTiledInference:
         shape = (3, 16, 16) if kind == "conv" else (64,)
         net = SpikingTransformer(cfg, seed=60)
         net.calibrate(Rng(61).normal((8,) + shape, std=2.0))
-        tile = self._tile(net)
+        tile = self._tile(net, 2)
         assert tile > 2
+        # 2 * tile + 3 samples make three tiles at two workers, two at one
         for batch in (1, tile - 1, tile, tile + 1, 2 * tile + 3):
             x = Rng(batch).normal((batch,) + shape, std=2.0)
-            tiled = self._outputs(net, x)
+            by_workers = {}
             with monkeypatch.context() as m:
+                for workers in (1, 2):
+                    m.setattr(M, "_infer_workers", lambda w=workers: w)
+                    by_workers[workers] = self._outputs(net, x)
                 m.setattr(M, "INFER_TILE_ROWS", 2**62)  # one tile holds any batch
                 untiled = self._outputs(net, x)
-            assert tiled == untiled, batch
+            assert by_workers[2] == by_workers[1] == untiled, batch
 
     @pytest.mark.parametrize("mode,training,cache,tiled", [
         ("binary", False, False, True),
@@ -600,25 +619,183 @@ class TestTiledInference:
         ("binary", True, False, False),
         ("full", False, False, False),
     ])
-    def test_only_binary_inference_is_tiled(self, mode, training, cache, tiled):
+    def test_only_binary_inference_is_tiled(self, mode, training, cache, tiled, monkeypatch):
         net = SpikingTransformer(toy_config("reversible", weight_mode=mode), seed=62)
-        tile = self._tile(net)
-        seen = []
         stem_forward = net.stem.forward
-        net.stem.forward = lambda x, *a: seen.append(x.shape[0]) or stem_forward(x, *a)
-        net.forward(Rng(63).normal((2 * tile + 3, 64)), training=training, cache=cache)
-        assert seen == ([tile, tile, 3] if tiled else [2 * tile + 3])
+        for workers in (1, 2):  # inline, then on the pool
+            monkeypatch.setattr(M, "_infer_workers", lambda w=workers: w)
+            tile = self._tile(net, workers)
+            seen = []
+            net.stem.forward = lambda x, *a: seen.append(x.shape[0]) or stem_forward(x, *a)
+            net.forward(Rng(63).normal((2 * tile + 3, 64)), training=training, cache=cache)
+            # tiles may finish in any order
+            assert sorted(seen) == sorted([tile, tile, 3] if tiled else [2 * tile + 3]), workers
 
-    def test_peak_memory_flat_in_batch(self):
+    def test_peak_memory_flat_in_batch(self, monkeypatch):
         net = SpikingTransformer(
             toy_config("reversible", embed_dim=64, timesteps=4, tokens=8), seed=64)
-        tile = self._tile(net)
+        tile = self._tile(net, 1)  # the rows in flight, in samples
         x = Rng(65).normal((8 * tile, 64), std=2.0)
-        net.forward(x[:1])  # fill the sign caches outside the measurement
-        peaks = []
-        for batch in (tile, 8 * tile):
+        for workers in (1, 2):
+            monkeypatch.setattr(M, "_infer_workers", lambda w=workers: w)
+            net.forward(x)  # sign caches and the pool exist before the measurement
+            peaks = []
+            for batch in (tile, 8 * tile):
+                tracemalloc.start()
+                net.forward(x[:batch])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            assert peaks[1] <= 1.5 * peaks[0], (workers, peaks)
+
+    @pytest.mark.parametrize("cpus,cpu_max,blas,workers", [
+        ({0}, None, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({0, 1, 2, 3}, None, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        ({0, 1, 2, 3}, "max 100000", {"OMP_NUM_THREADS": "1"}, 2),
+        ({0, 1, 2, 3}, "400000 100000", {"MKL_NUM_THREADS": "1"}, 2),
+        ({0, 1, 2, 3}, "150000 100000", {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({0, 1, 2, 3}, "50000 100000", {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({0}, "400000 100000", {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        # BLAS with no thread setting takes every CPU; so do 2 BLAS threads on 2 CPUs
+        ({0, 1}, None, {}, 1),
+        ({0, 1, 2, 3}, None, {}, 1),
+        ({0, 1}, None, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+        ({0, 1, 2, 3}, None, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+        # the first setting BLAS reads wins; a malformed one is skipped
+        ({0, 1}, None, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        ({0, 1}, None, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2),
+    ])
+    def test_workers_follow_cpus_quota_and_blas_threads(self, cpus, cpu_max, blas, workers,
+                                                        tmp_path, monkeypatch):
+        path = tmp_path / "cpu.max"
+        if cpu_max is not None:
+            path.write_text(cpu_max + "\n")
+        monkeypatch.setattr(M, "CGROUP_CPU_MAX", str(path))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        for var in M.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in blas.items():
+            monkeypatch.setenv(var, value)
+        assert M._infer_workers() == workers
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads glibc behaviour")
+    def test_tiles_do_not_fault_their_working_set_back_in(self):
+        # a fresh process, so no earlier allocation has raised malloc's thresholds
+        script = """
+import resource, statistics
+from spikebit.model import ModelConfig, SpikingTransformer, StemSpec
+from spikebit.numeric import Rng
+cfg = ModelConfig(depth=2, embed_dim=128, heads=4, timesteps=4, topology="reversible",
+                  stem=StemSpec(kind="vector", in_features=256, tokens=16))
+net = SpikingTransformer(cfg, seed=76)
+x = Rng(77).normal((64, 256), std=2.0)
+faults = []
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    net.forward(x)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(faults[1:]))
+"""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [os.path.dirname(M.__file__) + "/..",
+                                                            os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        # without the raised thresholds this read about 13,000 (50 MiB of pages)
+        assert float(out) < 1000, out
+
+    def test_two_workers_hold_no_more_memory_than_one(self, monkeypatch):
+        net = SpikingTransformer(
+            toy_config("reversible", embed_dim=64, timesteps=4, tokens=8), seed=64)
+        x = Rng(65).normal((4 * self._tile(net, 1), 64), std=2.0)
+        peaks = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(M, "_infer_workers", lambda w=workers: w)
+            net.forward(x)  # sign caches and the pool exist before the measurement
             tracemalloc.start()
-            net.forward(x[:batch])
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            net.forward(x)
+            peaks[workers] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        assert peaks[1] <= 1.5 * peaks[0], peaks
+        assert peaks[2] <= 1.1 * peaks[1], peaks
+
+    def test_more_workers_than_cores_with_fast_switching_stay_exact(self, monkeypatch):
+        net = SpikingTransformer(toy_config("reversible"), seed=71)
+        net.calibrate(Rng(72).normal((8, 64), std=2.0))
+        x = Rng(73).normal((7 * self._tile(net, 4) + 1, 64), std=2.0)
+        monkeypatch.setattr(M, "_infer_workers", lambda: 1)
+        want = self._outputs(net, x)
+        monkeypatch.setattr(M, "_infer_workers", lambda: 4)
+        monkeypatch.setattr(M, "_tile_pool", None)  # a private 4-thread pool
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [self._outputs(net, x) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+            if M._tile_pool is not None:
+                M._tile_pool.shutdown()
+        assert all(g == want for g in got)
+
+    def test_one_capped_pool_serves_every_forward(self, monkeypatch):
+        monkeypatch.setattr(M, "_infer_workers", lambda: 2)
+        net = SpikingTransformer(toy_config("residual"), seed=66)
+        x = Rng(67).normal((5 * self._tile(net, 2), 64), std=2.0)
+        net.forward(x)
+        pool = M._tile_pool
+        net.forward(x)
+        SpikingTransformer(toy_config("reversible"), seed=68).forward(x)
+        assert pool is not None and M._tile_pool is pool
+        workers = [t for t in threading.enumerate() if t.name.startswith("spikebit-tile")]
+        assert 1 <= len(workers) <= M.INFER_MAX_WORKERS
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_tiles_on_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(M, "_infer_workers", lambda: 2)
+        net = SpikingTransformer(toy_config("reversible"), seed=74)
+        x = Rng(75).normal((3 * self._tile(net, 2), 64), std=2.0)
+        want, _ = net.forward(x)  # the pool's threads exist before the fork
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: answer within the alarm or die silently
+            try:
+                os.close(read_end)
+                signal.alarm(30)
+                got, _ = net.forward(x)
+                os.write(write_end, b"1" if got.tobytes() == want.tobytes() else b"0")
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        os.waitpid(pid, 0)
+        with os.fdopen(read_end, "rb") as fh:
+            assert fh.read() == b"1"
+
+    def test_first_failure_in_tile_order_after_every_tile_stops(self, monkeypatch):
+        monkeypatch.setattr(M, "_infer_workers", lambda: 2)
+        net = SpikingTransformer(toy_config("reversible"), seed=69)
+        tile = self._tile(net, 2)
+        x = Rng(70).normal((6 * tile, 64), std=2.0)
+        x[:, 0] = np.repeat(np.arange(6), tile)  # each sample carries its tile index
+        # tile 3 fails first in time, tile 1 first in tile order; tile 5
+        # is still running when tile 1 fails
+        errors = {1: ValueError("tile 1"), 3: KeyError("tile 3")}
+        delays = {1: 0.3, 4: 0.2, 5: 0.3}
+        running, lock = [0], threading.Lock()
+        stem_forward = net.stem.forward
+
+        def stem(x_tile, *a):
+            index = int(x_tile[0, 0])
+            with lock:
+                running[0] += 1
+            try:
+                time.sleep(delays.get(index, 0.0))
+                if index in errors:
+                    raise errors[index]
+                return stem_forward(x_tile, *a)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        net.stem.forward = stem
+        with pytest.raises(ValueError) as info:
+            net.forward(x)
+        assert info.value is errors[1]
+        assert running[0] == 0
