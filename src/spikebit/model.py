@@ -13,6 +13,14 @@ streams and (T, B, C, H, W) inside the convolutional stem. Spikes are
 float32 zeros/ones; attention maps before binarization are nonnegative
 integers carried in float32 (exact below 2**24).
 
+A cached (training) forward keeps what backward needs on the layers. Each
+spike tensor is kept once, as bool: the LIF that fired it holds it, and
+the binary layer or attention block it feeds holds a reference to that
+same array; backward widens it to float32 zeros and ones, the values the
+forward multiplied, so the products match a float32 cache byte for byte.
+Every backward drops the caches it read, so one cached forward serves one
+backward.
+
 Backward passes use surrogate gradients through the spike nonlinearity
 and the straight-through estimator through weight signs; the membrane
 reset path is treated as constant during backprop.
@@ -33,7 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from . import binary, neuron, numeric
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, TrainingError
 from .numeric import DTYPE, BatchNormParams, Rng, Tensor
 
 # float32 holds every integer below 2**24 exactly, so a binary layer's
@@ -172,6 +180,27 @@ class Param:
         self.version += 1
 
 
+def _take_cache(layer, *fields: str) -> tuple:
+    """The fields a cached forward set on `layer`, which this clears: a
+    backward consumes its forward. Raises TrainingError when the first
+    field is unset, as after an uncached forward or a second backward."""
+    values = tuple(getattr(layer, f) for f in fields)
+    if values[0] is None:
+        raise TrainingError(
+            f"{getattr(layer, 'name', type(layer).__name__)}: backward without a cached "
+            f"forward; run forward with cache=True (or training=True) before each backward"
+        )
+    for f in fields:
+        setattr(layer, f, None)
+    return values
+
+
+def _widen(x: Tensor) -> Tensor:
+    """Cached bool spikes as the float32 zeros and ones they stand for;
+    any other array as it is."""
+    return x.astype(DTYPE) if x.dtype == np.bool_ else x
+
+
 # ---------------------------------------------------------------------------
 # elementary layers
 
@@ -179,10 +208,12 @@ class Param:
 class LifLayer:
     """LIF population unrolled over the leading time axis.
 
-    Forward caches the pre-reset membranes for backprop-through-time; the
-    backward pass routes gradients through the surrogate derivative at
-    each firing decision and through the decay recurrence, with the reset
-    gate held constant. Forward runs `neuron.lif_run`'s kernel.
+    A cached forward keeps the pre-reset membranes and the spikes, as
+    bool, for backprop-through-time; the layers it feeds keep references
+    to that bool array. The backward pass routes gradients through the
+    surrogate derivative at each firing decision and through the decay
+    recurrence, with the reset gate held constant. Forward runs
+    `neuron.lif_run`'s kernel and returns float spikes either way.
     """
 
     def __init__(self, params: neuron.LifParams):
@@ -191,10 +222,10 @@ class LifLayer:
         self._spikes = None
 
     def forward(self, x: Tensor, cache: bool = False) -> Tensor:
-        spikes, u_pre = neuron._lif(x, self.p, cache)
+        spikes, u_pre, fired = neuron._lif(x, self.p, cache)
         if cache:
             self._u_pre = u_pre
-            self._spikes = spikes
+            self._spikes = fired
         return spikes
 
     def backward(self, *g_spikes: Tensor) -> Tensor:
@@ -206,7 +237,7 @@ class LifLayer:
         recurrence, and the input gradients are summed from zero in
         argument order, exactly as summing separate backward calls would.
         """
-        u_pre, spikes = self._u_pre, self._spikes
+        u_pre, spikes = _take_cache(self, "_u_pre", "_spikes")
         T = u_pre.shape[0]
         tau = DTYPE(self.p.tau)
         hard = self.p.reset is neuron.Reset.HARD
@@ -215,7 +246,7 @@ class LifLayer:
         g_u = [np.zeros(g.shape[1:], dtype=g.dtype) for g in g_spikes]
         for t in range(T - 1, -1, -1):
             sg = neuron.surrogate_grad(u_pre[t], self.p)
-            keep = 1.0 - spikes[t] if hard else None
+            keep = ~spikes[t] if hard else None  # 1 - s; a product widens it
             for i, g in enumerate(g_spikes):
                 g_upre = g[t] * sg
                 g_upre += g_u[i] * keep if hard else g_u[i]
@@ -241,6 +272,10 @@ class BinaryLinearLayer:
     AND/popcount kernel's (`binary.packed_linear`, the 1-bit storage
     format and the test oracle). In `full` mode the latent weights are
     used directly.
+
+    A cached forward keeps its input for backward as it was given; fed
+    by a LIF through `forward_lif`, it keeps a reference to the LIF's
+    bool spikes instead.
     """
 
     def __init__(self, name: str, in_features: int, out_features: int, rng: Rng,
@@ -275,6 +310,21 @@ class BinaryLinearLayer:
         flat = self._flat(x)
         return self._product(flat, self._spike_count(flat), x.shape[:-1], cache, rec)
 
+    def forward_lif(self, lif: LifLayer, x: Tensor, cache: bool = False,
+                    rec: ForwardRecord | None = None) -> Tensor:
+        """`forward(lif.forward(x, cache), cache, rec)`. A cached call keeps
+        the LIF's bool spikes, not their float32 image, which lives only
+        for the product."""
+        out = self.forward(lif.forward(x, cache), cache, rec)
+        if cache:
+            self._keep(lif._spikes)
+        return out
+
+    def _keep(self, spikes: np.ndarray) -> None:
+        """Keep `spikes`, the bool image of the input the last cached call
+        multiplied, for backward in place of that input."""
+        self._in2d = spikes.reshape(self._in2d.shape)
+
     def _flat(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
             raise ShapeError(
@@ -308,15 +358,16 @@ class BinaryLinearLayer:
         return out.reshape(lead + (self.out_features,))
 
     def backward(self, g_out: Tensor) -> Tensor:
+        in2d, signs = _take_cache(self, "_in2d", "_signs")
         g2 = g_out.reshape(-1, self.out_features)
-        g_mat = g2.T @ self._in2d
+        g_mat = g2.T @ _widen(in2d)
         if self.mode == "binary":
             self.weight.grad += binary.ste_backward(
                 g_mat, self.weight.value, self.ste_clip, self.per_channel
             )
         else:
             self.weight.grad += g_mat
-        g_in = g2 @ self._signs
+        g_in = g2 @ signs
         return g_in.reshape(g_out.shape[:-1] + (self.in_features,))
 
     def params(self):
@@ -337,7 +388,7 @@ class BatchNormLayer:
         self.channels = channels
         self._xhat = None
         self._inv = None
-        self._training = False
+        self._training = None
 
     def forward(self, x: Tensor, training: bool, cache: bool = False) -> Tensor:
         out, xhat, inv = numeric._batch_norm(x, self.bn_params(), training, cache, self.name)
@@ -348,13 +399,13 @@ class BatchNormLayer:
         return out
 
     def backward(self, g_out: Tensor) -> Tensor:
-        xhat, inv = self._xhat, self._inv
+        xhat, inv, training = _take_cache(self, "_xhat", "_inv", "_training")
         axes = tuple(range(g_out.ndim - 1))
         self.beta.grad += g_out.sum(axis=axes)
         tmp = g_out * xhat
         self.gamma.grad += tmp.sum(axis=axes)
         g_xhat = g_out * self.gamma.value
-        if not self._training:
+        if not training:
             g_xhat *= inv
             return g_xhat
         n = float(np.prod(g_out.shape[:-1]))
@@ -399,7 +450,8 @@ class LinearHead:
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, g_out: Tensor) -> Tensor:
-        self.weight.grad += g_out.T @ self._in
+        (x,) = _take_cache(self, "_in")
+        self.weight.grad += g_out.T @ x
         self.bias.grad += g_out.sum(axis=0)
         return g_out @ self.weight.value
 
@@ -424,7 +476,8 @@ class LambdaLayer:
     def backward(self, g_out: Tensor) -> Tensor:
         T = g_out.shape[0]
         axes = tuple(range(1, g_out.ndim))
-        self.scale.grad += (g_out * self._pre).sum(axis=axes).reshape(T, 1, 1)
+        (pre,) = _take_cache(self, "_pre")
+        self.scale.grad += (g_out * pre).sum(axis=axes).reshape(T, 1, 1)
         return binary._scale_time(g_out, self.scale.value)
 
     def params(self):
@@ -455,7 +508,11 @@ def _col2im(g_cols: Tensor, shape, k: int, pad: int) -> Tensor:
 
 
 class Conv3x3Layer:
-    """3x3 same-padding convolution as im2col + the binary linear kernel."""
+    """3x3 same-padding convolution as im2col + the binary linear kernel.
+
+    Its input is a LIF's spikes, so a cached forward keeps the im2col
+    matrix for backward as bool, its own copy at one byte per element.
+    """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, rng: Rng, mode: str,
                  ste_clip: float = 1.0):
@@ -469,16 +526,18 @@ class Conv3x3Layer:
         cols = _im2col(x.reshape(T * B, C, H, W), 3, 1)
         out = self.linear.forward(cols, cache, rec)
         if cache:
+            self.linear._keep(cols.astype(np.bool_))
             self._shape = (T * B, C, H, W)
         return out.reshape(T, B, H, W, self.out_ch).transpose(0, 1, 4, 2, 3)
 
     def backward(self, g_out: Tensor) -> Tensor:
+        (shape,) = _take_cache(self, "_shape")
         T, B, C, H, W = g_out.shape[0], g_out.shape[1], self.out_ch, g_out.shape[3], g_out.shape[4]
         g_cols = self.linear.backward(
             np.ascontiguousarray(g_out.transpose(0, 1, 3, 4, 2)).reshape(-1, self.out_ch)
         )
-        g_x = _col2im(g_cols, self._shape, 3, 1)
-        return g_x.reshape(T, B, self._shape[1], H, W)
+        g_x = _col2im(g_cols, shape, 3, 1)
+        return g_x.reshape(T, B, shape[1], H, W)
 
     def params(self):
         return self.linear.params()
@@ -503,9 +562,9 @@ class MaxPool2Layer:
         return out
 
     def backward(self, g_out: Tensor) -> Tensor:
-        T, B, C, H, W = self._shape
+        idx, (T, B, C, H, W) = _take_cache(self, "_idx", "_shape")
         g = np.zeros((T, B, C, H // 2, W // 2, 4), dtype=g_out.dtype)
-        np.put_along_axis(g, self._idx[..., None], g_out[..., None], axis=-1)
+        np.put_along_axis(g, idx[..., None], g_out[..., None], axis=-1)
         g = g.reshape(T, B, C, H // 2, W // 2, 2, 2).transpose(0, 1, 2, 3, 5, 4, 6)
         return np.ascontiguousarray(g).reshape(T, B, C, H, W)
 
@@ -644,8 +703,7 @@ class VectorStem:
         B = x.shape[0]
         tokens = x.reshape(B, self.tokens, self.chunk)
         rep = np.broadcast_to(tokens, (self.timesteps,) + tokens.shape).astype(DTYPE)
-        s = self.lif.forward(rep, cache=cache)
-        h = self.linear.forward(s, cache, rec)
+        h = self.linear.forward_lif(self.lif, rep, cache, rec)
         return self.bn.forward(h, training, cache=cache)
 
     def backward(self, g: Tensor) -> None:
@@ -790,13 +848,13 @@ class BssaBlock:
         self.q_lif, self.k_lif, self.v_lif = (LifLayer(cfg.lif()) for _ in range(3))
         self.attn_lif = LifLayer(cfg.lif(reset=neuron.Reset.SOFT))
         self.lam = LambdaLayer(f"{name}.lambda", cfg.timesteps)
-        self._cache = None
+        self._cache = None  # the bool q, k, v and attention spikes its LIFs keep
         self.last_sops = 0.0  # attention ops of its last call; a model forward's batch total
 
-    def _split(self, x: Tensor) -> Tensor:
+    def _split(self, x: Tensor, dtype=None) -> Tensor:
         T, B, N, D = x.shape
         return np.ascontiguousarray(
-            x.reshape(T, B, N, self.heads, self.head_dim).transpose(0, 1, 3, 2, 4)
+            x.reshape(T, B, N, self.heads, self.head_dim).transpose(0, 1, 3, 2, 4), dtype=dtype
         )
 
     def _merge(self, x: Tensor) -> Tensor:
@@ -806,7 +864,8 @@ class BssaBlock:
     def forward(self, x: Tensor, training: bool, cache: bool = False,
                 rec: ForwardRecord | None = None) -> Tensor:
         s = self.x_in.forward(x, cache)
-        # Q, K and V read the same spikes: check and count them once
+        # Q, K and V read the same spikes: check and count them once, and
+        # all three keep the one bool array x_in keeps
         flat = self.q_proj._flat(s)
         spikes = self.q_proj._spike_count(flat)
         lead = s.shape[:-1]
@@ -817,6 +876,9 @@ class BssaBlock:
                                   (self.k_proj, self.k_bn, self.k_lif),
                                   (self.v_proj, self.v_bn, self.v_lif))
         )
+        if cache:
+            for proj in (self.q_proj, self.k_proj, self.v_proj):
+                proj._keep(self.x_in._spikes)
         qh, kh, vh = self._split(q), self._split(k), self._split(v)
         attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
         if np.any(attn < 0) or np.any(attn != np.round(attn)):
@@ -837,18 +899,20 @@ class BssaBlock:
         else:
             rec.sops[self] = sops
         if cache:
-            self._cache = (qh, kh, vh, s_attn)
-        return self.o_bn.forward(
-            self.o_proj.forward(self.o_in.forward(self._merge(ctx), cache), cache, rec),
-            training, cache,
-        )
+            # the head splits are re-made in backward; full-precision
+            # attention keeps its integer map, which is no spike tensor
+            self._cache = (self.q_lif._spikes, self.k_lif._spikes, self.v_lif._spikes,
+                           self.attn_lif._spikes if self.binary_attn else attn)
+        return self.o_bn.forward(self.o_proj.forward_lif(self.o_in, self._merge(ctx), cache, rec),
+                                 training, cache)
 
     def backward(self, g_out: Tensor) -> Tensor:
-        qh, kh, vh, s_attn = self._cache
+        ((q, k, v, s_attn),) = _take_cache(self, "_cache")
         g = self.o_bn.backward(g_out)
         g = self.o_proj.backward(g)
         g = self.o_in.backward(g)
         g_ctx = self._split(g)
+        vh, s_attn = self._split(v, DTYPE), _widen(s_attn)
         if self.binary_attn:
             g_ctx0 = self.lam.backward(g_ctx)
             g_sattn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx0, vh, optimize=True)
@@ -857,6 +921,7 @@ class BssaBlock:
         else:
             g_attn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx, vh, optimize=True) * self.attn_scale
             g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx, optimize=True) * self.attn_scale
+        qh, kh = self._split(q, DTYPE), self._split(k, DTYPE)
         g_qh = np.einsum("tbhnm,tbhmd->tbhnd", g_attn, kh, optimize=True)
         g_kh = np.einsum("tbhnm,tbhnd->tbhmd", g_attn, qh, optimize=True)
         g_s = [
@@ -910,10 +975,8 @@ class BmlpBlock:
 
     def forward(self, x: Tensor, training: bool, cache: bool = False,
                 rec: ForwardRecord | None = None) -> Tensor:
-        h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x, cache), cache, rec),
-                             training, cache)
-        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h, cache), cache, rec),
-                               training, cache)
+        h = self.bn1.forward(self.fc1.forward_lif(self.lif1, x, cache, rec), training, cache)
+        out = self.bn2.forward(self.fc2.forward_lif(self.lif2, h, cache, rec), training, cache)
         if rec is not None and rec.taps is not None:
             rec.taps[self] = out  # the final normalized map, for rep-cap probes
         return out
@@ -1169,7 +1232,10 @@ class SpikingTransformer:
         return logits, dist_logits
 
     def backward(self, g_logits: Tensor, g_dist: Tensor | None = None) -> None:
-        T, B, N, D = self._pool_shape
+        """Backprop the logit gradients of the last cached forward into
+        every parameter's `grad`, freeing that forward's caches as it goes.
+        Without a cached forward to consume it raises TrainingError."""
+        ((T, B, N, D),) = _take_cache(self, "_pool_shape")
         scale = DTYPE(1.0 / (T * N))
 
         def unpool(g2d):
@@ -1181,6 +1247,8 @@ class SpikingTransformer:
                 g_dst = self.head_dist.backward(g_dist)
             else:
                 g_dst = np.zeros_like(g_cls)
+                if self.head_dist is not None:
+                    self.head_dist._in = None  # no gradient reaches it; drop its input
             if self.cfg.classify_on == "x0":
                 g0, g1 = unpool(g_cls), unpool(g_dst)
             else:
@@ -1198,13 +1266,14 @@ class SpikingTransformer:
         """Re-estimate every BN layer's running statistics from one batch
         (momentum forced to 1 for the pass), so inference-mode streams
         match the data scale. Used before inference-time reconstruction
-        and instrumentation."""
+        and instrumentation. The pass is a training-mode encode that
+        caches nothing, since no backward follows it."""
         bns = [lyr for lyr in self._all_layers() if isinstance(lyr, BatchNormLayer)]
         saved = [bn.momentum for bn in bns]
         for bn in bns:
             bn.momentum = 1.0
         try:
-            self.forward(x, training=True)
+            self._encode(np.asarray(x, dtype=DTYPE), training=True, cache=False)
         finally:
             for bn, m in zip(bns, saved):
                 bn.momentum = m
@@ -1350,7 +1419,8 @@ def _require_like(value, ref, what: str) -> None:
 
 def load_checkpoint(path) -> SpikingTransformer:
     """Inverse of `save_checkpoint`. A truncated, malformed or overlong
-    container, or a missing file, raises DataError."""
+    container, a missing file, or 1-bit images whose names, count or
+    shapes do not match the model's binary layers raise DataError."""
     read = binary.read_exact  # raises DataError on a short read
     with binary.open_input(path, "checkpoint") as fh:
         magic = fh.read(len(SpikingTransformer.CKPT_MAGIC))
@@ -1383,9 +1453,18 @@ def load_checkpoint(path) -> SpikingTransformer:
                 raise DataError(f"shape mismatch for {spec['name']}: {want} vs {arr.shape}")
             raw = read(fh, arr.size * 4, f"checkpoint array {spec['name']}")
             arr[...] = np.frombuffer(raw, dtype="<f4").reshape(arr.shape)
-        for spec in header["packed"]:
-            # validated, then discarded
-            binary.packed_from_bytes(read(fh, spec["size"], f"checkpoint image {spec['name']}"))
+        # one image per binary-mode layer, in layer order, each rows x cols
+        # of its weight; read, checked and discarded (the bits themselves
+        # are not compared with the latents' signs)
+        images = [(f"{lyr.name}.packed", lyr.weight.value.shape)
+                  for lyr in model.binary_linear_layers() if lyr.mode == "binary"]
+        if [spec["name"] for spec in header["packed"]] != [n for n, _ in images]:
+            raise DataError("checkpoint image manifest does not match the model's binary layers")
+        for spec, (name, shape) in zip(header["packed"], images):
+            pb = binary.packed_from_bytes(read(fh, spec["size"], f"checkpoint image {name}"))
+            if (pb.rows, pb.cols) != shape:
+                raise DataError(f"checkpoint image {name} is {pb.rows}x{pb.cols}, "
+                                f"expected {shape[0]}x{shape[1]}")
         if fh.read(1):
             raise DataError("checkpoint has trailing bytes after its last section")
     return model

@@ -113,13 +113,16 @@ def lif_run(inputs: Tensor, p: LifParams) -> Tensor:
     return _lif(inputs, p, cache=False)[0]
 
 
-def _lif(x: Tensor, p: LifParams, cache: bool) -> tuple[Tensor, Tensor | None]:
+def _lif(x: Tensor, p: LifParams,
+         cache: bool) -> tuple[Tensor, Tensor | None, np.ndarray | None]:
     """Spikes of the LIF dynamics along x's leading time axis from a zero
-    membrane and, with `cache`, the pre-reset membranes. Runs `lif_step`'s
+    membrane and, with `cache`, the pre-reset membranes and the spikes
+    again as bool, one byte each, for backward to keep. Runs `lif_step`'s
     operations in the same order, in reused buffers, in x's float dtype."""
     dt = x.dtype if x.dtype.kind == "f" else DTYPE
     spikes = np.empty_like(x)
     u_pre = np.empty_like(x) if cache else None
+    fired = np.empty(x.shape, dtype=np.bool_) if cache else None
     u, up, tmp = (np.empty(x.shape[1:], dtype=dt) for _ in range(3))
     tau = dt.type(p.tau)
     vth = dt.type(p.v_threshold)
@@ -133,6 +136,8 @@ def _lif(x: Tensor, p: LifParams, cache: bool) -> tuple[Tensor, Tensor | None]:
         else:
             np.add(x[0], 0.0, out=up)  # the membrane starts at +0, and tau * +0 is +0
         s = np.greater_equal(up, vth, out=spikes[t, ...])
+        if cache:
+            np.greater_equal(up, vth, out=fired[t, ...])
         if t == x.shape[0] - 1:
             break  # no later step reads the reset membrane
         if hard:
@@ -141,7 +146,7 @@ def _lif(x: Tensor, p: LifParams, cache: bool) -> tuple[Tensor, Tensor | None]:
         else:
             np.multiply(vth, s, out=tmp)
             np.subtract(up, tmp, out=u)  # up - vth * s
-    return spikes, u_pre
+    return spikes, u_pre, fired
 
 
 def boolean_binarize(x: Tensor) -> Tensor:

@@ -323,6 +323,41 @@ class TestEvalInspect:
         assert rc == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["no_images", "one_bogus_image", "renamed", "transposed",
+                                        "extra_image"])
+    def test_images_not_matching_the_binary_layers_are_data_error(self, trained, tmp_path,
+                                                                   capsys, damage):
+        cfg_path, out = trained
+        raw = (out / "ckpt-last.bin").read_bytes()
+        header_at, arrays_at = 6 + 4, 6 + 4 + int.from_bytes(raw[6:10], "little")
+        header = json.loads(raw[header_at:arrays_at])
+        images_at = arrays_at + 4 * sum(int(np.prod(a["shape"])) for a in header["arrays"])
+        images, at = [], images_at
+        for spec in header["packed"]:
+            images.append((spec["name"], raw[at:at + spec["size"]]))
+            at += spec["size"]
+        assert at == len(raw) and len(images) > 1
+        name, first = images[0]
+        pb = binary.packed_from_bytes(first)
+        bogus = binary.packed_bytes(binary.pack(np.ones((1, 1)), binary.ALPHABET_PM1))
+        transposed = binary.packed_bytes(binary.pack(
+            binary.unpack(pb, binary.ALPHABET_PM1).T, binary.ALPHABET_PM1))
+        images = {"no_images": [],
+                  "one_bogus_image": [(name, bogus)],
+                  "renamed": [(name + "x", first)] + images[1:],
+                  "transposed": [(name, transposed)] + images[1:],
+                  "extra_image": images + [("extra.packed", bogus)]}[damage]
+        header["packed"] = [{"name": n, "size": len(b)} for n, b in images]
+        hb = json.dumps(header).encode()
+        path = tmp_path / "bad.bin"
+        path.write_bytes(raw[:6] + struct.pack("<I", len(hb)) + hb + raw[arrays_at:images_at]
+                         + b"".join(b for _, b in images))
+        with pytest.raises(DataError, match="image"):
+            load_checkpoint(path)
+        rc = cli.main(["eval", "--checkpoint", str(path), "--config", str(cfg_path)])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_inspect_emits_one_record_per_block(self, trained, tmp_path):
         cfg_path, out = trained
         rec_path = tmp_path / "rep.jsonl"

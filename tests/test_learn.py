@@ -231,7 +231,9 @@ class TestTrainLoop:
         assert not net.head_cls.weight.grad.any()
         assert not net.head_cls.bias.grad.any()
         assert net.head_dist.weight.grad.any()
-        # and the reverse direction
+        # and the reverse direction, from a fresh cached forward: each
+        # backward consumes the caches of the forward before it
+        assert np.array_equal(net.forward(x, training=True)[0], logits)
         _, g_cls = batch_cross_entropy(logits, np.zeros(8, dtype=np.int64))
         net.zero_grads()
         net.backward(g_cls.astype(np.float32), np.zeros_like(dist))

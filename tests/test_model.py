@@ -13,7 +13,7 @@ from conftest import toy_config
 from spikebit import binary, learn, metrics, neuron
 from spikebit import model as M
 from spikebit.binary import ALPHABET_01, ALPHABET_PM1, binary_signs, pack, packed_linear
-from spikebit.errors import ConfigError, DataError, EncodingError
+from spikebit.errors import ConfigError, DataError, EncodingError, TrainingError
 from spikebit.model import (
     BatchNormLayer,
     BinaryLinearLayer,
@@ -368,6 +368,7 @@ def _lif_forward_reference(p, x):
 
 
 def _lif_backward_reference(p, u_pre, spikes, g_spikes):
+    spikes = spikes.astype(u_pre.dtype)  # the layer keeps them as bool
     tau = np.float32(p.tau)
     g_x = np.empty_like(g_spikes)
     g_u = np.zeros(g_spikes.shape[1:], dtype=g_spikes.dtype)
@@ -422,16 +423,17 @@ class TestLifKernel:
         p = toy_config("residual").lif(reset=reset)
         x = _lif_input(dtype)
         lif = LifLayer(p)
-        lif.forward(x, cache=True)
         gs = [Rng(42 + i).normal(x.shape).astype(dtype) for i in range(3)]
         for g in gs:
             g[1:, 3, :] = -1.0  # into the saturated row
         for g in gs:
+            lif.forward(x, cache=True)  # each backward consumes one cached forward
             want = _lif_backward_reference(p, lif._u_pre, lif._spikes, g)
             if reset is Reset.HARD:  # the reset gate zeroes the carry: -0.0 input gradients
                 assert np.signbit(want[1, 3]).all() and not want[1, 3].any()
             _bytes_equal(lif.backward(g), want)
         # several upstream gradients: summed from zero in argument order
+        lif.forward(x, cache=True)
         want = np.zeros_like(gs[0])
         for g in gs:
             want += _lif_backward_reference(p, lif._u_pre, lif._spikes, g)
@@ -575,6 +577,163 @@ class TestCheckpointImages:
             for lyr in net.binary_linear_layers()
         )
         assert checkpoint_bytes(net).endswith(fresh)
+
+
+def _cache_fields(net):
+    """(owner, field name, value) of every per-call field on the model and
+    its layers: the private attributes, apart from the weight-sign cache
+    that lives until the next weight update."""
+    out, todo, seen = [], [net], set()
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+            continue
+        if type(obj).__module__ != M.__name__ or id(obj) in seen or not hasattr(obj, "__dict__"):
+            continue
+        seen.add(id(obj))
+        for name, value in vars(obj).items():
+            if name.startswith("_") and name != "_sign_cache":
+                out.append((type(obj).__name__, name, value))
+            else:
+                todo.append(value)
+    return out
+
+
+class TestTrainingCaches:
+    """A training forward keeps each spike tensor once, as bool, and the
+    backward that reads the caches frees them."""
+
+    NETS = {
+        "reversible": (toy_config("reversible"), (6, 64)),
+        "full_residual": (toy_config("residual", weight_mode="full"), (6, 64)),
+        "conv": (conv_config(image=16), (3, 3, 16, 16)),
+    }
+
+    def _trained_step(self, kind, backward=True):
+        cfg, shape = self.NETS[kind]
+        net = SpikingTransformer(cfg, seed=80)
+        logits, dist = net.forward(Rng(81).normal(shape, std=2.0), training=True)
+        if backward:
+            net.backward(np.ones_like(logits), None if dist is None else np.ones_like(dist))
+        return net
+
+    @pytest.mark.parametrize("kind", list(NETS))
+    def test_spikes_are_kept_once_as_bool(self, kind):
+        net = self._trained_step(kind, backward=False)
+        for lif in net.lif_layers():
+            if kind == "full_residual" and lif.p.reset is Reset.SOFT:
+                assert lif._spikes is None  # full-precision attention is not binarized
+                continue
+            assert lif._spikes.dtype == np.bool_ and lif._u_pre.dtype == np.float32
+        pairs = [(blk.x_in, proj) for blk in net.bssa_blocks()
+                 for proj in (blk.q_proj, blk.k_proj, blk.v_proj)]
+        pairs += [(blk.o_in, blk.o_proj) for blk in net.bssa_blocks()]
+        for blk in net.blocks:
+            pairs += [(blk.bmlp.lif1, blk.bmlp.fc1), (blk.bmlp.lif2, blk.bmlp.fc2)]
+        if kind != "conv":
+            pairs.append((net.stem.lif, net.stem.linear))
+        for lif, lyr in pairs:
+            assert lyr._in2d.dtype == np.bool_ and np.shares_memory(lyr._in2d, lif._spikes)
+        for blk in net.bssa_blocks():
+            q, k, v, s_attn = blk._cache
+            assert q is blk.q_lif._spikes and k is blk.k_lif._spikes and v is blk.v_lif._spikes
+            if blk.binary_attn:
+                assert s_attn is blk.attn_lif._spikes
+            else:  # the integer attention map, which no LIF emits
+                assert s_attn.dtype == np.float32
+        if kind == "conv":  # im2col keeps its own bool copy
+            for lif, conv, _, _ in net.stem.stages:
+                assert conv.linear._in2d.dtype == np.bool_
+                assert not np.shares_memory(conv.linear._in2d, lif._spikes)
+
+    @pytest.mark.parametrize("kind", list(NETS))
+    def test_backward_frees_every_cache(self, kind):
+        fields = _cache_fields(self._trained_step(kind, backward=False))
+        assert {n for _, n, v in fields if v is not None} >= {
+            "_u_pre", "_spikes", "_in2d", "_signs", "_xhat", "_inv", "_training",
+            "_in", "_cache", "_pool_shape"} | ({"_shape", "_idx"} if kind == "conv" else set())
+        held = [(o, n) for o, n, v in _cache_fields(self._trained_step(kind)) if v is not None]
+        assert held == []
+
+    def test_backward_needs_a_cached_forward(self):
+        net = SpikingTransformer(toy_config("reversible"), seed=82)
+        x, g = Rng(83).normal((4, 64)), np.ones((4, 10), dtype=np.float32)
+        with pytest.raises(TrainingError, match="cached forward"):
+            net.backward(g, g)  # no forward at all
+        net.forward(x)
+        with pytest.raises(TrainingError, match="cached forward"):
+            net.backward(g, g)  # an inference forward caches nothing
+        net.forward(x, training=True)
+        net.backward(g, g)
+        with pytest.raises(TrainingError, match="cached forward"):
+            net.backward(g, g)  # the first backward consumed the caches
+        lif = LifLayer(toy_config("residual").lif())
+        lif.forward(x, cache=True)
+        lif.backward(x)
+        with pytest.raises(TrainingError, match="cached forward"):
+            lif.backward(x)
+
+    def test_no_activation_outlives_training(self):
+        # depth 4 at train_deep's width: caches that no backward freed kept
+        # every activation of the last step, 90 times the parameter bytes
+        cfg = ModelConfig(depth=4, embed_dim=64, heads=2, timesteps=4,
+                          stem=StemSpec(kind="vector", in_features=256, tokens=16))
+        x, y = Rng(84).normal((64, 256)), np.arange(64) % 10
+        tracemalloc.start()
+        try:
+            net = SpikingTransformer(cfg, seed=85)
+            before = tracemalloc.get_traced_memory()[0]
+            learn.train_model(net, (x, y), epochs=1, rng=Rng(86), batch_size=32)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        params = sum(p.value.nbytes for _, p in net.named_params())
+        # what stays: the float32 sign caches of the binary weights
+        assert grown <= 2 * params, (grown, params)
+
+    @pytest.mark.parametrize("topology,mode", [("reversible", "binary"), ("residual", "full")])
+    def test_training_step_memory_per_block(self, topology, mode):
+        # a block kept about 137 bytes per element of its (T, B, N, D)
+        # stream with float32 spike caches and head-split copies; bool
+        # spikes kept once bring it to about 93
+        T, B, N, D = 2, 16, 8, 32
+        peaks = []
+        for depth in (1, 3):
+            net = SpikingTransformer(toy_config(topology, weight_mode=mode, depth=depth,
+                                                embed_dim=D, timesteps=T, tokens=N), seed=87)
+            x, g = Rng(88).normal((B, 64), std=2.0), np.full((B, 10), 0.01, dtype=np.float32)
+            net.forward(x)  # sign caches exist before the measurement
+            tracemalloc.start()
+            try:
+                logits, dist = net.forward(x, training=True)
+                net.backward(g, None if dist is None else g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_block = (peaks[1] - peaks[0]) / 2
+        assert per_block <= 110 * T * B * N * D, per_block
+
+    def test_calibrate_keeps_no_caches_and_matches_a_training_forward(self):
+        cfg = toy_config("reversible", embed_dim=64, timesteps=4, tokens=8)
+        x = Rng(89).normal((32, 64), std=2.0)
+        net, ref = SpikingTransformer(cfg, seed=90), SpikingTransformer(cfg, seed=90)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net.calibrate(x)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert [(o, n) for o, n, v in _cache_fields(net) if v is not None] == []
+        assert grown <= sum(p.value.nbytes for _, p in net.named_params()), grown
+        # the running statistics of a training forward at momentum 1
+        bns = [lyr for lyr in ref._all_layers() if isinstance(lyr, BatchNormLayer)]
+        for bn in bns:
+            bn.momentum = 1.0
+        ref.forward(x, training=True)
+        for (name, got), (_, want) in zip(net.named_buffers(), ref.named_buffers()):
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestTiledInference:
