@@ -135,12 +135,14 @@ class StandardizationRecord:
 
 
 def _standardize(w: np.ndarray, per_channel: bool) -> tuple[np.ndarray, StandardizationRecord]:
+    # std as sqrt(var) about the mean already taken: the bytes of
+    # w.std(dtype=float64), one pass fewer
     if per_channel:
         mean = w.mean(axis=1, keepdims=True, dtype=np.float64)
-        std = w.std(axis=1, keepdims=True, dtype=np.float64)
+        std = np.sqrt(w.var(axis=1, keepdims=True, dtype=np.float64, mean=mean))
     else:
         mean = np.asarray(w.mean(dtype=np.float64))
-        std = np.asarray(w.std(dtype=np.float64))
+        std = np.asarray(np.sqrt(w.var(dtype=np.float64, mean=mean)))
     if np.any(std == 0):
         raise DegenerateWeightsError("weight tensor has zero spread; cannot standardize")
     z = ((w - mean) / std).astype(w.dtype if w.dtype.kind == "f" else DTYPE)

@@ -41,7 +41,14 @@ from typing import Iterator
 import numpy as np
 
 from . import binary, neuron, numeric
-from .errors import ConfigError, DataError, NumericError, ShapeError, TrainingError
+from .errors import (
+    ConfigError,
+    DataError,
+    DegenerateWeightsError,
+    NumericError,
+    ShapeError,
+    TrainingError,
+)
 from .numeric import DTYPE, BatchNormParams, Rng, Tensor
 
 # float32 holds every integer below 2**24 exactly, so a binary layer's
@@ -461,23 +468,20 @@ class LinearHead:
 
 class LambdaLayer:
     """Per-timestep learnable positive scale on binarized attention; both
-    passes run `binary.apply_lambda`'s product."""
+    passes run `binary.apply_lambda`'s product. It keeps no cache: backward
+    takes the forward's input `x` from its caller, which can rebuild it."""
 
     def __init__(self, name: str, timesteps: int):
         self.name = name
         self.scale = Param(np.ones((timesteps, 1, 1), dtype=DTYPE), positive=True)
-        self._pre = None
 
-    def forward(self, x: Tensor, cache: bool = False) -> Tensor:
-        if cache:
-            self._pre = x
+    def forward(self, x: Tensor) -> Tensor:
         return binary._scale_time(x, self.scale.value)
 
-    def backward(self, g_out: Tensor) -> Tensor:
+    def backward(self, g_out: Tensor, x: Tensor) -> Tensor:
         T = g_out.shape[0]
         axes = tuple(range(1, g_out.ndim))
-        (pre,) = _take_cache(self, "_pre")
-        self.scale.grad += (g_out * pre).sum(axis=axes).reshape(T, 1, 1)
+        self.scale.grad += (g_out * x).sum(axis=axes).reshape(T, 1, 1)
         return binary._scale_time(g_out, self.scale.value)
 
     def params(self):
@@ -557,7 +561,7 @@ class MaxPool2Layer:
         idx = xr.argmax(axis=-1)
         out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
         if cache:
-            self._idx = idx
+            self._idx = idx.astype(np.uint8)  # 0..3, at one byte each
             self._shape = (T, B, C, H, W)
         return out
 
@@ -888,7 +892,7 @@ class BssaBlock:
         if self.binary_attn:
             s_attn = self.attn_lif.forward(attn, cache)
             ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
-            ctx = self.lam.forward(ctx0, cache)
+            ctx = self.lam.forward(ctx0)
             sops = float(q.sum()) * attn.shape[-1] + float(s_attn.sum()) * self.head_dim
         else:
             s_attn = attn
@@ -914,7 +918,10 @@ class BssaBlock:
         g_ctx = self._split(g)
         vh, s_attn = self._split(v, DTYPE), _widen(s_attn)
         if self.binary_attn:
-            g_ctx0 = self.lam.backward(g_ctx)
+            # the lambda layer's input, rebuilt: a sum of {0,1} products,
+            # so exactly the forward's bytes
+            g_ctx0 = self.lam.backward(
+                g_ctx, np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True))
             g_sattn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx0, vh, optimize=True)
             g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx0, optimize=True)
             g_attn = self.attn_lif.backward(g_sattn)
@@ -1094,6 +1101,17 @@ class ResidualBlock:
 # the full network
 
 
+class _BlankRng:
+    """Stands in for `Rng` while `SpikingTransformer._blank` builds a model:
+    draws nothing and hands out uninitialised arrays."""
+
+    def child(self, tag: int) -> "_BlankRng":
+        return self
+
+    def normal(self, shape, std: float = 1.0, mean: float = 0.0) -> Tensor:
+        return np.empty(shape, dtype=DTYPE)
+
+
 class SpikingTransformer:
     """Stem -> encoder blocks -> time/token mean -> linear head(s).
 
@@ -1103,9 +1121,19 @@ class SpikingTransformer:
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
+        self._build(cfg, seed, Rng(seed))
+
+    @classmethod
+    def _blank(cls, cfg: ModelConfig, seed: int) -> "SpikingTransformer":
+        """The model of `cfg` with its random weights left uninitialised,
+        for `load_checkpoint`, which overwrites every array."""
+        model = cls.__new__(cls)
+        model._build(cfg, seed, _BlankRng())
+        return model
+
+    def _build(self, cfg: ModelConfig, seed: int, rng: Rng | _BlankRng) -> None:
         self.cfg = cfg
         self.seed = seed
-        rng = Rng(seed)
         if cfg.stem.kind == "conv":
             self.stem = ConvStem(cfg, rng.child(0))
         elif cfg.stem.kind == "vector":
@@ -1418,9 +1446,14 @@ def _require_like(value, ref, what: str) -> None:
 
 
 def load_checkpoint(path) -> SpikingTransformer:
-    """Inverse of `save_checkpoint`. A truncated, malformed or overlong
-    container, a missing file, or 1-bit images whose names, count or
-    shapes do not match the model's binary layers raise DataError."""
+    """Inverse of `save_checkpoint`. The model is built without a random
+    init, since every parameter and buffer is read in. Each 1-bit image
+    must equal the signs of its layer's standardized latent weights, and
+    that comparison leaves the layer's sign cache filled for the first
+    forward. A truncated, malformed or overlong container, a missing
+    file, 1-bit images whose names, count, shapes or bits do not match
+    the model's binary layers, or latents that cannot be binarized raise
+    DataError."""
     read = binary.read_exact  # raises DataError on a short read
     with binary.open_input(path, "checkpoint") as fh:
         magic = fh.read(len(SpikingTransformer.CKPT_MAGIC))
@@ -1440,7 +1473,8 @@ def load_checkpoint(path) -> SpikingTransformer:
         if header["seed"] < 0:
             raise DataError(f"checkpoint seed {header['seed']} is negative")
         try:
-            model = SpikingTransformer(ModelConfig.from_dict(header["config"]), seed=header["seed"])
+            model = SpikingTransformer._blank(ModelConfig.from_dict(header["config"]),
+                                              header["seed"])
         except ConfigError as exc:
             raise DataError(f"checkpoint config is invalid: {exc}") from None
         entries = model.state_entries
@@ -1453,18 +1487,26 @@ def load_checkpoint(path) -> SpikingTransformer:
                 raise DataError(f"shape mismatch for {spec['name']}: {want} vs {arr.shape}")
             raw = read(fh, arr.size * 4, f"checkpoint array {spec['name']}")
             arr[...] = np.frombuffer(raw, dtype="<f4").reshape(arr.shape)
-        # one image per binary-mode layer, in layer order, each rows x cols
-        # of its weight; read, checked and discarded (the bits themselves
-        # are not compared with the latents' signs)
-        images = [(f"{lyr.name}.packed", lyr.weight.value.shape)
-                  for lyr in model.binary_linear_layers() if lyr.mode == "binary"]
-        if [spec["name"] for spec in header["packed"]] != [n for n, _ in images]:
+        # one image per binary-mode layer, in layer order, each equal to
+        # the signs of its weight, which seeds the layer's sign cache
+        layers = [lyr for lyr in model.binary_linear_layers() if lyr.mode == "binary"]
+        if [spec["name"] for spec in header["packed"]] != [f"{lyr.name}.packed" for lyr in layers]:
             raise DataError("checkpoint image manifest does not match the model's binary layers")
-        for spec, (name, shape) in zip(header["packed"], images):
+        for spec, lyr in zip(header["packed"], layers):
+            name = spec["name"]
             pb = binary.packed_from_bytes(read(fh, spec["size"], f"checkpoint image {name}"))
+            shape = lyr.weight.value.shape
             if (pb.rows, pb.cols) != shape:
                 raise DataError(f"checkpoint image {name} is {pb.rows}x{pb.cols}, "
                                 f"expected {shape[0]}x{shape[1]}")
+            try:
+                signs = lyr._binary_signs()
+            except (NumericError, DegenerateWeightsError) as exc:
+                raise DataError(f"checkpoint weight {lyr.name}.weight cannot be binarized: "
+                                f"{exc}") from None
+            if not np.array_equal(binary.unpack(pb, binary.ALPHABET_PM1), signs):
+                raise DataError(f"checkpoint image {name} does not match the signs of "
+                                f"{lyr.name}.weight")
         if fh.read(1):
             raise DataError("checkpoint has trailing bytes after its last section")
     return model

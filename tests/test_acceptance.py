@@ -167,16 +167,18 @@ def test_criterion_05_gradient_checks():
     params_a = bn.params() + lam.params()
 
     def fwd(cache):
-        return lam.forward(bn.forward(x, training=True, cache=cache), cache=cache).mean(axis=0)
+        h = bn.forward(x, training=True, cache=cache)
+        return h, lam.forward(h).mean(axis=0)
 
     def loss_a():
-        return batch_cross_entropy(fwd(False), targets)[0]
+        return batch_cross_entropy(fwd(False)[1], targets)[0]
 
     def back_a():
         for _, p in params_a:
             p.zero_grad()
-        ce, g = batch_cross_entropy(fwd(True), targets)
-        bn.backward(lam.backward(np.broadcast_to(g / T, (T, B, C)).astype(np.float64)))
+        h, logits = fwd(True)
+        ce, g = batch_cross_entropy(logits, targets)
+        bn.backward(lam.backward(np.broadcast_to(g / T, (T, B, C)).astype(np.float64), h))
         return ce
 
     err_a = grad_check(loss_a, back_a, params_a, h=1e-5)

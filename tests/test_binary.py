@@ -186,6 +186,22 @@ class TestBinarizeWeights:
         assert signs[1].tolist() == [1.0, -1.0, 1.0]
 
     @pytest.mark.parametrize("per_channel", [False, True])
+    def test_standardize_matches_std_expression_bytewise(self, per_channel):
+        # the spread is sqrt(var) about the mean already taken; it must
+        # equal numpy's float64 std, and the standardized copy with it
+        rng = np.random.default_rng(31)
+        axis = 1 if per_channel else None
+        for shape in [(1, 3), (7, 9), (128, 512), (3, 8193), (1, 20000)]:
+            for dtype in (np.float32, np.float64):
+                w = (rng.normal(size=shape) * rng.uniform(0.01, 10.0)
+                     + rng.normal() * 5.0).astype(dtype)
+                mean = w.mean(axis=axis, keepdims=per_channel, dtype=np.float64)
+                std = w.std(axis=axis, keepdims=per_channel, dtype=np.float64)
+                z, record = binary._standardize(w, per_channel)
+                assert np.asarray(record.std).tobytes() == np.asarray(std).tobytes()
+                assert z.tobytes() == ((w - mean) / std).astype(dtype).tobytes()
+
+    @pytest.mark.parametrize("per_channel", [False, True])
     def test_signs_match_select_reference_bytewise(self, per_channel):
         rng = np.random.default_rng(29)
         v = rng.integers(-3, 4, size=(8, 32)).astype(np.float32)
@@ -262,8 +278,10 @@ class TestLambdaScale:
         layer.scale.value[:] = lam.values
         want = apply_lambda(x, lam)
         assert want.dtype == np.float32
-        for cache in (False, True):
-            assert layer.forward(x, cache=cache).tobytes() == want.tobytes()
+        assert layer.forward(x).tobytes() == want.tobytes()
+        # backward scales the gradient by the same product
+        g = rng.normal(size=shape).astype(np.float32)
+        assert layer.backward(g, x).tobytes() == apply_lambda(g, lam).tobytes()
 
     def test_time_axis_mismatch(self):
         with pytest.raises(ShapeError):

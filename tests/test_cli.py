@@ -324,7 +324,7 @@ class TestEvalInspect:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["no_images", "one_bogus_image", "renamed", "transposed",
-                                        "extra_image"])
+                                        "extra_image", "flipped_bit"])
     def test_images_not_matching_the_binary_layers_are_data_error(self, trained, tmp_path,
                                                                    capsys, damage):
         cfg_path, out = trained
@@ -340,13 +340,16 @@ class TestEvalInspect:
         name, first = images[0]
         pb = binary.packed_from_bytes(first)
         bogus = binary.packed_bytes(binary.pack(np.ones((1, 1)), binary.ALPHABET_PM1))
+        flipped = bytearray(first)
+        flipped[16] ^= 0x01  # element (0, 0): the first bit after magic, rows and cols
         transposed = binary.packed_bytes(binary.pack(
             binary.unpack(pb, binary.ALPHABET_PM1).T, binary.ALPHABET_PM1))
         images = {"no_images": [],
                   "one_bogus_image": [(name, bogus)],
                   "renamed": [(name + "x", first)] + images[1:],
                   "transposed": [(name, transposed)] + images[1:],
-                  "extra_image": images + [("extra.packed", bogus)]}[damage]
+                  "extra_image": images + [("extra.packed", bogus)],
+                  "flipped_bit": [(name, bytes(flipped))] + images[1:]}[damage]
         header["packed"] = [{"name": n, "size": len(b)} for n, b in images]
         hb = json.dumps(header).encode()
         path = tmp_path / "bad.bin"

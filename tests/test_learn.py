@@ -283,18 +283,18 @@ class TestGradCheck:
 
         def forward(cache):
             h = bn.forward(x, training=True, cache=cache)
-            h = lam.forward(h, cache=cache)
-            return h.mean(axis=0)  # pool time -> (B, C) logits
+            return h, lam.forward(h).mean(axis=0)  # pool time -> (B, C) logits
 
         def loss():
-            return batch_cross_entropy(forward(False), targets)[0]
+            return batch_cross_entropy(forward(False)[1], targets)[0]
 
         def backward():
             for _, p in params:
                 p.zero_grad()
-            ce, g = batch_cross_entropy(forward(True), targets)
+            h, logits = forward(True)
+            ce, g = batch_cross_entropy(logits, targets)
             g_h = np.broadcast_to(g / T, (T, B, C)).astype(np.float64)
-            bn.backward(lam.backward(g_h))
+            bn.backward(lam.backward(g_h, h))
             return ce
 
         err = grad_check(loss, backward, params, h=1e-5)

@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import subprocess
@@ -343,6 +344,100 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         assert checkpoint_bytes(load_checkpoint(path)) == path.read_bytes()
 
+    KINDS = {
+        "reversible": (toy_config("reversible"), (4, 64)),
+        "residual": (toy_config("residual"), (4, 64)),
+        "full": (toy_config("reversible", weight_mode="full"), (4, 64)),
+        "conv": (conv_config(image=16), (2, 3, 16, 16)),
+    }
+
+    @pytest.mark.parametrize("poison", [False, True])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_every_state_entry_is_read_in(self, tmp_path, monkeypatch, kind, poison):
+        cfg, shape = self.KINDS[kind]
+        net = SpikingTransformer(cfg, seed=40)
+        net.forward(Rng(41).normal(shape, std=2.0), training=True)  # move BN stats off their init
+        path = tmp_path / "m.bin"
+        save_checkpoint(net, path)
+        if poison:  # NaN in every array of the blank model, so none can pass unread
+            blank = SpikingTransformer._blank
+
+            def poisoned(cfg, seed):
+                model = blank(cfg, seed)
+                for _, arr in model.state_entries:
+                    arr[...] = np.nan
+                return model
+            monkeypatch.setattr(SpikingTransformer, "_blank", poisoned)
+        loaded = load_checkpoint(path)
+        want, got = net.state_entries, loaded.state_entries
+        assert [n for n, _ in got] == [n for n, _ in want]
+        for (name, a), (_, b) in zip(want, got):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_load_draws_no_normals(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.bin"
+        save_checkpoint(SpikingTransformer(toy_config("reversible"), seed=42), path)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random weights")
+        monkeypatch.setattr(Rng, "normal", boom)
+        loaded = load_checkpoint(path)
+        assert checkpoint_bytes(loaded) == path.read_bytes()
+
+    @staticmethod
+    def _with_array(raw: bytes, name: str, values: np.ndarray) -> bytes:
+        """The checkpoint `raw` with the array `name` replaced by `values`."""
+        header_len = int.from_bytes(raw[6:10], "little")
+        header = json.loads(raw[10:10 + header_len])
+        at = 10 + header_len
+        for spec in header["arrays"]:
+            size = 4 * int(np.prod(spec["shape"]))
+            if spec["name"] == name:
+                blob = np.asarray(values, dtype="<f4").reshape(spec["shape"]).tobytes()
+                return raw[:at] + blob + raw[at + size:]
+            at += size
+        raise KeyError(name)
+
+    @pytest.mark.parametrize("latent", ["constant", "nan"])
+    def test_latent_that_cannot_be_binarized_is_data_error(self, tmp_path, latent):
+        net = SpikingTransformer(toy_config("reversible"), seed=43)
+        lyr = next(net.binary_linear_layers())
+        value = {"constant": 0.5, "nan": np.nan}[latent]
+        path = tmp_path / "m.bin"
+        path.write_bytes(self._with_array(checkpoint_bytes(net), f"{lyr.name}.weight",
+                                          np.full(lyr.weight.value.shape, value)))
+        with pytest.raises(DataError, match=f"{lyr.name}.weight cannot be binarized"):
+            load_checkpoint(path)
+
+    def test_latent_whose_signs_differ_from_its_image_is_data_error(self, tmp_path):
+        net = SpikingTransformer(toy_config("residual"), seed=44)
+        lyr = list(net.binary_linear_layers())[3]
+        path = tmp_path / "m.bin"
+        path.write_bytes(self._with_array(checkpoint_bytes(net), f"{lyr.name}.weight",
+                                          -lyr.weight.value))
+        with pytest.raises(DataError, match=f"image {lyr.name}.packed does not match"):
+            load_checkpoint(path)
+
+    def test_load_seeds_the_sign_caches(self, tmp_path):
+        net = SpikingTransformer(toy_config("reversible"), seed=45)
+        path = tmp_path / "m.bin"
+        save_checkpoint(net, path)
+        loaded = load_checkpoint(path)
+        layers = list(loaded.binary_linear_layers())
+        seeded = [lyr._sign_cache for lyr in layers]
+        for lyr, (version, signs) in zip(layers, seeded):
+            want = binary_signs(lyr.weight.value, lyr.per_channel)
+            assert version == 0 and signs.tobytes() == want.tobytes()
+        x, y = Rng(46).normal((4, 64)), np.arange(4)
+        loaded.forward(x)  # the first forward reuses the seeded signs
+        assert all(lyr._sign_cache is s for lyr, s in zip(layers, seeded))
+        logits, dist = loaded.forward(x, training=True)
+        loaded.backward(np.ones_like(logits), np.ones_like(dist))
+        learn.AdamW(loaded.named_params(), lr=1e-2).step()
+        loaded.forward(x)  # an optimizer step invalidates them
+        for lyr, s in zip(layers, seeded):
+            assert lyr._sign_cache is not s and lyr._sign_cache[0] == 1
+
 
 # ---------------------------------------------------------------------------
 # in-place kernels against the plain expressions they replaced, byte for byte
@@ -518,11 +613,12 @@ class TestSharedInputLif:
         qh, kh, vh = (blk._split(a) for a in outs)
         attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
         s_attn = blk.attn_lif.forward(attn, True)
-        ctx = blk.lam.forward(np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True), True)
+        ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
+        ctx = blk.lam.forward(ctx0)
         out = blk.o_bn.forward(blk.o_proj.forward(blk.o_in.forward(blk._merge(ctx), True), True),
                                True, True)
         g = blk.o_in.backward(blk.o_proj.backward(blk.o_bn.backward(g_out)))
-        g_ctx0 = blk.lam.backward(blk._split(g))
+        g_ctx0 = blk.lam.backward(blk._split(g), ctx0)
         g_sattn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx0, vh, optimize=True)
         g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx0, optimize=True)
         g_attn = blk.attn_lif.backward(g_sattn)
@@ -636,6 +732,7 @@ class TestTrainingCaches:
         for lif, lyr in pairs:
             assert lyr._in2d.dtype == np.bool_ and np.shares_memory(lyr._in2d, lif._spikes)
         for blk in net.bssa_blocks():
+            assert [n for n in vars(blk.lam) if n.startswith("_")] == []  # no context kept
             q, k, v, s_attn = blk._cache
             assert q is blk.q_lif._spikes and k is blk.k_lif._spikes and v is blk.v_lif._spikes
             if blk.binary_attn:
@@ -643,9 +740,10 @@ class TestTrainingCaches:
             else:  # the integer attention map, which no LIF emits
                 assert s_attn.dtype == np.float32
         if kind == "conv":  # im2col keeps its own bool copy
-            for lif, conv, _, _ in net.stem.stages:
+            for lif, conv, _, pool in net.stem.stages:
                 assert conv.linear._in2d.dtype == np.bool_
                 assert not np.shares_memory(conv.linear._in2d, lif._spikes)
+                assert pool is None or pool._idx.dtype == np.uint8  # argmax in 0..3
 
     @pytest.mark.parametrize("kind", list(NETS))
     def test_backward_frees_every_cache(self, kind):
