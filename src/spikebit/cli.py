@@ -98,10 +98,17 @@ def synthetic_clusters(spec: DatasetSpec, seed: int) -> Dataset:
     return Dataset(x_tr, y_tr, x_te, y_te, spec.num_classes)
 
 
+def _require_finite_features(x: Tensor, what: str) -> None:
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        raise DataError(f"{what}: sample {bad[0][0]} has a feature that is not finite")
+
+
 def load_csv_dataset(path, num_classes: int | None = None) -> Dataset:
     """Comma-separated rows of features, label last. A missing file, a
-    non-numeric field, ragged rows, a label that is not a whole number, or
-    a file without samples raises DataError."""
+    non-numeric field, ragged rows, a feature that is not finite in
+    float32, a label that is not a whole number, or a file without
+    samples raises DataError."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "no data"; rejected below
@@ -115,7 +122,9 @@ def load_csv_dataset(path, num_classes: int | None = None) -> Dataset:
     labels = rows[:, -1]
     if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
         raise DataError(f"csv dataset {path} has a label that is not a whole number")
-    x = rows[:, :-1].astype(DTYPE)
+    with np.errstate(over="ignore"):  # a float32 overflow is rejected as inf
+        x = rows[:, :-1].astype(DTYPE)
+    _require_finite_features(x, f"csv dataset {path}")
     y = labels.astype(np.int64)
     classes = num_classes if num_classes else int(y.max()) + 1
     if y.min() < 0 or y.max() >= classes:
@@ -136,7 +145,8 @@ def save_raw_dataset(path, x: Tensor, y: np.ndarray, num_classes: int) -> None:
 
 def load_raw_dataset(path) -> Dataset:
     """Inverse of `save_raw_dataset`. A truncated, malformed or overlong
-    file, a missing one, or one with no samples raises DataError."""
+    file, a missing one, one with no samples, or a feature that is not
+    finite raises DataError."""
     read = binary.read_exact  # raises DataError on a short read
     with binary.open_input(path, "raw dataset") as fh:
         magic = fh.read(len(_RAW_MAGIC))
@@ -153,7 +163,9 @@ def load_raw_dataset(path) -> Dataset:
         raise DataError("raw dataset holds no samples")
     if y.min() < 0 or y.max() >= classes:
         raise DataError(f"raw dataset labels outside [0, {classes})")
-    return Dataset(x.reshape((n,) + dims).copy(), y, None, None, classes)
+    x = x.reshape((n,) + dims).copy()
+    _require_finite_features(x, "raw dataset")
+    return Dataset(x, y, None, None, classes)
 
 
 def load_dataset(spec: DatasetSpec, seed: int) -> Dataset:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import BinaryLinearLayer, ModelConfig, SpikingTransformer
+from .model import ModelConfig, SpikingTransformer
 from .numeric import Tensor, require_finite
 
 NS_ACE_FACTORS = {1: 1.0, 2: 2.0, 32: 16.0}
@@ -82,12 +82,12 @@ def count_sops(model: SpikingTransformer, batch: Tensor) -> float:
     attention products add one accumulate per Q spike per key position
     and, for the binarized map, one per attention spike per head feature.
     """
-    logits, _ = model.forward(batch, training=False)
+    rec = model.probe(batch)
     total = 0.0
-    for lyr in _weight_layers(model):
-        total += lyr.last_in_spikes * lyr.out_features
+    for lyr in model.binary_linear_layers():
+        total += rec.spikes[lyr] * lyr.out_features
     for bssa in model.bssa_blocks():
-        total += bssa.last_sops
+        total += rec.sops[bssa]
     batch_size = np.asarray(batch).shape[0]
     return total / batch_size / 1e9
 
@@ -101,10 +101,6 @@ def ns_ace(sops_g: float, weight_bits: int) -> float:
             f"known widths: {sorted(NS_ACE_FACTORS)}"
         )
     return sops_g * NS_ACE_FACTORS[weight_bits]
-
-
-def _weight_layers(model: SpikingTransformer):
-    yield from model.binary_linear_layers()
 
 
 def model_size_mb(model: SpikingTransformer, include_distill_head: bool = False) -> float:
@@ -174,24 +170,20 @@ def representation_report(model: SpikingTransformer, batch: Tensor,
                           decimals: int | None = None, bins: int = 256) -> RepCapReport:
     """Per-block representation capability on a calibration batch.
 
-    Each block's final normalized map is a per-channel affine image of an
-    integer accumulation, so a channel's value-set size counts how many
-    distinct integer levels survived binarization. The report averages
-    that count over channels (one feature map each) and adds a histogram
-    entropy proxy of the whole map.
+    Each block's final normalized map (its BMLP's output) is a
+    per-channel affine image of an integer accumulation, so a channel's
+    value-set size counts how many distinct integer levels survived
+    binarization. The report averages that count over channels (one
+    feature map each) and adds a histogram entropy proxy of the whole map.
     """
-    model.capture_taps = True
-    try:
-        model.forward(batch, training=False)
-        report = RepCapReport()
-        for name, tap in model.block_taps:
-            per_channel = [value_set_size(tap[..., c], decimals) for c in range(tap.shape[-1])]
-            report.block_names.append(name)
-            report.value_set_sizes.append(float(np.mean(per_channel)))
-            report.entropy_bits.append(entropy_proxy(tap, bins))
-    finally:
-        model.capture_taps = False
-        model.block_taps = []
+    rec = model.probe(batch, taps=True)
+    report = RepCapReport()
+    for blk in model.blocks:
+        tap = rec.taps[blk.bmlp]
+        per_channel = [value_set_size(tap[..., c], decimals) for c in range(tap.shape[-1])]
+        report.block_names.append(blk.name)
+        report.value_set_sizes.append(float(np.mean(per_channel)))
+        report.entropy_bits.append(entropy_proxy(tap, bins))
     return report
 
 

@@ -133,14 +133,15 @@ if hasattr(os, "register_at_fork"):
 
 
 class ForwardRecord:
-    """What one forward over a batch or a tile counted, kept off the
-    shared layers so concurrent tiles cannot overwrite each other.
+    """What one forward over a batch or a tile counted: the only place a
+    forward writes counts and taps, so the shared layers hold no per-call
+    state and concurrent tiles cannot overwrite each other.
 
     `spikes` maps each binary layer to the spikes that entered it, `sops`
     each BSSA block to its attention synaptic ops. `taps`, when not None,
     maps each BSSA block to its attention map and each BMLP block to its
-    final normalized map. Layers and blocks called without a record
-    write their counts to their own `last_in_spikes` and `last_sops`.
+    final normalized map. A layer or block called without a record
+    counts nothing. `SpikingTransformer.probe` returns a batch's record.
     """
 
     __slots__ = ("spikes", "sops", "taps")
@@ -195,7 +196,7 @@ def _take_cache(layer, *fields: str) -> tuple:
     if values[0] is None:
         raise TrainingError(
             f"{getattr(layer, 'name', type(layer).__name__)}: backward without a cached "
-            f"forward; run forward with cache=True (or training=True) before each backward"
+            f"forward; run a cached forward (training=True on the model) before each backward"
         )
     for f in fields:
         setattr(layer, f, None)
@@ -303,7 +304,6 @@ class BinaryLinearLayer:
         self._sign_cache = None  # (weight version, +-1 signs)
         self._in2d = None
         self._signs = None
-        self.last_in_spikes = 0.0  # spikes into its last call; a model forward's batch total
 
     def _binary_signs(self) -> Tensor:
         cached = self._sign_cache
@@ -353,9 +353,7 @@ class BinaryLinearLayer:
     def _product(self, flat: Tensor, spikes: float, lead: tuple, cache: bool,
                  rec: ForwardRecord | None) -> Tensor:
         """The product on a flattened input that `_spike_count` has checked."""
-        if rec is None:
-            self.last_in_spikes = spikes
-        else:
+        if rec is not None:
             rec.spikes[self] = spikes
         mat = self._binary_signs() if self.mode == "binary" else self.weight.value
         out = flat @ mat.T
@@ -685,6 +683,12 @@ class ReversibleState:
 # stems
 
 
+def _require_samples(x: Tensor, shape: tuple) -> None:
+    """Raise ShapeError unless `x` is a batch of samples of `shape`."""
+    if x.shape[1:] != shape:
+        raise ShapeError(f"input samples have shape {x.shape[1:]}; the model takes {shape}")
+
+
 class VectorStem:
     def __init__(self, cfg: ModelConfig, rng: Rng):
         spec = cfg.stem
@@ -692,6 +696,7 @@ class VectorStem:
             raise ConfigError(
                 f"in_features {spec.in_features} not divisible by tokens {spec.tokens}"
             )
+        self.sample_shape = (spec.in_features,)
         self.tokens = spec.tokens
         self.chunk = spec.in_features // spec.tokens
         self.timesteps = cfg.timesteps
@@ -704,6 +709,7 @@ class VectorStem:
 
     def forward(self, x: Tensor, training: bool, cache: bool = False,
                 rec: ForwardRecord | None = None) -> Tensor:
+        _require_samples(x, self.sample_shape)
         B = x.shape[0]
         tokens = x.reshape(B, self.tokens, self.chunk)
         rep = np.broadcast_to(tokens, (self.timesteps,) + tokens.shape).astype(DTYPE)
@@ -759,13 +765,14 @@ class ConvStem:
             bn = BatchNormLayer(f"stem.stage{i}.bn", chans[i + 1])
             pool = MaxPool2Layer() if i >= 4 - n_pool else None
             self.stages.append((lif, conv, bn, pool))
+        self.sample_shape = (spec.in_channels, spec.image_size, spec.image_size)
         self.timesteps = cfg.timesteps
         self.tokens = (spec.image_size // patch) ** 2
         self.embed_dim = D
 
     def forward(self, x: Tensor, training: bool, cache: bool = False,
                 rec: ForwardRecord | None = None) -> Tensor:
-        B = x.shape[0]
+        _require_samples(x, self.sample_shape)
         h = np.broadcast_to(x, (self.timesteps,) + x.shape).astype(DTYPE)
         for lif, conv, bn, pool in self.stages:
             s = lif.forward(np.ascontiguousarray(h), cache=cache)
@@ -853,7 +860,6 @@ class BssaBlock:
         self.attn_lif = LifLayer(cfg.lif(reset=neuron.Reset.SOFT))
         self.lam = LambdaLayer(f"{name}.lambda", cfg.timesteps)
         self._cache = None  # the bool q, k, v and attention spikes its LIFs keep
-        self.last_sops = 0.0  # attention ops of its last call; a model forward's batch total
 
     def _split(self, x: Tensor, dtype=None) -> Tensor:
         T, B, N, D = x.shape
@@ -898,9 +904,7 @@ class BssaBlock:
             s_attn = attn
             ctx = np.einsum("tbhnm,tbhmd->tbhnd", attn, vh, optimize=True) * self.attn_scale
             sops = 0.0
-        if rec is None:
-            self.last_sops = sops
-        else:
+        if rec is not None:
             rec.sops[self] = sops
         if cache:
             # the head splits are re-made in backward; full-precision
@@ -1152,8 +1156,6 @@ class SpikingTransformer:
             if (self.reversible and cfg.dual_head) else None
         )
         self._pool_shape = None
-        self.block_taps: list[tuple[str, Tensor]] = []
-        self.capture_taps = False
 
     # -- forward / backward ------------------------------------------------
 
@@ -1161,12 +1163,11 @@ class SpikingTransformer:
               rec: ForwardRecord | None = None) -> Tensor:
         return self.stem.forward(np.asarray(x, dtype=DTYPE), training, cache, rec)
 
-    def forward(self, x: Tensor, training: bool = False,
-                cache: bool = False) -> tuple[Tensor, Tensor | None]:
+    def forward(self, x: Tensor, training: bool = False) -> tuple[Tensor, Tensor | None]:
         """Classification logits and distillation logits (None without a
         distillation head) for a batch of samples.
 
-        A binary-mode inference forward (no training, no cache) runs the
+        A binary-mode inference forward (not training) runs the
         stem and the encoder blocks over sample tiles, then the heads once
         on the whole batch's pooled means. The tiles run on
         `_infer_workers()` threads (at most INFER_MAX_WORKERS, and one
@@ -1182,39 +1183,41 @@ class SpikingTransformer:
         tile order. The heads stay untiled because their float32 BLAS
         product can round differently at another row count; full-mode
         models stay untiled for the same reason, since their layer
-        products are float sums. Training and cached forwards run untiled
-        on the calling thread.
+        products are float sums. Training forwards run untiled on the
+        calling thread, and cache what `backward` reads.
 
-        After any forward, each binary layer's `last_in_spikes`, each
-        BSSA block's `last_sops` and, with `capture_taps`, `block_taps`
-        cover the whole batch.
+        An inference forward writes no per-call state on the model; its
+        counts and taps are `probe`'s, which runs the same `_infer`.
         """
-        cache = cache or training
         x = np.asarray(x, dtype=DTYPE)
-        if cache or self.cfg.weight_mode != "binary":
-            pooled, rec = self._encode(x, training, cache)
+        if training:
+            pooled, _ = self._encode(x, training=True, cache=True, taps=False)
         else:
-            pooled, rec = self._encode_tiled(x)
-        for lyr, n in rec.spikes.items():
-            lyr.last_in_spikes = n
-        for blk, n in rec.sops.items():
-            blk.last_sops = n
-        if self.capture_taps:
-            # each block's final normalized map (the last LIF -> binary-
-            # linear -> BN output inside the block), the real-valued
-            # quantity whose value diversity tracks representation capability
-            self.block_taps = [(blk.name, rec.taps[blk.bmlp]) for blk in self.blocks]
+            pooled, _ = self._infer(x, taps=False)
         if self.reversible:
-            return self._dual_heads(*pooled, cache)
-        return self.head_cls.forward(pooled[0], cache), None
+            return self._dual_heads(*pooled, training)
+        return self.head_cls.forward(pooled[0], training), None
 
-    def _encode(self, x: Tensor, training: bool,
-                cache: bool) -> tuple[list[Tensor], ForwardRecord]:
+    def probe(self, x: Tensor, taps: bool = False) -> ForwardRecord:
+        """The `ForwardRecord` of an inference forward over a batch, without
+        the heads: spikes per binary layer, synaptic ops per BSSA block
+        and, with `taps`, each BSSA attention map and BMLP output, all
+        covering the whole batch."""
+        return self._infer(np.asarray(x, dtype=DTYPE), taps)[1]
+
+    def _infer(self, x: Tensor, taps: bool) -> tuple[list[Tensor], ForwardRecord]:
+        """`_encode` for inference: tiled in binary mode, whole in full mode."""
+        if self.cfg.weight_mode != "binary":
+            return self._encode(x, False, False, taps)
+        return self._encode_tiled(x, taps)
+
+    def _encode(self, x: Tensor, training: bool, cache: bool,
+                taps: bool) -> tuple[list[Tensor], ForwardRecord]:
         """Stem and encoder blocks on one batch or tile. Returns the
         time/token mean of each stream (x0, x1 or the residual stream)
-        and the record of its counts and taps. Writes to the model only
-        on the cached path, which backward reads."""
-        rec = ForwardRecord(taps=self.capture_taps)
+        and the record of its counts and, with `taps`, taps. Writes to
+        the model only on the cached path, which backward reads."""
+        rec = ForwardRecord(taps)
         e = self.embed(x, training, cache, rec)
         # blocks never write their input state, so both streams share e
         state = ReversibleState(x0=e, x1=e) if self.reversible else e
@@ -1225,7 +1228,7 @@ class SpikingTransformer:
             self._pool_shape = streams[0].shape
         return [h.mean(axis=(0, 2)) for h in streams], rec
 
-    def _encode_tiled(self, x: Tensor) -> tuple[list[Tensor], ForwardRecord]:
+    def _encode_tiled(self, x: Tensor, taps: bool) -> tuple[list[Tensor], ForwardRecord]:
         """`_encode` for binary-mode inference, one sample tile at a time.
         With one worker, or one tile, the tiles run inline on the calling
         thread. Pooled means are concatenated along the batch axis and
@@ -1234,12 +1237,12 @@ class SpikingTransformer:
         tile = max(1, INFER_TILE_ROWS // workers // (self.cfg.timesteps * self.stem.tokens))
         tiles = [x[start:start + tile] for start in range(0, max(1, x.shape[0]), tile)]
         if workers == 1 or len(tiles) == 1:
-            results = [self._encode(t, False, False) for t in tiles]
+            results = [self._encode(t, False, False, taps) for t in tiles]
         else:
             for lyr in self.binary_linear_layers():
                 lyr._binary_signs()  # tiles only read the sign caches
             pool = _tile_executor(workers)
-            futures = [pool.submit(self._encode, t, False, False) for t in tiles]
+            futures = [pool.submit(self._encode, t, False, False, taps) for t in tiles]
             try:
                 results = [f.result() for f in futures]  # the first failure in tile order
             finally:
@@ -1301,7 +1304,7 @@ class SpikingTransformer:
         for bn in bns:
             bn.momentum = 1.0
         try:
-            self._encode(np.asarray(x, dtype=DTYPE), training=True, cache=False)
+            self._encode(np.asarray(x, dtype=DTYPE), training=True, cache=False, taps=False)
         finally:
             for bn, m in zip(bns, saved):
                 bn.momentum = m

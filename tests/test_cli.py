@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -124,6 +125,23 @@ class TestDatasets:
         path.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n")
         with pytest.raises(DataError, match="whole number"):
             cli.load_csv_dataset(path)
+
+    @pytest.mark.parametrize("feature", ["nan", "inf", "-inf", "1e39"])
+    def test_csv_non_finite_feature_rejected(self, tmp_path, feature):
+        # 1e39 is finite in float64 but overflows the float32 samples
+        path = tmp_path / "d.csv"
+        path.write_text(f"1.0,2.0,0\n3.0,{feature},1\n")
+        with pytest.raises(DataError, match="sample 1 has a feature that is not finite"):
+            cli.load_csv_dataset(path)
+
+    @pytest.mark.parametrize("feature", [np.nan, np.inf, -np.inf])
+    def test_raw_non_finite_feature_rejected(self, tmp_path, feature):
+        x = Rng(7).normal((10, 2, 3))
+        x[4, 1, 2] = feature
+        path = tmp_path / "d.bin"
+        save_raw_dataset(path, x, np.zeros(10), 3)
+        with pytest.raises(DataError, match="sample 4 has a feature that is not finite"):
+            load_raw_dataset(path)
 
     @pytest.mark.parametrize("loader", [load_checkpoint, load_raw_dataset, cli.load_csv_dataset,
                                         learn.TeacherLogitsCache.load, binary.read_packed],
@@ -255,6 +273,25 @@ class TestEvalInspect:
                        "--dataset", str(path), "--format", "csv"])
         assert rc == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width,bad,message", [
+        (63, None, r"input samples have shape \(63,\); the model takes \(64,\)"),
+        (64, "nan", "not finite"),
+    ], ids=["wrong_width", "nan_feature"])
+    def test_eval_unusable_csv_samples_exit_2(self, trained, tmp_path, capsys, width, bad,
+                                              message):
+        _, out = trained
+        x = Rng(2).normal((5, width)).astype(str)
+        if bad is not None:
+            x[3, 7] = bad
+        path = tmp_path / "d.csv"
+        path.write_text("".join(",".join(row) + ",1\n" for row in x))
+        rc = cli.main(["eval", "--checkpoint", str(out / "ckpt-last.bin"),
+                       "--dataset", str(path), "--format", "csv"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "Traceback" not in captured.err and re.search(message, captured.err)
+        assert "accuracy" not in captured.out
 
     def test_eval_missing_checkpoint_exits_2(self, tmp_path, capsys):
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "nothere.bin")])

@@ -15,6 +15,7 @@ from spikebit.metrics import (
 )
 from spikebit.model import (
     BinaryLinearLayer,
+    ForwardRecord,
     ModelConfig,
     SpikingTransformer,
     StemSpec,
@@ -85,18 +86,22 @@ class TestSops:
         lyr = BinaryLinearLayer("l", 16, 24, Rng(5))
         s = np.zeros((1, 16), dtype=np.float32)
         s[0, 3] = 1.0
-        lyr.forward(s)
-        assert lyr.last_in_spikes * lyr.out_features == 24.0
+        rec = ForwardRecord()
+        lyr.forward(s, rec=rec)
+        assert rec.spikes[lyr] * lyr.out_features == 24.0
 
     def test_spike_count_scales_linearly_with_time(self):
         # counting identity on a frozen layer: feeding the same spike
         # pattern for 2T steps doubles the counted operations
         lyr = BinaryLinearLayer("l", 16, 8, Rng(6))
         pattern = (Rng(7).uniform((4, 16)) < 0.5).astype(np.float32)
-        lyr.forward(np.broadcast_to(pattern, (2,) + pattern.shape).reshape(-1, 16).copy())
-        ops_t2 = lyr.last_in_spikes * lyr.out_features
-        lyr.forward(np.broadcast_to(pattern, (4,) + pattern.shape).reshape(-1, 16).copy())
-        ops_t4 = lyr.last_in_spikes * lyr.out_features
+        rec_t2, rec_t4 = ForwardRecord(), ForwardRecord()
+        lyr.forward(np.broadcast_to(pattern, (2,) + pattern.shape).reshape(-1, 16).copy(),
+                    rec=rec_t2)
+        ops_t2 = rec_t2.spikes[lyr] * lyr.out_features
+        lyr.forward(np.broadcast_to(pattern, (4,) + pattern.shape).reshape(-1, 16).copy(),
+                    rec=rec_t4)
+        ops_t4 = rec_t4.spikes[lyr] * lyr.out_features
         assert ops_t4 == 2 * ops_t2
 
     def test_model_sops_positive_on_active_input(self):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from conftest import toy_config
 from spikebit import binary, learn, metrics, neuron
 from spikebit import model as M
 from spikebit.binary import ALPHABET_01, ALPHABET_PM1, binary_signs, pack, packed_linear
-from spikebit.errors import ConfigError, DataError, EncodingError, TrainingError
+from spikebit.errors import ConfigError, DataError, EncodingError, ShapeError, TrainingError
 from spikebit.model import (
     BatchNormLayer,
     BinaryLinearLayer,
@@ -77,6 +78,21 @@ class TestStem:
             stem_state, _ = net.run_reversible(x)
             e = net.stem.forward(x, training=False)
             assert np.array_equal(stem_state.x0, e) and np.array_equal(stem_state.x1, e)
+
+    @pytest.mark.parametrize("cfg,bad", [
+        (toy_config("reversible"), (3, 63)),
+        (toy_config("residual"), (3, 4, 16)),
+        (conv_config(image=16), (2, 768)),
+        (conv_config(image=16), (2, 3, 12, 12)),  # would run on 9 tokens, not 16
+    ], ids=["vector_width", "vector_rank", "conv_flat", "conv_small_image"])
+    def test_samples_of_another_shape_rejected(self, cfg, bad):
+        net = SpikingTransformer(cfg, seed=0)
+        x = Rng(1).normal(bad)
+        want = re.escape(f"input samples have shape {bad[1:]}; the model takes "
+                         f"{net.stem.sample_shape}")
+        for call in (net.forward, lambda x: net.forward(x, training=True), net.probe):
+            with pytest.raises(ShapeError, match=want):
+                call(x)
 
     def test_indivisible_extents_rejected(self):
         with pytest.raises(ConfigError):
@@ -193,8 +209,9 @@ class TestBinaryLinear:
         x = np.zeros((3, 8), dtype=np.float32)
         x[1, :3] = 1.0
         x[2, 5] = -0.0
-        assert lyr.forward(x).tobytes() == lyr.forward(np.abs(x)).tobytes()
-        assert lyr.last_in_spikes == 3.0
+        rec = M.ForwardRecord()
+        assert lyr.forward(x, rec=rec).tobytes() == lyr.forward(np.abs(x)).tobytes()
+        assert rec.spikes[lyr] == 3.0
 
     def test_width_beyond_float32_exactness_rejected(self):
         with pytest.raises(ConfigError, match="2\\*\\*24"):
@@ -652,12 +669,11 @@ class TestSharedInputLif:
         count = BinaryLinearLayer._spike_count
         monkeypatch.setattr(BinaryLinearLayer, "_spike_count",
                             lambda lyr, flat: checked.append(lyr.name) or count(lyr, flat))
-        for lyr in (blk.q_proj, blk.k_proj, blk.v_proj):
-            lyr.last_in_spikes = -1.0
-        blk.forward(Rng(53).normal((2, 3, 4, 32), std=2.0), training=False)
+        rec = M.ForwardRecord()
+        blk.forward(Rng(53).normal((2, 3, 4, 32), std=2.0), training=False, rec=rec)
         assert checked == ["b.q", "b.o"]  # x_in's spikes once, then o_in's
-        spikes = blk.q_proj.last_in_spikes
-        assert spikes > 0 and blk.k_proj.last_in_spikes == blk.v_proj.last_in_spikes == spikes
+        spikes = rec.spikes[blk.q_proj]
+        assert spikes > 0 and rec.spikes[blk.k_proj] == rec.spikes[blk.v_proj] == spikes
 
 
 class TestCheckpointImages:
@@ -675,25 +691,40 @@ class TestCheckpointImages:
         assert checkpoint_bytes(net).endswith(fresh)
 
 
-def _cache_fields(net):
-    """(owner, field name, value) of every per-call field on the model and
-    its layers: the private attributes, apart from the weight-sign cache
-    that lives until the next weight update."""
+def _model_fields(net):
+    """(owner, field name, value) of every field of the model and of each
+    object in it from the model module."""
     out, todo, seen = [], [net], set()
     while todo:
         obj = todo.pop()
         if isinstance(obj, (list, tuple)):
             todo.extend(obj)
             continue
-        if type(obj).__module__ != M.__name__ or id(obj) in seen or not hasattr(obj, "__dict__"):
+        if type(obj).__module__ != M.__name__ or id(obj) in seen:
             continue
         seen.add(id(obj))
-        for name, value in vars(obj).items():
-            if name.startswith("_") and name != "_sign_cache":
-                out.append((type(obj).__name__, name, value))
-            else:
-                todo.append(value)
+        fields = (vars(obj) if hasattr(obj, "__dict__")
+                  else {f: getattr(obj, f) for f in type(obj).__slots__})
+        for name, value in fields.items():
+            out.append((obj, name, value))
+            todo.append(value)
     return out
+
+
+def _cache_fields(net):
+    """(owner, field name, value) of every per-call field on the model and
+    its layers: the private attributes, apart from the weight-sign cache
+    that lives until the next weight update."""
+    return [(type(obj).__name__, name, value) for obj, name, value in _model_fields(net)
+            if name.startswith("_") and name != "_sign_cache"]
+
+
+def _state_snapshot(net):
+    """Every field of `_model_fields`, by owner: the value bound (by
+    identity) and, for an array, its bytes, so a rebinding and an
+    in-place write both show."""
+    return {(id(obj), name): (id(value), value.tobytes() if isinstance(value, np.ndarray) else None)
+            for obj, name, value in _model_fields(net)}
 
 
 class TestTrainingCaches:
@@ -870,13 +901,30 @@ class TestTiledInference:
                 untiled = self._outputs(net, x)
             assert by_workers[2] == by_workers[1] == untiled, batch
 
-    @pytest.mark.parametrize("mode,training,cache,tiled", [
-        ("binary", False, False, True),
-        ("binary", False, True, False),
-        ("binary", True, False, False),
-        ("full", False, False, False),
+    @pytest.mark.parametrize("kind,mode", [("reversible", "binary"), ("residual", "binary"),
+                                           ("conv", "binary"), ("reversible", "full")])
+    def test_inference_writes_nothing_on_the_model(self, kind, mode, monkeypatch):
+        cfg = (conv_config(image=16) if kind == "conv"
+               else toy_config(kind, weight_mode=mode))
+        shape = (3, 16, 16) if kind == "conv" else (64,)
+        net = SpikingTransformer(cfg, seed=78)
+        x = Rng(79).normal((2 * self._tile(net, 2) + 3,) + shape, std=2.0)
+        net.forward(x[:1])  # fills the sign caches, which live until a weight update
+        for workers in (1, 2):
+            monkeypatch.setattr(M, "_infer_workers", lambda w=workers: w)
+            before = _state_snapshot(net)
+            net.forward(x)
+            rec = net.probe(x, taps=True)
+            assert _state_snapshot(net) == before, workers
+            assert len(rec.spikes) == len(list(net.binary_linear_layers()))
+            assert len(rec.taps) == 2 * len(net.blocks)  # each BSSA and BMLP block
+
+    @pytest.mark.parametrize("mode,training,tiled", [
+        ("binary", False, True),
+        ("binary", True, False),
+        ("full", False, False),
     ])
-    def test_only_binary_inference_is_tiled(self, mode, training, cache, tiled, monkeypatch):
+    def test_only_binary_inference_is_tiled(self, mode, training, tiled, monkeypatch):
         net = SpikingTransformer(toy_config("reversible", weight_mode=mode), seed=62)
         stem_forward = net.stem.forward
         for workers in (1, 2):  # inline, then on the pool
@@ -884,7 +932,7 @@ class TestTiledInference:
             tile = self._tile(net, workers)
             seen = []
             net.stem.forward = lambda x, *a: seen.append(x.shape[0]) or stem_forward(x, *a)
-            net.forward(Rng(63).normal((2 * tile + 3, 64)), training=training, cache=cache)
+            net.forward(Rng(63).normal((2 * tile + 3, 64)), training=training)
             # tiles may finish in any order
             assert sorted(seen) == sorted([tile, tile, 3] if tiled else [2 * tile + 3]), workers
 
