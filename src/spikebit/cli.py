@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands: `train`, `eval`, `bench`, `inspect`, `pack-teacher-logits`.
+Commands: `train`, `eval`, `inspect`, `pack-teacher-logits`.
 Configuration lives in an INI file with [run], [model], [stem],
 [optimizer], [dataset], and [teacher] sections; every run writes the
 fully-defaulted effective config next to its outputs so results can be
@@ -20,7 +20,6 @@ import math
 import os
 import struct
 import sys
-import time
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -105,8 +104,10 @@ def _require_finite_features(x: Tensor, what: str) -> None:
 
 
 def load_csv_dataset(path, num_classes: int | None = None) -> Dataset:
-    """Comma-separated rows of features, label last. A missing file, a
-    non-numeric field, ragged rows, a feature that is not finite in
+    """Comma-separated rows of features, label last. Each row is one flat
+    sample, so CSV feeds only vector-stem models; a conv-stem model
+    needs the raw format, which stores the sample shape. A missing file,
+    a non-numeric field, ragged rows, a feature that is not finite in
     float32, a label that is not a whole number, or a file without
     samples raises DataError."""
     try:
@@ -438,45 +439,6 @@ def cmd_eval(checkpoint_path, dataset_spec: DatasetSpec, seed: int = 0,
     return 0
 
 
-def cmd_bench(sizes: list[int], trials: int = 3) -> int:
-    """Packed kernel against two references on the same {0,1} x {-1,+1}
-    operands: an int64 matmul (which numpy runs without BLAS) and float32
-    BLAS, which is exact here because every partial sum is an integer of
-    magnitude at most n < 2**24. Prints the timings, the packed kernel's
-    time over BLAS time, an exact-equality check against both, and the
-    weight-operand memory ratio (32 bits per float vs 1 bit packed, modulo
-    row padding)."""
-    def timed(fn):
-        t0 = time.perf_counter()
-        for _ in range(trials):
-            out = fn()
-        return out, (time.perf_counter() - t0) / trials
-
-    rng = Rng(0)
-    print(f"{'size':>6} {'packed_ms':>10} {'int64_ms':>10} {'blas_ms':>10} "
-          f"{'mem_ratio':>10} {'equal':>6} {'packed/blas':>12}")
-    for n in sizes:
-        if n <= 0:
-            raise ConfigError(f"bench size must be positive, got {n}")
-        rows = 64
-        s = (rng.child(n).uniform((rows, n)) < 0.3).astype(DTYPE)
-        w = np.where(rng.child(n + 1).uniform((n, n)) < 0.5, 1.0, -1.0).astype(DTYPE)
-        spb = binary.pack(s, binary.ALPHABET_01)
-        wpb = binary.pack(w, binary.ALPHABET_PM1)
-        s64, w64 = s.astype(np.int64), w.astype(np.int64)
-        got, t_packed = timed(lambda: binary.packed_linear(spb, wpb))
-        ref_int, t_int = timed(lambda: s64 @ w64.T)
-        ref_blas, t_blas = timed(lambda: s @ w.T)
-        equal = np.array_equal(got, ref_int) and np.array_equal(got, ref_blas)
-        words = wpb.words_per_row
-        mem_ratio = (n * 32.0) / (words * 64.0)
-        print(f"{n:>6} {t_packed * 1e3:>10.3f} {t_int * 1e3:>10.3f} {t_blas * 1e3:>10.3f} "
-              f"{mem_ratio:>10.3f} {str(equal):>6} {t_packed / max(t_blas, 1e-12):>12.2f}")
-        if not equal:
-            raise SpikebitError(f"packed kernel mismatch at size {n}")
-    return 0
-
-
 def cmd_inspect(checkpoint_path, dataset_spec: DatasetSpec, seed: int = 0,
                 out_path=None) -> int:
     model = load_checkpoint(checkpoint_path)
@@ -534,10 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
 
-    p_bench = sub.add_parser("bench", help="packed kernel vs int64 and float32 BLAS references")
-    p_bench.add_argument("--sizes", default="64,128,256,512")
-    p_bench.add_argument("--trials", type=int, default=3)
-
     p_pack = sub.add_parser("pack-teacher-logits")
     p_pack.add_argument("--checkpoint", required=True)
     p_pack.add_argument("--config", default=None)
@@ -562,9 +520,6 @@ def main(argv=None) -> int:
         if args.command == "inspect":
             spec, seed = _dataset_from_args(args)
             return cmd_inspect(args.checkpoint, spec, seed, args.out)
-        if args.command == "bench":
-            sizes = [int(s) for s in args.sizes.split(",") if s]
-            return cmd_bench(sizes, args.trials)
         if args.command == "pack-teacher-logits":
             spec, seed = _dataset_from_args(args)
             return cmd_pack_teacher_logits(args.checkpoint, spec, seed, args.out)

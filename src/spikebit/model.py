@@ -1,6 +1,6 @@
 """The binary event-driven spiking transformer network.
 
-Layers are small forward/backward objects with explicit caches (no
+Layers are small forward/backward objects with an explicit record (no
 autodiff): LIF populations unrolled over time, binary linear/conv layers
 (forward in exact float32 BLAS on the +-1 sign matrix; the packed
 popcount kernel is the 1-bit storage format and the test oracle), batch
@@ -13,13 +13,13 @@ streams and (T, B, C, H, W) inside the convolutional stem. Spikes are
 float32 zeros/ones; attention maps before binarization are nonnegative
 integers carried in float32 (exact below 2**24).
 
-A cached (training) forward keeps what backward needs on the layers. Each
-spike tensor is kept once, as bool: the LIF that fired it holds it, and
-the binary layer or attention block it feeds holds a reference to that
-same array; backward widens it to float32 zeros and ones, the values the
-forward multiplied, so the products match a float32 cache byte for byte.
-Every backward drops the caches it read, so one cached forward serves one
-backward.
+A training forward keeps what backward reads in its `ForwardRecord`, not
+on the layers. Each spike tensor is kept once, as bool: the LIF that
+fired it saves it, and the binary layer or attention block it feeds saves
+a view of that same array; backward widens it to float32 zeros and ones,
+the values the forward multiplied, so the products match a float32 cache
+byte for byte. Every backward pops the entry it reads, so one training
+forward serves one backward.
 
 Backward passes use surrogate gradients through the spike nonlinearity
 and the straight-through estimator through weight signs; the membrane
@@ -133,23 +133,26 @@ if hasattr(os, "register_at_fork"):
 
 
 class ForwardRecord:
-    """What one forward over a batch or a tile counted: the only place a
-    forward writes counts and taps, so the shared layers hold no per-call
-    state and concurrent tiles cannot overwrite each other.
+    """What one forward over a batch or a tile counted and kept: the only
+    place a forward writes per-call state, so the shared layers hold none
+    and concurrent tiles cannot overwrite each other.
 
     `spikes` maps each binary layer to the spikes that entered it, `sops`
     each BSSA block to its attention synaptic ops. `taps`, when not None,
     maps each BSSA block to its attention map and each BMLP block to its
-    final normalized map. A layer or block called without a record
-    counts nothing. `SpikingTransformer.probe` returns a batch's record.
+    final normalized map. `saved`, when not None, maps each layer or
+    block to the tuple its backward reads and pops. A layer or block
+    called without a record counts and keeps nothing.
+    `SpikingTransformer.probe` returns a batch's record.
     """
 
-    __slots__ = ("spikes", "sops", "taps")
+    __slots__ = ("spikes", "sops", "taps", "saved")
 
-    def __init__(self, taps: bool = False):
+    def __init__(self, taps: bool = False, saved: bool = False):
         self.spikes: dict = {}
         self.sops: dict = {}
         self.taps: dict | None = {} if taps else None
+        self.saved: dict | None = {} if saved else None
 
     @classmethod
     def merged(cls, records: list["ForwardRecord"]) -> "ForwardRecord":
@@ -188,19 +191,22 @@ class Param:
         self.version += 1
 
 
-def _take_cache(layer, *fields: str) -> tuple:
-    """The fields a cached forward set on `layer`, which this clears: a
-    backward consumes its forward. Raises TrainingError when the first
-    field is unset, as after an uncached forward or a second backward."""
-    values = tuple(getattr(layer, f) for f in fields)
-    if values[0] is None:
+def _saving(rec: ForwardRecord | None) -> bool:
+    """Whether a forward writing to `rec` keeps what backward reads."""
+    return rec is not None and rec.saved is not None
+
+
+def _take(rec: ForwardRecord | None, owner) -> tuple:
+    """The entry a training forward saved for `owner` in `rec`, which this
+    removes: a backward consumes its forward. Raises TrainingError when
+    there is none, as after an inference forward or a second backward."""
+    entry = rec.saved.pop(owner, None) if _saving(rec) else None
+    if entry is None:
         raise TrainingError(
-            f"{getattr(layer, 'name', type(layer).__name__)}: backward without a cached "
+            f"{getattr(owner, 'name', type(owner).__name__)}: backward without a cached "
             f"forward; run a cached forward (training=True on the model) before each backward"
         )
-    for f in fields:
-        setattr(layer, f, None)
-    return values
+    return entry
 
 
 def _widen(x: Tensor) -> Tensor:
@@ -216,9 +222,9 @@ def _widen(x: Tensor) -> Tensor:
 class LifLayer:
     """LIF population unrolled over the leading time axis.
 
-    A cached forward keeps the pre-reset membranes and the spikes, as
-    bool, for backprop-through-time; the layers it feeds keep references
-    to that bool array. The backward pass routes gradients through the
+    A training forward saves the pre-reset membranes and the spikes, as
+    bool, for backprop-through-time; the layers it feeds save views of
+    that bool array. The backward pass routes gradients through the
     surrogate derivative at each firing decision and through the decay
     recurrence, with the reset gate held constant. Forward runs
     `neuron.lif_run`'s kernel and returns float spikes either way.
@@ -226,17 +232,15 @@ class LifLayer:
 
     def __init__(self, params: neuron.LifParams):
         self.p = params
-        self._u_pre = None
-        self._spikes = None
 
-    def forward(self, x: Tensor, cache: bool = False) -> Tensor:
-        spikes, u_pre, fired = neuron._lif(x, self.p, cache)
-        if cache:
-            self._u_pre = u_pre
-            self._spikes = fired
+    def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
+        keep = _saving(rec)
+        spikes, u_pre, fired = neuron._lif(x, self.p, keep)
+        if keep:
+            rec.saved[self] = (u_pre, fired)
         return spikes
 
-    def backward(self, *g_spikes: Tensor) -> Tensor:
+    def backward(self, *g_spikes: Tensor, rec: ForwardRecord | None) -> Tensor:
         """Gradient with respect to the input current.
 
         A population whose spikes feed several layers takes one upstream
@@ -245,7 +249,7 @@ class LifLayer:
         recurrence, and the input gradients are summed from zero in
         argument order, exactly as summing separate backward calls would.
         """
-        u_pre, spikes = _take_cache(self, "_u_pre", "_spikes")
+        u_pre, spikes = _take(rec, self)
         T = u_pre.shape[0]
         tau = DTYPE(self.p.tau)
         hard = self.p.reset is neuron.Reset.HARD
@@ -281,9 +285,9 @@ class BinaryLinearLayer:
     format and the test oracle). In `full` mode the latent weights are
     used directly.
 
-    A cached forward keeps its input for backward as it was given; fed
-    by a LIF through `forward_lif`, it keeps a reference to the LIF's
-    bool spikes instead.
+    A training forward saves its input for backward as it was given; fed
+    by a LIF through `forward_lif`, it saves a view of the LIF's bool
+    spikes instead.
     """
 
     def __init__(self, name: str, in_features: int, out_features: int, rng: Rng,
@@ -302,8 +306,6 @@ class BinaryLinearLayer:
         std = 1.0 / np.sqrt(in_features)
         self.weight = Param(rng.normal((out_features, in_features), std=std))
         self._sign_cache = None  # (weight version, +-1 signs)
-        self._in2d = None
-        self._signs = None
 
     def _binary_signs(self) -> Tensor:
         cached = self._sign_cache
@@ -313,24 +315,24 @@ class BinaryLinearLayer:
         self._sign_cache = (self.weight.version, signs)
         return signs
 
-    def forward(self, x: Tensor, cache: bool = False, rec: ForwardRecord | None = None) -> Tensor:
+    def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
         flat = self._flat(x)
-        return self._product(flat, self._spike_count(flat), x.shape[:-1], cache, rec)
+        return self._product(flat, self._spike_count(flat), x.shape[:-1], rec)
 
-    def forward_lif(self, lif: LifLayer, x: Tensor, cache: bool = False,
-                    rec: ForwardRecord | None = None) -> Tensor:
-        """`forward(lif.forward(x, cache), cache, rec)`. A cached call keeps
-        the LIF's bool spikes, not their float32 image, which lives only
-        for the product."""
-        out = self.forward(lif.forward(x, cache), cache, rec)
-        if cache:
-            self._keep(lif._spikes)
+    def forward_lif(self, lif: LifLayer, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
+        """`forward(lif.forward(x, rec), rec)`. A training call saves the
+        LIF's bool spikes, not their float32 image, which lives only for
+        the product."""
+        out = self.forward(lif.forward(x, rec), rec)
+        if _saving(rec):
+            self._keep(rec, rec.saved[lif][1])
         return out
 
-    def _keep(self, spikes: np.ndarray) -> None:
-        """Keep `spikes`, the bool image of the input the last cached call
-        multiplied, for backward in place of that input."""
-        self._in2d = spikes.reshape(self._in2d.shape)
+    def _keep(self, rec: ForwardRecord, spikes: np.ndarray) -> None:
+        """Save `spikes`, the bool image of the input this layer's entry in
+        `rec` multiplied, for backward in place of that input."""
+        in2d, signs = rec.saved[self]
+        rec.saved[self] = (spikes.reshape(in2d.shape), signs)
 
     def _flat(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
@@ -350,20 +352,19 @@ class BinaryLinearLayer:
             binary.require_alphabet(flat, binary.ALPHABET_01)  # raises, naming the element
         return float(ones)
 
-    def _product(self, flat: Tensor, spikes: float, lead: tuple, cache: bool,
+    def _product(self, flat: Tensor, spikes: float, lead: tuple,
                  rec: ForwardRecord | None) -> Tensor:
         """The product on a flattened input that `_spike_count` has checked."""
         if rec is not None:
             rec.spikes[self] = spikes
         mat = self._binary_signs() if self.mode == "binary" else self.weight.value
         out = flat @ mat.T
-        if cache:
-            self._in2d = flat
-            self._signs = mat
+        if _saving(rec):
+            rec.saved[self] = (flat, mat)
         return out.reshape(lead + (self.out_features,))
 
-    def backward(self, g_out: Tensor) -> Tensor:
-        in2d, signs = _take_cache(self, "_in2d", "_signs")
+    def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
+        in2d, signs = _take(rec, self)
         g2 = g_out.reshape(-1, self.out_features)
         g_mat = g2.T @ _widen(in2d)
         if self.mode == "binary":
@@ -391,20 +392,16 @@ class BatchNormLayer:
         self.epsilon = epsilon
         self.momentum = momentum
         self.channels = channels
-        self._xhat = None
-        self._inv = None
-        self._training = None
 
-    def forward(self, x: Tensor, training: bool, cache: bool = False) -> Tensor:
-        out, xhat, inv = numeric._batch_norm(x, self.bn_params(), training, cache, self.name)
-        if cache:
-            self._xhat = xhat
-            self._inv = inv
-            self._training = training
+    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
+        keep = _saving(rec)
+        out, xhat, inv = numeric._batch_norm(x, self.bn_params(), training, keep, self.name)
+        if keep:
+            rec.saved[self] = (xhat, inv, training)
         return out
 
-    def backward(self, g_out: Tensor) -> Tensor:
-        xhat, inv, training = _take_cache(self, "_xhat", "_inv", "_training")
+    def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
+        xhat, inv, training = _take(rec, self)
         axes = tuple(range(g_out.ndim - 1))
         self.beta.grad += g_out.sum(axis=axes)
         tmp = g_out * xhat
@@ -447,15 +444,14 @@ class LinearHead:
         self.name = name
         self.weight = Param(rng.normal((out_features, in_features), std=1.0 / np.sqrt(in_features)))
         self.bias = Param(np.zeros(out_features, dtype=DTYPE))
-        self._in = None
 
-    def forward(self, x: Tensor, cache: bool = False) -> Tensor:
-        if cache:
-            self._in = x
+    def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
+        if _saving(rec):
+            rec.saved[self] = (x,)
         return x @ self.weight.value.T + self.bias.value
 
-    def backward(self, g_out: Tensor) -> Tensor:
-        (x,) = _take_cache(self, "_in")
+    def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
+        (x,) = _take(rec, self)
         self.weight.grad += g_out.T @ x
         self.bias.grad += g_out.sum(axis=0)
         return g_out @ self.weight.value
@@ -512,7 +508,7 @@ def _col2im(g_cols: Tensor, shape, k: int, pad: int) -> Tensor:
 class Conv3x3Layer:
     """3x3 same-padding convolution as im2col + the binary linear kernel.
 
-    Its input is a LIF's spikes, so a cached forward keeps the im2col
+    Its input is a LIF's spikes, so a training forward saves the im2col
     matrix for backward as bool, its own copy at one byte per element.
     """
 
@@ -521,54 +517,47 @@ class Conv3x3Layer:
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.linear = BinaryLinearLayer(name, in_ch * 9, out_ch, rng, mode=mode, ste_clip=ste_clip)
-        self._shape = None
 
-    def forward(self, x: Tensor, cache: bool = False, rec: ForwardRecord | None = None) -> Tensor:
+    def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
         T, B, C, H, W = x.shape
         cols = _im2col(x.reshape(T * B, C, H, W), 3, 1)
-        out = self.linear.forward(cols, cache, rec)
-        if cache:
-            self.linear._keep(cols.astype(np.bool_))
-            self._shape = (T * B, C, H, W)
+        out = self.linear.forward(cols, rec)
+        if _saving(rec):
+            self.linear._keep(rec, cols.astype(np.bool_))
         return out.reshape(T, B, H, W, self.out_ch).transpose(0, 1, 4, 2, 3)
 
-    def backward(self, g_out: Tensor) -> Tensor:
-        (shape,) = _take_cache(self, "_shape")
-        T, B, C, H, W = g_out.shape[0], g_out.shape[1], self.out_ch, g_out.shape[3], g_out.shape[4]
+    def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
+        T, B, _, H, W = g_out.shape  # same padding: the input's extent
         g_cols = self.linear.backward(
-            np.ascontiguousarray(g_out.transpose(0, 1, 3, 4, 2)).reshape(-1, self.out_ch)
+            np.ascontiguousarray(g_out.transpose(0, 1, 3, 4, 2)).reshape(-1, self.out_ch), rec
         )
-        g_x = _col2im(g_cols, shape, 3, 1)
-        return g_x.reshape(T, B, shape[1], H, W)
+        g_x = _col2im(g_cols, (T * B, self.in_ch, H, W), 3, 1)
+        return g_x.reshape(T, B, self.in_ch, H, W)
 
     def params(self):
         return self.linear.params()
 
 
 class MaxPool2Layer:
-    """2x2 stride-2 max pool; gradient routes to the first maximum."""
+    """2x2 stride-2 max pool on even extents; gradient routes to the first maximum."""
 
-    def __init__(self):
-        self._idx = None
-        self._shape = None
-
-    def forward(self, x: Tensor, cache: bool = False) -> Tensor:
+    def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
         T, B, C, H, W = x.shape
         xr = x.reshape(T, B, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 3, 5, 4, 6)
         xr = np.ascontiguousarray(xr).reshape(T, B, C, H // 2, W // 2, 4)
         idx = xr.argmax(axis=-1)
         out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-        if cache:
-            self._idx = idx.astype(np.uint8)  # 0..3, at one byte each
-            self._shape = (T, B, C, H, W)
+        if _saving(rec):
+            rec.saved[self] = (idx.astype(np.uint8),)  # 0..3, at one byte each
         return out
 
-    def backward(self, g_out: Tensor) -> Tensor:
-        idx, (T, B, C, H, W) = _take_cache(self, "_idx", "_shape")
-        g = np.zeros((T, B, C, H // 2, W // 2, 4), dtype=g_out.dtype)
+    def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
+        (idx,) = _take(rec, self)
+        T, B, C, h, w = g_out.shape
+        g = np.zeros((T, B, C, h, w, 4), dtype=g_out.dtype)
         np.put_along_axis(g, idx[..., None], g_out[..., None], axis=-1)
-        g = g.reshape(T, B, C, H // 2, W // 2, 2, 2).transpose(0, 1, 2, 3, 5, 4, 6)
-        return np.ascontiguousarray(g).reshape(T, B, C, H, W)
+        g = g.reshape(T, B, C, h, w, 2, 2).transpose(0, 1, 2, 3, 5, 4, 6)
+        return np.ascontiguousarray(g).reshape(T, B, C, 2 * h, 2 * w)
 
     def params(self):
         return []
@@ -683,6 +672,16 @@ class ReversibleState:
 # stems
 
 
+def _batch(x: Tensor) -> Tensor:
+    """`x` as a float32 batch; raises ShapeError if it has no batch axis
+    or no samples, before anything runs on it."""
+    x = np.asarray(x, dtype=DTYPE)
+    if x.ndim == 0 or x.shape[0] == 0:
+        raise ShapeError(f"input has shape {x.shape}; the model takes a batch of one or "
+                         f"more samples")
+    return x
+
+
 def _require_samples(x: Tensor, shape: tuple) -> None:
     """Raise ShapeError unless `x` is a batch of samples of `shape`."""
     if x.shape[1:] != shape:
@@ -707,19 +706,18 @@ class VectorStem:
         )
         self.bn = BatchNormLayer("stem.bn", cfg.embed_dim)
 
-    def forward(self, x: Tensor, training: bool, cache: bool = False,
-                rec: ForwardRecord | None = None) -> Tensor:
+    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
         _require_samples(x, self.sample_shape)
         B = x.shape[0]
         tokens = x.reshape(B, self.tokens, self.chunk)
         rep = np.broadcast_to(tokens, (self.timesteps,) + tokens.shape).astype(DTYPE)
-        h = self.linear.forward_lif(self.lif, rep, cache, rec)
-        return self.bn.forward(h, training, cache=cache)
+        h = self.linear.forward_lif(self.lif, rep, rec)
+        return self.bn.forward(h, training, rec)
 
-    def backward(self, g: Tensor) -> None:
-        g = self.bn.backward(g)
-        g = self.linear.backward(g)
-        self.lif.backward(g)
+    def backward(self, g: Tensor, rec: ForwardRecord | None) -> None:
+        g = self.bn.backward(g, rec)
+        g = self.linear.backward(g, rec)
+        self.lif.backward(g, rec=rec)
 
     def layers(self):
         return [self.linear, self.bn]
@@ -770,30 +768,29 @@ class ConvStem:
         self.tokens = (spec.image_size // patch) ** 2
         self.embed_dim = D
 
-    def forward(self, x: Tensor, training: bool, cache: bool = False,
-                rec: ForwardRecord | None = None) -> Tensor:
+    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
         _require_samples(x, self.sample_shape)
         h = np.broadcast_to(x, (self.timesteps,) + x.shape).astype(DTYPE)
         for lif, conv, bn, pool in self.stages:
-            s = lif.forward(np.ascontiguousarray(h), cache=cache)
-            h = conv.forward(s, cache, rec)
+            s = lif.forward(np.ascontiguousarray(h), rec)
+            h = conv.forward(s, rec)
             # BN over channels: move channel axis last and back
-            h = np.moveaxis(bn.forward(np.moveaxis(h, 2, -1), training, cache=cache), -1, 2)
+            h = np.moveaxis(bn.forward(np.moveaxis(h, 2, -1), training, rec), -1, 2)
             if pool is not None:
-                h = pool.forward(h, cache=cache)
+                h = pool.forward(h, rec)
         T, B, C, H, W = h.shape
         return np.ascontiguousarray(h.transpose(0, 1, 3, 4, 2)).reshape(T, B, H * W, C)
 
-    def backward(self, g: Tensor) -> None:
+    def backward(self, g: Tensor, rec: ForwardRecord | None) -> None:
         T, B, N, C = g.shape
         side = int(np.sqrt(N))
         g = g.reshape(T, B, side, side, C).transpose(0, 1, 4, 2, 3)
         for lif, conv, bn, pool in reversed(self.stages):
             if pool is not None:
-                g = pool.backward(g)
-            g = np.moveaxis(bn.backward(np.moveaxis(g, 2, -1)), -1, 2)
-            g = conv.backward(np.ascontiguousarray(g))
-            g = lif.backward(g)
+                g = pool.backward(g, rec)
+            g = np.moveaxis(bn.backward(np.moveaxis(g, 2, -1), rec), -1, 2)
+            g = conv.backward(np.ascontiguousarray(g), rec)
+            g = lif.backward(g, rec=rec)
 
     def layers(self):
         out = []
@@ -859,7 +856,6 @@ class BssaBlock:
         self.q_lif, self.k_lif, self.v_lif = (LifLayer(cfg.lif()) for _ in range(3))
         self.attn_lif = LifLayer(cfg.lif(reset=neuron.Reset.SOFT))
         self.lam = LambdaLayer(f"{name}.lambda", cfg.timesteps)
-        self._cache = None  # the bool q, k, v and attention spikes its LIFs keep
 
     def _split(self, x: Tensor, dtype=None) -> Tensor:
         T, B, N, D = x.shape
@@ -871,24 +867,22 @@ class BssaBlock:
         T, B, h, N, d = x.shape
         return np.ascontiguousarray(x.transpose(0, 1, 3, 2, 4)).reshape(T, B, N, h * d)
 
-    def forward(self, x: Tensor, training: bool, cache: bool = False,
-                rec: ForwardRecord | None = None) -> Tensor:
-        s = self.x_in.forward(x, cache)
+    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
+        s = self.x_in.forward(x, rec)
         # Q, K and V read the same spikes: check and count them once, and
-        # all three keep the one bool array x_in keeps
+        # all three save the one bool array x_in saves
         flat = self.q_proj._flat(s)
         spikes = self.q_proj._spike_count(flat)
         lead = s.shape[:-1]
         q, k, v = (
-            lif.forward(bn.forward(proj._product(flat, spikes, lead, cache, rec), training, cache),
-                        cache)
+            lif.forward(bn.forward(proj._product(flat, spikes, lead, rec), training, rec), rec)
             for proj, bn, lif in ((self.q_proj, self.q_bn, self.q_lif),
                                   (self.k_proj, self.k_bn, self.k_lif),
                                   (self.v_proj, self.v_bn, self.v_lif))
         )
-        if cache:
+        if _saving(rec):
             for proj in (self.q_proj, self.k_proj, self.v_proj):
-                proj._keep(self.x_in._spikes)
+                proj._keep(rec, rec.saved[self.x_in][1])
         qh, kh, vh = self._split(q), self._split(k), self._split(v)
         attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
         if np.any(attn < 0) or np.any(attn != np.round(attn)):
@@ -896,7 +890,7 @@ class BssaBlock:
         if rec is not None and rec.taps is not None:
             rec.taps[self] = attn
         if self.binary_attn:
-            s_attn = self.attn_lif.forward(attn, cache)
+            s_attn = self.attn_lif.forward(attn, rec)
             ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
             ctx = self.lam.forward(ctx0)
             sops = float(q.sum()) * attn.shape[-1] + float(s_attn.sum()) * self.head_dim
@@ -906,19 +900,20 @@ class BssaBlock:
             sops = 0.0
         if rec is not None:
             rec.sops[self] = sops
-        if cache:
+        if _saving(rec):
             # the head splits are re-made in backward; full-precision
-            # attention keeps its integer map, which is no spike tensor
-            self._cache = (self.q_lif._spikes, self.k_lif._spikes, self.v_lif._spikes,
-                           self.attn_lif._spikes if self.binary_attn else attn)
-        return self.o_bn.forward(self.o_proj.forward_lif(self.o_in, self._merge(ctx), cache, rec),
-                                 training, cache)
+            # attention saves its integer map, which is no spike tensor
+            saved = rec.saved
+            saved[self] = (saved[self.q_lif][1], saved[self.k_lif][1], saved[self.v_lif][1],
+                           saved[self.attn_lif][1] if self.binary_attn else attn)
+        return self.o_bn.forward(self.o_proj.forward_lif(self.o_in, self._merge(ctx), rec),
+                                 training, rec)
 
-    def backward(self, g_out: Tensor) -> Tensor:
-        ((q, k, v, s_attn),) = _take_cache(self, "_cache")
-        g = self.o_bn.backward(g_out)
-        g = self.o_proj.backward(g)
-        g = self.o_in.backward(g)
+    def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
+        q, k, v, s_attn = _take(rec, self)
+        g = self.o_bn.backward(g_out, rec)
+        g = self.o_proj.backward(g, rec)
+        g = self.o_in.backward(g, rec=rec)
         g_ctx = self._split(g)
         vh, s_attn = self._split(v, DTYPE), _widen(s_attn)
         if self.binary_attn:
@@ -928,7 +923,7 @@ class BssaBlock:
                 g_ctx, np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True))
             g_sattn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx0, vh, optimize=True)
             g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx0, optimize=True)
-            g_attn = self.attn_lif.backward(g_sattn)
+            g_attn = self.attn_lif.backward(g_sattn, rec=rec)
         else:
             g_attn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx, vh, optimize=True) * self.attn_scale
             g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx, optimize=True) * self.attn_scale
@@ -936,14 +931,14 @@ class BssaBlock:
         g_qh = np.einsum("tbhnm,tbhmd->tbhnd", g_attn, kh, optimize=True)
         g_kh = np.einsum("tbhnm,tbhnd->tbhmd", g_attn, qh, optimize=True)
         g_s = [
-            proj.backward(bn.backward(lif.backward(self._merge(gh))))
+            proj.backward(bn.backward(lif.backward(self._merge(gh), rec=rec), rec), rec)
             for gh, lif, bn, proj in (
                 (g_qh, self.q_lif, self.q_bn, self.q_proj),
                 (g_kh, self.k_lif, self.k_bn, self.k_proj),
                 (g_vh, self.v_lif, self.v_bn, self.v_proj),
             )
         ]
-        return self.x_in.backward(*g_s)
+        return self.x_in.backward(*g_s, rec=rec)
 
     def layers(self):
         return [self.q_proj, self.k_proj, self.v_proj, self.o_proj,
@@ -984,21 +979,20 @@ class BmlpBlock:
                                      mode=cfg.weight_mode, ste_clip=cfg.ste_clip)
         self.bn2 = BatchNormLayer(f"{name}.bn2", D)
 
-    def forward(self, x: Tensor, training: bool, cache: bool = False,
-                rec: ForwardRecord | None = None) -> Tensor:
-        h = self.bn1.forward(self.fc1.forward_lif(self.lif1, x, cache, rec), training, cache)
-        out = self.bn2.forward(self.fc2.forward_lif(self.lif2, h, cache, rec), training, cache)
+    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
+        h = self.bn1.forward(self.fc1.forward_lif(self.lif1, x, rec), training, rec)
+        out = self.bn2.forward(self.fc2.forward_lif(self.lif2, h, rec), training, rec)
         if rec is not None and rec.taps is not None:
             rec.taps[self] = out  # the final normalized map, for rep-cap probes
         return out
 
-    def backward(self, g: Tensor) -> Tensor:
-        g = self.bn2.backward(g)
-        g = self.fc2.backward(g)
-        g = self.lif2.backward(g)
-        g = self.bn1.backward(g)
-        g = self.fc1.backward(g)
-        return self.lif1.backward(g)
+    def backward(self, g: Tensor, rec: ForwardRecord | None) -> Tensor:
+        g = self.bn2.backward(g, rec)
+        g = self.fc2.backward(g, rec)
+        g = self.lif2.backward(g, rec=rec)
+        g = self.bn1.backward(g, rec)
+        g = self.fc1.backward(g, rec)
+        return self.lif1.backward(g, rec=rec)
 
     def layers(self):
         return [self.fc1, self.bn1, self.fc2, self.bn2]
@@ -1032,7 +1026,7 @@ class ReversibleBlock:
         self.bssa = BssaBlock(f"{name}.bssa", cfg, rng.child(1))
         self.bmlp = BmlpBlock(f"{name}.bmlp", cfg, rng.child(2))
 
-    def forward(self, s: ReversibleState, training: bool, cache: bool = False,
+    def forward(self, s: ReversibleState, training: bool,
                 rec: ForwardRecord | None = None) -> ReversibleState:
         # The coupling algebra follows the state dtype. Training uses
         # float32 states; the reconstruction harness threads float64
@@ -1041,11 +1035,11 @@ class ReversibleBlock:
         # float32 storage rounding to the 1e-4 scale and can flip
         # borderline spikes. Sub-blocks always evaluate on the float32
         # cast, so both directions see bit-identical inputs.
-        a = self.bssa.forward(np.ascontiguousarray(s.x1, dtype=DTYPE), training, cache, rec)
+        a = self.bssa.forward(np.ascontiguousarray(s.x1, dtype=DTYPE), training, rec)
         x0n = s.x0 + s.x1
         x0n *= 0.5
         x0n += a  # a + 0.5 * (x0 + x1), in the state dtype
-        m = self.bmlp.forward(np.ascontiguousarray(x0n, dtype=DTYPE), training, cache, rec)
+        m = self.bmlp.forward(np.ascontiguousarray(x0n, dtype=DTYPE), training, rec)
         x1n = s.x1 + x0n
         x1n *= 0.5
         x1n += m  # m + 0.5 * (x1 + x0n)
@@ -1058,9 +1052,9 @@ class ReversibleBlock:
         x0 = 2.0 * (s.x0 - a) - x1
         return ReversibleState(x0=x0, x1=x1)
 
-    def backward(self, g0: Tensor, g1: Tensor) -> tuple[Tensor, Tensor]:
-        g0_total = g0 + self.bmlp.backward(g1) + 0.5 * g1
-        g_x1 = 0.5 * g1 + self.bssa.backward(g0_total) + 0.5 * g0_total
+    def backward(self, g0: Tensor, g1: Tensor, rec: ForwardRecord | None) -> tuple[Tensor, Tensor]:
+        g0_total = g0 + self.bmlp.backward(g1, rec) + 0.5 * g1
+        g_x1 = 0.5 * g1 + self.bssa.backward(g0_total, rec) + 0.5 * g0_total
         g_x0 = 0.5 * g0_total
         return g_x0, g_x1
 
@@ -1082,14 +1076,13 @@ class ResidualBlock:
         self.bssa = BssaBlock(f"{name}.bssa", cfg, rng.child(1))
         self.bmlp = BmlpBlock(f"{name}.bmlp", cfg, rng.child(2))
 
-    def forward(self, x: Tensor, training: bool, cache: bool = False,
-                rec: ForwardRecord | None = None) -> Tensor:
-        x = x + self.bssa.forward(x, training, cache, rec)
-        return (x + self.bmlp.forward(x, training, cache, rec)).astype(DTYPE, copy=False)
+    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
+        x = x + self.bssa.forward(x, training, rec)
+        return (x + self.bmlp.forward(x, training, rec)).astype(DTYPE, copy=False)
 
-    def backward(self, g: Tensor) -> Tensor:
-        g = g + self.bmlp.backward(g)
-        return g + self.bssa.backward(g)
+    def backward(self, g: Tensor, rec: ForwardRecord | None) -> Tensor:
+        g = g + self.bmlp.backward(g, rec)
+        return g + self.bssa.backward(g, rec)
 
     def sub_blocks(self):
         return self.bssa, self.bmlp
@@ -1155,13 +1148,12 @@ class SpikingTransformer:
             LinearHead("head_dist", D, cfg.num_classes, rng.child(901))
             if (self.reversible and cfg.dual_head) else None
         )
-        self._pool_shape = None
+        self._record = None  # what the last training forward saved, until backward
 
     # -- forward / backward ------------------------------------------------
 
-    def embed(self, x: Tensor, training: bool, cache: bool = False,
-              rec: ForwardRecord | None = None) -> Tensor:
-        return self.stem.forward(np.asarray(x, dtype=DTYPE), training, cache, rec)
+    def embed(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
+        return self.stem.forward(np.asarray(x, dtype=DTYPE), training, rec)
 
     def forward(self, x: Tensor, training: bool = False) -> tuple[Tensor, Tensor | None]:
         """Classification logits and distillation logits (None without a
@@ -1184,48 +1176,48 @@ class SpikingTransformer:
         product can round differently at another row count; full-mode
         models stay untiled for the same reason, since their layer
         products are float sums. Training forwards run untiled on the
-        calling thread, and cache what `backward` reads.
+        calling thread; the model holds their record until `backward`.
 
         An inference forward writes no per-call state on the model; its
         counts and taps are `probe`'s, which runs the same `_infer`.
+        Input without a batch axis or samples raises ShapeError.
         """
-        x = np.asarray(x, dtype=DTYPE)
+        x = _batch(x)
         if training:
-            pooled, _ = self._encode(x, training=True, cache=True, taps=False)
+            self._record = rec = ForwardRecord(saved=True)
+            pooled, _ = self._encode(x, True, rec)
         else:
-            pooled, _ = self._infer(x, taps=False)
+            pooled, rec = self._infer(x, taps=False)
         if self.reversible:
-            return self._dual_heads(*pooled, training)
-        return self.head_cls.forward(pooled[0], training), None
+            return self._dual_heads(*pooled, rec)
+        return self.head_cls.forward(pooled[0], rec), None
 
     def probe(self, x: Tensor, taps: bool = False) -> ForwardRecord:
         """The `ForwardRecord` of an inference forward over a batch, without
         the heads: spikes per binary layer, synaptic ops per BSSA block
         and, with `taps`, each BSSA attention map and BMLP output, all
         covering the whole batch."""
-        return self._infer(np.asarray(x, dtype=DTYPE), taps)[1]
+        return self._infer(_batch(x), taps)[1]
 
     def _infer(self, x: Tensor, taps: bool) -> tuple[list[Tensor], ForwardRecord]:
         """`_encode` for inference: tiled in binary mode, whole in full mode."""
         if self.cfg.weight_mode != "binary":
-            return self._encode(x, False, False, taps)
+            return self._encode(x, False, ForwardRecord(taps))
         return self._encode_tiled(x, taps)
 
-    def _encode(self, x: Tensor, training: bool, cache: bool,
-                taps: bool) -> tuple[list[Tensor], ForwardRecord]:
-        """Stem and encoder blocks on one batch or tile. Returns the
-        time/token mean of each stream (x0, x1 or the residual stream)
-        and the record of its counts and, with `taps`, taps. Writes to
-        the model only on the cached path, which backward reads."""
-        rec = ForwardRecord(taps)
-        e = self.embed(x, training, cache, rec)
+    def _encode(self, x: Tensor, training: bool,
+                rec: ForwardRecord) -> tuple[list[Tensor], ForwardRecord]:
+        """Stem and encoder blocks on one batch or tile, writing to `rec`.
+        Returns the time/token mean of each stream (x0, x1 or the
+        residual stream) and `rec`."""
+        e = self.embed(x, training, rec)
         # blocks never write their input state, so both streams share e
         state = ReversibleState(x0=e, x1=e) if self.reversible else e
         for blk in self.blocks:
-            state = blk.forward(state, training, cache, rec)
+            state = blk.forward(state, training, rec)
         streams = (state.x0, state.x1) if self.reversible else (state,)
-        if cache:
-            self._pool_shape = streams[0].shape
+        if _saving(rec):
+            rec.saved[self] = (streams[0].shape,)
         return [h.mean(axis=(0, 2)) for h in streams], rec
 
     def _encode_tiled(self, x: Tensor, taps: bool) -> tuple[list[Tensor], ForwardRecord]:
@@ -1235,14 +1227,14 @@ class SpikingTransformer:
         the tile records merged, both in tile order."""
         workers = _infer_workers()
         tile = max(1, INFER_TILE_ROWS // workers // (self.cfg.timesteps * self.stem.tokens))
-        tiles = [x[start:start + tile] for start in range(0, max(1, x.shape[0]), tile)]
+        tiles = [x[start:start + tile] for start in range(0, x.shape[0], tile)]
         if workers == 1 or len(tiles) == 1:
-            results = [self._encode(t, False, False, taps) for t in tiles]
+            results = [self._encode(t, False, ForwardRecord(taps)) for t in tiles]
         else:
             for lyr in self.binary_linear_layers():
                 lyr._binary_signs()  # tiles only read the sign caches
             pool = _tile_executor(workers)
-            futures = [pool.submit(self._encode, t, False, False, taps) for t in tiles]
+            futures = [pool.submit(self._encode, t, False, ForwardRecord(taps)) for t in tiles]
             try:
                 results = [f.result() for f in futures]  # the first failure in tile order
             finally:
@@ -1253,58 +1245,59 @@ class SpikingTransformer:
         return pooled, ForwardRecord.merged([r for _, r in results])
 
     def _dual_heads(self, pooled0: Tensor, pooled1: Tensor,
-                    cache: bool = False) -> tuple[Tensor, Tensor | None]:
+                    rec: ForwardRecord | None = None) -> tuple[Tensor, Tensor | None]:
         if self.cfg.classify_on == "x0":
             cls_in, dist_in = pooled0, pooled1
         else:
             cls_in, dist_in = pooled1, pooled0
-        logits = self.head_cls.forward(cls_in, cache)
-        dist_logits = self.head_dist.forward(dist_in, cache) if self.head_dist else None
+        logits = self.head_cls.forward(cls_in, rec)
+        dist_logits = self.head_dist.forward(dist_in, rec) if self.head_dist else None
         return logits, dist_logits
 
     def backward(self, g_logits: Tensor, g_dist: Tensor | None = None) -> None:
-        """Backprop the logit gradients of the last cached forward into
-        every parameter's `grad`, freeing that forward's caches as it goes.
-        Without a cached forward to consume it raises TrainingError."""
-        ((T, B, N, D),) = _take_cache(self, "_pool_shape")
+        """Backprop the logit gradients of the last training forward into
+        every parameter's `grad`, popping that forward's record as it goes.
+        Without a training forward to consume it raises TrainingError."""
+        rec, self._record = self._record, None
+        ((T, B, N, D),) = _take(rec, self)
         scale = DTYPE(1.0 / (T * N))
 
         def unpool(g2d):
             return np.broadcast_to(g2d[None, :, None, :] * scale, (T, B, N, D)).astype(DTYPE)
 
         if self.reversible:
-            g_cls = self.head_cls.backward(g_logits)
+            g_cls = self.head_cls.backward(g_logits, rec)
             if self.head_dist is not None and g_dist is not None:
-                g_dst = self.head_dist.backward(g_dist)
+                g_dst = self.head_dist.backward(g_dist, rec)
             else:
                 g_dst = np.zeros_like(g_cls)
-                if self.head_dist is not None:
-                    self.head_dist._in = None  # no gradient reaches it; drop its input
             if self.cfg.classify_on == "x0":
                 g0, g1 = unpool(g_cls), unpool(g_dst)
             else:
                 g0, g1 = unpool(g_dst), unpool(g_cls)
             for blk in reversed(self.blocks):
-                g0, g1 = blk.backward(g0, g1)
-            self.stem.backward((g0 + g1).astype(DTYPE))
+                g0, g1 = blk.backward(g0, g1, rec)
+            self.stem.backward((g0 + g1).astype(DTYPE), rec)
         else:
-            g = unpool(self.head_cls.backward(g_logits))
+            g = unpool(self.head_cls.backward(g_logits, rec))
             for blk in reversed(self.blocks):
-                g = blk.backward(g)
-            self.stem.backward(g)
+                g = blk.backward(g, rec)
+            self.stem.backward(g, rec)
 
     def calibrate(self, x: Tensor) -> None:
         """Re-estimate every BN layer's running statistics from one batch
         (momentum forced to 1 for the pass), so inference-mode streams
         match the data scale. Used before inference-time reconstruction
         and instrumentation. The pass is a training-mode encode that
-        caches nothing, since no backward follows it."""
+        saves nothing, since no backward follows it. Input without a batch
+        axis or samples raises ShapeError."""
+        x = _batch(x)
         bns = [lyr for lyr in self._all_layers() if isinstance(lyr, BatchNormLayer)]
         saved = [bn.momentum for bn in bns]
         for bn in bns:
             bn.momentum = 1.0
         try:
-            self._encode(np.asarray(x, dtype=DTYPE), training=True, cache=False, taps=False)
+            self._encode(x, True, ForwardRecord())
         finally:
             for bn, m in zip(bns, saved):
                 bn.momentum = m

@@ -110,25 +110,25 @@ def lif_run(inputs: Tensor, p: LifParams) -> Tensor:
     if inputs.ndim < 1 or inputs.shape[0] == 0:
         raise ShapeError("lif_run needs at least one timestep")
     require_finite(inputs, "lif_run inputs")
-    return _lif(inputs, p, cache=False)[0]
+    return _lif(inputs, p, keep=False)[0]
 
 
 def _lif(x: Tensor, p: LifParams,
-         cache: bool) -> tuple[Tensor, Tensor | None, np.ndarray | None]:
+         keep: bool) -> tuple[Tensor, Tensor | None, np.ndarray | None]:
     """Spikes of the LIF dynamics along x's leading time axis from a zero
-    membrane and, with `cache`, the pre-reset membranes and the spikes
+    membrane and, with `keep`, the pre-reset membranes and the spikes
     again as bool, one byte each, for backward to keep. Runs `lif_step`'s
     operations in the same order, in reused buffers, in x's float dtype."""
     dt = x.dtype if x.dtype.kind == "f" else DTYPE
     spikes = np.empty_like(x)
-    u_pre = np.empty_like(x) if cache else None
-    fired = np.empty(x.shape, dtype=np.bool_) if cache else None
+    u_pre = np.empty_like(x) if keep else None
+    fired = np.empty(x.shape, dtype=np.bool_) if keep else None
     u, up, tmp = (np.empty(x.shape[1:], dtype=dt) for _ in range(3))
     tau = dt.type(p.tau)
     vth = dt.type(p.v_threshold)
     hard = p.reset is Reset.HARD
     for t in range(x.shape[0]):
-        if cache:
+        if keep:
             up = u_pre[t, ...]  # [t, ...] is a view even for a 1-D input
         if t:
             np.multiply(tau, u, out=up)
@@ -136,7 +136,7 @@ def _lif(x: Tensor, p: LifParams,
         else:
             np.add(x[0], 0.0, out=up)  # the membrane starts at +0, and tau * +0 is +0
         s = np.greater_equal(up, vth, out=spikes[t, ...])
-        if cache:
+        if keep:
             np.greater_equal(up, vth, out=fired[t, ...])
         if t == x.shape[0] - 1:
             break  # no later step reads the reset membrane

@@ -94,10 +94,10 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool = False) -> Tensor:
     return _batch_norm(np.asarray(x, dtype=DTYPE), p, training, False, "batch_norm")[0]
 
 
-def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, cache: bool,
+def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, keep: bool,
                 what: str) -> tuple[Tensor, Tensor, Tensor]:
     """Batch norm in x's float dtype: (out, xhat, inv), xhat = (x - mean) * inv.
-    Without `cache`, out reuses xhat's buffer. Errors name `what`."""
+    Without `keep`, out reuses xhat's buffer. Errors name `what`."""
     if x.shape[-1] != p.channels:
         raise ShapeError(
             f"{what}: channel mismatch: input has {x.shape[-1]} channels, "
@@ -121,7 +121,7 @@ def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, cache: bool,
     inv = 1.0 / np.sqrt(denom)
     xhat = np.subtract(x, mean)
     xhat *= inv  # (x - mean) * inv
-    out = xhat * p.gamma if cache else np.multiply(xhat, p.gamma, out=xhat)
+    out = xhat * p.gamma if keep else np.multiply(xhat, p.gamma, out=xhat)
     out += p.beta
     return out, xhat, inv
 

@@ -33,6 +33,7 @@ from spikebit.learn import (
 )
 from spikebit.model import (
     BatchNormLayer,
+    ForwardRecord,
     LambdaLayer,
     LinearHead,
     ModelConfig,
@@ -166,19 +167,20 @@ def test_criterion_05_gradient_checks():
     targets = np.array([0, 1, 2, 3, 4, 0])
     params_a = bn.params() + lam.params()
 
-    def fwd(cache):
-        h = bn.forward(x, training=True, cache=cache)
+    def fwd(rec):
+        h = bn.forward(x, training=True, rec=rec)
         return h, lam.forward(h).mean(axis=0)
 
     def loss_a():
-        return batch_cross_entropy(fwd(False)[1], targets)[0]
+        return batch_cross_entropy(fwd(None)[1], targets)[0]
 
     def back_a():
         for _, p in params_a:
             p.zero_grad()
-        h, logits = fwd(True)
+        rec = ForwardRecord(saved=True)
+        h, logits = fwd(rec)
         ce, g = batch_cross_entropy(logits, targets)
-        bn.backward(lam.backward(np.broadcast_to(g / T, (T, B, C)).astype(np.float64), h))
+        bn.backward(lam.backward(np.broadcast_to(g / T, (T, B, C)).astype(np.float64), h), rec)
         return ce
 
     err_a = grad_check(loss_a, back_a, params_a, h=1e-5)
@@ -196,8 +198,9 @@ def test_criterion_05_gradient_checks():
     def back_b():
         head.weight.zero_grad()
         head.bias.zero_grad()
-        ce, g = batch_cross_entropy(head.forward(hx, cache=True), hy)
-        head.backward(g)
+        rec = ForwardRecord(saved=True)
+        ce, g = batch_cross_entropy(head.forward(hx, rec), hy)
+        head.backward(g, rec)
         return ce
 
     err_b = grad_check(loss_b, back_b, head.params(), h=1e-5)

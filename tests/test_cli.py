@@ -409,16 +409,6 @@ class TestEvalInspect:
         assert {"block", "value_set_size", "entropy_bits"} <= set(recs[0])
 
 
-class TestBench:
-    def test_memory_ratios_and_equality(self, capsys):
-        assert cli.main(["bench", "--sizes", "64,65,512", "--trials", "1"]) == 0
-        lines = [l for l in capsys.readouterr().out.splitlines() if l and not l.startswith("  size")]
-        table = {int(l.split()[0]): l.split() for l in lines[1:]}
-        assert float(table[512][4]) == 32.0        # exact at word multiples
-        assert float(table[65][4]) == pytest.approx(65 * 32 / (2 * 64))  # 16.25
-        assert all(row[5] == "True" for row in table.values())
-
-
 class TestPackTeacherLogits:
     def test_cache_file_round_trip(self, tmp_path):
         cfg_path, out = write_config(tmp_path, epochs=0)

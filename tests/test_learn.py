@@ -23,6 +23,7 @@ from spikebit.learn import (
 )
 from spikebit.model import (
     BatchNormLayer,
+    ForwardRecord,
     LambdaLayer,
     LinearHead,
     SpikingTransformer,
@@ -261,8 +262,9 @@ class TestGradCheck:
         def backward():
             head.weight.zero_grad()
             head.bias.zero_grad()
-            ce, g = batch_cross_entropy(head.forward(x, cache=True), targets)
-            head.backward(g)
+            rec = ForwardRecord(saved=True)
+            ce, g = batch_cross_entropy(head.forward(x, rec), targets)
+            head.backward(g, rec)
             return ce
 
         err = grad_check(loss, backward, head.params(), h=1e-5)
@@ -281,20 +283,21 @@ class TestGradCheck:
         targets = np.array([0, 1, 2, 3, 0])
         params = bn.params() + lam.params()
 
-        def forward(cache):
-            h = bn.forward(x, training=True, cache=cache)
+        def forward(rec):
+            h = bn.forward(x, training=True, rec=rec)
             return h, lam.forward(h).mean(axis=0)  # pool time -> (B, C) logits
 
         def loss():
-            return batch_cross_entropy(forward(False)[1], targets)[0]
+            return batch_cross_entropy(forward(None)[1], targets)[0]
 
         def backward():
             for _, p in params:
                 p.zero_grad()
-            h, logits = forward(True)
+            rec = ForwardRecord(saved=True)
+            h, logits = forward(rec)
             ce, g = batch_cross_entropy(logits, targets)
             g_h = np.broadcast_to(g / T, (T, B, C)).astype(np.float64)
-            bn.backward(lam.backward(g_h, h))
+            bn.backward(lam.backward(g_h, h), rec)
             return ce
 
         err = grad_check(loss, backward, params, h=1e-5)
@@ -314,8 +317,9 @@ class TestGradCheck:
         def backward():
             for _, p in used.params() + unused.params():
                 p.zero_grad()
-            ce, g = batch_cross_entropy(used.forward(x, cache=True), targets)
-            used.backward(g)
+            rec = ForwardRecord(saved=True)
+            ce, g = batch_cross_entropy(used.forward(x, rec), targets)
+            used.backward(g, rec)
             return ce
 
         err = grad_check(loss, backward, unused.params(), h=1e-5)

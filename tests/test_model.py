@@ -57,9 +57,9 @@ class TestStem:
         seen = {}
         orig = LifLayer.forward
 
-        def spy(self, x, cache=False):
+        def spy(self, x, rec=None):
             seen.setdefault("first", x)
-            return orig(self, x, cache)
+            return orig(self, x, rec)
 
         monkeypatch.setattr(LifLayer, "forward", spy)
         net = SpikingTransformer(toy_config("residual", timesteps=4), seed=0)
@@ -93,6 +93,27 @@ class TestStem:
         for call in (net.forward, lambda x: net.forward(x, training=True), net.probe):
             with pytest.raises(ShapeError, match=want):
                 call(x)
+
+    @pytest.mark.parametrize("cfg,bad", [
+        (toy_config("reversible"), ()),
+        (toy_config("reversible"), (0, 64)),
+        (toy_config("residual", weight_mode="full"), (0, 64)),
+        (conv_config(image=16), (0, 3, 16, 16)),
+    ], ids=["no_batch_axis", "empty_batch", "full_empty_batch", "conv_empty_batch"])
+    def test_input_without_samples_rejected(self, cfg, bad):
+        # an empty training or calibration batch turned every BN running
+        # statistic to NaN, and every later logit with them
+        net = SpikingTransformer(cfg, seed=0)
+        buffers = [b.copy() for _, b in net.named_buffers()]
+        x = np.zeros(bad, dtype=np.float32)
+        want = re.escape(f"input has shape {bad}; the model takes a batch of one or more samples")
+        for call in (net.forward, lambda x: net.forward(x, training=True), net.probe,
+                     net.calibrate, lambda x: metrics.cost_report(net, x)):
+            with pytest.raises(ShapeError, match=want):
+                call(x)
+        for (name, got), want_buf in zip(net.named_buffers(), buffers):
+            assert got.tobytes() == want_buf.tobytes(), name
+        assert net._record is None
 
     def test_indivisible_extents_rejected(self):
         with pytest.raises(ConfigError):
@@ -514,8 +535,9 @@ class TestLifKernel:
         want_s, want_u = _lif_forward_reference(p, x)
         lif = LifLayer(p)
         _bytes_equal(lif.forward(x), want_s)
-        _bytes_equal(lif.forward(x, cache=True), want_s)
-        _bytes_equal(lif._u_pre, want_u)
+        rec = M.ForwardRecord(saved=True)
+        _bytes_equal(lif.forward(x, rec), want_s)
+        _bytes_equal(rec.saved[lif][0], want_u)
 
     @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
     def test_forward_and_lif_run_match_lif_step_loop(self, reset):
@@ -539,17 +561,19 @@ class TestLifKernel:
         for g in gs:
             g[1:, 3, :] = -1.0  # into the saturated row
         for g in gs:
-            lif.forward(x, cache=True)  # each backward consumes one cached forward
-            want = _lif_backward_reference(p, lif._u_pre, lif._spikes, g)
+            rec = M.ForwardRecord(saved=True)
+            lif.forward(x, rec)  # each backward consumes one training forward
+            want = _lif_backward_reference(p, *rec.saved[lif], g)
             if reset is Reset.HARD:  # the reset gate zeroes the carry: -0.0 input gradients
                 assert np.signbit(want[1, 3]).all() and not want[1, 3].any()
-            _bytes_equal(lif.backward(g), want)
+            _bytes_equal(lif.backward(g, rec=rec), want)
         # several upstream gradients: summed from zero in argument order
-        lif.forward(x, cache=True)
+        rec = M.ForwardRecord(saved=True)
+        lif.forward(x, rec)
         want = np.zeros_like(gs[0])
         for g in gs:
-            want += _lif_backward_reference(p, lif._u_pre, lif._spikes, g)
-        _bytes_equal(lif.backward(*gs), want)
+            want += _lif_backward_reference(p, *rec.saved[lif], g)
+        _bytes_equal(lif.backward(*gs, rec=rec), want)
 
 
 def _bn_reference_forward(bn, x, training):
@@ -594,9 +618,10 @@ class TestBatchNormKernel:
         x = (r.normal((3, 4, 5, C), std=2.0) + 0.7).astype(dtype)
         before = bn.running_mean.copy(), bn.running_var.copy()
         want, xhat, inv, mean, var = _bn_reference_forward(bn, x, training)
-        for cache in (False, True):
+        rec = M.ForwardRecord(saved=True)
+        for fwd_rec in (None, rec):
             bn.running_mean[:], bn.running_var[:] = before
-            _bytes_equal(bn.forward(x, training, cache=cache), want)
+            _bytes_equal(bn.forward(x, training, fwd_rec), want)
         if dtype is np.float32:  # numeric.batch_norm works in float32
             p = BatchNormParams(bn.gamma.value, bn.beta.value, before[0].copy(), before[1].copy())
             _bytes_equal(batch_norm(x, p, training), want)
@@ -612,7 +637,7 @@ class TestBatchNormKernel:
         if strided_grad:  # channels-last view of a channels-first array, as in the conv stem
             g = np.moveaxis(np.ascontiguousarray(np.moveaxis(g, -1, 2)), 2, -1)
         want_g, want_gamma, want_beta = _bn_reference_backward(bn, g, xhat, inv, training)
-        _bytes_equal(bn.backward(g), want_g)
+        _bytes_equal(bn.backward(g, rec), want_g)
         _bytes_equal(bn.gamma.grad, want_gamma)
         _bytes_equal(bn.beta.grad, want_beta)
 
@@ -621,31 +646,33 @@ class TestSharedInputLif:
     def _reference_three_lifs(self, blk, cfg, x, g_out):
         """The BSSA forward and backward with one input LIF per projection."""
         ins = [LifLayer(cfg.lif()) for _ in range(3)]
+        rec = M.ForwardRecord(saved=True)
         outs = []
         for lin, proj, bn, lif in zip(ins, (blk.q_proj, blk.k_proj, blk.v_proj),
                                       (blk.q_bn, blk.k_bn, blk.v_bn),
                                       (blk.q_lif, blk.k_lif, blk.v_lif)):
-            outs.append(lif.forward(bn.forward(proj.forward(lin.forward(x, True), True),
-                                               True, True), True))
+            outs.append(lif.forward(bn.forward(proj.forward(lin.forward(x, rec), rec),
+                                               True, rec), rec))
         qh, kh, vh = (blk._split(a) for a in outs)
         attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
-        s_attn = blk.attn_lif.forward(attn, True)
+        s_attn = blk.attn_lif.forward(attn, rec)
         ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
         ctx = blk.lam.forward(ctx0)
-        out = blk.o_bn.forward(blk.o_proj.forward(blk.o_in.forward(blk._merge(ctx), True), True),
-                               True, True)
-        g = blk.o_in.backward(blk.o_proj.backward(blk.o_bn.backward(g_out)))
+        out = blk.o_bn.forward(blk.o_proj.forward(blk.o_in.forward(blk._merge(ctx), rec), rec),
+                               True, rec)
+        g = blk.o_in.backward(blk.o_proj.backward(blk.o_bn.backward(g_out, rec), rec), rec=rec)
         g_ctx0 = blk.lam.backward(blk._split(g), ctx0)
         g_sattn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx0, vh, optimize=True)
         g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx0, optimize=True)
-        g_attn = blk.attn_lif.backward(g_sattn)
+        g_attn = blk.attn_lif.backward(g_sattn, rec=rec)
         g_qh = np.einsum("tbhnm,tbhmd->tbhnd", g_attn, kh, optimize=True)
         g_kh = np.einsum("tbhnm,tbhnd->tbhmd", g_attn, qh, optimize=True)
         g_x = np.zeros(g_out.shape, dtype=g_out.dtype)
         for gh, lif, bn, proj, lin in zip((g_qh, g_kh, g_vh), (blk.q_lif, blk.k_lif, blk.v_lif),
                                           (blk.q_bn, blk.k_bn, blk.v_bn),
                                           (blk.q_proj, blk.k_proj, blk.v_proj), ins):
-            g_x += lin.backward(proj.backward(bn.backward(lif.backward(blk._merge(gh)))))
+            g_x += lin.backward(proj.backward(bn.backward(lif.backward(blk._merge(gh), rec=rec),
+                                                          rec), rec), rec=rec)
         return out, g_x
 
     @pytest.mark.parametrize("seed", [50, 51])
@@ -654,8 +681,9 @@ class TestSharedInputLif:
         x = Rng(seed).normal((3, 4, 5, 32), std=2.0)
         g_out = Rng(seed + 1).normal(x.shape)
         got_blk, ref_blk = BssaBlock("b", cfg, Rng(seed)), BssaBlock("b", cfg, Rng(seed))
-        got_out = got_blk.forward(x, training=True, cache=True)
-        got_g = got_blk.backward(g_out)
+        rec = M.ForwardRecord(saved=True)
+        got_out = got_blk.forward(x, training=True, rec=rec)
+        got_g = got_blk.backward(g_out, rec)
         want_out, want_g = self._reference_three_lifs(ref_blk, cfg, x, g_out)
         assert got_out.tobytes() == want_out.tobytes()
         assert got_g.tobytes() == want_g.tobytes()
@@ -714,7 +742,8 @@ def _model_fields(net):
 def _cache_fields(net):
     """(owner, field name, value) of every per-call field on the model and
     its layers: the private attributes, apart from the weight-sign cache
-    that lives until the next weight update."""
+    that lives until the next weight update. Of these, only the model's
+    `_record` is ever bound, from a training forward to its backward."""
     return [(type(obj).__name__, name, value) for obj, name, value in _model_fields(net)
             if name.startswith("_") and name != "_sign_cache"]
 
@@ -728,8 +757,9 @@ def _state_snapshot(net):
 
 
 class TestTrainingCaches:
-    """A training forward keeps each spike tensor once, as bool, and the
-    backward that reads the caches frees them."""
+    """A training forward saves each spike tensor once, as bool, in its
+    `ForwardRecord`, and the backward that reads the record pops every
+    entry. The layers and blocks keep nothing of the call."""
 
     NETS = {
         "reversible": (toy_config("reversible"), (6, 64)),
@@ -737,22 +767,26 @@ class TestTrainingCaches:
         "conv": (conv_config(image=16), (3, 3, 16, 16)),
     }
 
-    def _trained_step(self, kind, backward=True):
+    def _training_forward(self, kind):
         cfg, shape = self.NETS[kind]
         net = SpikingTransformer(cfg, seed=80)
         logits, dist = net.forward(Rng(81).normal(shape, std=2.0), training=True)
-        if backward:
-            net.backward(np.ones_like(logits), None if dist is None else np.ones_like(dist))
-        return net
+        return net, logits, dist
+
+    @staticmethod
+    def _backward(net, logits, dist):
+        net.backward(np.ones_like(logits), None if dist is None else np.ones_like(dist))
 
     @pytest.mark.parametrize("kind", list(NETS))
     def test_spikes_are_kept_once_as_bool(self, kind):
-        net = self._trained_step(kind, backward=False)
+        net, _, _ = self._training_forward(kind)
+        saved = net._record.saved
         for lif in net.lif_layers():
             if kind == "full_residual" and lif.p.reset is Reset.SOFT:
-                assert lif._spikes is None  # full-precision attention is not binarized
+                assert lif not in saved  # full-precision attention is not binarized
                 continue
-            assert lif._spikes.dtype == np.bool_ and lif._u_pre.dtype == np.float32
+            u_pre, spikes = saved[lif]
+            assert spikes.dtype == np.bool_ and u_pre.dtype == np.float32
         pairs = [(blk.x_in, proj) for blk in net.bssa_blocks()
                  for proj in (blk.q_proj, blk.k_proj, blk.v_proj)]
         pairs += [(blk.o_in, blk.o_proj) for blk in net.bssa_blocks()]
@@ -761,29 +795,57 @@ class TestTrainingCaches:
         if kind != "conv":
             pairs.append((net.stem.lif, net.stem.linear))
         for lif, lyr in pairs:
-            assert lyr._in2d.dtype == np.bool_ and np.shares_memory(lyr._in2d, lif._spikes)
+            in2d, _ = saved[lyr]
+            assert in2d.dtype == np.bool_ and np.shares_memory(in2d, saved[lif][1])
         for blk in net.bssa_blocks():
             assert [n for n in vars(blk.lam) if n.startswith("_")] == []  # no context kept
-            q, k, v, s_attn = blk._cache
-            assert q is blk.q_lif._spikes and k is blk.k_lif._spikes and v is blk.v_lif._spikes
+            q, k, v, s_attn = saved[blk]
+            assert q is saved[blk.q_lif][1] and k is saved[blk.k_lif][1]
+            assert v is saved[blk.v_lif][1]
             if blk.binary_attn:
-                assert s_attn is blk.attn_lif._spikes
+                assert s_attn is saved[blk.attn_lif][1]
             else:  # the integer attention map, which no LIF emits
                 assert s_attn.dtype == np.float32
         if kind == "conv":  # im2col keeps its own bool copy
             for lif, conv, _, pool in net.stem.stages:
-                assert conv.linear._in2d.dtype == np.bool_
-                assert not np.shares_memory(conv.linear._in2d, lif._spikes)
-                assert pool is None or pool._idx.dtype == np.uint8  # argmax in 0..3
+                in2d, _ = saved[conv.linear]
+                assert in2d.dtype == np.bool_
+                assert not np.shares_memory(in2d, saved[lif][1])
+                assert pool is None or saved[pool][0].dtype == np.uint8  # argmax in 0..3
 
     @pytest.mark.parametrize("kind", list(NETS))
     def test_backward_frees_every_cache(self, kind):
-        fields = _cache_fields(self._trained_step(kind, backward=False))
-        assert {n for _, n, v in fields if v is not None} >= {
-            "_u_pre", "_spikes", "_in2d", "_signs", "_xhat", "_inv", "_training",
-            "_in", "_cache", "_pool_shape"} | ({"_shape", "_idx"} if kind == "conv" else set())
-        held = [(o, n) for o, n, v in _cache_fields(self._trained_step(kind)) if v is not None]
-        assert held == []
+        net, logits, dist = self._training_forward(kind)
+        rec = net._record
+        assert {type(o).__name__ for o in rec.saved} >= {
+            "LifLayer", "BinaryLinearLayer", "BatchNormLayer", "LinearHead", "BssaBlock",
+            "SpikingTransformer"} | ({"MaxPool2Layer"} if kind == "conv" else set())
+        self._backward(net, logits, dist)
+        assert rec.saved == {} and net._record is None
+        assert [(o, n) for o, n, v in _cache_fields(net) if v is not None] == []
+
+    @pytest.mark.parametrize("kind", list(NETS))
+    def test_training_rebinds_no_field_of_a_layer_or_block(self, kind):
+        # parameters, gradients and BN buffers are written in place; the
+        # weight-sign cache is weight state, rebound after an update
+        cfg, shape = self.NETS[kind]
+        net = SpikingTransformer(cfg, seed=80)
+
+        def bound():
+            return {(id(obj), name): (type(obj).__name__, name, value)
+                    for obj, name, value in _model_fields(net)
+                    if obj is not net and not isinstance(obj, M.ForwardRecord)
+                    and name != "_sign_cache"}
+
+        def rebound(before, now):
+            return [(o, n) for key, (o, n, v) in before.items() if now[key][2] is not v]
+
+        before = bound()
+        logits, dist = net.forward(Rng(81).normal(shape, std=2.0), training=True)
+        assert rebound(before, bound()) == []
+        assert isinstance(net._record, M.ForwardRecord)
+        self._backward(net, logits, dist)
+        assert rebound(before, bound()) == [] and net._record is None
 
     def test_backward_needs_a_cached_forward(self):
         net = SpikingTransformer(toy_config("reversible"), seed=82)
@@ -798,10 +860,15 @@ class TestTrainingCaches:
         with pytest.raises(TrainingError, match="cached forward"):
             net.backward(g, g)  # the first backward consumed the caches
         lif = LifLayer(toy_config("residual").lif())
-        lif.forward(x, cache=True)
-        lif.backward(x)
+        rec = M.ForwardRecord(saved=True)
+        lif.forward(x, rec)
+        lif.backward(x, rec=rec)
         with pytest.raises(TrainingError, match="cached forward"):
-            lif.backward(x)
+            lif.backward(x, rec=rec)
+        for rec in (None, M.ForwardRecord()):  # no record, or one that saves nothing
+            lif.forward(x, rec)
+            with pytest.raises(TrainingError, match="cached forward"):
+                lif.backward(x, rec=rec)
 
     def test_no_activation_outlives_training(self):
         # depth 4 at train_deep's width: caches that no backward freed kept
