@@ -302,6 +302,7 @@ def train_epoch(model: SpikingTransformer, data: tuple[Tensor, Tensor],
             g_dist = None
             loss = ce_c
         if not np.isfinite(loss):
+            model.discard_record()  # no backward will read the forward's record
             raise TrainingError(f"non-finite loss {loss} in batch {bi} of epoch {epoch}")
         model.backward(g_logits.astype(DTYPE), None if g_dist is None else g_dist.astype(DTYPE))
         clip_global_norm(optimizer.entries, clip_norm)

@@ -21,6 +21,27 @@ the values the forward multiplied, so the products match a float32 cache
 byte for byte. Every backward pops the entry it reads, so one training
 forward serves one backward.
 
+In binary mode the record keeps little more than those spikes, since
+backward rebuilds every float activation it can from them, byte for
+byte (the idea of gradient checkpointing, Chen et al. 2016,
+arXiv:1604.06174, where the recompute is exact):
+- a BN after a binary layer keeps its float32 mean and inverse deviation
+  alone. Its input was the layer's product of {0,1} spikes and +-1
+  signs, an integer sum that float32 holds exactly in any order, so
+  backward multiplies the saved spikes and sign matrix again and
+  normalizes with the kept mean and inverse deviation, in the forward's
+  operations (`numeric._normalize`);
+- a LIF fed by such a BN (Q, K, V and the BMLP's second LIF), by the
+  attention map or by the attention context keeps its bool spikes alone.
+  The map and the context are sums of {0,1} products, rebuilt from the
+  saved Q, K, V and attention spikes. Backward re-runs the membrane
+  recurrence on the rebuilt input, reading each reset gate from the
+  saved spikes (`neuron._lif` with `gates`), so the membranes are the
+  forward's bytes.
+The other LIFs, fed by a stream, by the input or by a conv-stem max
+pool, keep their float32 membranes. Full-mode models keep every float
+cache, because their products are rounded float sums.
+
 Backward passes use surrogate gradients through the spike nonlinearity
 and the straight-through estimator through weight signs; the membrane
 reset path is treated as constant during backprop.
@@ -222,26 +243,35 @@ def _widen(x: Tensor) -> Tensor:
 class LifLayer:
     """LIF population unrolled over the leading time axis.
 
-    A training forward saves the pre-reset membranes and the spikes, as
-    bool, for backprop-through-time; the layers it feeds save views of
-    that bool array. The backward pass routes gradients through the
-    surrogate derivative at each firing decision and through the decay
-    recurrence, with the reset gate held constant. Forward runs
-    `neuron.lif_run`'s kernel and returns float spikes either way.
+    A training forward saves the spikes, as bool, for backprop-through-time,
+    and the layers it feeds save views of that bool array. It also saves
+    the pre-reset membranes, unless the caller says its input is `rebuilt`:
+    then backward takes that input again and re-runs the recurrence on it,
+    with the reset gates read from the saved spikes. The backward pass
+    routes gradients through the surrogate derivative at each firing
+    decision and through the decay recurrence, with the reset gate held
+    constant. Forward runs `neuron.lif_run`'s kernel and returns float
+    spikes either way.
     """
 
     def __init__(self, params: neuron.LifParams):
         self.p = params
 
-    def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
+    def forward(self, x: Tensor, rec: ForwardRecord | None = None,
+                rebuilt: bool = False) -> Tensor:
+        """Spikes of `x`. With `rebuilt`, the caller passes backward this
+        same `x` again, so a training forward saves no membranes."""
         keep = _saving(rec)
-        spikes, u_pre, fired = neuron._lif(x, self.p, keep)
+        spikes, u_pre, fired = neuron._lif(x, self.p, keep, keep and not rebuilt)
         if keep:
             rec.saved[self] = (u_pre, fired)
         return spikes
 
-    def backward(self, *g_spikes: Tensor, rec: ForwardRecord | None) -> Tensor:
-        """Gradient with respect to the input current.
+    def backward(self, *g_spikes: Tensor, rec: ForwardRecord | None,
+                 x: Tensor | None = None) -> Tensor:
+        """Gradient with respect to the input current. `x`, the forward's
+        input, is read only after a forward told that its input is
+        `rebuilt`.
 
         A population whose spikes feed several layers takes one upstream
         gradient per layer. The surrogate derivative and the reset gate are
@@ -250,6 +280,8 @@ class LifLayer:
         argument order, exactly as summing separate backward calls would.
         """
         u_pre, spikes = _take(rec, self)
+        if u_pre is None:
+            u_pre = neuron._lif(x, self.p, keep_membranes=True, gates=spikes)[1]
         T = u_pre.shape[0]
         tau = DTYPE(self.p.tau)
         hard = self.p.reset is neuron.Reset.HARD
@@ -287,7 +319,9 @@ class BinaryLinearLayer:
 
     A training forward saves its input for backward as it was given; fed
     by a LIF through `forward_lif`, it saves a view of the LIF's bool
-    spikes instead.
+    spikes instead. A binary-mode product is an exact integer sum, so
+    `_output_again` rebuilds it from that entry byte for byte, and the
+    layers it feeds need not save it.
     """
 
     def __init__(self, name: str, in_features: int, out_features: int, rng: Rng,
@@ -319,11 +353,12 @@ class BinaryLinearLayer:
         flat = self._flat(x)
         return self._product(flat, self._spike_count(flat), x.shape[:-1], rec)
 
-    def forward_lif(self, lif: LifLayer, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
-        """`forward(lif.forward(x, rec), rec)`. A training call saves the
-        LIF's bool spikes, not their float32 image, which lives only for
-        the product."""
-        out = self.forward(lif.forward(x, rec), rec)
+    def forward_lif(self, lif: LifLayer, x: Tensor, rec: ForwardRecord | None = None,
+                    rebuilt: bool = False) -> Tensor:
+        """`forward(lif.forward(x, rec, rebuilt), rec)`. A training call
+        saves the LIF's bool spikes, not their float32 image, which lives
+        only for the product."""
+        out = self.forward(lif.forward(x, rec, rebuilt), rec)
         if _saving(rec):
             self._keep(rec, rec.saved[lif][1])
         return out
@@ -363,6 +398,16 @@ class BinaryLinearLayer:
             rec.saved[self] = (flat, mat)
         return out.reshape(lead + (self.out_features,))
 
+    def _output_again(self, rec: ForwardRecord) -> Tensor:
+        """The flattened output of the training forward that saved this
+        layer's entry in `rec`, rebuilt from its input and sign matrix: in
+        binary mode an exact integer sum, so the forward's bytes. The entry
+        keeps the input widened, for backward to reuse."""
+        in2d, signs = _take(rec, self)
+        in2d = _widen(in2d)
+        rec.saved[self] = (in2d, signs)
+        return in2d @ signs.T
+
     def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
         in2d, signs = _take(rec, self)
         g2 = g_out.reshape(-1, self.out_features)
@@ -381,7 +426,14 @@ class BinaryLinearLayer:
 
 
 class BatchNormLayer:
-    """Per-channel batch normalization over the trailing axis."""
+    """Per-channel batch normalization over the trailing axis.
+
+    A training forward saves the normalized input xhat, its mean and the
+    inverse deviation for backward, unless the caller says its input is
+    `rebuilt`: then it saves the two per-channel statistics alone, and
+    the caller hands that input back through `_normalize_again` before
+    backward runs.
+    """
 
     def __init__(self, name: str, channels: int, epsilon: float = 1e-5, momentum: float = 0.1):
         self.name = name
@@ -393,15 +445,30 @@ class BatchNormLayer:
         self.momentum = momentum
         self.channels = channels
 
-    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
+    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None,
+                rebuilt: bool = False) -> Tensor:
         keep = _saving(rec)
-        out, xhat, inv = numeric._batch_norm(x, self.bn_params(), training, keep, self.name)
-        if keep:
-            rec.saved[self] = (xhat, inv, training)
+        out, xhat, mean, inv = numeric._batch_norm(x, self.bn_params(), training,
+                                                   keep and not rebuilt, self.name)
+        if keep:  # without xhat, out has taken over its buffer
+            rec.saved[self] = (None if rebuilt else xhat, mean, inv, training)
         return out
 
+    def _normalize_again(self, rec: ForwardRecord, x: Tensor) -> Tensor:
+        """xhat of the training forward that saved this layer's statistics
+        in `rec`, rebuilt in place of `x`, that forward's input, with the
+        forward's operations; the entry keeps it for backward."""
+        _, mean, inv, training = _take(rec, self)
+        xhat = numeric._normalize(x, mean, inv, out=x)
+        rec.saved[self] = (xhat, mean, inv, training)
+        return xhat
+
+    def _output_again(self, xhat: Tensor) -> Tensor:
+        """The forward's output from its xhat, in a new array."""
+        return numeric._scale_shift(xhat, self.gamma.value, self.beta.value)
+
     def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
-        xhat, inv, training = _take(rec, self)
+        xhat, _, inv, training = _take(rec, self)
         axes = tuple(range(g_out.ndim - 1))
         self.beta.grad += g_out.sum(axis=axes)
         tmp = g_out * xhat
@@ -480,6 +547,23 @@ class LambdaLayer:
 
     def params(self):
         return [(f"{self.name}.scale", self.scale)]
+
+
+def _through_bn(g: Tensor, rec: ForwardRecord | None, proj: BinaryLinearLayer,
+                bn: BatchNormLayer, lif: LifLayer | None = None) -> Tensor:
+    """Backward through `proj -> bn`, or through `proj -> bn -> lif` with
+    `lif`: the gradient at proj's input from `g`, the gradient at the
+    output. A binary-mode forward told bn and lif that their inputs are
+    `rebuilt`, and they are, from proj's entry: bn's input, its xhat, and
+    the output of bn that lif read."""
+    x = None
+    if proj.mode == "binary":
+        xhat = bn._normalize_again(rec, proj._output_again(rec).reshape(g.shape))
+        if lif is not None:
+            x = bn._output_again(xhat)
+    if lif is not None:
+        g = lif.backward(g, rec=rec, x=x)
+    return proj.backward(bn.backward(g, rec), rec)
 
 
 # ---------------------------------------------------------------------------
@@ -712,12 +796,12 @@ class VectorStem:
         tokens = x.reshape(B, self.tokens, self.chunk)
         rep = np.broadcast_to(tokens, (self.timesteps,) + tokens.shape).astype(DTYPE)
         h = self.linear.forward_lif(self.lif, rep, rec)
-        return self.bn.forward(h, training, rec)
+        return self.bn.forward(h, training, rec, rebuilt=self.linear.mode == "binary")
 
-    def backward(self, g: Tensor, rec: ForwardRecord | None) -> None:
-        g = self.bn.backward(g, rec)
-        g = self.linear.backward(g, rec)
-        self.lif.backward(g, rec=rec)
+    def backward(self, g: Tensor, rec: ForwardRecord | None) -> Tensor:
+        """The gradient at the time-replicated input, from the gradient at
+        the embedding."""
+        return self.lif.backward(_through_bn(g, rec, self.linear, self.bn), rec=rec)
 
     def layers(self):
         return [self.linear, self.bn]
@@ -775,22 +859,29 @@ class ConvStem:
             s = lif.forward(np.ascontiguousarray(h), rec)
             h = conv.forward(s, rec)
             # BN over channels: move channel axis last and back
-            h = np.moveaxis(bn.forward(np.moveaxis(h, 2, -1), training, rec), -1, 2)
+            h = np.moveaxis(bn.forward(np.moveaxis(h, 2, -1), training, rec,
+                                       rebuilt=conv.linear.mode == "binary"), -1, 2)
             if pool is not None:
                 h = pool.forward(h, rec)
         T, B, C, H, W = h.shape
         return np.ascontiguousarray(h.transpose(0, 1, 3, 4, 2)).reshape(T, B, H * W, C)
 
-    def backward(self, g: Tensor, rec: ForwardRecord | None) -> None:
+    def backward(self, g: Tensor, rec: ForwardRecord | None) -> Tensor:
+        """The gradient at the time-replicated input, from the gradient at
+        the embedding."""
         T, B, N, C = g.shape
         side = int(np.sqrt(N))
         g = g.reshape(T, B, side, side, C).transpose(0, 1, 4, 2, 3)
         for lif, conv, bn, pool in reversed(self.stages):
             if pool is not None:
                 g = pool.backward(g, rec)
-            g = np.moveaxis(bn.backward(np.moveaxis(g, 2, -1), rec), -1, 2)
+            g = np.moveaxis(g, 2, -1)
+            if conv.linear.mode == "binary":  # the BN's input, (T, B, H, W, C) as it was
+                bn._normalize_again(rec, conv.linear._output_again(rec).reshape(g.shape))
+            g = np.moveaxis(bn.backward(g, rec), -1, 2)
             g = conv.backward(np.ascontiguousarray(g), rec)
             g = lif.backward(g, rec=rec)
+        return g
 
     def layers(self):
         out = []
@@ -874,8 +965,10 @@ class BssaBlock:
         flat = self.q_proj._flat(s)
         spikes = self.q_proj._spike_count(flat)
         lead = s.shape[:-1]
+        b = self.binary_attn  # binary mode: backward rebuilds each float input
         q, k, v = (
-            lif.forward(bn.forward(proj._product(flat, spikes, lead, rec), training, rec), rec)
+            lif.forward(bn.forward(proj._product(flat, spikes, lead, rec), training, rec, b),
+                        rec, b)
             for proj, bn, lif in ((self.q_proj, self.q_bn, self.q_lif),
                                   (self.k_proj, self.k_bn, self.k_lif),
                                   (self.v_proj, self.v_bn, self.v_lif))
@@ -890,7 +983,7 @@ class BssaBlock:
         if rec is not None and rec.taps is not None:
             rec.taps[self] = attn
         if self.binary_attn:
-            s_attn = self.attn_lif.forward(attn, rec)
+            s_attn = self.attn_lif.forward(attn, rec, rebuilt=True)
             ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
             ctx = self.lam.forward(ctx0)
             sops = float(q.sum()) * attn.shape[-1] + float(s_attn.sum()) * self.head_dim
@@ -906,32 +999,39 @@ class BssaBlock:
             saved = rec.saved
             saved[self] = (saved[self.q_lif][1], saved[self.k_lif][1], saved[self.v_lif][1],
                            saved[self.attn_lif][1] if self.binary_attn else attn)
-        return self.o_bn.forward(self.o_proj.forward_lif(self.o_in, self._merge(ctx), rec),
-                                 training, rec)
+        return self.o_bn.forward(self.o_proj.forward_lif(self.o_in, self._merge(ctx), rec, b),
+                                 training, rec, b)
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
+        """In binary mode every float input a LIF or BN read is rebuilt from
+        the saved spikes: the attention map and the context are sums of
+        {0,1} products, and the projections' outputs are exact integer
+        sums (`_through_bn`), so each is the forward's bytes."""
         q, k, v, s_attn = _take(rec, self)
-        g = self.o_bn.backward(g_out, rec)
-        g = self.o_proj.backward(g, rec)
-        g = self.o_in.backward(g, rec=rec)
-        g_ctx = self._split(g)
+        g = _through_bn(g_out, rec, self.o_proj, self.o_bn)
         vh, s_attn = self._split(v, DTYPE), _widen(s_attn)
+        qh, kh = self._split(q, DTYPE), self._split(k, DTYPE)
         if self.binary_attn:
-            # the lambda layer's input, rebuilt: a sum of {0,1} products,
-            # so exactly the forward's bytes
-            g_ctx0 = self.lam.backward(
-                g_ctx, np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True))
+            ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
+            g = self.o_in.backward(g, rec=rec, x=self._merge(self.lam.forward(ctx0)))
+            g_ctx0 = self.lam.backward(self._split(g), ctx0)
+            del ctx0
             g_sattn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx0, vh, optimize=True)
             g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx0, optimize=True)
-            g_attn = self.attn_lif.backward(g_sattn, rec=rec)
+            attn = np.matmul(qh, kh.swapaxes(-1, -2))  # {0,1} operands: exact in any order
+            g_attn = self.attn_lif.backward(g_sattn, rec=rec, x=attn)
         else:
+            g_ctx = self._split(self.o_in.backward(g, rec=rec))
             g_attn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx, vh, optimize=True) * self.attn_scale
             g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx, optimize=True) * self.attn_scale
-        qh, kh = self._split(q, DTYPE), self._split(k, DTYPE)
         g_qh = np.einsum("tbhnm,tbhmd->tbhnd", g_attn, kh, optimize=True)
         g_kh = np.einsum("tbhnm,tbhnd->tbhmd", g_attn, qh, optimize=True)
+        # x_in's spikes, widened once for the three projections that read them
+        s = _widen(rec.saved[self.q_proj][0])
+        for proj in (self.q_proj, self.k_proj, self.v_proj):
+            proj._keep(rec, s)
         g_s = [
-            proj.backward(bn.backward(lif.backward(self._merge(gh), rec=rec), rec), rec)
+            _through_bn(self._merge(gh), rec, proj, bn, lif)
             for gh, lif, bn, proj in (
                 (g_qh, self.q_lif, self.q_bn, self.q_proj),
                 (g_kh, self.k_lif, self.k_bn, self.k_proj),
@@ -980,18 +1080,16 @@ class BmlpBlock:
         self.bn2 = BatchNormLayer(f"{name}.bn2", D)
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
-        h = self.bn1.forward(self.fc1.forward_lif(self.lif1, x, rec), training, rec)
-        out = self.bn2.forward(self.fc2.forward_lif(self.lif2, h, rec), training, rec)
+        b = self.fc1.mode == "binary"  # backward rebuilds each float input (`_through_bn`)
+        h = self.bn1.forward(self.fc1.forward_lif(self.lif1, x, rec), training, rec, b)
+        out = self.bn2.forward(self.fc2.forward_lif(self.lif2, h, rec, b), training, rec, b)
         if rec is not None and rec.taps is not None:
             rec.taps[self] = out  # the final normalized map, for rep-cap probes
         return out
 
     def backward(self, g: Tensor, rec: ForwardRecord | None) -> Tensor:
-        g = self.bn2.backward(g, rec)
-        g = self.fc2.backward(g, rec)
-        g = self.lif2.backward(g, rec=rec)
-        g = self.bn1.backward(g, rec)
-        g = self.fc1.backward(g, rec)
+        g = _through_bn(g, rec, self.fc2, self.bn2)
+        g = _through_bn(g, rec, self.fc1, self.bn1, self.lif2)
         return self.lif1.backward(g, rec=rec)
 
     def layers(self):
@@ -1283,6 +1381,11 @@ class SpikingTransformer:
             for blk in reversed(self.blocks):
                 g = blk.backward(g, rec)
             self.stem.backward(g, rec)
+
+    def discard_record(self) -> None:
+        """Drop what the last training forward saved, for a caller that
+        will not run its backward."""
+        self._record = None
 
     def calibrate(self, x: Tensor) -> None:
         """Re-estimate every BN layer's running statistics from one batch

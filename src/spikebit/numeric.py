@@ -95,9 +95,10 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool = False) -> Tensor:
 
 
 def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, keep: bool,
-                what: str) -> tuple[Tensor, Tensor, Tensor]:
-    """Batch norm in x's float dtype: (out, xhat, inv), xhat = (x - mean) * inv.
-    Without `keep`, out reuses xhat's buffer. Errors name `what`."""
+                what: str) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """Batch norm in x's float dtype: (out, xhat, mean, inv), with xhat =
+    `_normalize(x, mean, inv)` and out = `_scale_shift(xhat, ...)`. Without
+    `keep`, out reuses xhat's buffer. Errors name `what`."""
     if x.shape[-1] != p.channels:
         raise ShapeError(
             f"{what}: channel mismatch: input has {x.shape[-1]} channels, "
@@ -119,11 +120,25 @@ def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, keep: bool,
         bad = int(np.flatnonzero(denom <= 0)[0])
         raise NumericError(f"{what}: variance + epsilon <= 0 at channel {bad}")
     inv = 1.0 / np.sqrt(denom)
-    xhat = np.subtract(x, mean)
-    xhat *= inv  # (x - mean) * inv
-    out = xhat * p.gamma if keep else np.multiply(xhat, p.gamma, out=xhat)
-    out += p.beta
-    return out, xhat, inv
+    xhat = _normalize(x, mean, inv)
+    out = _scale_shift(xhat, p.gamma, p.beta, None if keep else xhat)
+    return out, xhat, mean, inv
+
+
+def _normalize(x: Tensor, mean: Tensor, inv: Tensor, out: Tensor | None = None) -> Tensor:
+    """(x - mean) * inv, in `out` or a new array: batch norm's xhat.
+    Backward passes that rebuild xhat from a forward's input and
+    statistics run this too, so they get the forward's bytes."""
+    xhat = np.subtract(x, mean, out=out)
+    xhat *= inv
+    return xhat
+
+
+def _scale_shift(xhat: Tensor, gamma: Tensor, beta: Tensor, out: Tensor | None = None) -> Tensor:
+    """xhat * gamma + beta, in `out` or a new array: batch norm's output."""
+    out = np.multiply(xhat, gamma, out=out)
+    out += beta
+    return out
 
 
 def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-4) -> Tensor:

@@ -221,6 +221,19 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match="batch 0"):
             train_epoch(net, (x, y), None, opt, Rng(17), batch_size=32)
 
+    def test_nonfinite_loss_leaves_no_record(self):
+        # the aborted step's training forward saved a record that no
+        # backward will read; the model must not keep it
+        (x, y), _ = cluster_data(6, n_train=32, n_test=8)
+        net = SpikingTransformer(toy_config("reversible"), seed=16)
+        net.head_cls.bias.value[:] = np.nan
+        opt = AdamW(net.named_params(), lr=1e-3)
+        with pytest.raises(TrainingError, match="non-finite loss"):
+            train_epoch(net, (x, y), None, opt, Rng(17), batch_size=32)
+        assert net._record is None
+        with pytest.raises(TrainingError, match="cached forward"):
+            net.backward(np.ones((32, 10), np.float32), np.ones((32, 10), np.float32))
+
     def test_dual_head_gradient_decoupling(self):
         net = SpikingTransformer(toy_config("reversible"), seed=18)
         x = Rng(19).normal((8, 64))

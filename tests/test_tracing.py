@@ -49,6 +49,12 @@ def test_traced_training_step_counts_lif_spikes(tracing):
     assert {"model.lif.fwd", "model.lif.bwd", "model.linear.fwd", "model.linear.bwd",
             "model.bn.fwd", "model.bn.bwd", "model.bssa.fwd", "model.bssa.bwd",
             "model.head"} <= set(tracer.names)
+    # one forward span per LIF and per BN: backward rebuilds their inputs
+    # without calling a forward, so the forward spans count forward work only
+    bns = [lyr for lyr in net._all_layers() if isinstance(lyr, M.BatchNormLayer)]
+    assert tracer.names.count("model.lif.fwd") == len(list(net.lif_layers()))
+    assert tracer.names.count("model.bn.fwd") == len(bns)
+    assert "numeric.batch_norm" not in tracer.names
     # the tracer counts the spikes in the array each LIF forward returns
     fired = [saved[lif][1] for lif in net.lif_layers()]
     assert tracer.spikes == sum(int(np.count_nonzero(f)) for f in fired)
