@@ -205,6 +205,8 @@ class RunConfig:
             raise ConfigError(f"teacher.path is required for source {self.teacher_source!r}")
         if self.epochs < 0:
             raise ConfigError("run.epochs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {self.seed}")
 
 
 def _getbool(sec, key, default):
@@ -227,6 +229,8 @@ def _getnum(sec, key, default, cast, positive=False):
         val = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"{sec.name}.{key}: {exc}") from exc
+    if cast is float and not math.isfinite(val):
+        raise ConfigError(f"{sec.name}.{key}: must be finite, got {raw.strip()!r}")
     if positive and val <= 0:
         raise ConfigError(f"{sec.name}.{key}: must be positive, got {val}")
     return val
@@ -234,12 +238,30 @@ def _getnum(sec, key, default, cast, positive=False):
 
 def parse_config(path) -> RunConfig:
     """Parse an INI run config with full defaulting and field-level
-    diagnostics (section.key named in every error)."""
-    if not Path(path).exists():
-        raise ConfigError(f"config file not found: {path}")
+    diagnostics (section.key named in every error). The known sections
+    and keys are those `write_effective_config` writes. A missing or
+    unreadable file, a malformed one, an unknown section or key, or a
+    number that is not finite raises ConfigError."""
     cp = configparser.ConfigParser()
-    cp.read(path)
-    for name in ("run", "model", "stem", "optimizer", "dataset", "teacher"):
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
+    known = _effective_config(RunConfig())
+    for name in cp.sections():
+        if name not in known:
+            raise ConfigError(f"unknown config section [{name}]; "
+                              f"known: {', '.join(known.sections())}")
+        unknown = sorted(set(cp[name]) - set(known[name]))
+        if unknown:
+            raise ConfigError(f"{name}.{unknown[0]}: unknown key; "
+                              f"known: {', '.join(known[name])}")
+    for name in known.sections():
         if name not in cp:
             cp.add_section(name)
     run, mdl, stm, opt, dst, tch = (cp[s] for s in
@@ -303,7 +325,8 @@ def parse_config(path) -> RunConfig:
     )
 
 
-def write_effective_config(cfg: RunConfig, path) -> None:
+def _effective_config(cfg: RunConfig) -> configparser.ConfigParser:
+    """Every section and key of `cfg` as an INI config, defaults included."""
     cp = configparser.ConfigParser()
     m, s = cfg.model, cfg.model.stem
     cp["run"] = {
@@ -336,8 +359,12 @@ def write_effective_config(cfg: RunConfig, path) -> None:
         "test_size": str(d.test_size), "spread": repr(d.spread), "noise": repr(d.noise),
     }
     cp["teacher"] = {"source": cfg.teacher_source, "path": cfg.teacher_path}
+    return cp
+
+
+def write_effective_config(cfg: RunConfig, path) -> None:
     with open(path, "w") as fh:
-        cp.write(fh)
+        _effective_config(cfg).write(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +504,17 @@ def _dataset_from_args(args) -> tuple[DatasetSpec, int]:
     return DatasetSpec(format=args.format, path=args.dataset or ""), (args.seed or 0)
 
 
+def _seed(text: str) -> int:
+    """A `--seed` value: a whole number >= 0, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spikebit",
                                      description="binary event-driven spiking transformer engine")
@@ -484,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a model from a config file")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=_seed, default=None)
     p_train.add_argument("--out", default=None)
 
     for name in ("eval", "inspect"):
@@ -493,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="read the dataset section from this config")
         p.add_argument("--dataset", default=None, help="dataset file path")
         p.add_argument("--format", default="synthetic", choices=DATASET_FORMATS)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--out", default=None)
 
     p_pack = sub.add_parser("pack-teacher-logits")
@@ -501,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pack.add_argument("--config", default=None)
     p_pack.add_argument("--dataset", default=None)
     p_pack.add_argument("--format", default="synthetic", choices=DATASET_FORMATS)
-    p_pack.add_argument("--seed", type=int, default=None)
+    p_pack.add_argument("--seed", type=_seed, default=None)
     p_pack.add_argument("--out", required=True)
     return parser
 

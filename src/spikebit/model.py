@@ -8,6 +8,10 @@ normalization, the spike-attention block (BSSA), the binary MLP (BMLP),
 and two encoder topologies: reversible two-stream blocks with a
 closed-form inverse, and the standard residual baseline.
 
+Each stem, block and the model list their direct parts once, in build
+order, through `parts()`, and `walk` visits them depth first; that order
+is the checkpoint manifest's (arrays and 1-bit images alike).
+
 Array layout is time-major: activations are (T, B, N, D) for token
 streams and (T, B, C, H, W) inside the convolutional stem. Spikes are
 float32 zeros/ones; attention maps before binarization are nonnegative
@@ -236,6 +240,19 @@ def _widen(x: Tensor) -> Tensor:
     return x.astype(DTYPE) if x.dtype == np.bool_ else x
 
 
+def walk(part, kind: type = object) -> Iterator:
+    """`part` and every part under it that is a `kind`, depth first: a part
+    comes before its own `parts()`, which come in the order it lists them.
+    A part listed as None (a missing head, a full-mode block's lambda) is
+    absent. Leaves have no `parts()`."""
+    if isinstance(part, kind):
+        yield part
+    if hasattr(part, "parts"):
+        for sub in part.parts():
+            if sub is not None:
+                yield from walk(sub, kind)
+
+
 # ---------------------------------------------------------------------------
 # elementary layers
 
@@ -300,9 +317,6 @@ class LifLayer:
                     g_x[t] = g_upre
                 g_u[i] = np.multiply(tau, g_upre, out=g_upre)
         return g_x
-
-    def params(self):
-        return []
 
 
 class BinaryLinearLayer:
@@ -618,8 +632,8 @@ class Conv3x3Layer:
         g_x = _col2im(g_cols, (T * B, self.in_ch, H, W), 3, 1)
         return g_x.reshape(T, B, self.in_ch, H, W)
 
-    def params(self):
-        return self.linear.params()
+    def parts(self):
+        return (self.linear,)
 
 
 class MaxPool2Layer:
@@ -642,9 +656,6 @@ class MaxPool2Layer:
         np.put_along_axis(g, idx[..., None], g_out[..., None], axis=-1)
         g = g.reshape(T, B, C, h, w, 2, 2).transpose(0, 1, 2, 3, 5, 4, 6)
         return np.ascontiguousarray(g).reshape(T, B, C, 2 * h, 2 * w)
-
-    def params(self):
-        return []
 
 
 # ---------------------------------------------------------------------------
@@ -803,17 +814,8 @@ class VectorStem:
         the embedding."""
         return self.lif.backward(_through_bn(g, rec, self.linear, self.bn), rec=rec)
 
-    def layers(self):
-        return [self.linear, self.bn]
-
-    def lifs(self):
-        return [self.lif]
-
-    def params(self):
-        return self.linear.params() + self.bn.params()
-
-    def buffers(self):
-        return self.bn.buffers()
+    def parts(self):
+        return (self.lif, self.linear, self.bn)
 
 
 class ConvStem:
@@ -883,27 +885,8 @@ class ConvStem:
             g = lif.backward(g, rec=rec)
         return g
 
-    def layers(self):
-        out = []
-        for _, conv, bn, _ in self.stages:
-            out.extend([conv.linear, bn])
-        return out
-
-    def lifs(self):
-        return [lif for lif, _, _, _ in self.stages]
-
-    def params(self):
-        out = []
-        for _, conv, bn, _ in self.stages:
-            out.extend(conv.params())
-            out.extend(bn.params())
-        return out
-
-    def buffers(self):
-        out = []
-        for _, _, bn, _ in self.stages:
-            out.extend(bn.buffers())
-        return out
+    def parts(self):
+        return tuple(part for stage in self.stages for part in stage)
 
 
 # ---------------------------------------------------------------------------
@@ -922,8 +905,9 @@ class BssaBlock:
     V's spikes and leaves through the output projection's LIF -> binary
     linear -> BN.
 
-    In full-precision mode the attention map is not binarized; the
-    context is attn * attn_scale @ V, matching the non-binary teacher.
+    In full-precision mode the attention map is not binarized and there
+    is no lambda (`lam` is None); the context is attn * attn_scale @ V,
+    matching the non-binary teacher.
     """
 
     def __init__(self, name: str, cfg: ModelConfig, rng: Rng):
@@ -946,7 +930,7 @@ class BssaBlock:
         self.o_bn = BatchNormLayer(f"{name}.o_bn", D)
         self.q_lif, self.k_lif, self.v_lif = (LifLayer(cfg.lif()) for _ in range(3))
         self.attn_lif = LifLayer(cfg.lif(reset=neuron.Reset.SOFT))
-        self.lam = LambdaLayer(f"{name}.lambda", cfg.timesteps)
+        self.lam = LambdaLayer(f"{name}.lambda", cfg.timesteps) if self.binary_attn else None
 
     def _split(self, x: Tensor, dtype=None) -> Tensor:
         T, B, N, D = x.shape
@@ -1040,27 +1024,10 @@ class BssaBlock:
         ]
         return self.x_in.backward(*g_s, rec=rec)
 
-    def layers(self):
-        return [self.q_proj, self.k_proj, self.v_proj, self.o_proj,
-                self.q_bn, self.k_bn, self.v_bn, self.o_bn, self.lam]
-
-    def lifs(self):
-        return [self.x_in, self.o_in, self.q_lif, self.k_lif, self.v_lif, self.attn_lif]
-
-    def params(self):
-        out = []
-        for lyr in (self.q_proj, self.k_proj, self.v_proj, self.o_proj,
-                    self.q_bn, self.k_bn, self.v_bn, self.o_bn):
-            out.extend(lyr.params())
-        if self.binary_attn:
-            out.extend(self.lam.params())
-        return out
-
-    def buffers(self):
-        out = []
-        for bn in (self.q_bn, self.k_bn, self.v_bn, self.o_bn):
-            out.extend(bn.buffers())
-        return out
+    def parts(self):
+        return (self.x_in, self.o_in, self.q_proj, self.k_proj, self.v_proj, self.o_proj,
+                self.q_bn, self.k_bn, self.v_bn, self.o_bn,
+                self.q_lif, self.k_lif, self.v_lif, self.attn_lif, self.lam)
 
 
 class BmlpBlock:
@@ -1092,20 +1059,8 @@ class BmlpBlock:
         g = _through_bn(g, rec, self.fc1, self.bn1, self.lif2)
         return self.lif1.backward(g, rec=rec)
 
-    def layers(self):
-        return [self.fc1, self.bn1, self.fc2, self.bn2]
-
-    def lifs(self):
-        return [self.lif1, self.lif2]
-
-    def params(self):
-        out = []
-        for lyr in (self.fc1, self.bn1, self.fc2, self.bn2):
-            out.extend(lyr.params())
-        return out
-
-    def buffers(self):
-        return self.bn1.buffers() + self.bn2.buffers()
+    def parts(self):
+        return (self.lif1, self.fc1, self.bn1, self.lif2, self.fc2, self.bn2)
 
 
 class ReversibleBlock:
@@ -1156,14 +1111,8 @@ class ReversibleBlock:
         g_x0 = 0.5 * g0_total
         return g_x0, g_x1
 
-    def sub_blocks(self):
-        return self.bssa, self.bmlp
-
-    def params(self):
-        return self.bssa.params() + self.bmlp.params()
-
-    def buffers(self):
-        return self.bssa.buffers() + self.bmlp.buffers()
+    def parts(self):
+        return (self.bssa, self.bmlp)
 
 
 class ResidualBlock:
@@ -1182,14 +1131,8 @@ class ResidualBlock:
         g = g + self.bmlp.backward(g, rec)
         return g + self.bssa.backward(g, rec)
 
-    def sub_blocks(self):
-        return self.bssa, self.bmlp
-
-    def params(self):
-        return self.bssa.params() + self.bmlp.params()
-
-    def buffers(self):
-        return self.bssa.buffers() + self.bmlp.buffers()
+    def parts(self):
+        return (self.bssa, self.bmlp)
 
 
 # ---------------------------------------------------------------------------
@@ -1395,7 +1338,7 @@ class SpikingTransformer:
         saves nothing, since no backward follows it. Input without a batch
         axis or samples raises ShapeError."""
         x = _batch(x)
-        bns = [lyr for lyr in self._all_layers() if isinstance(lyr, BatchNormLayer)]
+        bns = list(walk(self, BatchNormLayer))
         saved = [bn.momentum for bn in bns]
         for bn in bns:
             bn.momentum = 1.0
@@ -1404,13 +1347,6 @@ class SpikingTransformer:
         finally:
             for bn, m in zip(bns, saved):
                 bn.momentum = m
-
-    def _all_layers(self):
-        out = list(self.stem.layers())
-        for blk in self.blocks:
-            for sub in blk.sub_blocks():
-                out.extend(sub.layers())
-        return out
 
     def run_reversible(self, x: Tensor) -> tuple[ReversibleState, ReversibleState]:
         """Inference helper: returns (stem state, final state).
@@ -1440,44 +1376,27 @@ class SpikingTransformer:
 
     # -- parameter plumbing --------------------------------------------------
 
+    def parts(self):
+        return (self.stem, *self.blocks, self.head_cls, self.head_dist)
+
     def named_params(self) -> list[tuple[str, Param]]:
-        out = list(self.stem.params())
-        for blk in self.blocks:
-            out.extend(blk.params())
-        out.extend(self.head_cls.params())
-        if self.head_dist is not None:
-            out.extend(self.head_dist.params())
-        return out
+        return [entry for part in walk(self) if hasattr(part, "params") for entry in part.params()]
 
     def named_buffers(self) -> list[tuple[str, Tensor]]:
-        out = list(self.stem.buffers())
-        for blk in self.blocks:
-            out.extend(blk.buffers())
-        return out
+        return [entry for part in walk(self) if hasattr(part, "buffers") for entry in part.buffers()]
 
     def zero_grads(self):
         for _, p in self.named_params():
             p.zero_grad()
 
     def binary_linear_layers(self) -> Iterator[BinaryLinearLayer]:
-        for lyr in self.stem.layers():
-            if isinstance(lyr, BinaryLinearLayer):
-                yield lyr
-        for blk in self.blocks:
-            for sub in blk.sub_blocks():
-                for lyr in sub.layers():
-                    if isinstance(lyr, BinaryLinearLayer):
-                        yield lyr
+        return walk(self, BinaryLinearLayer)
 
     def bssa_blocks(self) -> Iterator[BssaBlock]:
-        for blk in self.blocks:
-            yield blk.sub_blocks()[0]
+        return walk(self, BssaBlock)
 
     def lif_layers(self) -> Iterator[LifLayer]:
-        yield from self.stem.lifs()
-        for blk in self.blocks:
-            for sub in blk.sub_blocks():
-                yield from sub.lifs()
+        return walk(self, LifLayer)
 
     # -- checkpointing ---------------------------------------------------------
 

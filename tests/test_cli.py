@@ -88,6 +88,58 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/cfg.ini")
 
+    # config file text (None: a directory in its place) and the error it raises
+    BAD = {
+        "no_section_header": ("seed = 1\n", "malformed config file"),
+        "repeated_key": ("[run]\nseed = 1\nseed = 2\n", "malformed config file"),
+        "directory": (None, "cannot read config file"),
+        "not_text": (b"\xff\xfe[run]\n", "config file"),
+        "unknown_key": ("[model]\ndepht = 8\n", "model.depht: unknown key"),
+        "unknown_section": ("[runs]\nseed = 1\n", r"unknown config section \[runs\]"),
+        "nan": ("[dataset]\nspread = nan\n", "dataset.spread: must be finite"),
+        "inf": ("[dataset]\nnoise = inf\n", "dataset.noise: must be finite"),
+        "overflow": ("[optimizer]\nlr = 1e999\n", "optimizer.lr: must be finite"),
+        "negative_seed": ("[run]\nseed = -1\n", r"run.seed must be >= 0"),
+    }
+
+    @classmethod
+    def _bad_config(cls, tmp_path, kind):
+        text, _ = cls.BAD[kind]
+        p = tmp_path / "bad.ini"
+        if text is None:
+            p.mkdir()
+        elif isinstance(text, bytes):
+            p.write_bytes(text)
+        else:
+            p.write_text(text)
+        return p
+
+    @pytest.mark.parametrize("kind", list(BAD))
+    def test_bad_config_is_config_error(self, tmp_path, kind):
+        with pytest.raises(ConfigError, match=self.BAD[kind][1]):
+            parse_config(self._bad_config(tmp_path, kind))
+
+    @pytest.mark.parametrize("kind", list(BAD))
+    def test_bad_config_exits_2_before_training(self, tmp_path, kind, capsys, monkeypatch):
+        monkeypatch.setattr(learn, "train_model",
+                            lambda *a, **k: pytest.fail("trained on a bad config"))
+        rc = cli.main(["train", "--config", str(self._bad_config(tmp_path, kind)),
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect", "pack-teacher-logits"])
+    def test_negative_seed_option_exits_2(self, tmp_path, command, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        argv = {"train": ["--config", str(cfg_path), "--out", str(tmp_path / "out")],
+                "pack-teacher-logits": ["--checkpoint", "m.bin", "--out", "c.bin"]
+                }.get(command, ["--checkpoint", "m.bin"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *argv, "--seed", "-3"])
+        assert exc.value.code == 2
+        assert "error: argument --seed: must be >= 0, got -3" in capsys.readouterr().err
+
 
 class TestDatasets:
     def test_synthetic_shapes_and_determinism(self):

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -382,6 +383,75 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         assert checkpoint_bytes(load_checkpoint(path)) == path.read_bytes()
 
+    # The manifest order is the file format: checkpoints written earlier
+    # must keep loading, so these lists change only with the format.
+    MANIFESTS = {
+        "conv_binary_reversible_dual": (
+            conv_config(image=8, patch=2, D=16),
+            ["stem.stage0.conv.weight", "stem.stage0.bn.gamma", "stem.stage0.bn.beta",
+             "stem.stage1.conv.weight", "stem.stage1.bn.gamma", "stem.stage1.bn.beta",
+             "stem.stage2.conv.weight", "stem.stage2.bn.gamma", "stem.stage2.bn.beta",
+             "stem.stage3.conv.weight", "stem.stage3.bn.gamma", "stem.stage3.bn.beta",
+             "block0.bssa.q.weight", "block0.bssa.k.weight", "block0.bssa.v.weight",
+             "block0.bssa.o.weight",
+             "block0.bssa.q_bn.gamma", "block0.bssa.q_bn.beta",
+             "block0.bssa.k_bn.gamma", "block0.bssa.k_bn.beta",
+             "block0.bssa.v_bn.gamma", "block0.bssa.v_bn.beta",
+             "block0.bssa.o_bn.gamma", "block0.bssa.o_bn.beta",
+             "block0.bssa.lambda.scale",
+             "block0.bmlp.fc1.weight", "block0.bmlp.bn1.gamma", "block0.bmlp.bn1.beta",
+             "block0.bmlp.fc2.weight", "block0.bmlp.bn2.gamma", "block0.bmlp.bn2.beta",
+             "head_cls.weight", "head_cls.bias", "head_dist.weight", "head_dist.bias"],
+            ["stem.stage0.bn.running_mean", "stem.stage0.bn.running_var",
+             "stem.stage1.bn.running_mean", "stem.stage1.bn.running_var",
+             "stem.stage2.bn.running_mean", "stem.stage2.bn.running_var",
+             "stem.stage3.bn.running_mean", "stem.stage3.bn.running_var",
+             "block0.bssa.q_bn.running_mean", "block0.bssa.q_bn.running_var",
+             "block0.bssa.k_bn.running_mean", "block0.bssa.k_bn.running_var",
+             "block0.bssa.v_bn.running_mean", "block0.bssa.v_bn.running_var",
+             "block0.bssa.o_bn.running_mean", "block0.bssa.o_bn.running_var",
+             "block0.bmlp.bn1.running_mean", "block0.bmlp.bn1.running_var",
+             "block0.bmlp.bn2.running_mean", "block0.bmlp.bn2.running_var"],
+            ["stem.stage0.conv.packed", "stem.stage1.conv.packed", "stem.stage2.conv.packed",
+             "stem.stage3.conv.packed",
+             "block0.bssa.q.packed", "block0.bssa.k.packed", "block0.bssa.v.packed",
+             "block0.bssa.o.packed", "block0.bmlp.fc1.packed", "block0.bmlp.fc2.packed"],
+        ),
+        "vector_full_residual": (
+            toy_config("residual", depth=1, weight_mode="full"),
+            ["stem.proj.weight", "stem.bn.gamma", "stem.bn.beta",
+             "block0.bssa.q.weight", "block0.bssa.k.weight", "block0.bssa.v.weight",
+             "block0.bssa.o.weight",
+             "block0.bssa.q_bn.gamma", "block0.bssa.q_bn.beta",
+             "block0.bssa.k_bn.gamma", "block0.bssa.k_bn.beta",
+             "block0.bssa.v_bn.gamma", "block0.bssa.v_bn.beta",
+             "block0.bssa.o_bn.gamma", "block0.bssa.o_bn.beta",
+             "block0.bmlp.fc1.weight", "block0.bmlp.bn1.gamma", "block0.bmlp.bn1.beta",
+             "block0.bmlp.fc2.weight", "block0.bmlp.bn2.gamma", "block0.bmlp.bn2.beta",
+             "head_cls.weight", "head_cls.bias"],
+            ["stem.bn.running_mean", "stem.bn.running_var",
+             "block0.bssa.q_bn.running_mean", "block0.bssa.q_bn.running_var",
+             "block0.bssa.k_bn.running_mean", "block0.bssa.k_bn.running_var",
+             "block0.bssa.v_bn.running_mean", "block0.bssa.v_bn.running_var",
+             "block0.bssa.o_bn.running_mean", "block0.bssa.o_bn.running_var",
+             "block0.bmlp.bn1.running_mean", "block0.bmlp.bn1.running_var",
+             "block0.bmlp.bn2.running_mean", "block0.bmlp.bn2.running_var"],
+            [],  # full mode writes no 1-bit images
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", list(MANIFESTS))
+    def test_manifest_order_is_pinned(self, kind):
+        cfg, params, buffers, packed = self.MANIFESTS[kind]
+        net = SpikingTransformer(cfg, seed=39)
+        assert [n for n, _ in net.named_params()] == params
+        assert [n for n, _ in net.named_buffers()] == buffers
+        blob = checkpoint_bytes(net)
+        (hlen,) = struct.unpack("<I", blob[len(net.CKPT_MAGIC):len(net.CKPT_MAGIC) + 4])
+        header = json.loads(blob[len(net.CKPT_MAGIC) + 4:len(net.CKPT_MAGIC) + 4 + hlen])
+        assert [a["name"] for a in header["arrays"]] == params + buffers
+        assert [p["name"] for p in header["packed"]] == packed
+
     KINDS = {
         "reversible": (toy_config("reversible"), (4, 64)),
         "residual": (toy_config("residual"), (4, 64)),
@@ -716,9 +786,8 @@ class TestSharedInputLif:
         want_out, want_g = self._reference_three_lifs(ref_blk, cfg, x, g_out)
         assert got_out.tobytes() == want_out.tobytes()
         assert got_g.tobytes() == want_g.tobytes()
-        for (name, got), (_, want) in zip(got_blk.params(), ref_blk.params()):
-            assert got.grad.tobytes() == want.grad.tobytes(), name
-        assert len(got_blk.lifs()) == 6  # x_in, o_in, q, k, v, attn
+        _same_grads(got_blk, ref_blk)
+        assert len(list(M.walk(got_blk, LifLayer))) == 6  # x_in, o_in, q, k, v, attn
 
     def test_one_alphabet_check_feeds_all_three_projections(self, monkeypatch):
         blk = BssaBlock("b", toy_config("residual"), Rng(52))
@@ -746,9 +815,16 @@ def _keep_every_float_cache(monkeypatch):
     monkeypatch.setattr(BatchNormLayer, "_normalize_again", lambda self, rec, x: rec.saved[self][0])
 
 
-def _same_grads(got_layers, want_layers):
-    for (name, got), (_, want) in zip(got_layers.params(), want_layers.params()):
-        assert got.grad.tobytes() == want.grad.tobytes(), name
+def _named_params(part):
+    """(name, Param) of every part under `part`, in walk order."""
+    return [entry for p in M.walk(part) if hasattr(p, "params") for entry in p.params()]
+
+
+def _same_grads(got_part, want_part):
+    got, want = _named_params(got_part), _named_params(want_part)
+    assert [n for n, _ in got] == [n for n, _ in want] and got
+    for (name, p), (_, q) in zip(got, want):
+        assert p.grad.tobytes() == q.grad.tobytes(), name
 
 
 class TestRebuiltInputs:
@@ -904,7 +980,7 @@ class TestTrainingCaches:
         by a BN, the attention map or the attention context."""
         out = set()
         for blk in net.blocks:
-            bssa, bmlp = blk.sub_blocks()
+            bssa, bmlp = blk.parts()
             out |= {bssa.q_lif, bssa.k_lif, bssa.v_lif, bssa.attn_lif, bssa.o_in, bmlp.lif2}
         return out
 
@@ -926,8 +1002,7 @@ class TestTrainingCaches:
                 assert u_pre.dtype == np.float32 and u_pre.shape == spikes.shape
         # a BN after a binary layer keeps its statistics alone; backward
         # rebuilds its input, an exact integer sum, from that layer's entry
-        bns = [lyr for lyr in net._all_layers() if isinstance(lyr, BatchNormLayer)]
-        for bn in bns:
+        for bn in M.walk(net, BatchNormLayer):
             xhat, mean, inv, training = saved[bn]
             assert training and mean.dtype == inv.dtype == np.float32
             assert mean.shape == inv.shape == (bn.channels,)
@@ -946,8 +1021,9 @@ class TestTrainingCaches:
         for lif, lyr in pairs:
             in2d, _ = saved[lyr]
             assert in2d.dtype == np.bool_ and np.shares_memory(in2d, saved[lif][1])
+        for lam in M.walk(net, M.LambdaLayer):  # binary mode only
+            assert [n for n in vars(lam) if n.startswith("_")] == []  # no context kept
         for blk in net.bssa_blocks():
-            assert [n for n in vars(blk.lam) if n.startswith("_")] == []  # no context kept
             q, k, v, s_attn = saved[blk]
             assert q is saved[blk.q_lif][1] and k is saved[blk.k_lif][1]
             assert v is saved[blk.v_lif][1]
@@ -1075,8 +1151,7 @@ class TestTrainingCaches:
         assert [(o, n) for o, n, v in _cache_fields(net) if v is not None] == []
         assert grown <= sum(p.value.nbytes for _, p in net.named_params()), grown
         # the running statistics of a training forward at momentum 1
-        bns = [lyr for lyr in ref._all_layers() if isinstance(lyr, BatchNormLayer)]
-        for bn in bns:
+        for bn in M.walk(ref, BatchNormLayer):
             bn.momentum = 1.0
         ref.forward(x, training=True)
         for (name, got), (_, want) in zip(net.named_buffers(), ref.named_buffers()):

@@ -51,9 +51,8 @@ def test_traced_training_step_counts_lif_spikes(tracing):
             "model.head"} <= set(tracer.names)
     # one forward span per LIF and per BN: backward rebuilds their inputs
     # without calling a forward, so the forward spans count forward work only
-    bns = [lyr for lyr in net._all_layers() if isinstance(lyr, M.BatchNormLayer)]
     assert tracer.names.count("model.lif.fwd") == len(list(net.lif_layers()))
-    assert tracer.names.count("model.bn.fwd") == len(bns)
+    assert tracer.names.count("model.bn.fwd") == len(list(M.walk(net, M.BatchNormLayer)))
     assert "numeric.batch_norm" not in tracer.names
     # the tracer counts the spikes in the array each LIF forward returns
     fired = [saved[lif][1] for lif in net.lif_layers()]
