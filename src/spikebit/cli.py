@@ -21,21 +21,15 @@ import os
 import struct
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import binary, learn, metrics
 from .errors import ConfigError, DataError, SpikebitError, TrainingError
-from .model import (
-    ModelConfig,
-    SpikingTransformer,
-    StemSpec,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .neuron import SurrogateKind, SurrogateSpec
+from .model import ModelConfig, SpikingTransformer, load_checkpoint, save_checkpoint
+from .neuron import SurrogateKind
 from .numeric import DTYPE, Rng, Tensor
 
 log = logging.getLogger("spikebit")
@@ -69,6 +63,8 @@ class DatasetSpec:
             raise ConfigError(f"dataset.format must be one of {DATASET_FORMATS}, got {self.format!r}")
         if self.format != "synthetic" and not self.path:
             raise ConfigError(f"dataset.path is required for format {self.format!r}")
+        if self.format == "synthetic" and self.path:
+            raise ConfigError("dataset.path is set, but format 'synthetic' reads no file")
 
 
 @dataclass
@@ -203,46 +199,108 @@ class RunConfig:
             )
         if self.teacher_source != "none" and not self.teacher_path:
             raise ConfigError(f"teacher.path is required for source {self.teacher_source!r}")
+        if self.teacher_source == "none" and self.teacher_path:
+            raise ConfigError("teacher.path is set, but teacher.source is 'none'")
         if self.epochs < 0:
             raise ConfigError("run.epochs must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"run.seed must be >= 0, got {self.seed}")
 
 
-def _getbool(sec, key, default):
-    raw = sec.get(key, None)
-    if raw is None:
-        return default
-    raw = raw.strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{sec.name}.{key}: expected a boolean, got {raw!r}")
+# Every INI key once, in effective.ini order: (section, key, dotted RunConfig
+# field, must be positive). A key's type and default are its field's in the
+# default RunConfig.
+_CONFIG_KEYS = (
+    ("run", "seed", "seed", False),
+    ("run", "epochs", "epochs", False),
+    ("run", "batch_size", "batch_size", True),
+    ("run", "out", "out_dir", False),
+    ("model", "depth", "model.depth", True),
+    ("model", "embed_dim", "model.embed_dim", True),
+    ("model", "heads", "model.heads", True),
+    ("model", "timesteps", "model.timesteps", True),
+    ("model", "tau", "model.tau", True),
+    ("model", "v_threshold", "model.v_threshold", True),
+    ("model", "hidden_ratio", "model.hidden_ratio", True),
+    ("model", "num_classes", "model.num_classes", True),
+    ("model", "weight_mode", "model.weight_mode", False),
+    ("model", "topology", "model.topology", False),
+    ("model", "dual_head", "model.dual_head", False),
+    ("model", "classify_on", "model.classify_on", False),
+    ("model", "ste_clip", "model.ste_clip", True),
+    ("model", "surrogate", "model.surrogate.kind", False),
+    ("model", "surrogate_width", "model.surrogate.width_or_alpha", True),
+    ("stem", "kind", "model.stem.kind", False),
+    ("stem", "in_features", "model.stem.in_features", True),
+    ("stem", "tokens", "model.stem.tokens", True),
+    ("stem", "in_channels", "model.stem.in_channels", True),
+    ("stem", "image_size", "model.stem.image_size", True),
+    ("stem", "patch_size", "model.stem.patch_size", True),
+    ("optimizer", "lr", "lr", True),
+    ("optimizer", "weight_decay", "weight_decay", False),
+    ("optimizer", "clip_norm", "clip_norm", False),
+    ("optimizer", "cosine", "cosine", False),
+    ("dataset", "format", "dataset.format", False),
+    ("dataset", "path", "dataset.path", False),
+    ("dataset", "dims", "dataset.dims", True),
+    ("dataset", "num_classes", "dataset.num_classes", True),
+    ("dataset", "train_size", "dataset.train_size", True),
+    ("dataset", "test_size", "dataset.test_size", True),
+    ("dataset", "spread", "dataset.spread", True),
+    ("dataset", "noise", "dataset.noise", True),
+    ("teacher", "source", "teacher_source", False),
+    ("teacher", "path", "teacher_path", False),
+)
 
 
-def _getnum(sec, key, default, cast, positive=False):
-    raw = sec.get(key, None)
-    if raw is None:
-        return default
+def _field(cfg, dotted: str):
+    for name in dotted.split("."):
+        cfg = getattr(cfg, name)
+    return cfg
+
+
+def _parse_value(raw: str, default, name: str, positive: bool):
+    """`raw` as the type of `default`; every error names `name` (section.key)."""
+    if isinstance(default, bool):
+        word = raw.lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("0", "false", "no", "off"):
+            return False
+        raise ConfigError(f"{name}: expected a boolean, got {word!r}")
     try:
-        val = cast(raw)
+        val = type(default)(raw)
     except ValueError as exc:
-        raise ConfigError(f"{sec.name}.{key}: {exc}") from exc
-    if cast is float and not math.isfinite(val):
-        raise ConfigError(f"{sec.name}.{key}: must be finite, got {raw.strip()!r}")
+        raise ConfigError(f"{name}: {exc}") from exc
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{name}: must be finite, got {raw!r}")
     if positive and val <= 0:
-        raise ConfigError(f"{sec.name}.{key}: must be positive, got {val}")
+        raise ConfigError(f"{name}: must be positive, got {val}")
     return val
+
+
+def _with_values(default, values: dict, prefix: str = ""):
+    """`default` with `values` (keyed by dotted field) put in; each nested
+    config is built once, before the config that holds it."""
+    changes = {}
+    for f in fields(default):
+        dotted = prefix + f.name
+        value = getattr(default, f.name)
+        if is_dataclass(value):
+            changes[f.name] = _with_values(value, values, dotted + ".")
+        elif dotted in values:
+            changes[f.name] = values[dotted]
+    return replace(default, **changes)
 
 
 def parse_config(path) -> RunConfig:
     """Parse an INI run config with full defaulting and field-level
-    diagnostics (section.key named in every error). The known sections
-    and keys are those `write_effective_config` writes. A missing or
-    unreadable file, a malformed one, an unknown section or key, or a
-    number that is not finite raises ConfigError."""
-    cp = configparser.ConfigParser()
+    diagnostics (section.key named in every error). Values are literal:
+    `%` is not interpolated. A missing or unreadable file, a malformed
+    one, a section or key not in `_CONFIG_KEYS`, or a number that is not
+    finite raises ConfigError."""
+    # no header names the default section "", so [DEFAULT] is an unknown section
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -252,123 +310,52 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
-    known = _effective_config(RunConfig())
+    known: dict[str, list[str]] = {}
+    for section, key, _, _ in _CONFIG_KEYS:
+        known.setdefault(section, []).append(key)
     for name in cp.sections():
         if name not in known:
-            raise ConfigError(f"unknown config section [{name}]; "
-                              f"known: {', '.join(known.sections())}")
+            raise ConfigError(f"unknown config section [{name}]; known: {', '.join(known)}")
         unknown = sorted(set(cp[name]) - set(known[name]))
         if unknown:
             raise ConfigError(f"{name}.{unknown[0]}: unknown key; "
                               f"known: {', '.join(known[name])}")
-    for name in known.sections():
-        if name not in cp:
-            cp.add_section(name)
-    run, mdl, stm, opt, dst, tch = (cp[s] for s in
-                                    ("run", "model", "stem", "optimizer", "dataset", "teacher"))
-    stem = StemSpec(
-        kind=stm.get("kind", "vector"),
-        in_features=_getnum(stm, "in_features", 64, int, positive=True),
-        tokens=_getnum(stm, "tokens", 4, int, positive=True),
-        in_channels=_getnum(stm, "in_channels", 3, int, positive=True),
-        image_size=_getnum(stm, "image_size", 32, int, positive=True),
-        patch_size=_getnum(stm, "patch_size", 4, int, positive=True),
-    )
-    sur_kind = mdl.get("surrogate", "sigmoid")
-    try:
-        surrogate = SurrogateSpec(
-            kind=SurrogateKind(sur_kind),
-            width_or_alpha=_getnum(mdl, "surrogate_width", 4.0, float, positive=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model.surrogate: {exc}") from exc
-    model_cfg = ModelConfig(
-        depth=_getnum(mdl, "depth", 2, int, positive=True),
-        embed_dim=_getnum(mdl, "embed_dim", 64, int, positive=True),
-        heads=_getnum(mdl, "heads", 2, int, positive=True),
-        timesteps=_getnum(mdl, "timesteps", 2, int, positive=True),
-        tau=_getnum(mdl, "tau", 0.5, float, positive=True),
-        v_threshold=_getnum(mdl, "v_threshold", 1.0, float, positive=True),
-        hidden_ratio=_getnum(mdl, "hidden_ratio", 4.0, float, positive=True),
-        num_classes=_getnum(mdl, "num_classes", 10, int, positive=True),
-        stem=stem,
-        surrogate=surrogate,
-        weight_mode=mdl.get("weight_mode", "binary"),
-        topology=mdl.get("topology", "reversible"),
-        dual_head=_getbool(mdl, "dual_head", True),
-        classify_on=mdl.get("classify_on", "x0"),
-        ste_clip=_getnum(mdl, "ste_clip", 1.0, float, positive=True),
-    )
-    dataset = DatasetSpec(
-        format=dst.get("format", "synthetic"),
-        path=dst.get("path", ""),
-        dims=_getnum(dst, "dims", 64, int, positive=True),
-        num_classes=_getnum(dst, "num_classes", 10, int, positive=True),
-        train_size=_getnum(dst, "train_size", 512, int, positive=True),
-        test_size=_getnum(dst, "test_size", 256, int, positive=True),
-        spread=_getnum(dst, "spread", 1.0, float, positive=True),
-        noise=_getnum(dst, "noise", 0.85, float, positive=True),
-    )
-    return RunConfig(
-        model=model_cfg,
-        dataset=dataset,
-        seed=_getnum(run, "seed", 0, int),
-        epochs=_getnum(run, "epochs", 50, int),
-        batch_size=_getnum(run, "batch_size", 64, int, positive=True),
-        out_dir=run.get("out", "runs/out"),
-        lr=_getnum(opt, "lr", 6e-3, float, positive=True),
-        weight_decay=_getnum(opt, "weight_decay", 0.0, float),
-        clip_norm=_getnum(opt, "clip_norm", 5.0, float),
-        cosine=_getbool(opt, "cosine", True),
-        teacher_source=tch.get("source", "none"),
-        teacher_path=tch.get("path", ""),
-    )
-
-
-def _effective_config(cfg: RunConfig) -> configparser.ConfigParser:
-    """Every section and key of `cfg` as an INI config, defaults included."""
-    cp = configparser.ConfigParser()
-    m, s = cfg.model, cfg.model.stem
-    cp["run"] = {
-        "seed": str(cfg.seed), "epochs": str(cfg.epochs),
-        "batch_size": str(cfg.batch_size), "out": cfg.out_dir,
-    }
-    cp["model"] = {
-        "depth": str(m.depth), "embed_dim": str(m.embed_dim), "heads": str(m.heads),
-        "timesteps": str(m.timesteps), "tau": repr(m.tau),
-        "v_threshold": repr(m.v_threshold), "hidden_ratio": repr(m.hidden_ratio),
-        "num_classes": str(m.num_classes), "weight_mode": m.weight_mode,
-        "topology": m.topology, "dual_head": str(m.dual_head).lower(),
-        "classify_on": m.classify_on, "ste_clip": repr(m.ste_clip),
-        "surrogate": m.surrogate.kind.value,
-        "surrogate_width": repr(m.surrogate.width_or_alpha),
-    }
-    cp["stem"] = {
-        "kind": s.kind, "in_features": str(s.in_features), "tokens": str(s.tokens),
-        "in_channels": str(s.in_channels), "image_size": str(s.image_size),
-        "patch_size": str(s.patch_size),
-    }
-    cp["optimizer"] = {
-        "lr": repr(cfg.lr), "weight_decay": repr(cfg.weight_decay),
-        "clip_norm": repr(cfg.clip_norm), "cosine": str(cfg.cosine).lower(),
-    }
-    d = cfg.dataset
-    cp["dataset"] = {
-        "format": d.format, "path": d.path, "dims": str(d.dims),
-        "num_classes": str(d.num_classes), "train_size": str(d.train_size),
-        "test_size": str(d.test_size), "spread": repr(d.spread), "noise": repr(d.noise),
-    }
-    cp["teacher"] = {"source": cfg.teacher_source, "path": cfg.teacher_path}
-    return cp
+    defaults = RunConfig()
+    values = {}
+    for section, key, dotted, positive in _CONFIG_KEYS:
+        raw = cp.get(section, key, fallback=None)
+        if raw is not None:
+            values[dotted] = _parse_value(raw, _field(defaults, dotted), f"{section}.{key}",
+                                          positive)
+    return _with_values(defaults, values)
 
 
 def write_effective_config(cfg: RunConfig, path) -> None:
+    """Every key of `cfg`, defaults included, as the INI text `parse_config`
+    reads back to an equal config."""
+    sections: dict[str, dict[str, str]] = {}
+    for section, key, dotted, _ in _CONFIG_KEYS:
+        value = _field(cfg, dotted)
+        if isinstance(value, bool):
+            text = str(value).lower()
+        elif isinstance(value, SurrogateKind):
+            text = value.value
+        else:
+            text = str(value)  # a float's str is its repr
+        sections.setdefault(section, {})[key] = text
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_dict(sections)
     with open(path, "w") as fh:
-        _effective_config(cfg).write(fh)
+        cp.write(fh)
 
 
 # ---------------------------------------------------------------------------
 # commands
+
+
+def _require_classes(data: Dataset, classes: int) -> None:
+    if data.num_classes != classes:
+        raise DataError(f"dataset classes {data.num_classes} != model classes {classes}")
 
 
 def _load_teacher(cfg: RunConfig, data: Dataset):
@@ -403,12 +390,12 @@ def cmd_train(config_path, seed_override: int | None = None,
         cfg = replace(cfg, seed=seed_override)
     if out_override is not None:
         cfg = replace(cfg, out_dir=out_override)
+    data = load_dataset(cfg.dataset, cfg.seed)
+    _require_classes(data, cfg.model.num_classes)
+    teacher = _load_teacher(cfg, data)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_effective_config(cfg, out / "effective.ini")
-
-    data = load_dataset(cfg.dataset, cfg.seed)
-    teacher = _load_teacher(cfg, data)
     model = SpikingTransformer(cfg.model, seed=cfg.seed)
     ckpt_path = out / "ckpt-last.bin"
     metrics_path = out / "metrics.jsonl"
@@ -449,10 +436,7 @@ def cmd_eval(checkpoint_path, dataset_spec: DatasetSpec, seed: int = 0,
              out_path=None) -> int:
     model = load_checkpoint(checkpoint_path)
     data = load_dataset(dataset_spec, seed)
-    if data.num_classes != model.cfg.num_classes:
-        raise DataError(
-            f"dataset classes {data.num_classes} != model classes {model.cfg.num_classes}"
-        )
+    _require_classes(data, model.cfg.num_classes)
     x = data.x_test if data.x_test is not None else data.x_train
     y = data.y_test if data.y_test is not None else data.y_train
     acc = learn.evaluate_accuracy(model, x, y)
@@ -497,11 +481,11 @@ def cmd_pack_teacher_logits(checkpoint_path, dataset_spec: DatasetSpec,
 def _dataset_from_args(args) -> tuple[DatasetSpec, int]:
     """Dataset spec plus the seed generating it; --seed overrides the
     config's run seed, which otherwise travels with the dataset section."""
-    if args.config:
+    if args.config is not None:
         cfg = parse_config(args.config)
         seed = args.seed if args.seed is not None else cfg.seed
         return cfg.dataset, seed
-    return DatasetSpec(format=args.format, path=args.dataset or ""), (args.seed or 0)
+    return DatasetSpec(format=args.format or "synthetic", path=args.dataset or ""), (args.seed or 0)
 
 
 def _seed(text: str) -> int:
@@ -525,22 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=_seed, default=None)
     p_train.add_argument("--out", default=None)
 
-    for name in ("eval", "inspect"):
+    for name in ("eval", "inspect", "pack-teacher-logits"):
         p = sub.add_parser(name)
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--config", default=None, help="read the dataset section from this config")
         p.add_argument("--dataset", default=None, help="dataset file path")
-        p.add_argument("--format", default="synthetic", choices=DATASET_FORMATS)
+        p.add_argument("--format", default=None, choices=DATASET_FORMATS)
         p.add_argument("--seed", type=_seed, default=None)
-        p.add_argument("--out", default=None)
-
-    p_pack = sub.add_parser("pack-teacher-logits")
-    p_pack.add_argument("--checkpoint", required=True)
-    p_pack.add_argument("--config", default=None)
-    p_pack.add_argument("--dataset", default=None)
-    p_pack.add_argument("--format", default="synthetic", choices=DATASET_FORMATS)
-    p_pack.add_argument("--seed", type=_seed, default=None)
-    p_pack.add_argument("--out", required=True)
+        p.add_argument("--out", required=name == "pack-teacher-logits", default=None)
     return parser
 
 
@@ -548,24 +524,23 @@ def main(argv=None) -> int:
     level = os.environ.get("SPIKEBIT_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command != "train" and args.config is not None and (
+            args.dataset is not None or args.format is not None):
+        parser.error("--config excludes --dataset and --format; "
+                     "the config's [dataset] section names the data")
     try:
         if args.command == "train":
             return cmd_train(args.config, args.seed, args.out)
-        if args.command == "eval":
-            spec, seed = _dataset_from_args(args)
-            return cmd_eval(args.checkpoint, spec, seed, args.out)
-        if args.command == "inspect":
-            spec, seed = _dataset_from_args(args)
-            return cmd_inspect(args.checkpoint, spec, seed, args.out)
-        if args.command == "pack-teacher-logits":
-            spec, seed = _dataset_from_args(args)
-            return cmd_pack_teacher_logits(args.checkpoint, spec, seed, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        command = {"eval": cmd_eval, "inspect": cmd_inspect,
+                   "pack-teacher-logits": cmd_pack_teacher_logits}[args.command]
+        spec, seed = _dataset_from_args(args)
+        return command(args.checkpoint, spec, seed, args.out)
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SpikebitError as exc:
+    except (SpikebitError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,8 @@
 import json
 import re
 import struct
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from spikebit.cli import (
     write_effective_config,
 )
 from spikebit.errors import ConfigError, DataError, TrainingError
-from spikebit.model import load_checkpoint
+from spikebit.model import ModelConfig, StemSpec, load_checkpoint
+from spikebit.neuron import SurrogateKind, SurrogateSpec
 from spikebit.numeric import Rng
 
 MINI_CONFIG = """
@@ -51,6 +54,78 @@ test_size = 32
 """
 
 
+# `write_effective_config(RunConfig())`, byte for byte; configparser writes an
+# empty value as "key = " with a trailing space
+DEFAULT_EFFECTIVE = """\
+[run]
+seed = 0
+epochs = 50
+batch_size = 64
+out = runs/out
+
+[model]
+depth = 2
+embed_dim = 64
+heads = 2
+timesteps = 2
+tau = 0.5
+v_threshold = 1.0
+hidden_ratio = 4.0
+num_classes = 10
+weight_mode = binary
+topology = reversible
+dual_head = true
+classify_on = x0
+ste_clip = 1.0
+surrogate = sigmoid
+surrogate_width = 4.0
+
+[stem]
+kind = vector
+in_features = 64
+tokens = 4
+in_channels = 3
+image_size = 32
+patch_size = 4
+
+[optimizer]
+lr = 0.006
+weight_decay = 0.0
+clip_norm = 5.0
+cosine = true
+
+[dataset]
+format = synthetic
+path =
+dims = 64
+num_classes = 10
+train_size = 512
+test_size = 256
+spread = 1.0
+noise = 0.85
+
+[teacher]
+source = none
+path =
+
+""".replace(" =\n", " = \n")
+
+# every key the INI config can set, each away from its default
+ALL_NON_DEFAULT = RunConfig(
+    model=ModelConfig(
+        depth=3, embed_dim=48, heads=3, timesteps=3, tau=0.25, v_threshold=0.75,
+        hidden_ratio=2.5, num_classes=5,
+        stem=StemSpec(kind="conv", in_features=32, tokens=8, in_channels=1, image_size=16,
+                      patch_size=2),
+        surrogate=SurrogateSpec(SurrogateKind.ARCTAN, 2.0), weight_mode="full",
+        topology="residual", dual_head=False, classify_on="x1", ste_clip=0.5),
+    dataset=DatasetSpec(format="csv", path="data/train.csv", dims=32, num_classes=5,
+                        train_size=100, test_size=50, spread=2.0, noise=0.5),
+    seed=7, epochs=3, batch_size=16, out_dir="runs/all", lr=0.01, weight_decay=0.1,
+    clip_norm=1.0, cosine=False, teacher_source="logits-cache", teacher_path="cache.bin",
+)
+
+
 def write_config(tmp_path, epochs=1, name="cfg.ini"):
     out = tmp_path / "run"
     cfg = tmp_path / name
@@ -78,6 +153,38 @@ class TestConfig:
         with pytest.raises(ConfigError, match="dataset.path"):
             DatasetSpec(format="csv", path="")
 
+    def test_default_effective_config_is_pinned(self, tmp_path):
+        eff = tmp_path / "effective.ini"
+        write_effective_config(RunConfig(), eff)
+        assert eff.read_text() == DEFAULT_EFFECTIVE
+
+    def test_every_key_round_trips(self, tmp_path):
+        eff = tmp_path / "effective.ini"
+        write_effective_config(ALL_NON_DEFAULT, eff)
+        text = eff.read_text()
+        # the same keys in the same order, and no value left at its default
+        for line, default in zip(text.splitlines(), DEFAULT_EFFECTIVE.splitlines(), strict=True):
+            if " = " in line:
+                assert line.split(" = ")[0] == default.split(" = ")[0]
+                assert line != default
+        assert parse_config(eff) == ALL_NON_DEFAULT
+
+    def test_percent_is_literal(self, tmp_path):
+        cfg = replace(ALL_NON_DEFAULT, out_dir="runs/50%",
+                      dataset=replace(ALL_NON_DEFAULT.dataset, path="data/%(format)s-5%.csv"))
+        eff = tmp_path / "effective.ini"
+        write_effective_config(cfg, eff)
+        assert "out = runs/50%\n" in eff.read_text()
+        assert parse_config(eff) == cfg
+
+    def test_readme_example_config_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        p = tmp_path / "run.ini"
+        p.write_text(re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1))
+        cfg = parse_config(p)
+        assert (cfg.out_dir, cfg.model.weight_mode, cfg.model.stem.kind, cfg.dataset.format,
+                cfg.teacher_source) == ("runs/demo", "binary", "vector", "synthetic", "none")
+
     def test_bad_value_names_field(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text("[model]\ndepth = banana\n")
@@ -96,10 +203,17 @@ class TestConfig:
         "not_text": (b"\xff\xfe[run]\n", "config file"),
         "unknown_key": ("[model]\ndepht = 8\n", "model.depht: unknown key"),
         "unknown_section": ("[runs]\nseed = 1\n", r"unknown config section \[runs\]"),
+        "default_section": ("[DEFAULT]\nseed = 5\n", r"unknown config section \[DEFAULT\]"),
         "nan": ("[dataset]\nspread = nan\n", "dataset.spread: must be finite"),
         "inf": ("[dataset]\nnoise = inf\n", "dataset.noise: must be finite"),
         "overflow": ("[optimizer]\nlr = 1e999\n", "optimizer.lr: must be finite"),
         "negative_seed": ("[run]\nseed = -1\n", r"run.seed must be >= 0"),
+        "zero_batch_size": ("[run]\nbatch_size = 0\n", "run.batch_size: must be positive"),
+        "zero_lr": ("[optimizer]\nlr = 0\n", "optimizer.lr: must be positive"),
+        "negative_tokens": ("[stem]\ntokens = -1\n", "stem.tokens: must be positive"),
+        "zero_noise": ("[dataset]\nnoise = 0\n", "dataset.noise: must be positive"),
+        "synthetic_with_path": ("[dataset]\npath = d.csv\n", "dataset.path is set"),
+        "teacher_path_without_source": ("[teacher]\npath = c.bin\n", "teacher.path is set"),
     }
 
     @classmethod
@@ -255,6 +369,21 @@ class TestTrainCommand:
         p.write_text("[dataset]\nformat = csv\n")  # path missing
         assert cli.main(["train", "--config", str(p)]) == 2
 
+    def test_train_into_percent_directory(self, tmp_path):
+        cfg_path, _ = write_config(tmp_path, epochs=0)
+        out = tmp_path / "runs 5%"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert parse_config(out / "effective.ini") == replace(parse_config(cfg_path),
+                                                              out_dir=str(out))
+
+    def test_class_count_mismatch_exits_2_before_writing(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text() + "num_classes = 12\n")  # [dataset] is last
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: dataset classes 12 != model classes 10" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_training_error_maps_to_exit_3(self, monkeypatch, tmp_path):
         cfg_path, _ = write_config(tmp_path)
         monkeypatch.setattr(cli, "cmd_train",
@@ -344,6 +473,38 @@ class TestEvalInspect:
         assert rc == 2
         assert "Traceback" not in captured.err and re.search(message, captured.err)
         assert "accuracy" not in captured.out
+
+    @pytest.mark.parametrize("command", ["eval", "inspect", "pack-teacher-logits"])
+    @pytest.mark.parametrize("extra", [["--dataset", "d.csv"], ["--format", "csv"],
+                                       ["--dataset", "d.csv", "--format", "csv"]],
+                             ids=["dataset", "format", "both"])
+    def test_config_excludes_dataset_options(self, capsys, command, extra):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--checkpoint", "m.bin", "--config", "cfg.ini", "--out", "o",
+                      *extra])
+        assert exc.value.code == 2
+        assert "error: --config excludes --dataset and --format" in capsys.readouterr().err
+
+    def test_dataset_without_format_exits_2(self, trained, tmp_path, capsys):
+        _, out = trained
+        rc = cli.main(["eval", "--checkpoint", str(out / "ckpt-last.bin"),
+                       "--dataset", str(tmp_path / "missing.csv")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error: dataset.path is set, but format 'synthetic'" in captured.err
+        assert "accuracy" not in captured.out
+
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect", "pack-teacher-logits"])
+    def test_unwritable_output_exits_2(self, trained, tmp_path, capsys, command):
+        cfg_path, out = trained
+        (tmp_path / "afile").write_text("")
+        target = {"train": tmp_path / "afile", "pack-teacher-logits": tmp_path}.get(
+            command, tmp_path / "nodir" / "x.jsonl")
+        argv = (["--config", str(cfg_path)] if command == "train" else
+                ["--checkpoint", str(out / "ckpt-last.bin"), "--config", str(cfg_path)])
+        assert cli.main([command, *argv, "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_eval_missing_checkpoint_exits_2(self, tmp_path, capsys):
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "nothere.bin")])
