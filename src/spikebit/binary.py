@@ -131,29 +131,24 @@ class StandardizationRecord:
 
     mean: np.ndarray
     std: np.ndarray
-    per_channel: bool
 
 
-def _standardize(w: np.ndarray, per_channel: bool) -> tuple[np.ndarray, StandardizationRecord]:
+def _standardize(w: np.ndarray) -> tuple[np.ndarray, StandardizationRecord]:
     # std as sqrt(var) about the mean already taken: the bytes of
     # w.std(dtype=float64), one pass fewer
-    if per_channel:
-        mean = w.mean(axis=1, keepdims=True, dtype=np.float64)
-        std = np.sqrt(w.var(axis=1, keepdims=True, dtype=np.float64, mean=mean))
-    else:
-        mean = np.asarray(w.mean(dtype=np.float64))
-        std = np.asarray(np.sqrt(w.var(dtype=np.float64, mean=mean)))
-    if np.any(std == 0):
+    mean = np.asarray(w.mean(dtype=np.float64))
+    std = np.asarray(np.sqrt(w.var(dtype=np.float64, mean=mean)))
+    if std == 0:
         raise DegenerateWeightsError("weight tensor has zero spread; cannot standardize")
     z = ((w - mean) / std).astype(w.dtype if w.dtype.kind == "f" else DTYPE)
-    return z, StandardizationRecord(mean=mean, std=std, per_channel=per_channel)
+    return z, StandardizationRecord(mean=mean, std=std)
 
 
-def standardize_latent(w: Tensor, per_channel: bool = False) -> Tensor:
+def standardize_latent(w: Tensor) -> Tensor:
     """Zero-mean, unit-spread copy of the latent weights (float)."""
     w = np.asarray(w, dtype=DTYPE)
     require_finite(w, "latent weights")
-    z, _ = _standardize(w, per_channel)
+    z, _ = _standardize(w)
     return z
 
 
@@ -166,7 +161,7 @@ def _signs(z: np.ndarray) -> Tensor:
     return s
 
 
-def binarize_weights(w: Tensor, per_channel: bool = False) -> tuple[PackedBits, StandardizationRecord]:
+def binarize_weights(w: Tensor) -> tuple[PackedBits, StandardizationRecord]:
     """Standardize the latent weights and take signs, packed +1 -> bit 1.
 
     Values standardizing to exactly zero map to +1 (ties go up). Constant
@@ -176,17 +171,16 @@ def binarize_weights(w: Tensor, per_channel: bool = False) -> tuple[PackedBits, 
     if w.ndim != 2:
         raise ShapeError(f"binarize_weights expects a 2-D matrix, got shape {w.shape}")
     require_finite(w, "latent weights")
-    z, record = _standardize(w, per_channel)
+    z, record = _standardize(w)
     return pack(_signs(z), ALPHABET_PM1), record
 
 
-def binary_signs(w: Tensor, per_channel: bool = False) -> Tensor:
+def binary_signs(w: Tensor) -> Tensor:
     """Float +-1 image of `binarize_weights` without packing."""
-    return _signs(standardize_latent(w, per_channel))
+    return _signs(standardize_latent(w))
 
 
-def ste_backward(grad_out: Tensor, latent: Tensor, clip: float = 1.0,
-                 per_channel: bool = False) -> Tensor:
+def ste_backward(grad_out: Tensor, latent: Tensor, clip: float = 1.0) -> Tensor:
     """Straight-through gradient for the sign-of-standardized-weights map.
 
     The sign itself passes gradients unchanged where the standardized
@@ -204,15 +198,9 @@ def ste_backward(grad_out: Tensor, latent: Tensor, clip: float = 1.0,
         raise ShapeError(
             f"ste_backward shape mismatch: grad {grad_out.shape}, latent {latent.shape}"
         )
-    z, record = _standardize(latent.astype(np.float64), per_channel)
+    z, record = _standardize(latent.astype(np.float64))
     g = grad_out.astype(np.float64) * (np.abs(z) <= clip)
-    if per_channel:
-        g_mean = g.mean(axis=1, keepdims=True)
-        zg_mean = (z * g).mean(axis=1, keepdims=True)
-    else:
-        g_mean = g.mean()
-        zg_mean = (z * g).mean()
-    grad = (g - g_mean - z * zg_mean) / record.std
+    grad = (g - g.mean() - z * (z * g).mean()) / record.std
     return grad.astype(grad_out.dtype if grad_out.dtype.kind == "f" else DTYPE)
 
 

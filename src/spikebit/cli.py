@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import logging
 import math
 import os
@@ -432,35 +433,44 @@ def cmd_train(config_path, seed_override: int | None = None,
     return 0
 
 
+def _records_out(out_path):
+    """The JSONL file `--out` names, opened for appending before any work,
+    so a path that cannot be written fails first; without one, a context
+    that yields None."""
+    return open(out_path, "a") if out_path is not None else contextlib.nullcontext()
+
+
 def cmd_eval(checkpoint_path, dataset_spec: DatasetSpec, seed: int = 0,
              out_path=None) -> int:
-    model = load_checkpoint(checkpoint_path)
-    data = load_dataset(dataset_spec, seed)
-    _require_classes(data, model.cfg.num_classes)
-    x = data.x_test if data.x_test is not None else data.x_train
-    y = data.y_test if data.y_test is not None else data.y_train
-    acc = learn.evaluate_accuracy(model, x, y)
-    batch = x[: min(128, x.shape[0])]
-    report = metrics.cost_report(model, batch)
-    record = {"accuracy": acc, **report.record()}
-    print(f"accuracy {acc:.4f}  sops {report.sops_g:.6f} G  "
-          f"ns-ace {report.ns_ace_g:.6f} G  size {report.model_size_mb:.6f} MB")
-    if out_path is not None:
-        metrics.write_records(out_path, [record])
+    with _records_out(out_path) as out:
+        model = load_checkpoint(checkpoint_path)
+        data = load_dataset(dataset_spec, seed)
+        _require_classes(data, model.cfg.num_classes)
+        x = data.x_test if data.x_test is not None else data.x_train
+        y = data.y_test if data.y_test is not None else data.y_train
+        acc = learn.evaluate_accuracy(model, x, y)
+        batch = x[: min(128, x.shape[0])]
+        report = metrics.cost_report(model, batch)
+        record = {"accuracy": acc, **report.record()}
+        print(f"accuracy {acc:.4f}  sops {report.sops_g:.6f} G  "
+              f"ns-ace {report.ns_ace_g:.6f} G  size {report.model_size_mb:.6f} MB")
+        if out is not None:
+            metrics.write_records(out, [record])
     return 0
 
 
 def cmd_inspect(checkpoint_path, dataset_spec: DatasetSpec, seed: int = 0,
                 out_path=None) -> int:
-    model = load_checkpoint(checkpoint_path)
-    data = load_dataset(dataset_spec, seed)
-    batch = data.x_train[: min(64, data.x_train.shape[0])]
-    report = metrics.representation_report(model, batch)
-    for rec in report.records():
-        print(f"{rec['block']:>10}  value_set_size {rec['value_set_size']:.1f}  "
-              f"entropy {rec['entropy_bits']:.3f} bits")
-    if out_path is not None:
-        metrics.write_records(out_path, report.records())
+    with _records_out(out_path) as out:
+        model = load_checkpoint(checkpoint_path)
+        data = load_dataset(dataset_spec, seed)
+        batch = data.x_train[: min(64, data.x_train.shape[0])]
+        report = metrics.representation_report(model, batch)
+        for rec in report.records():
+            print(f"{rec['block']:>10}  value_set_size {rec['value_set_size']:.1f}  "
+                  f"entropy {rec['entropy_bits']:.3f} bits")
+        if out is not None:
+            metrics.write_records(out, report.records())
     return 0
 
 
@@ -468,6 +478,7 @@ def cmd_pack_teacher_logits(checkpoint_path, dataset_spec: DatasetSpec,
                             seed: int, out_path) -> int:
     teacher = load_checkpoint(checkpoint_path)
     data = load_dataset(dataset_spec, seed)
+    _require_classes(data, teacher.cfg.num_classes)
     cache = learn.build_logits_cache(teacher, data.x_train, data.y_train)
     cache.save(out_path)
     print(f"packed {cache.num_samples} x {cache.num_classes} teacher logits to {out_path}")

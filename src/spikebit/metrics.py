@@ -199,10 +199,14 @@ def cost_report(model: SpikingTransformer, batch: Tensor,
 
 
 def write_records(path, records) -> None:
-    """Append line-delimited JSON records (one object per line)."""
-    with open(path, "a") as fh:
+    """Append line-delimited JSON records (one object per line) to the
+    file at `path`, or to `path` itself when it is an open text file."""
+    if hasattr(path, "write"):
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            path.write(json.dumps(rec, sort_keys=True) + "\n")
+        return
+    with open(path, "a") as fh:
+        write_records(fh, records)
 
 
 def read_records(path) -> list[dict]:

@@ -25,26 +25,23 @@ the values the forward multiplied, so the products match a float32 cache
 byte for byte. Every backward pops the entry it reads, so one training
 forward serves one backward.
 
-In binary mode the record keeps little more than those spikes, since
-backward rebuilds every float activation it can from them, byte for
-byte (the idea of gradient checkpointing, Chen et al. 2016,
-arXiv:1604.06174, where the recompute is exact):
-- a BN after a binary layer keeps its float32 mean and inverse deviation
-  alone. Its input was the layer's product of {0,1} spikes and +-1
-  signs, an integer sum that float32 holds exactly in any order, so
-  backward multiplies the saved spikes and sign matrix again and
-  normalizes with the kept mean and inverse deviation, in the forward's
+In either weight mode the record keeps little more than those spikes:
+backward rebuilds every float activation it can from them, repeating the
+forward's operations on the same operands, so byte for byte (gradient
+checkpointing, Chen et al. 2016, arXiv:1604.06174, with an exact recompute):
+- a BN after a linear or conv layer keeps its float32 mean and inverse
+  deviation alone. Backward multiplies the layer's saved spikes and its
+  sign or latent matrix again (in binary mode an integer sum, exact in
+  any order) and normalizes with the kept statistics, in the forward's
   operations (`numeric._normalize`);
 - a LIF fed by such a BN (Q, K, V and the BMLP's second LIF), by the
   attention map or by the attention context keeps its bool spikes alone.
-  The map and the context are sums of {0,1} products, rebuilt from the
-  saved Q, K, V and attention spikes. Backward re-runs the membrane
-  recurrence on the rebuilt input, reading each reset gate from the
-  saved spikes (`neuron._lif` with `gates`), so the membranes are the
-  forward's bytes.
+  The map and the context are sums of integer products, rebuilt from the
+  saved Q, K, V and attention spikes (or the saved full-precision map).
+  Backward re-runs the membrane recurrence on the rebuilt input, reading
+  each reset gate from the saved spikes (`neuron._lif` with `gates`).
 The other LIFs, fed by a stream, by the input or by a conv-stem max
-pool, keep their float32 membranes. Full-mode models keep every float
-cache, because their products are rounded float sums.
+pool, keep their float32 membranes.
 
 Backward passes use surrogate gradients through the spike nonlinearity
 and the straight-through estimator through weight signs; the membrane
@@ -262,13 +259,13 @@ class LifLayer:
 
     A training forward saves the spikes, as bool, for backprop-through-time,
     and the layers it feeds save views of that bool array. It also saves
-    the pre-reset membranes, unless the caller says its input is `rebuilt`:
+    the pre-reset membranes, unless the caller says its input is `rebuilt`
+    (in either weight mode, so is every input from a BN or the attention):
     then backward takes that input again and re-runs the recurrence on it,
-    with the reset gates read from the saved spikes. The backward pass
-    routes gradients through the surrogate derivative at each firing
-    decision and through the decay recurrence, with the reset gate held
-    constant. Forward runs `neuron.lif_run`'s kernel and returns float
-    spikes either way.
+    with the reset gates read from the saved spikes. Backward routes
+    gradients through the surrogate derivative at each firing decision and
+    through the decay recurrence, with the reset gate held constant.
+    Forward runs `neuron.lif_run`'s kernel and returns float spikes.
     """
 
     def __init__(self, params: neuron.LifParams):
@@ -331,15 +328,15 @@ class BinaryLinearLayer:
     format and the test oracle). In `full` mode the latent weights are
     used directly.
 
-    A training forward saves its input for backward as it was given; fed
-    by a LIF through `forward_lif`, it saves a view of the LIF's bool
-    spikes instead. A binary-mode product is an exact integer sum, so
-    `_output_again` rebuilds it from that entry byte for byte, and the
-    layers it feeds need not save it.
+    Inputs must be {0,1} spikes in either mode. A training forward saves
+    its input for backward as it was given; fed by a LIF through
+    `forward_lif`, it saves a view of the LIF's bool spikes instead.
+    `_output_again` repeats the product on that entry, so the layers it
+    feeds need not save it.
     """
 
     def __init__(self, name: str, in_features: int, out_features: int, rng: Rng,
-                 mode: str = "binary", ste_clip: float = 1.0, per_channel: bool = False):
+                 mode: str = "binary", ste_clip: float = 1.0):
         if mode == "binary" and in_features >= EXACT_FEATURES:
             raise ConfigError(
                 f"{name}: in_features {in_features} >= 2**24; float32 sums of "
@@ -350,7 +347,6 @@ class BinaryLinearLayer:
         self.out_features = out_features
         self.mode = mode
         self.ste_clip = ste_clip
-        self.per_channel = per_channel
         std = 1.0 / np.sqrt(in_features)
         self.weight = Param(rng.normal((out_features, in_features), std=std))
         self._sign_cache = None  # (weight version, +-1 signs)
@@ -359,7 +355,7 @@ class BinaryLinearLayer:
         cached = self._sign_cache
         if cached is not None and cached[0] == self.weight.version:
             return cached[1]
-        signs = binary.binary_signs(self.weight.value, self.per_channel)
+        signs = binary.binary_signs(self.weight.value)
         self._sign_cache = (self.weight.version, signs)
         return signs
 
@@ -391,9 +387,7 @@ class BinaryLinearLayer:
         return np.ascontiguousarray(x.reshape(-1, self.in_features))
 
     def _spike_count(self, flat: Tensor) -> float:
-        """Spikes in a flattened input; in binary mode also its {0,1} check."""
-        if self.mode != "binary":
-            return float(flat.sum(dtype=np.float64))
+        """Spikes in a flattened input, after its {0,1} check."""
         # {0,1} input exactly when every element equals 0 or 1 (two
         # boolean counts; counting nonzero floats directly is slower)
         ones = np.count_nonzero(flat == 1)
@@ -414,9 +408,9 @@ class BinaryLinearLayer:
 
     def _output_again(self, rec: ForwardRecord) -> Tensor:
         """The flattened output of the training forward that saved this
-        layer's entry in `rec`, rebuilt from its input and sign matrix: in
-        binary mode an exact integer sum, so the forward's bytes. The entry
-        keeps the input widened, for backward to reuse."""
+        layer's entry in `rec`: the forward's product again, on the same
+        input values and the same sign or latent matrix, so the forward's
+        bytes. The entry keeps the input widened, for backward to reuse."""
         in2d, signs = _take(rec, self)
         in2d = _widen(in2d)
         rec.saved[self] = (in2d, signs)
@@ -427,9 +421,7 @@ class BinaryLinearLayer:
         g2 = g_out.reshape(-1, self.out_features)
         g_mat = g2.T @ _widen(in2d)
         if self.mode == "binary":
-            self.weight.grad += binary.ste_backward(
-                g_mat, self.weight.value, self.ste_clip, self.per_channel
-            )
+            self.weight.grad += binary.ste_backward(g_mat, self.weight.value, self.ste_clip)
         else:
             self.weight.grad += g_mat
         g_in = g2 @ signs
@@ -446,7 +438,7 @@ class BatchNormLayer:
     inverse deviation for backward, unless the caller says its input is
     `rebuilt`: then it saves the two per-channel statistics alone, and
     the caller hands that input back through `_normalize_again` before
-    backward runs.
+    backward runs. A forward on running statistics saves nothing.
     """
 
     def __init__(self, name: str, channels: int, epsilon: float = 1e-5, momentum: float = 0.1):
@@ -461,20 +453,20 @@ class BatchNormLayer:
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None,
                 rebuilt: bool = False) -> Tensor:
-        keep = _saving(rec)
+        keep = training and _saving(rec)
         out, xhat, mean, inv = numeric._batch_norm(x, self.bn_params(), training,
                                                    keep and not rebuilt, self.name)
         if keep:  # without xhat, out has taken over its buffer
-            rec.saved[self] = (None if rebuilt else xhat, mean, inv, training)
+            rec.saved[self] = (None if rebuilt else xhat, mean, inv)
         return out
 
     def _normalize_again(self, rec: ForwardRecord, x: Tensor) -> Tensor:
         """xhat of the training forward that saved this layer's statistics
         in `rec`, rebuilt in place of `x`, that forward's input, with the
         forward's operations; the entry keeps it for backward."""
-        _, mean, inv, training = _take(rec, self)
+        _, mean, inv = _take(rec, self)
         xhat = numeric._normalize(x, mean, inv, out=x)
-        rec.saved[self] = (xhat, mean, inv, training)
+        rec.saved[self] = (xhat, mean, inv)
         return xhat
 
     def _output_again(self, xhat: Tensor) -> Tensor:
@@ -482,15 +474,12 @@ class BatchNormLayer:
         return numeric._scale_shift(xhat, self.gamma.value, self.beta.value)
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
-        xhat, _, inv, training = _take(rec, self)
+        xhat, _, inv = _take(rec, self)
         axes = tuple(range(g_out.ndim - 1))
         self.beta.grad += g_out.sum(axis=axes)
         tmp = g_out * xhat
         self.gamma.grad += tmp.sum(axis=axes)
         g_xhat = g_out * self.gamma.value
-        if not training:
-            g_xhat *= inv
-            return g_xhat
         n = float(np.prod(g_out.shape[:-1]))
         mean_g = g_xhat.sum(axis=axes) / n
         mean_gx = np.multiply(g_xhat, xhat, out=tmp).sum(axis=axes) / n
@@ -567,16 +556,12 @@ def _through_bn(g: Tensor, rec: ForwardRecord | None, proj: BinaryLinearLayer,
                 bn: BatchNormLayer, lif: LifLayer | None = None) -> Tensor:
     """Backward through `proj -> bn`, or through `proj -> bn -> lif` with
     `lif`: the gradient at proj's input from `g`, the gradient at the
-    output. A binary-mode forward told bn and lif that their inputs are
-    `rebuilt`, and they are, from proj's entry: bn's input, its xhat, and
-    the output of bn that lif read."""
-    x = None
-    if proj.mode == "binary":
-        xhat = bn._normalize_again(rec, proj._output_again(rec).reshape(g.shape))
-        if lif is not None:
-            x = bn._output_again(xhat)
+    output. The forward told bn and lif that their inputs are `rebuilt`,
+    and they are, from proj's entry: bn's input, its xhat, and the output
+    of bn that lif read."""
+    xhat = bn._normalize_again(rec, proj._output_again(rec).reshape(g.shape))
     if lif is not None:
-        g = lif.backward(g, rec=rec, x=x)
+        g = lif.backward(g, rec=rec, x=bn._output_again(xhat))
     return proj.backward(bn.backward(g, rec), rec)
 
 
@@ -707,7 +692,17 @@ class ModelConfig:
         for name, value in sizes.items():
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
-        if not math.isfinite(self.hidden_ratio) or self.hidden_dim < 1:
+        floats = {"tau": self.tau, "v_threshold": self.v_threshold,
+                  "hidden_ratio": self.hidden_ratio, "ste_clip": self.ste_clip,
+                  "attn_scale": self.attn_scale,
+                  "surrogate.width_or_alpha": self.surrogate.width_or_alpha}
+        for name, value in floats.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        for name in ("ste_clip", "attn_scale"):
+            if floats[name] <= 0:
+                raise ConfigError(f"{name} must be positive, got {floats[name]}")
+        if self.hidden_dim < 1:
             raise ConfigError(
                 f"hidden_ratio {self.hidden_ratio} must give a finite hidden width >= 1 "
                 f"at embed_dim {self.embed_dim}"
@@ -807,7 +802,7 @@ class VectorStem:
         tokens = x.reshape(B, self.tokens, self.chunk)
         rep = np.broadcast_to(tokens, (self.timesteps,) + tokens.shape).astype(DTYPE)
         h = self.linear.forward_lif(self.lif, rep, rec)
-        return self.bn.forward(h, training, rec, rebuilt=self.linear.mode == "binary")
+        return self.bn.forward(h, training, rec, rebuilt=True)
 
     def backward(self, g: Tensor, rec: ForwardRecord | None) -> Tensor:
         """The gradient at the time-replicated input, from the gradient at
@@ -861,8 +856,8 @@ class ConvStem:
             s = lif.forward(np.ascontiguousarray(h), rec)
             h = conv.forward(s, rec)
             # BN over channels: move channel axis last and back
-            h = np.moveaxis(bn.forward(np.moveaxis(h, 2, -1), training, rec,
-                                       rebuilt=conv.linear.mode == "binary"), -1, 2)
+            h = np.moveaxis(bn.forward(np.moveaxis(h, 2, -1), training, rec, rebuilt=True),
+                            -1, 2)
             if pool is not None:
                 h = pool.forward(h, rec)
         T, B, C, H, W = h.shape
@@ -878,8 +873,8 @@ class ConvStem:
             if pool is not None:
                 g = pool.backward(g, rec)
             g = np.moveaxis(g, 2, -1)
-            if conv.linear.mode == "binary":  # the BN's input, (T, B, H, W, C) as it was
-                bn._normalize_again(rec, conv.linear._output_again(rec).reshape(g.shape))
+            # the BN's input, (T, B, H, W, C) as it was
+            bn._normalize_again(rec, conv.linear._output_again(rec).reshape(g.shape))
             g = np.moveaxis(bn.backward(g, rec), -1, 2)
             g = conv.backward(np.ascontiguousarray(g), rec)
             g = lif.backward(g, rec=rec)
@@ -949,10 +944,9 @@ class BssaBlock:
         flat = self.q_proj._flat(s)
         spikes = self.q_proj._spike_count(flat)
         lead = s.shape[:-1]
-        b = self.binary_attn  # binary mode: backward rebuilds each float input
-        q, k, v = (
-            lif.forward(bn.forward(proj._product(flat, spikes, lead, rec), training, rec, b),
-                        rec, b)
+        q, k, v = (  # backward rebuilds each float input (`_through_bn`)
+            lif.forward(bn.forward(proj._product(flat, spikes, lead, rec), training, rec,
+                                   rebuilt=True), rec, rebuilt=True)
             for proj, bn, lif in ((self.q_proj, self.q_bn, self.q_lif),
                                   (self.k_proj, self.k_bn, self.k_lif),
                                   (self.v_proj, self.v_bn, self.v_lif))
@@ -968,13 +962,10 @@ class BssaBlock:
             rec.taps[self] = attn
         if self.binary_attn:
             s_attn = self.attn_lif.forward(attn, rec, rebuilt=True)
-            ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
-            ctx = self.lam.forward(ctx0)
             sops = float(q.sum()) * attn.shape[-1] + float(s_attn.sum()) * self.head_dim
         else:
-            s_attn = attn
-            ctx = np.einsum("tbhnm,tbhmd->tbhnd", attn, vh, optimize=True) * self.attn_scale
-            sops = 0.0
+            s_attn, sops = attn, 0.0
+        ctx = self._context(s_attn, vh)[1]
         if rec is not None:
             rec.sops[self] = sops
         if _saving(rec):
@@ -983,31 +974,40 @@ class BssaBlock:
             saved = rec.saved
             saved[self] = (saved[self.q_lif][1], saved[self.k_lif][1], saved[self.v_lif][1],
                            saved[self.attn_lif][1] if self.binary_attn else attn)
-        return self.o_bn.forward(self.o_proj.forward_lif(self.o_in, self._merge(ctx), rec, b),
-                                 training, rec, b)
+        out = self.o_proj.forward_lif(self.o_in, ctx, rec, rebuilt=True)
+        return self.o_bn.forward(out, training, rec, rebuilt=True)
+
+    def _context(self, s_attn: Tensor, vh: Tensor) -> tuple[Tensor, Tensor]:
+        """The attention map's product with V's head splits, and the
+        context it scales to (by lambda or attn_scale), heads merged."""
+        ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
+        ctx = self.lam.forward(ctx0) if self.binary_attn else ctx0 * self.attn_scale
+        return ctx0, self._merge(ctx)
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
-        """In binary mode every float input a LIF or BN read is rebuilt from
-        the saved spikes: the attention map and the context are sums of
-        {0,1} products, and the projections' outputs are exact integer
-        sums (`_through_bn`), so each is the forward's bytes."""
+        """Every float input a LIF or BN read is rebuilt from the saved
+        spikes and map: the attention map and the context are sums of
+        integer products, scaled as the forward scaled them, and the
+        projections' outputs are their forward products again
+        (`_through_bn`), so each is the forward's bytes."""
         q, k, v, s_attn = _take(rec, self)
         g = _through_bn(g_out, rec, self.o_proj, self.o_bn)
         vh, s_attn = self._split(v, DTYPE), _widen(s_attn)
         qh, kh = self._split(q, DTYPE), self._split(k, DTYPE)
+        ctx0, ctx = self._context(s_attn, vh)
+        g = self._split(self.o_in.backward(g, rec=rec, x=ctx))
+        del ctx
         if self.binary_attn:
-            ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
-            g = self.o_in.backward(g, rec=rec, x=self._merge(self.lam.forward(ctx0)))
-            g_ctx0 = self.lam.backward(self._split(g), ctx0)
+            g_ctx0 = self.lam.backward(g, ctx0)
             del ctx0
             g_sattn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx0, vh, optimize=True)
             g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx0, optimize=True)
             attn = np.matmul(qh, kh.swapaxes(-1, -2))  # {0,1} operands: exact in any order
             g_attn = self.attn_lif.backward(g_sattn, rec=rec, x=attn)
         else:
-            g_ctx = self._split(self.o_in.backward(g, rec=rec))
-            g_attn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx, vh, optimize=True) * self.attn_scale
-            g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx, optimize=True) * self.attn_scale
+            del ctx0
+            g_attn = np.einsum("tbhnd,tbhmd->tbhnm", g, vh, optimize=True) * self.attn_scale
+            g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g, optimize=True) * self.attn_scale
         g_qh = np.einsum("tbhnm,tbhmd->tbhnd", g_attn, kh, optimize=True)
         g_kh = np.einsum("tbhnm,tbhnd->tbhmd", g_attn, qh, optimize=True)
         # x_in's spikes, widened once for the three projections that read them
@@ -1047,9 +1047,9 @@ class BmlpBlock:
         self.bn2 = BatchNormLayer(f"{name}.bn2", D)
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
-        b = self.fc1.mode == "binary"  # backward rebuilds each float input (`_through_bn`)
-        h = self.bn1.forward(self.fc1.forward_lif(self.lif1, x, rec), training, rec, b)
-        out = self.bn2.forward(self.fc2.forward_lif(self.lif2, h, rec, b), training, rec, b)
+        h = self.bn1.forward(self.fc1.forward_lif(self.lif1, x, rec), training, rec, rebuilt=True)
+        out = self.bn2.forward(self.fc2.forward_lif(self.lif2, h, rec, rebuilt=True), training,
+                               rec, rebuilt=True)
         if rec is not None and rec.taps is not None:
             rec.taps[self] = out  # the final normalized map, for rep-cap probes
         return out

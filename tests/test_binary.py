@@ -179,40 +179,31 @@ class TestBinarizeWeights:
         moved, _ = binarize_weights((scale * w + shift).astype(np.float32))
         assert np.array_equal(base.words, moved.words)
 
-    def test_per_channel_option(self):
-        w = np.array([[1.0, 2.0, 3.0], [30.0, 10.0, 20.0]], dtype=np.float32)
-        signs = binary_signs(w, per_channel=True)
-        assert signs[0].tolist() == [-1.0, 1.0, 1.0]
-        assert signs[1].tolist() == [1.0, -1.0, 1.0]
-
-    @pytest.mark.parametrize("per_channel", [False, True])
-    def test_standardize_matches_std_expression_bytewise(self, per_channel):
+    def test_standardize_matches_std_expression_bytewise(self):
         # the spread is sqrt(var) about the mean already taken; it must
         # equal numpy's float64 std, and the standardized copy with it
         rng = np.random.default_rng(31)
-        axis = 1 if per_channel else None
         for shape in [(1, 3), (7, 9), (128, 512), (3, 8193), (1, 20000)]:
             for dtype in (np.float32, np.float64):
                 w = (rng.normal(size=shape) * rng.uniform(0.01, 10.0)
                      + rng.normal() * 5.0).astype(dtype)
-                mean = w.mean(axis=axis, keepdims=per_channel, dtype=np.float64)
-                std = w.std(axis=axis, keepdims=per_channel, dtype=np.float64)
-                z, record = binary._standardize(w, per_channel)
+                mean = w.mean(dtype=np.float64)
+                std = w.std(dtype=np.float64)
+                z, record = binary._standardize(w)
                 assert np.asarray(record.std).tobytes() == np.asarray(std).tobytes()
                 assert z.tobytes() == ((w - mean) / std).astype(dtype).tobytes()
 
-    @pytest.mark.parametrize("per_channel", [False, True])
-    def test_signs_match_select_reference_bytewise(self, per_channel):
+    def test_signs_match_select_reference_bytewise(self):
         rng = np.random.default_rng(29)
         v = rng.integers(-3, 4, size=(8, 32)).astype(np.float32)
         mats = [rng.normal(size=(64, 256)).astype(np.float32),
-                np.concatenate([v, -v], axis=1)]  # zero-mean rows: exact zeros in z
+                np.concatenate([v, -v], axis=1)]  # a zero-mean matrix: exact zeros in z
         for w in mats:
-            z = standardize_latent(w, per_channel)
+            z = standardize_latent(w)
             want = np.where(z >= 0, 1.0, -1.0).astype(np.float32)
-            got = binary_signs(w, per_channel)
+            got = binary_signs(w)
             assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
-            pb, _ = binarize_weights(w, per_channel)
+            pb, _ = binarize_weights(w)
             assert np.array_equal(pb.words, pack(want, ALPHABET_PM1).words)
         assert (z == 0).any()
         zeros = np.array([[-0.0, 0.0, -1e-45, 1e-45]], dtype=np.float32)

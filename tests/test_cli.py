@@ -503,8 +503,9 @@ class TestEvalInspect:
         argv = (["--config", str(cfg_path)] if command == "train" else
                 ["--checkpoint", str(out / "ckpt-last.bin"), "--config", str(cfg_path)])
         assert cli.main([command, *argv, "--out", str(target)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        captured = capsys.readouterr()  # eval and inspect open --out before any work
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_eval_missing_checkpoint_exits_2(self, tmp_path, capsys):
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "nothere.bin")])
@@ -535,10 +536,21 @@ class TestEvalInspect:
         rc = cli.main(["eval", "--checkpoint", str(path), "--config", str(cfg_path)])
         assert rc == 2
 
+    # config floats that JSON reads (it takes NaN and Infinity) but no
+    # model can run with, such as a NaN threshold, which never fires
+    BAD_FLOATS = {
+        "nan_v_threshold": (("v_threshold",), float("nan")),
+        "inf_ste_clip": (("ste_clip",), float("inf")),
+        "negative_ste_clip": (("ste_clip",), -1.0),
+        "nan_attn_scale": (("attn_scale",), float("nan")),
+        "zero_attn_scale": (("attn_scale",), 0.0),
+        "nan_surrogate_width": (("surrogate", "width_or_alpha"), float("nan")),
+    }
+
     @pytest.mark.parametrize("damage", ["list", "no_config", "no_arrays", "unknown_key",
                                         "string_depth", "string_seed", "zero_heads",
                                         "negative_embed_dim", "negative_hidden_ratio",
-                                        "zero_stem_tokens"])
+                                        "zero_stem_tokens", *BAD_FLOATS])
     def test_malformed_checkpoint_header_is_data_error(self, trained, tmp_path, capsys, damage):
         cfg_path, out = trained
         raw = (out / "ckpt-last.bin").read_bytes()
@@ -562,6 +574,12 @@ class TestEvalInspect:
             header["config"]["embed_dim"] = -4
         elif damage == "negative_hidden_ratio":
             header["config"]["hidden_ratio"] = -1.0
+        elif damage in self.BAD_FLOATS:
+            path, value = self.BAD_FLOATS[damage]
+            fields = header["config"]
+            for name in path[:-1]:
+                fields = fields[name]
+            fields[path[-1]] = value
         else:
             header["config"]["stem"]["tokens"] = 0
         hb = json.dumps(header).encode()
@@ -635,6 +653,18 @@ class TestPackTeacherLogits:
         data = load_dataset(spec.dataset, spec.seed)
         assert cache.num_samples == data.x_train.shape[0]
         assert cache.data_hash == learn.dataset_hash(data.x_train, data.y_train)
+
+    def test_class_count_mismatch_exits_2(self, trained, tmp_path, capsys):
+        cfg_path, out = trained
+        twelve = tmp_path / "twelve.ini"
+        twelve.write_text(cfg_path.read_text().replace("[dataset]\n",
+                                                        "[dataset]\nnum_classes = 12\n"))
+        cache_path = tmp_path / "cache.bin"
+        rc = cli.main(["pack-teacher-logits", "--checkpoint", str(out / "ckpt-last.bin"),
+                       "--config", str(twelve), "--out", str(cache_path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not cache_path.exists()
+        assert "error: dataset classes 12 != model classes 10" in captured.err
 
     def test_cache_dataset_mismatch_rejected(self, tmp_path):
         cfg_path, out = write_config(tmp_path, epochs=0)

@@ -534,7 +534,7 @@ class TestCheckpoint:
         layers = list(loaded.binary_linear_layers())
         seeded = [lyr._sign_cache for lyr in layers]
         for lyr, (version, signs) in zip(layers, seeded):
-            want = binary_signs(lyr.weight.value, lyr.per_channel)
+            want = binary_signs(lyr.weight.value)
             assert version == 0 and signs.tobytes() == want.tobytes()
         x, y = Rng(46).normal((4, 64)), np.arange(4)
         loaded.forward(x)  # the first forward reuses the seeded signs
@@ -678,13 +678,11 @@ def _bn_reference_forward(bn, x, training):
     return xhat * bn.gamma.value + bn.beta.value, xhat, inv, mean, var
 
 
-def _bn_reference_backward(bn, g_out, xhat, inv, training):
+def _bn_reference_backward(bn, g_out, xhat, inv):
     axes = tuple(range(g_out.ndim - 1))
     g_beta = g_out.sum(axis=axes)
     g_gamma = (g_out * xhat).sum(axis=axes)
     g_xhat = g_out * bn.gamma.value
-    if not training:
-        return g_xhat * inv, g_gamma, g_beta
     n = float(np.prod(g_out.shape[:-1]))
     mean_g = g_xhat.sum(axis=axes) / n
     mean_gx = (g_xhat * xhat).sum(axis=axes) / n
@@ -716,16 +714,20 @@ class TestBatchNormKernel:
             _bytes_equal(batch_norm(x, p, training), want)
             _bytes_equal(p.running_mean, bn.running_mean)
             _bytes_equal(p.running_var, bn.running_var)
-        if training:
-            m = bn.momentum
-            assert bn.running_mean.tobytes() == (
-                ((1.0 - m) * before[0] + m * mean).astype(np.float32)).tobytes()
-            assert bn.running_var.tobytes() == (
-                ((1.0 - m) * before[1] + m * var).astype(np.float32)).tobytes()
         g = r.normal(x.shape).astype(dtype)
         if strided_grad:  # channels-last view of a channels-first array, as in the conv stem
             g = np.moveaxis(np.ascontiguousarray(np.moveaxis(g, -1, 2)), 2, -1)
-        want_g, want_gamma, want_beta = _bn_reference_backward(bn, g, xhat, inv, training)
+        if not training:  # running statistics: the forward saves nothing for a backward
+            assert rec.saved == {}
+            with pytest.raises(TrainingError, match="cached forward"):
+                bn.backward(g, rec)
+            return
+        m = bn.momentum
+        assert bn.running_mean.tobytes() == (
+            ((1.0 - m) * before[0] + m * mean).astype(np.float32)).tobytes()
+        assert bn.running_var.tobytes() == (
+            ((1.0 - m) * before[1] + m * var).astype(np.float32)).tobytes()
+        want_g, want_gamma, want_beta = _bn_reference_backward(bn, g, xhat, inv)
         _bytes_equal(bn.backward(g, rec), want_g)
         _bytes_equal(bn.gamma.grad, want_gamma)
         _bytes_equal(bn.beta.grad, want_beta)
@@ -733,7 +735,7 @@ class TestBatchNormKernel:
         # the caller hands the input back before backward
         bn.running_mean[:], bn.running_var[:] = before
         _bytes_equal(bn.forward(x, training, rec, rebuilt=True), want)
-        kept, mean_kept, inv_kept, _ = rec.saved[bn]
+        kept, mean_kept, inv_kept = rec.saved[bn]
         assert kept is None and mean_kept.shape == inv_kept.shape == (C,)
         _bytes_equal(bn._normalize_again(rec, x.copy()), xhat)
         _bytes_equal(bn._output_again(xhat), want)
@@ -803,9 +805,9 @@ class TestSharedInputLif:
 
 
 def _keep_every_float_cache(monkeypatch):
-    """Make binary-mode training keep every float cache, as full mode does:
-    every LIF saves its membranes and every BN its xhat, and backward reads
-    those in place of the inputs it rebuilds."""
+    """Make training keep every float cache: every LIF saves its membranes
+    and every BN its xhat, and backward reads those in place of the inputs
+    it rebuilds."""
     lif_forward, bn_forward = LifLayer.forward, BatchNormLayer.forward
     monkeypatch.setattr(LifLayer, "forward",
                         lambda self, x, rec=None, rebuilt=False: lif_forward(self, x, rec))
@@ -828,9 +830,10 @@ def _same_grads(got_part, want_part):
 
 
 class TestRebuiltInputs:
-    """A binary-mode training forward keeps no BN xhat and no membranes of
-    a LIF whose input backward can rebuild; the rebuilt backward must match
-    a reference that keeps every float cache, byte for byte."""
+    """A training forward, in either weight mode, keeps no BN xhat and no
+    membranes of a LIF whose input backward can rebuild; the rebuilt
+    backward must match a reference that keeps every float cache, byte for
+    byte."""
 
     def test_bmlp_matches_float_cache_reference_bytewise(self):
         cfg = toy_config("residual", timesteps=3)
@@ -872,12 +875,16 @@ class TestRebuiltInputs:
         assert got_g.shape == rep.shape and got_g.tobytes() == want_g.tobytes()
         _same_grads(got_stem, ref)
 
-    @pytest.mark.parametrize("kind", ["reversible", "residual", "conv"])
+    @pytest.mark.parametrize("kind", ["reversible", "residual", "conv", "full_reversible",
+                                      "full_residual"])
     def test_training_steps_match_float_cache_reference_bytewise(self, kind, monkeypatch):
         cfg, shape = {
             "reversible": (toy_config("reversible", timesteps=3), (8, 64)),
             "residual": (toy_config("residual", timesteps=3), (8, 64)),
             "conv": (conv_config(image=16), (4, 3, 16, 16)),
+            "full_reversible": (toy_config("reversible", timesteps=3, weight_mode="full"),
+                                (8, 64)),
+            "full_residual": (toy_config("residual", timesteps=3, weight_mode="full"), (8, 64)),
         }[kind]
         x, y = Rng(66).normal(shape, std=2.0), np.arange(shape[0]) % 10
         nets = []
@@ -887,7 +894,8 @@ class TestRebuiltInputs:
                 if reference:
                     _keep_every_float_cache(mp)
                 net.forward(x[:2], training=True)
-                kept = [net._record.saved[lif][0] is not None for lif in net.lif_layers()]
+                saved = net._record.saved  # full-precision attention has no LIF
+                kept = [saved[lif][0] is not None for lif in net.lif_layers() if lif in saved]
                 assert all(kept) == reference
                 net.backward(*(np.ones((2, 10), np.float32),) * 2)  # drops the record
                 opt = learn.AdamW(net.named_params(), lr=1e-2)
@@ -910,7 +918,7 @@ class TestCheckpointImages:
             lyr.forward(np.zeros((1, lyr.in_features), dtype=np.float32))  # fill the sign cache
         # the images close the container, in layer order
         fresh = b"".join(
-            binary.packed_bytes(binary.binarize_weights(lyr.weight.value, lyr.per_channel)[0])
+            binary.packed_bytes(binary.binarize_weights(lyr.weight.value)[0])
             for lyr in net.binary_linear_layers()
         )
         assert checkpoint_bytes(net).endswith(fresh)
@@ -976,8 +984,8 @@ class TestTrainingCaches:
 
     @staticmethod
     def _rebuilt_lifs(net):
-        """The LIFs whose input backward rebuilds in binary mode: those fed
-        by a BN, the attention map or the attention context."""
+        """The LIFs whose input backward rebuilds: those fed by a BN, the
+        attention map or the attention context."""
         out = set()
         for blk in net.blocks:
             bssa, bmlp = blk.parts()
@@ -988,8 +996,7 @@ class TestTrainingCaches:
     def test_spikes_are_kept_once_as_bool(self, kind):
         net, _, _ = self._training_forward(kind)
         saved = net._record.saved
-        binary_mode = kind != "full_residual"
-        rebuilt = self._rebuilt_lifs(net) if binary_mode else set()
+        rebuilt = self._rebuilt_lifs(net)
         for lif in net.lif_layers():
             if kind == "full_residual" and lif.p.reset is Reset.SOFT:
                 assert lif not in saved  # full-precision attention is not binarized
@@ -998,19 +1005,15 @@ class TestTrainingCaches:
             assert spikes.dtype == np.bool_
             if lif in rebuilt:  # backward re-runs the recurrence on the rebuilt input
                 assert u_pre is None
-            else:  # fed by a stream or the input, or a full-mode float sum
+            else:  # fed by a stream or the input
                 assert u_pre.dtype == np.float32 and u_pre.shape == spikes.shape
-        # a BN after a binary layer keeps its statistics alone; backward
-        # rebuilds its input, an exact integer sum, from that layer's entry
+        # a BN after a linear or conv layer keeps its statistics alone, in
+        # either weight mode; backward rebuilds its input, the layer's
+        # product, from that layer's entry
         for bn in M.walk(net, BatchNormLayer):
-            xhat, mean, inv, training = saved[bn]
-            assert training and mean.dtype == inv.dtype == np.float32
+            xhat, mean, inv = saved[bn]
+            assert xhat is None and mean.dtype == inv.dtype == np.float32
             assert mean.shape == inv.shape == (bn.channels,)
-            if binary_mode:
-                assert xhat is None
-            else:
-                assert xhat.dtype == np.float32 and xhat.shape[-1] == bn.channels
-                assert xhat.size > bn.channels
         pairs = [(blk.x_in, proj) for blk in net.bssa_blocks()
                  for proj in (blk.q_proj, blk.k_proj, blk.v_proj)]
         pairs += [(blk.o_in, blk.o_proj) for blk in net.bssa_blocks()]
@@ -1117,9 +1120,9 @@ class TestTrainingCaches:
     def test_training_step_memory_per_block(self, topology, mode):
         # a block kept about 137 bytes per element of its (T, B, N, D)
         # stream with float32 spike caches and head-split copies; bool
-        # spikes kept once bring it to about 93 (89 measured in full mode).
-        # In binary mode backward rebuilds the BN inputs and most LIF
-        # membranes, which leaves about 19
+        # spikes kept once bring it to about 93. Backward rebuilds the BN
+        # inputs and most LIF membranes, in either weight mode, which
+        # leaves about 19 (21 in full mode)
         T, B, N, D = 2, 16, 8, 32
         peaks = []
         for depth in (1, 3):
@@ -1135,7 +1138,7 @@ class TestTrainingCaches:
             finally:
                 tracemalloc.stop()
         per_block = (peaks[1] - peaks[0]) / 2
-        assert per_block <= (30 if mode == "binary" else 110) * T * B * N * D, per_block
+        assert per_block <= 30 * T * B * N * D, per_block
 
     def test_calibrate_keeps_no_caches_and_matches_a_training_forward(self):
         cfg = toy_config("reversible", embed_dim=64, timesteps=4, tokens=8)
@@ -1234,16 +1237,26 @@ class TestTiledInference:
             toy_config("reversible", embed_dim=64, timesteps=4, tokens=8), seed=64)
         tile = self._tile(net, 1)  # the rows in flight, in samples
         x = Rng(65).normal((8 * tile, 64), std=2.0)
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                net.forward(x[:batch])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the reference is one tile on one worker, which runs inline: two
+        # workers' half-tiles may or may not overlap in time, so their own
+        # one-tile peak can read as little as one half-tile's working set
+        monkeypatch.setattr(M, "_infer_workers", lambda: 1)
+        net.forward(x)  # sign caches exist before the measurement
+        ref = peak(tile)
         for workers in (1, 2):
             monkeypatch.setattr(M, "_infer_workers", lambda w=workers: w)
-            net.forward(x)  # sign caches and the pool exist before the measurement
-            peaks = []
-            for batch in (tile, 8 * tile):
-                tracemalloc.start()
-                net.forward(x[:batch])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-                tracemalloc.stop()
-            assert peaks[1] <= 1.5 * peaks[0], (workers, peaks)
+            net.forward(x)  # the pool exists before the measurement
+            got = peak(8 * tile)
+            assert got <= 1.5 * ref, (workers, got, ref)
 
     @pytest.mark.parametrize("cpus,cpu_max,blas,workers", [
         ({0}, None, {"OPENBLAS_NUM_THREADS": "1"}, 1),
