@@ -479,8 +479,12 @@ def cmd_pack_teacher_logits(checkpoint_path, dataset_spec: DatasetSpec,
     teacher = load_checkpoint(checkpoint_path)
     data = load_dataset(dataset_spec, seed)
     _require_classes(data, teacher.cfg.num_classes)
-    cache = learn.build_logits_cache(teacher, data.x_train, data.y_train)
-    cache.save(out_path)
+    # opened before the teacher runs, so a path that cannot be written fails
+    # first; opened to append, so a teacher that fails leaves the file as it was
+    with open(out_path, "ab") as out:
+        cache = learn.build_logits_cache(teacher, data.x_train, data.y_train)
+        out.truncate(0)
+        cache.save(out)
     print(f"packed {cache.num_samples} x {cache.num_classes} teacher logits to {out_path}")
     return 0
 

@@ -123,32 +123,39 @@ class TeacherLogitsCache:
         return TeacherOutput.from_logits(self.logits[ids])
 
     def save(self, path) -> None:
+        """Write the cache to the file at `path`, or to `path` itself when
+        it is an open binary file."""
+        if not hasattr(path, "write"):
+            with open(path, "wb") as fh:
+                return self.save(fh)
         records = np.empty(self.num_samples, dtype=_cache_record(self.num_classes))
         records["id"] = np.arange(self.num_samples)
         records["logits"] = self.logits
-        with open(path, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<IIQ", self.num_samples, self.num_classes, self.data_hash))
-            fh.write(records.tobytes())
+        path.write(_CACHE_MAGIC)
+        path.write(struct.pack("<IIQ", self.num_samples, self.num_classes, self.data_hash))
+        path.write(records.tobytes())
 
     @classmethod
     def load(cls, path) -> "TeacherLogitsCache":
         """Inverse of `save`: n records of (u32 id, c float32 logits) with
-        ids 0..n-1 in order. A short or long payload, or a missing file,
-        raises DataError."""
+        ids 0..n-1 in order. No records, a short or long payload, or a
+        missing file raises DataError."""
         with open_input(path, "logits cache") as fh:
             magic = fh.read(len(_CACHE_MAGIC))
             if magic != _CACHE_MAGIC:
                 raise DataError(f"bad logits-cache magic: {magic!r}")
             n, c, data_hash = struct.unpack("<IIQ", read_exact(fh, 16, "logits-cache header"))
-            record = _cache_record(c)
             raw = fh.read()
-        if len(raw) != n * record.itemsize:
+        # checked before numpy builds a record of c classes, which it
+        # refuses (ValueError) once the record's size does not fit a C int
+        if n == 0:
+            raise DataError("logits cache holds no records")
+        if len(raw) != n * (4 + 4 * c):
             raise DataError(
                 f"logits-cache payload is {len(raw)} bytes; {n} records of {c} classes "
-                f"need {n * record.itemsize}"
+                f"need {n * (4 + 4 * c)}"
             )
-        records = np.frombuffer(raw, dtype=record, count=n)
+        records = np.frombuffer(raw, dtype=_cache_record(c), count=n)
         bad = np.flatnonzero(records["id"] != np.arange(n))
         if bad.size:
             i = int(bad[0])

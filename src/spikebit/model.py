@@ -8,6 +8,13 @@ normalization, the spike-attention block (BSSA), the binary MLP (BMLP),
 and two encoder topologies: reversible two-stream blocks with a
 closed-form inverse, and the standard residual baseline.
 
+The encoder state is a tuple of streams in both topologies: (x0, x1) in
+reversible (a `ReversibleState`) and (x,) in residual. Every encoder
+block's forward and backward take and return such a tuple. The model
+decides once, as it is built, how many streams there are and which
+stream each head reads (`SpikingTransformer.stream_heads`); its forward
+and backward then run one path for both topologies.
+
 Each stem, block and the model list their direct parts once, in build
 order, through `parts()`, and `walk` visits them depth first; that order
 is the checkpoint manifest's (arrays and 1-bit images alike).
@@ -58,7 +65,7 @@ import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, asdict
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -747,15 +754,12 @@ class ModelConfig:
         return cls(**d)
 
 
-@dataclass
-class ReversibleState:
-    """The two-stream state threaded through reversible encoder blocks."""
+class ReversibleState(NamedTuple):
+    """The two-stream state threaded through reversible encoder blocks:
+    the tuple of streams every encoder block takes and returns."""
 
     x0: Tensor
     x1: Tensor
-
-    def copy(self) -> "ReversibleState":
-        return ReversibleState(self.x0.copy(), self.x1.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -1063,7 +1067,21 @@ class BmlpBlock:
         return (self.lif1, self.fc1, self.bn1, self.lif2, self.fc2, self.bn2)
 
 
-class ReversibleBlock:
+class EncoderBlock:
+    """A BSSA and a BMLP sub-block, coupled to the encoder's streams by the
+    subclass. `forward` and `backward` take and return a tuple of streams
+    (or of their gradients) and never write their input."""
+
+    def __init__(self, name: str, cfg: ModelConfig, rng: Rng):
+        self.name = name
+        self.bssa = BssaBlock(f"{name}.bssa", cfg, rng.child(1))
+        self.bmlp = BmlpBlock(f"{name}.bmlp", cfg, rng.child(2))
+
+    def parts(self):
+        return (self.bssa, self.bmlp)
+
+
+class ReversibleBlock(EncoderBlock):
     """Two-stream coupling with a closed-form inverse:
 
         x0' = BSSA(x1) + (x0 + x1) / 2
@@ -1074,12 +1092,7 @@ class ReversibleBlock:
     rounding.
     """
 
-    def __init__(self, name: str, cfg: ModelConfig, rng: Rng):
-        self.name = name
-        self.bssa = BssaBlock(f"{name}.bssa", cfg, rng.child(1))
-        self.bmlp = BmlpBlock(f"{name}.bmlp", cfg, rng.child(2))
-
-    def forward(self, s: ReversibleState, training: bool,
+    def forward(self, s: tuple[Tensor, Tensor], training: bool,
                 rec: ForwardRecord | None = None) -> ReversibleState:
         # The coupling algebra follows the state dtype. Training uses
         # float32 states; the reconstruction harness threads float64
@@ -1088,51 +1101,47 @@ class ReversibleBlock:
         # float32 storage rounding to the 1e-4 scale and can flip
         # borderline spikes. Sub-blocks always evaluate on the float32
         # cast, so both directions see bit-identical inputs.
-        a = self.bssa.forward(np.ascontiguousarray(s.x1, dtype=DTYPE), training, rec)
-        x0n = s.x0 + s.x1
+        x0, x1 = s
+        a = self.bssa.forward(np.ascontiguousarray(x1, dtype=DTYPE), training, rec)
+        x0n = x0 + x1
         x0n *= 0.5
         x0n += a  # a + 0.5 * (x0 + x1), in the state dtype
         m = self.bmlp.forward(np.ascontiguousarray(x0n, dtype=DTYPE), training, rec)
-        x1n = s.x1 + x0n
+        x1n = x1 + x0n
         x1n *= 0.5
         x1n += m  # m + 0.5 * (x1 + x0n)
-        return ReversibleState(x0=x0n, x1=x1n)
+        return ReversibleState(x0n, x1n)
 
-    def inverse(self, s: ReversibleState) -> ReversibleState:
-        m = self.bmlp.forward(np.ascontiguousarray(s.x0, dtype=DTYPE), training=False)
-        x1 = 2.0 * (s.x1 - m) - s.x0
+    def inverse(self, s: tuple[Tensor, Tensor]) -> ReversibleState:
+        y0, y1 = s
+        m = self.bmlp.forward(np.ascontiguousarray(y0, dtype=DTYPE), training=False)
+        x1 = 2.0 * (y1 - m) - y0
         a = self.bssa.forward(np.ascontiguousarray(x1, dtype=DTYPE), training=False)
-        x0 = 2.0 * (s.x0 - a) - x1
-        return ReversibleState(x0=x0, x1=x1)
+        x0 = 2.0 * (y0 - a) - x1
+        return ReversibleState(x0, x1)
 
-    def backward(self, g0: Tensor, g1: Tensor, rec: ForwardRecord | None) -> tuple[Tensor, Tensor]:
+    def backward(self, gs: tuple[Tensor, Tensor],
+                 rec: ForwardRecord | None) -> tuple[Tensor, Tensor]:
+        g0, g1 = gs
         g0_total = g0 + self.bmlp.backward(g1, rec) + 0.5 * g1
         g_x1 = 0.5 * g1 + self.bssa.backward(g0_total, rec) + 0.5 * g0_total
-        g_x0 = 0.5 * g0_total
-        return g_x0, g_x1
-
-    def parts(self):
-        return (self.bssa, self.bmlp)
+        return 0.5 * g0_total, g_x1
 
 
-class ResidualBlock:
-    """Standard (non-reversible) encoder block: x += BSSA(x); x += BMLP(x)."""
+class ResidualBlock(EncoderBlock):
+    """Standard (non-reversible) encoder block on one stream:
+    x += BSSA(x); x += BMLP(x)."""
 
-    def __init__(self, name: str, cfg: ModelConfig, rng: Rng):
-        self.name = name
-        self.bssa = BssaBlock(f"{name}.bssa", cfg, rng.child(1))
-        self.bmlp = BmlpBlock(f"{name}.bmlp", cfg, rng.child(2))
-
-    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
+    def forward(self, s: tuple[Tensor], training: bool,
+                rec: ForwardRecord | None = None) -> tuple[Tensor]:
+        (x,) = s
         x = x + self.bssa.forward(x, training, rec)
-        return (x + self.bmlp.forward(x, training, rec)).astype(DTYPE, copy=False)
+        return ((x + self.bmlp.forward(x, training, rec)).astype(DTYPE, copy=False),)
 
-    def backward(self, g: Tensor, rec: ForwardRecord | None) -> Tensor:
+    def backward(self, gs: tuple[Tensor], rec: ForwardRecord | None) -> tuple[Tensor]:
+        (g,) = gs
         g = g + self.bmlp.backward(g, rec)
-        return g + self.bssa.backward(g, rec)
-
-    def parts(self):
-        return (self.bssa, self.bmlp)
+        return (g + self.bssa.backward(g, rec),)
 
 
 # ---------------------------------------------------------------------------
@@ -1153,9 +1162,14 @@ class _BlankRng:
 class SpikingTransformer:
     """Stem -> encoder blocks -> time/token mean -> linear head(s).
 
-    Reversible topology carries the (x0, x1) stream pair and exposes a
-    classification head on one stream and an optional distillation head
-    on the other; residual topology carries a single stream and one head.
+    The encoder carries a tuple of streams: the (x0, x1) pair in
+    reversible topology, the one stream (x,) in residual. `stream_heads`
+    is the head table, one (head, stream index) pair per stream with the
+    classification head's first: that head reads the stream `classify_on`
+    names (the only one in residual), and the distillation head, or None,
+    reads the other. `forward`, `backward` and `heads_forward` read the
+    table, so only `_build` (and `run_reversible`'s check) looks at the
+    topology.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
@@ -1179,16 +1193,15 @@ class SpikingTransformer:
         else:
             raise ConfigError(f"unknown stem kind {cfg.stem.kind!r}")
         self.reversible = cfg.topology == "reversible"
-        cls_blk = ReversibleBlock if self.reversible else ResidualBlock
-        self.blocks = [
-            cls_blk(f"block{i}", cfg, rng.child(100 + i)) for i in range(cfg.depth)
-        ]
+        cls_blk, streams = (ReversibleBlock, 2) if self.reversible else (ResidualBlock, 1)
+        self.blocks = [cls_blk(f"block{i}", cfg, rng.child(100 + i)) for i in range(cfg.depth)]
         D = cfg.embed_dim
         self.head_cls = LinearHead("head_cls", D, cfg.num_classes, rng.child(900))
-        self.head_dist = (
-            LinearHead("head_dist", D, cfg.num_classes, rng.child(901))
-            if (self.reversible and cfg.dual_head) else None
-        )
+        self.head_dist = (LinearHead("head_dist", D, cfg.num_classes, rng.child(901))
+                          if self.reversible and cfg.dual_head else None)
+        # the head table: one (head, stream it reads) pair per stream
+        c = ("x0", "x1").index(cfg.classify_on) % streams
+        self.stream_heads = ((self.head_cls, c), (self.head_dist, 1 - c))[:streams]
         self._record = None  # what the last training forward saved, until backward
 
     # -- forward / backward ------------------------------------------------
@@ -1229,9 +1242,7 @@ class SpikingTransformer:
             pooled, _ = self._encode(x, True, rec)
         else:
             pooled, rec = self._infer(x, taps=False)
-        if self.reversible:
-            return self._dual_heads(*pooled, rec)
-        return self.head_cls.forward(pooled[0], rec), None
+        return self._heads(pooled, rec)
 
     def probe(self, x: Tensor, taps: bool = False) -> ForwardRecord:
         """The `ForwardRecord` of an inference forward over a batch, without
@@ -1252,11 +1263,10 @@ class SpikingTransformer:
         Returns the time/token mean of each stream (x0, x1 or the
         residual stream) and `rec`."""
         e = self.embed(x, training, rec)
-        # blocks never write their input state, so both streams share e
-        state = ReversibleState(x0=e, x1=e) if self.reversible else e
+        # blocks never write their input state, so the streams share e
+        streams = (e,) * len(self.stream_heads)
         for blk in self.blocks:
-            state = blk.forward(state, training, rec)
-        streams = (state.x0, state.x1) if self.reversible else (state,)
+            streams = blk.forward(streams, training, rec)
         if _saving(rec):
             rec.saved[self] = (streams[0].shape,)
         return [h.mean(axis=(0, 2)) for h in streams], rec
@@ -1285,15 +1295,13 @@ class SpikingTransformer:
         pooled = [np.concatenate(stream) for stream in zip(*(p for p, _ in results))]
         return pooled, ForwardRecord.merged([r for _, r in results])
 
-    def _dual_heads(self, pooled0: Tensor, pooled1: Tensor,
-                    rec: ForwardRecord | None = None) -> tuple[Tensor, Tensor | None]:
-        if self.cfg.classify_on == "x0":
-            cls_in, dist_in = pooled0, pooled1
-        else:
-            cls_in, dist_in = pooled1, pooled0
-        logits = self.head_cls.forward(cls_in, rec)
-        dist_logits = self.head_dist.forward(dist_in, rec) if self.head_dist else None
-        return logits, dist_logits
+    def _heads(self, pooled: list[Tensor],
+               rec: ForwardRecord | None = None) -> tuple[Tensor, Tensor | None]:
+        """Classification and distillation logits (None without a
+        distillation head), each head on its stream's pooled mean."""
+        logits = [head.forward(pooled[i], rec) if head else None
+                  for head, i in self.stream_heads]
+        return (*logits, None)[:2]
 
     def backward(self, g_logits: Tensor, g_dist: Tensor | None = None) -> None:
         """Backprop the logit gradients of the last training forward into
@@ -1303,27 +1311,13 @@ class SpikingTransformer:
         ((T, B, N, D),) = _take(rec, self)
         scale = DTYPE(1.0 / (T * N))
 
-        def unpool(g2d):
-            return np.broadcast_to(g2d[None, :, None, :] * scale, (T, B, N, D)).astype(DTYPE)
-
-        if self.reversible:
-            g_cls = self.head_cls.backward(g_logits, rec)
-            if self.head_dist is not None and g_dist is not None:
-                g_dst = self.head_dist.backward(g_dist, rec)
-            else:
-                g_dst = np.zeros_like(g_cls)
-            if self.cfg.classify_on == "x0":
-                g0, g1 = unpool(g_cls), unpool(g_dst)
-            else:
-                g0, g1 = unpool(g_dst), unpool(g_cls)
-            for blk in reversed(self.blocks):
-                g0, g1 = blk.backward(g0, g1, rec)
-            self.stem.backward((g0 + g1).astype(DTYPE), rec)
-        else:
-            g = unpool(self.head_cls.backward(g_logits, rec))
-            for blk in reversed(self.blocks):
-                g = blk.backward(g, rec)
-            self.stem.backward(g, rec)
+        gs = [None] * len(self.stream_heads)
+        for (head, i), g in zip(self.stream_heads, (g_logits, g_dist)):
+            g = head.backward(g, rec) if head and g is not None else np.zeros((B, D), DTYPE)
+            gs[i] = np.broadcast_to(g[None, :, None, :] * scale, (T, B, N, D)).astype(DTYPE)
+        for blk in reversed(self.blocks):
+            gs = blk.backward(gs, rec)
+        self.stem.backward(sum(gs[1:], gs[0]), rec)  # both streams start as the embedding
 
     def discard_record(self) -> None:
         """Drop what the last training forward saved, for a caller that
@@ -1358,8 +1352,7 @@ class SpikingTransformer:
         if not self.reversible:
             raise ConfigError("run_reversible requires reversible topology")
         e = self.embed(x, training=False).astype(np.float64)
-        stem_state = ReversibleState(x0=e.copy(), x1=e.copy())
-        state = stem_state.copy()
+        state = stem_state = ReversibleState(e, e)
         for blk in self.blocks:
             state = blk.forward(state, training=False)
         return stem_state, state
@@ -1370,9 +1363,10 @@ class SpikingTransformer:
             state = blk.inverse(state)
         return state
 
-    def heads_forward(self, s: ReversibleState) -> tuple[Tensor, Tensor | None]:
-        """Apply the pooled dual heads to a final reversible state."""
-        return self._dual_heads(s.x0.mean(axis=(0, 2)), s.x1.mean(axis=(0, 2)))
+    def heads_forward(self, s: tuple[Tensor, ...]) -> tuple[Tensor, Tensor | None]:
+        """The heads on a final encoder state (a tuple of streams, such as a
+        `ReversibleState`), pooled as `forward` pools it."""
+        return self._heads([h.mean(axis=(0, 2)) for h in s])
 
     # -- parameter plumbing --------------------------------------------------
 

@@ -645,6 +645,7 @@ class TestPackTeacherLogits:
         cfg_path, out = write_config(tmp_path, epochs=0)
         cli.main(["train", "--config", str(cfg_path)])
         cache_path = tmp_path / "cache.bin"
+        cache_path.write_bytes(b"an earlier cache")  # replaced, not appended to
         rc = cli.main(["pack-teacher-logits", "--checkpoint", str(out / "ckpt-last.bin"),
                        "--config", str(cfg_path), "--out", str(cache_path)])
         assert rc == 0
@@ -665,6 +666,29 @@ class TestPackTeacherLogits:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == "" and not cache_path.exists()
         assert "error: dataset classes 12 != model classes 10" in captured.err
+
+    def test_unwritable_output_exits_2_before_the_teacher_runs(self, trained, tmp_path,
+                                                                capsys, monkeypatch):
+        cfg_path, out = trained
+        calls, build = [], learn.build_logits_cache
+        monkeypatch.setattr(learn, "build_logits_cache",
+                            lambda *a, **k: calls.append(a) or build(*a, **k))
+        rc = cli.main(["pack-teacher-logits", "--checkpoint", str(out / "ckpt-last.bin"),
+                       "--config", str(cfg_path), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and calls == []
+        assert captured.err.startswith("error: ")
+
+    def test_failing_teacher_leaves_the_output_as_it_was(self, trained, tmp_path, capsys):
+        cfg_path, out = trained
+        narrow = tmp_path / "narrow.ini"  # 32 features for a 64-feature teacher
+        narrow.write_text(cfg_path.read_text().replace("[dataset]\n", "[dataset]\ndims = 32\n"))
+        cache_path = tmp_path / "cache.bin"
+        cache_path.write_bytes(b"an earlier cache")
+        rc = cli.main(["pack-teacher-logits", "--checkpoint", str(out / "ckpt-last.bin"),
+                       "--config", str(narrow), "--out", str(cache_path)])
+        assert rc == 2 and "Traceback" not in capsys.readouterr().err
+        assert cache_path.read_bytes() == b"an earlier cache"
 
     def test_cache_dataset_mismatch_rejected(self, tmp_path):
         cfg_path, out = write_config(tmp_path, epochs=0)

@@ -141,8 +141,12 @@ class TestTeacher:
             struct.pack("<I", i) + cache.logits[i].astype("<f4").tobytes() for i in range(32))
         swapped = bytearray(raw)
         swapped[22:26] = (1).to_bytes(4, "little")
+        # class counts numpy cannot build a record for, with and without records
+        huge = [raw[:10] + struct.pack("<I", c) + raw[14:] for c in (2**31, 2**32 - 1)]
+        empty = raw[:6] + struct.pack("<II", 0, 2**31) + raw[14:22]
         for bad, match in [(raw[:12], "header truncated"), (raw[:-3], "payload"),
-                           (raw + b"\0", "payload"), (bytes(swapped), "out of order")]:
+                           (raw + b"\0", "payload"), (bytes(swapped), "out of order"),
+                           (huge[0], "payload"), (huge[1], "payload"), (empty, "no records")]:
             path.write_bytes(bad)
             with pytest.raises(DataError, match=match):
                 TeacherLogitsCache.load(path)

@@ -316,6 +316,45 @@ class TestHeads:
         assert np.allclose(y, net.head_cls.forward(cls_in), atol=1e-6)
         assert np.allclose(y_d, net.head_dist.forward(dist_in), atol=1e-6)
 
+    def test_head_wiring_in_backward(self):
+        """Model A classifies on x1 and model B on x0, with the two heads'
+        weights swapped: each stream meets the same head weights and, with
+        the logit gradients swapped, gets the same gradient, so the logits
+        swap and every other gradient matches byte for byte."""
+        a = SpikingTransformer(toy_config("reversible", classify_on="x1"), seed=31)
+        b = SpikingTransformer(toy_config("reversible", classify_on="x0"), seed=31)
+        for src, dst in ((a.head_cls, b.head_dist), (a.head_dist, b.head_cls)):
+            for (_, p), (_, q) in zip(src.params(), dst.params()):
+                q.value[...] = p.value
+        x, r = Rng(32).normal((3, 64)), Rng(33)
+        g, h = r.child(0).normal((3, 10)), r.child(1).normal((3, 10))
+        y_a, d_a = a.forward(x, training=True)
+        y_b, d_b = b.forward(x, training=True)
+        _bytes_equal(y_a, d_b)
+        _bytes_equal(d_a, y_b)
+        a.backward(g, h)
+        b.backward(h, g)
+        swapped = {"head_cls": "head_dist", "head_dist": "head_cls"}
+        grads_b = {n: p.grad for n, p in b.named_params()}
+        for n, p in a.named_params():
+            part, _, rest = n.partition(".")
+            assert p.grad.any(), n
+            _bytes_equal(p.grad, grads_b[f"{swapped.get(part, part)}.{rest}"])
+
+    @pytest.mark.parametrize("classify_on", ["x0", "x1"])
+    def test_backward_reaches_the_classified_stream(self, classify_on):
+        """The last block's BMLP feeds x1 alone, so with one head its
+        gradient is exactly zero when that head reads x0 and not when it
+        reads x1: backward sends the logit gradient to the stream the
+        forward read."""
+        net = SpikingTransformer(toy_config("reversible", dual_head=False,
+                                            classify_on=classify_on), seed=34)
+        logits, _ = net.forward(Rng(35).normal((3, 64)), training=True)
+        net.backward(Rng(36).normal(logits.shape))
+        bmlp_grads = [p.grad.any() for part in M.walk(net.blocks[-1].bmlp)
+                      if hasattr(part, "params") for _, p in part.params()]
+        assert bmlp_grads == [classify_on == "x1"] * len(bmlp_grads)
+
 
 class TestModelPlumbing:
     def test_forward_is_deterministic_given_seed(self):
