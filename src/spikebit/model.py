@@ -21,14 +21,16 @@ is the checkpoint manifest's (arrays and 1-bit images alike).
 
 Array layout is time-major: activations are (T, B, N, D) for token
 streams and (T, B, C, H, W) inside the convolutional stem. Spikes are
-float32 zeros/ones; attention maps before binarization are nonnegative
-integers carried in float32 (exact below 2**24).
+bool, one byte each: a LIF returns them so, and a product widens them to
+the float32 zeros and ones it multiplies. Attention maps before
+binarization are nonnegative integers carried in float32 (exact below
+2**24).
 
 A training forward keeps what backward reads in its `ForwardRecord`, not
-on the layers. Each spike tensor is kept once, as bool: the LIF that
-fired it saves it, and the binary layer or attention block it feeds saves
-a view of that same array; backward widens it to float32 zeros and ones,
-the values the forward multiplied, so the products match a float32 cache
+on the layers. Each spike tensor is kept once: the LIF that fired it
+saves the array it returns, and the binary layers and attention block it
+feeds save that same array (or a view of it); backward widens it to the
+float32 zeros and ones the forward multiplied, so the products match
 byte for byte. Every backward pops the entry it reads, so one training
 forward serves one backward.
 
@@ -47,8 +49,8 @@ checkpointing, Chen et al. 2016, arXiv:1604.06174, with an exact recompute):
   saved Q, K, V and attention spikes (or the saved full-precision map).
   Backward re-runs the membrane recurrence on the rebuilt input, reading
   each reset gate from the saved spikes (`neuron._lif` with `gates`).
-The other LIFs, fed by a stream, by the input or by a conv-stem max
-pool, keep their float32 membranes.
+The other LIFs keep their float32 membranes: those fed by a stream or by
+the input, and the conv stem's, whether a BN or a max pool feeds them.
 
 Backward passes use surrogate gradients through the spike nonlinearity
 and the straight-through estimator through weight signs; the membrane
@@ -238,12 +240,6 @@ def _take(rec: ForwardRecord | None, owner) -> tuple:
     return entry
 
 
-def _widen(x: Tensor) -> Tensor:
-    """Cached bool spikes as the float32 zeros and ones they stand for;
-    any other array as it is."""
-    return x.astype(DTYPE) if x.dtype == np.bool_ else x
-
-
 def walk(part, kind: type = object) -> Iterator:
     """`part` and every part under it that is a `kind`, depth first: a part
     comes before its own `parts()`, which come in the order it lists them.
@@ -264,28 +260,29 @@ def walk(part, kind: type = object) -> Iterator:
 class LifLayer:
     """LIF population unrolled over the leading time axis.
 
-    A training forward saves the spikes, as bool, for backprop-through-time,
-    and the layers it feeds save views of that bool array. It also saves
-    the pre-reset membranes, unless the caller says its input is `rebuilt`
-    (in either weight mode, so is every input from a BN or the attention):
-    then backward takes that input again and re-runs the recurrence on it,
-    with the reset gates read from the saved spikes. Backward routes
-    gradients through the surrogate derivative at each firing decision and
-    through the decay recurrence, with the reset gate held constant.
-    Forward runs `neuron.lif_run`'s kernel and returns float spikes.
+    Forward runs `neuron.lif_run`'s kernel and returns the spikes as bool.
+    A training forward saves that array for backprop-through-time, and the
+    layers it feeds save it (or views of it) too. It also saves the
+    pre-reset membranes, unless the caller says its input is `rebuilt` (in
+    either weight mode, so is every input from an encoder block's BN or
+    attention): then backward takes that input again and re-runs the
+    recurrence on it, with the reset gates read from the saved spikes.
+    Backward routes gradients through the surrogate derivative at each
+    firing decision and through the decay recurrence, with the reset gate
+    held constant.
     """
 
     def __init__(self, params: neuron.LifParams):
         self.p = params
 
     def forward(self, x: Tensor, rec: ForwardRecord | None = None,
-                rebuilt: bool = False) -> Tensor:
-        """Spikes of `x`. With `rebuilt`, the caller passes backward this
-        same `x` again, so a training forward saves no membranes."""
+                rebuilt: bool = False) -> np.ndarray:
+        """Bool spikes of `x`. With `rebuilt`, the caller passes backward
+        this same `x` again, so a training forward saves no membranes."""
         keep = _saving(rec)
-        spikes, u_pre, fired = neuron._lif(x, self.p, keep, keep and not rebuilt)
+        spikes, u_pre = neuron._lif(x, self.p, keep and not rebuilt)
         if keep:
-            rec.saved[self] = (u_pre, fired)
+            rec.saved[self] = (u_pre, spikes)
         return spikes
 
     def backward(self, *g_spikes: Tensor, rec: ForwardRecord | None,
@@ -335,11 +332,11 @@ class BinaryLinearLayer:
     format and the test oracle). In `full` mode the latent weights are
     used directly.
 
-    Inputs must be {0,1} spikes in either mode. A training forward saves
-    its input for backward as it was given; fed by a LIF through
-    `forward_lif`, it saves a view of the LIF's bool spikes instead.
-    `_output_again` repeats the product on that entry, so the layers it
-    feeds need not save it.
+    Inputs must be spikes in either mode: bool, as a LIF returns them, or
+    {0,1} numbers, which `_spikes` checks and turns into bool. A training
+    forward saves the bool rows it multiplied, for a LIF's spikes a view
+    of the LIF's own array. `_output_again` repeats the product on that
+    entry, so the layers it feeds need not save it.
     """
 
     def __init__(self, name: str, in_features: int, out_features: int, rng: Rng,
@@ -367,48 +364,32 @@ class BinaryLinearLayer:
         return signs
 
     def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
-        flat = self._flat(x)
-        return self._product(flat, self._spike_count(flat), x.shape[:-1], rec)
+        return self._product(self._spikes(x), x.shape[:-1], rec)
 
-    def forward_lif(self, lif: LifLayer, x: Tensor, rec: ForwardRecord | None = None,
-                    rebuilt: bool = False) -> Tensor:
-        """`forward(lif.forward(x, rec, rebuilt), rec)`. A training call
-        saves the LIF's bool spikes, not their float32 image, which lives
-        only for the product."""
-        out = self.forward(lif.forward(x, rec, rebuilt), rec)
-        if _saving(rec):
-            self._keep(rec, rec.saved[lif][1])
-        return out
-
-    def _keep(self, rec: ForwardRecord, spikes: np.ndarray) -> None:
-        """Save `spikes`, the bool image of the input this layer's entry in
-        `rec` multiplied, for backward in place of that input."""
-        in2d, signs = rec.saved[self]
-        rec.saved[self] = (spikes.reshape(in2d.shape), signs)
-
-    def _flat(self, x: Tensor) -> Tensor:
+    def _spikes(self, x: Tensor) -> np.ndarray:
+        """`x` as bool rows of in_features: bool input as it is, any other
+        after its {0,1} check."""
         if x.shape[-1] != self.in_features:
             raise ShapeError(
                 f"{self.name}: input features {x.shape[-1]} != {self.in_features}"
             )
-        return np.ascontiguousarray(x.reshape(-1, self.in_features))
+        flat = x.reshape(-1, self.in_features)
+        if flat.dtype != np.bool_:
+            # {0,1} input exactly when every element equals 0 or 1 (two
+            # boolean counts; counting nonzero floats directly is slower)
+            ones = flat == 1
+            if np.count_nonzero(ones) + np.count_nonzero(flat == 0) != flat.size:
+                binary.require_alphabet(flat, binary.ALPHABET_01)  # raises, naming the element
+            flat = ones
+        return flat
 
-    def _spike_count(self, flat: Tensor) -> float:
-        """Spikes in a flattened input, after its {0,1} check."""
-        # {0,1} input exactly when every element equals 0 or 1 (two
-        # boolean counts; counting nonzero floats directly is slower)
-        ones = np.count_nonzero(flat == 1)
-        if ones + np.count_nonzero(flat == 0) != flat.size:
-            binary.require_alphabet(flat, binary.ALPHABET_01)  # raises, naming the element
-        return float(ones)
-
-    def _product(self, flat: Tensor, spikes: float, lead: tuple,
-                 rec: ForwardRecord | None) -> Tensor:
-        """The product on a flattened input that `_spike_count` has checked."""
+    def _product(self, flat: np.ndarray, lead: tuple, rec: ForwardRecord | None) -> Tensor:
+        """The product on bool rows from `_spikes`, which a training
+        forward saves as they are."""
         if rec is not None:
-            rec.spikes[self] = spikes
+            rec.spikes[self] = float(np.count_nonzero(flat))
         mat = self._binary_signs() if self.mode == "binary" else self.weight.value
-        out = flat @ mat.T
+        out = flat @ mat.T  # the bool rows widen to float32 zeros and ones
         if _saving(rec):
             rec.saved[self] = (flat, mat)
         return out.reshape(lead + (self.out_features,))
@@ -419,14 +400,14 @@ class BinaryLinearLayer:
         input values and the same sign or latent matrix, so the forward's
         bytes. The entry keeps the input widened, for backward to reuse."""
         in2d, signs = _take(rec, self)
-        in2d = _widen(in2d)
+        in2d = in2d.astype(DTYPE, copy=False)
         rec.saved[self] = (in2d, signs)
         return in2d @ signs.T
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
         in2d, signs = _take(rec, self)
         g2 = g_out.reshape(-1, self.out_features)
-        g_mat = g2.T @ _widen(in2d)
+        g_mat = g2.T @ in2d.astype(DTYPE, copy=False)
         if self.mode == "binary":
             self.weight.grad += binary.ste_backward(g_mat, self.weight.value, self.ste_clip)
         else:
@@ -598,8 +579,8 @@ def _col2im(g_cols: Tensor, shape, k: int, pad: int) -> Tensor:
 class Conv3x3Layer:
     """3x3 same-padding convolution as im2col + the binary linear kernel.
 
-    Its input is a LIF's spikes, so a training forward saves the im2col
-    matrix for backward as bool, its own copy at one byte per element.
+    Its input is a LIF's bool spikes, so the im2col matrix is bool, and a
+    training forward saves it for backward at one byte per element.
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, rng: Rng, mode: str,
@@ -610,10 +591,7 @@ class Conv3x3Layer:
 
     def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
         T, B, C, H, W = x.shape
-        cols = _im2col(x.reshape(T * B, C, H, W), 3, 1)
-        out = self.linear.forward(cols, rec)
-        if _saving(rec):
-            self.linear._keep(rec, cols.astype(np.bool_))
+        out = self.linear.forward(_im2col(x.reshape(T * B, C, H, W), 3, 1), rec)
         return out.reshape(T, B, H, W, self.out_ch).transpose(0, 1, 4, 2, 3)
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
@@ -805,7 +783,7 @@ class VectorStem:
         B = x.shape[0]
         tokens = x.reshape(B, self.tokens, self.chunk)
         rep = np.broadcast_to(tokens, (self.timesteps,) + tokens.shape).astype(DTYPE)
-        h = self.linear.forward_lif(self.lif, rep, rec)
+        h = self.linear.forward(self.lif.forward(rep, rec), rec)
         return self.bn.forward(h, training, rec, rebuilt=True)
 
     def backward(self, g: Tensor, rec: ForwardRecord | None) -> Tensor:
@@ -943,22 +921,19 @@ class BssaBlock:
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
         s = self.x_in.forward(x, rec)
-        # Q, K and V read the same spikes: check and count them once, and
-        # all three save the one bool array x_in saves
-        flat = self.q_proj._flat(s)
-        spikes = self.q_proj._spike_count(flat)
+        # Q, K and V read the same spikes: take their rows once, and all
+        # three save the one bool array x_in saves
+        flat = self.q_proj._spikes(s)
         lead = s.shape[:-1]
         q, k, v = (  # backward rebuilds each float input (`_through_bn`)
-            lif.forward(bn.forward(proj._product(flat, spikes, lead, rec), training, rec,
-                                   rebuilt=True), rec, rebuilt=True)
+            lif.forward(bn.forward(proj._product(flat, lead, rec), training, rec, rebuilt=True),
+                        rec, rebuilt=True)
             for proj, bn, lif in ((self.q_proj, self.q_bn, self.q_lif),
                                   (self.k_proj, self.k_bn, self.k_lif),
                                   (self.v_proj, self.v_bn, self.v_lif))
         )
-        if _saving(rec):
-            for proj in (self.q_proj, self.k_proj, self.v_proj):
-                proj._keep(rec, rec.saved[self.x_in][1])
-        qh, kh, vh = self._split(q), self._split(k), self._split(v)
+        # einsum on two bool arrays is a logical product: widen them first
+        qh, kh, vh = self._split(q, DTYPE), self._split(k, DTYPE), self._split(v, DTYPE)
         attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
         if np.any(attn < 0) or np.any(attn != np.round(attn)):
             raise NumericError(f"{self.name}: attention map is not a nonnegative integer tensor")
@@ -966,19 +941,18 @@ class BssaBlock:
             rec.taps[self] = attn
         if self.binary_attn:
             s_attn = self.attn_lif.forward(attn, rec, rebuilt=True)
-            sops = float(q.sum()) * attn.shape[-1] + float(s_attn.sum()) * self.head_dim
+            sops = float(np.count_nonzero(q) * attn.shape[-1]
+                         + np.count_nonzero(s_attn) * self.head_dim)
         else:
             s_attn, sops = attn, 0.0
-        ctx = self._context(s_attn, vh)[1]
+        ctx = self._context(s_attn.astype(DTYPE, copy=False), vh)[1]
         if rec is not None:
             rec.sops[self] = sops
         if _saving(rec):
             # the head splits are re-made in backward; full-precision
             # attention saves its integer map, which is no spike tensor
-            saved = rec.saved
-            saved[self] = (saved[self.q_lif][1], saved[self.k_lif][1], saved[self.v_lif][1],
-                           saved[self.attn_lif][1] if self.binary_attn else attn)
-        out = self.o_proj.forward_lif(self.o_in, ctx, rec, rebuilt=True)
+            rec.saved[self] = (q, k, v, s_attn)
+        out = self.o_proj.forward(self.o_in.forward(ctx, rec, rebuilt=True), rec)
         return self.o_bn.forward(out, training, rec, rebuilt=True)
 
     def _context(self, s_attn: Tensor, vh: Tensor) -> tuple[Tensor, Tensor]:
@@ -996,7 +970,7 @@ class BssaBlock:
         (`_through_bn`), so each is the forward's bytes."""
         q, k, v, s_attn = _take(rec, self)
         g = _through_bn(g_out, rec, self.o_proj, self.o_bn)
-        vh, s_attn = self._split(v, DTYPE), _widen(s_attn)
+        vh, s_attn = self._split(v, DTYPE), s_attn.astype(DTYPE, copy=False)
         qh, kh = self._split(q, DTYPE), self._split(k, DTYPE)
         ctx0, ctx = self._context(s_attn, vh)
         g = self._split(self.o_in.backward(g, rec=rec, x=ctx))
@@ -1014,10 +988,6 @@ class BssaBlock:
             g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g, optimize=True) * self.attn_scale
         g_qh = np.einsum("tbhnm,tbhmd->tbhnd", g_attn, kh, optimize=True)
         g_kh = np.einsum("tbhnm,tbhnd->tbhmd", g_attn, qh, optimize=True)
-        # x_in's spikes, widened once for the three projections that read them
-        s = _widen(rec.saved[self.q_proj][0])
-        for proj in (self.q_proj, self.k_proj, self.v_proj):
-            proj._keep(rec, s)
         g_s = [
             _through_bn(self._merge(gh), rec, proj, bn, lif)
             for gh, lif, bn, proj in (
@@ -1051,9 +1021,10 @@ class BmlpBlock:
         self.bn2 = BatchNormLayer(f"{name}.bn2", D)
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
-        h = self.bn1.forward(self.fc1.forward_lif(self.lif1, x, rec), training, rec, rebuilt=True)
-        out = self.bn2.forward(self.fc2.forward_lif(self.lif2, h, rec, rebuilt=True), training,
-                               rec, rebuilt=True)
+        h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x, rec), rec), training, rec,
+                             rebuilt=True)
+        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h, rec, rebuilt=True), rec),
+                               training, rec, rebuilt=True)
         if rec is not None and rec.taps is not None:
             rec.taps[self] = out  # the final normalized map, for rep-cap probes
         return out

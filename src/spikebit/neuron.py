@@ -110,25 +110,25 @@ def lif_run(inputs: Tensor, p: LifParams) -> Tensor:
     if inputs.ndim < 1 or inputs.shape[0] == 0:
         raise ShapeError("lif_run needs at least one timestep")
     require_finite(inputs, "lif_run inputs")
-    return _lif(inputs, p)[0]
+    return _lif(inputs, p)[0].astype(DTYPE)
 
 
-def _lif(x: Tensor, p: LifParams, keep_fired: bool = False, keep_membranes: bool = False,
-         gates: np.ndarray | None = None) -> tuple[Tensor | None, Tensor | None, np.ndarray | None]:
+def _lif(x: Tensor, p: LifParams, keep_membranes: bool = False,
+         gates: np.ndarray | None = None) -> tuple[np.ndarray | None, Tensor | None]:
     """The LIF dynamics along x's leading time axis from a zero membrane:
     `lif_step`'s operations in the same order, in reused buffers, in x's
-    float dtype. Returns (spikes, pre-reset membranes, fired).
+    float dtype. Returns (spikes, pre-reset membranes).
 
-    `keep_fired` also returns the spikes as bool, one byte each, and
-    `keep_membranes` the pre-reset membranes, for backward to keep; either
-    is None otherwise. With `gates`, the bool spikes an earlier run fired
-    on this same x, the run takes each step's reset gate from them in
-    place of the threshold compare and fires nothing (spikes is None):
-    it rebuilds that run's membranes byte for byte."""
-    dt = x.dtype if x.dtype.kind == "f" else DTYPE
-    spikes = np.empty_like(x) if gates is None else None
-    u_pre = np.empty_like(x) if keep_membranes else None
-    fired = np.empty(x.shape, dtype=np.bool_) if keep_fired else None
+    The spikes are bool, one byte each; the reset reads them as 0.0 or 1.0
+    in that dtype. `keep_membranes` also returns the pre-reset membranes,
+    for backward to keep; they are None otherwise. With `gates`, the bool
+    spikes an earlier run fired on this same x, the run takes each step's
+    reset gate from them in place of the threshold compare and fires
+    nothing (spikes is None): it rebuilds that run's membranes byte for
+    byte."""
+    dt = x.dtype if x.dtype.kind == "f" else np.dtype(DTYPE)
+    spikes = np.empty(x.shape, dtype=np.bool_) if gates is None else None
+    u_pre = np.empty(x.shape, dtype=dt) if keep_membranes else None
     u, up, tmp = (np.empty(x.shape[1:], dtype=dt) for _ in range(3))
     tau = dt.type(p.tau)
     vth = dt.type(p.v_threshold)
@@ -142,11 +142,9 @@ def _lif(x: Tensor, p: LifParams, keep_fired: bool = False, keep_membranes: bool
         else:
             np.add(x[0], 0.0, out=up)  # the membrane starts at +0, and tau * +0 is +0
         if gates is not None:
-            s = gates[t, ...]  # bool, which the ufuncs below read as 0.0 or 1.0 in dt
+            s = gates[t, ...]
         else:
             s = np.greater_equal(up, vth, out=spikes[t, ...])
-            if keep_fired:
-                np.greater_equal(up, vth, out=fired[t, ...])
         if t == x.shape[0] - 1:
             break  # no later step reads the reset membrane
         if hard:
@@ -155,7 +153,7 @@ def _lif(x: Tensor, p: LifParams, keep_fired: bool = False, keep_membranes: bool
         else:
             np.multiply(vth, s, out=tmp, dtype=dt)
             np.subtract(up, tmp, out=u)  # up - vth * s
-    return spikes, u_pre, fired
+    return spikes, u_pre
 
 
 def boolean_binarize(x: Tensor) -> Tensor:

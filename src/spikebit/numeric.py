@@ -96,15 +96,18 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool = False) -> Tensor:
 
 def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, keep: bool,
                 what: str) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Batch norm in x's float dtype: (out, xhat, mean, inv), with xhat =
-    `_normalize(x, mean, inv)` and out = `_scale_shift(xhat, ...)`. Without
-    `keep`, out reuses xhat's buffer. Errors name `what`."""
+    """Batch norm in x's float dtype, float32 for any other input: (out,
+    xhat, mean, inv), with xhat = `_normalize(x, mean, inv)` and out =
+    `_scale_shift(xhat, ...)`. Without `keep`, out reuses xhat's buffer.
+    Errors name `what`."""
     if x.shape[-1] != p.channels:
         raise ShapeError(
             f"{what}: channel mismatch: input has {x.shape[-1]} channels, "
             f"params have {p.channels}"
         )
-    dt = x.dtype if x.dtype.kind == "f" else DTYPE
+    if x.dtype.kind != "f":
+        x = x.astype(DTYPE)
+    dt = x.dtype
     if training:
         flat = x.reshape(-1, p.channels)
         mean64 = flat.mean(axis=0, dtype=np.float64, keepdims=True)

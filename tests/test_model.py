@@ -235,6 +235,20 @@ class TestBinaryLinear:
         assert lyr.forward(x, rec=rec).tobytes() == lyr.forward(np.abs(x)).tobytes()
         assert rec.spikes[lyr] == 3.0
 
+    @pytest.mark.parametrize("mode", ["binary", "full"])
+    def test_bool_spikes_match_their_float_image(self, mode):
+        # a LIF hands its layers bool spikes: the same product and count as
+        # their float32 zeros and ones, and a training forward saves that
+        # very array, not a copy
+        lyr = BinaryLinearLayer("l", 40, 7, Rng(3), mode=mode)
+        s = Rng(4).uniform((2, 3, 40)) < 0.3
+        got_rec, want_rec = M.ForwardRecord(saved=True), M.ForwardRecord(saved=True)
+        got, want = lyr.forward(s, got_rec), lyr.forward(s.astype(np.float32), want_rec)
+        assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert got_rec.spikes[lyr] == want_rec.spikes[lyr] == np.count_nonzero(s) > 0
+        in2d, _ = got_rec.saved[lyr]
+        assert in2d.dtype == np.bool_ and np.shares_memory(in2d, s)
+
     def test_width_beyond_float32_exactness_rejected(self):
         with pytest.raises(ConfigError, match="2\\*\\*24"):
             BinaryLinearLayer("l", 2**24, 1, Rng(0))
@@ -643,9 +657,9 @@ class TestLifKernel:
         x = _lif_input(dtype)
         want_s, want_u = _lif_forward_reference(p, x)
         lif = LifLayer(p)
-        _bytes_equal(lif.forward(x), want_s)
+        _bytes_equal(lif.forward(x), want_s.astype(bool))
         rec = M.ForwardRecord(saved=True)
-        _bytes_equal(lif.forward(x, rec), want_s)
+        _bytes_equal(lif.forward(x, rec), want_s.astype(bool))
         _bytes_equal(rec.saved[lif][0], want_u)
 
     @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
@@ -657,7 +671,7 @@ class TestLifKernel:
             want = np.empty_like(x)
             for t in range(shape[0]):
                 want[t], state = lif_step(state, x[t], p)
-            _bytes_equal(LifLayer(p).forward(x), want)
+            _bytes_equal(LifLayer(p).forward(x), want.astype(bool))
             _bytes_equal(lif_run(x, p), want)
 
     @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
@@ -694,7 +708,7 @@ class TestLifKernel:
         want_s, want_u = _lif_forward_reference(p, x)
         lif = LifLayer(p)
         rec = M.ForwardRecord(saved=True)
-        _bytes_equal(lif.forward(x, rec, rebuilt=True), want_s)
+        _bytes_equal(lif.forward(x, rec, rebuilt=True), want_s.astype(bool))
         u_pre, fired = rec.saved[lif]
         assert u_pre is None and fired.dtype == np.bool_
         _bytes_equal(neuron._lif(x, p, keep_membranes=True, gates=fired)[1], want_u)
@@ -702,6 +716,25 @@ class TestLifKernel:
         want = _lif_backward_reference(p, want_u, fired, gs[0])
         want += _lif_backward_reference(p, want_u, fired, gs[1])
         _bytes_equal(lif.backward(*gs, rec=rec, x=x), want)
+
+
+class TestNonFloatInput:
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_lif_and_bn_read_input_as_its_float32_cast(self, dtype, training):
+        x = np.round(Rng(70).normal((3, 4, 5, 6), std=2.0)).astype(dtype)
+        x32 = x.astype(np.float32)
+        lif = LifLayer(toy_config("residual").lif())
+        got, want = M.ForwardRecord(saved=True), M.ForwardRecord(saved=True)
+        _bytes_equal(lif.forward(x, got), lif.forward(x32, want))
+        _bytes_equal(got.saved[lif][0], want.saved[lif][0])  # the membranes
+        bns = []
+        for inp in (x, x32):
+            bn = BatchNormLayer("bn", 6)
+            bn.running_mean[:], bn.running_var[:] = 0.5, 2.0
+            bns.append((bn.forward(inp, training), bn.running_mean, bn.running_var))
+        for a, b in zip(*bns):  # the output and the running statistics
+            _bytes_equal(a, b)
 
 
 def _bn_reference_forward(bn, x, training):
@@ -793,9 +826,9 @@ class TestSharedInputLif:
                                       (blk.q_lif, blk.k_lif, blk.v_lif)):
             outs.append(lif.forward(bn.forward(proj.forward(lin.forward(x, rec), rec),
                                                True, rec), rec))
-        qh, kh, vh = (blk._split(a) for a in outs)
+        qh, kh, vh = (blk._split(a, np.float32) for a in outs)
         attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
-        s_attn = blk.attn_lif.forward(attn, rec)
+        s_attn = blk.attn_lif.forward(attn, rec).astype(np.float32)
         ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
         ctx = blk.lam.forward(ctx0)
         out = blk.o_bn.forward(blk.o_proj.forward(blk.o_in.forward(blk._merge(ctx), rec), rec),
@@ -833,9 +866,9 @@ class TestSharedInputLif:
     def test_one_alphabet_check_feeds_all_three_projections(self, monkeypatch):
         blk = BssaBlock("b", toy_config("residual"), Rng(52))
         checked = []
-        count = BinaryLinearLayer._spike_count
-        monkeypatch.setattr(BinaryLinearLayer, "_spike_count",
-                            lambda lyr, flat: checked.append(lyr.name) or count(lyr, flat))
+        spikes_of = BinaryLinearLayer._spikes
+        monkeypatch.setattr(BinaryLinearLayer, "_spikes",
+                            lambda lyr, x: checked.append(lyr.name) or spikes_of(lyr, x))
         rec = M.ForwardRecord()
         blk.forward(Rng(53).normal((2, 3, 4, 32), std=2.0), training=False, rec=rec)
         assert checked == ["b.q", "b.o"]  # x_in's spikes once, then o_in's

@@ -17,6 +17,10 @@ criterion 09, the accuracies), after one line describing the machine:
   `--full`: the baseline's train and held-out accuracy, the student's
   held-out accuracy and the checkpoint digests of the teacher, the
   baseline and the student.
+- `perfbench`: with `--full`, `perfbench/run.py --seconds 1 --trace 0`
+  for each workload at seeds 3 and 11, run from the tree `--src`
+  belongs to: its `fingerprint` (a per-unit digest, so it does not
+  depend on the time budget), `heldout_accuracy` and `correct`.
 
 The digests depend on the machine (numpy, its BLAS build and thread
 count, the CPU), so compare two trees on one machine. The tool imports
@@ -41,6 +45,7 @@ import itertools
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -50,6 +55,8 @@ import numpy as np
 VARIANT_EPOCHS = 2
 C09_SEEDS_QUICK = (0,)
 C09_SEEDS_FULL = (0, 1, 2, 3, 4)
+PERFBENCH_WORKLOADS = ("train_toy", "train_deep", "eval_wide")
+PERFBENCH_SEEDS = (3, 11)
 
 
 def _sha(*arrays) -> str:
@@ -193,10 +200,27 @@ def criterion09(seed: int):
     })
 
 
+def perfbench(src: Path, workload: str, seed: int):
+    """One short untraced benchmark run from the tree `src` belongs to."""
+    proc = subprocess.run(
+        [sys.executable, str(src.parent / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", "1", "--trace", "0"],
+        capture_output=True, text=True, check=False)
+    lines = proc.stdout.splitlines() or [""]
+    detail = next((json.loads(ln[len("detail "):]) for ln in lines if ln.startswith("detail ")),
+                  {})
+    result = json.loads(lines[-1]) if lines[-1].startswith("{") else {}  # none after a failure
+    _emit({"artifact": f"perfbench/{workload}/seed{seed}", "exit": proc.returncode,
+           "fingerprint": detail.get("fingerprint"),
+           "heldout_accuracy": detail.get("heldout_accuracy"),
+           "correct": result.get("correct")})
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--full", action="store_true",
-                    help="run criterion 09 for seeds 0-4 instead of seed 0 (about 80 s more)")
+                    help="run criterion 09 for seeds 0-4 instead of seed 0 (about 80 s more), "
+                         "and the perfbench runs")
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                     help="the src/ directory to import spikebit from")
     args = ap.parse_args(argv)
@@ -206,6 +230,9 @@ def main(argv=None) -> int:
     criterion10()
     for seed in C09_SEEDS_FULL if args.full else C09_SEEDS_QUICK:
         criterion09(seed)
+    if args.full:
+        for workload, seed in itertools.product(PERFBENCH_WORKLOADS, PERFBENCH_SEEDS):
+            perfbench(Path(args.src).resolve(), workload, seed)
     return 0
 
 
