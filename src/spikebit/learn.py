@@ -223,7 +223,7 @@ class AdamW:
         bias1 = 1.0 - b1 ** t
         bias2 = 1.0 - b2 ** t
         for i, (name, p) in enumerate(self.entries):
-            g = p.grad
+            g = p.grad if p.grad is not None else np.zeros_like(p.value)  # none made yet
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / bias1
@@ -251,14 +251,15 @@ class CosineSchedule:
 
 
 def clip_global_norm(named_params, max_norm: float) -> float:
+    grads = [p.grad for _, p in named_params if p.grad is not None]  # none made: zero
     total = 0.0
-    for _, p in named_params:
-        total += float((p.grad.astype(np.float64) ** 2).sum())
+    for g in grads:
+        total += float((g.astype(np.float64) ** 2).sum())
     total = math.sqrt(total)
     if max_norm > 0 and total > max_norm:
         scale = DTYPE(max_norm / (total + 1e-12))
-        for _, p in named_params:
-            p.grad *= scale
+        for g in grads:
+            g *= scale
     return total
 
 

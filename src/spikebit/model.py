@@ -27,12 +27,16 @@ binarization are nonnegative integers carried in float32 (exact below
 2**24).
 
 A training forward keeps what backward reads in its `ForwardRecord`, not
-on the layers. Each spike tensor is kept once: the LIF that fired it
-saves the array it returns, and the binary layers and attention block it
-feeds save that same array (or a view of it); backward widens it to the
-float32 zeros and ones the forward multiplied, so the products match
-byte for byte. Every backward pops the entry it reads, so one training
-forward serves one backward.
+on the layers. Each spike tensor is kept once, at one bit per element:
+the LIF that fired it packs the array it returns (`PackedSpikes`), and
+the binary layers and attention block it feeds save that same object;
+backward unpacks it while it reads it and widens it to the float32 zeros
+and ones the forward multiplied, so the products match byte for byte.
+Every backward pops the entry it reads, so one training forward serves
+one backward. Backward writes in place where it owns the memory: a LIF
+rebuilds its membranes over the rebuilt input and writes its input
+gradient over a lone upstream gradient, and the BN under such a LIF
+writes its input gradient over the LIF's.
 
 In either weight mode the record keeps little more than those spikes:
 backward rebuilds every float activation it can from them, repeating the
@@ -65,6 +69,7 @@ import math
 import os
 import struct
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, asdict
 from typing import Iterator, NamedTuple
@@ -175,15 +180,22 @@ class ForwardRecord:
     block to the tuple its backward reads and pops. A layer or block
     called without a record counts and keeps nothing.
     `SpikingTransformer.probe` returns a batch's record.
+
+    `saved` holds every spike tensor once, at one bit per element (a
+    `PackedSpikes`): the LIF that fired it packs it, and the layers it
+    feeds save that same object. `fired` lets them find it: a weak
+    reference to the bool array the last saving LIF forward returned, and
+    that array's `PackedSpikes`.
     """
 
-    __slots__ = ("spikes", "sops", "taps", "saved")
+    __slots__ = ("spikes", "sops", "taps", "saved", "fired")
 
     def __init__(self, taps: bool = False, saved: bool = False):
         self.spikes: dict = {}
         self.sops: dict = {}
         self.taps: dict | None = {} if taps else None
         self.saved: dict | None = {} if saved else None
+        self.fired: tuple | None = None
 
     @classmethod
     def merged(cls, records: list["ForwardRecord"]) -> "ForwardRecord":
@@ -200,23 +212,52 @@ class ForwardRecord:
         return out
 
 
+class PackedSpikes:
+    """A bool spike tensor at one bit per element: `np.packbits` of its
+    elements in C order, and its shape. Not `binary.pack`: bool needs no
+    alphabet check, and no product reads these words, so they need no
+    64-bit row padding; both cost about 40 times the pack itself."""
+
+    __slots__ = ("bits", "shape")
+
+    def __init__(self, spikes: np.ndarray):
+        self.bits = np.packbits(spikes.reshape(-1))
+        self.shape = spikes.shape
+
+    def unpack(self) -> np.ndarray:
+        """The bool tensor again, in a new array."""
+        flat = np.unpackbits(self.bits, count=math.prod(self.shape))
+        return flat.view(np.bool_).reshape(self.shape)
+
+
 class Param:
     """A trainable array plus its gradient accumulator.
 
-    `version` increments on every optimizer update so binary-weight sign
-    matrices can be cached between updates and invalidated on change.
+    `grad` is None until `zero_grad` or the first `accumulate` makes it, so
+    a model that only runs inference holds no gradients. `version`
+    increments on every optimizer update so binary-weight sign matrices can
+    be cached between updates and invalidated on change.
     """
 
     __slots__ = ("value", "grad", "version", "positive")
 
     def __init__(self, value: Tensor, positive: bool = False):
         self.value = np.asarray(value, dtype=DTYPE)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
         self.version = 0
         self.positive = positive
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        if self.grad is None:
+            self.grad = np.zeros_like(self.value)
+        else:
+            self.grad[...] = 0.0
+
+    def accumulate(self, g: Tensor) -> None:
+        """Add `g` to the gradient, which starts from zeros."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.value)
+        self.grad += g
 
     def bump(self):
         self.version += 1
@@ -225,6 +266,16 @@ class Param:
 def _saving(rec: ForwardRecord | None) -> bool:
     """Whether a forward writing to `rec` keeps what backward reads."""
     return rec is not None and rec.saved is not None
+
+
+def _packed(rec: ForwardRecord, spikes: np.ndarray) -> PackedSpikes:
+    """`spikes` at one bit per element, for a training forward's entry: the
+    `PackedSpikes` of the LIF that fired this same array, or else a new
+    one."""
+    fired = rec.fired
+    if fired is not None and fired[0]() is spikes:
+        return fired[1]
+    return PackedSpikes(spikes)
 
 
 def _take(rec: ForwardRecord | None, owner) -> tuple:
@@ -261,10 +312,11 @@ class LifLayer:
     """LIF population unrolled over the leading time axis.
 
     Forward runs `neuron.lif_run`'s kernel and returns the spikes as bool.
-    A training forward saves that array for backprop-through-time, and the
-    layers it feeds save it (or views of it) too. It also saves the
-    pre-reset membranes, unless the caller says its input is `rebuilt` (in
-    either weight mode, so is every input from an encoder block's BN or
+    A training forward packs that array at one bit per element and saves
+    it for backprop-through-time; the layers it feeds save the same
+    `PackedSpikes` (see `ForwardRecord`). It also saves the pre-reset
+    membranes, unless the caller says its input is `rebuilt` (in either
+    weight mode, so is every input from an encoder block's BN or
     attention): then backward takes that input again and re-runs the
     recurrence on it, with the reset gates read from the saved spikes.
     Backward routes gradients through the surrogate derivative at each
@@ -282,7 +334,9 @@ class LifLayer:
         keep = _saving(rec)
         spikes, u_pre = neuron._lif(x, self.p, keep and not rebuilt)
         if keep:
-            rec.saved[self] = (u_pre, spikes)
+            packed = PackedSpikes(spikes)
+            rec.fired = (weakref.ref(spikes), packed)
+            rec.saved[self] = (u_pre, packed)
         return spikes
 
     def backward(self, *g_spikes: Tensor, rec: ForwardRecord | None,
@@ -296,15 +350,21 @@ class LifLayer:
         computed once per timestep; each gradient runs its own decay
         recurrence, and the input gradients are summed from zero in
         argument order, exactly as summing separate backward calls would.
+
+        Writes in place: the rebuilt membranes over `x`, and the input
+        gradient over a lone upstream gradient, which is returned. Pass
+        arrays the caller made for this call and does not read again.
         """
-        u_pre, spikes = _take(rec, self)
+        u_pre, packed = _take(rec, self)
+        spikes = packed.unpack()
         if u_pre is None:
-            u_pre = neuron._lif(x, self.p, keep_membranes=True, gates=spikes)[1]
+            u_pre = neuron._lif(x, self.p, gates=spikes)[1]
         T = u_pre.shape[0]
         tau = DTYPE(self.p.tau)
         hard = self.p.reset is neuron.Reset.HARD
         shared = len(g_spikes) > 1
-        g_x = (np.zeros_like if shared else np.empty_like)(g_spikes[0])
+        # step t reads g[t] before it writes g_x[t]
+        g_x = np.zeros_like(g_spikes[0]) if shared else g_spikes[0]
         g_u = [np.zeros(g.shape[1:], dtype=g.dtype) for g in g_spikes]
         for t in range(T - 1, -1, -1):
             sg = neuron.surrogate_grad(u_pre[t], self.p)
@@ -317,6 +377,7 @@ class LifLayer:
                 else:
                     g_x[t] = g_upre
                 g_u[i] = np.multiply(tau, g_upre, out=g_upre)
+            del sg, keep  # before the next step's surrogate makes its own
         return g_x
 
 
@@ -334,9 +395,10 @@ class BinaryLinearLayer:
 
     Inputs must be spikes in either mode: bool, as a LIF returns them, or
     {0,1} numbers, which `_spikes` checks and turns into bool. A training
-    forward saves the bool rows it multiplied, for a LIF's spikes a view
-    of the LIF's own array. `_output_again` repeats the product on that
-    entry, so the layers it feeds need not save it.
+    forward saves the spikes it multiplied at one bit per element, for a
+    LIF's spikes the LIF's own `PackedSpikes`. `_output_again` unpacks
+    them and repeats the product, so the layers it feeds need not save
+    it; backward unpacks and widens them again for the weight gradient.
     """
 
     def __init__(self, name: str, in_features: int, out_features: int, rng: Rng,
@@ -364,55 +426,60 @@ class BinaryLinearLayer:
         return signs
 
     def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
-        return self._product(self._spikes(x), x.shape[:-1], rec)
+        return self._product(self._spikes(x), rec)
 
     def _spikes(self, x: Tensor) -> np.ndarray:
-        """`x` as bool rows of in_features: bool input as it is, any other
-        after its {0,1} check."""
+        """`x` as bool spikes of in_features: bool input as it is, any
+        other after its {0,1} check."""
         if x.shape[-1] != self.in_features:
             raise ShapeError(
                 f"{self.name}: input features {x.shape[-1]} != {self.in_features}"
             )
-        flat = x.reshape(-1, self.in_features)
-        if flat.dtype != np.bool_:
+        if x.dtype != np.bool_:
             # {0,1} input exactly when every element equals 0 or 1 (two
             # boolean counts; counting nonzero floats directly is slower)
-            ones = flat == 1
-            if np.count_nonzero(ones) + np.count_nonzero(flat == 0) != flat.size:
-                binary.require_alphabet(flat, binary.ALPHABET_01)  # raises, naming the element
-            flat = ones
-        return flat
+            ones = x == 1
+            if np.count_nonzero(ones) + np.count_nonzero(x == 0) != x.size:
+                binary.require_alphabet(x.reshape(-1, self.in_features),
+                                        binary.ALPHABET_01)  # raises, naming the element
+            x = ones
+        return x
 
-    def _product(self, flat: np.ndarray, lead: tuple, rec: ForwardRecord | None) -> Tensor:
-        """The product on bool rows from `_spikes`, which a training
-        forward saves as they are."""
+    def _product(self, s: np.ndarray, rec: ForwardRecord | None,
+                 packed: PackedSpikes | None = None) -> Tensor:
+        """The product on bool spikes from `_spikes`. A training forward
+        saves them packed: as `packed` when given, else as `_packed`
+        finds or makes them."""
+        flat = s.reshape(-1, self.in_features)
         if rec is not None:
             rec.spikes[self] = float(np.count_nonzero(flat))
         mat = self._binary_signs() if self.mode == "binary" else self.weight.value
         out = flat @ mat.T  # the bool rows widen to float32 zeros and ones
         if _saving(rec):
-            rec.saved[self] = (flat, mat)
-        return out.reshape(lead + (self.out_features,))
+            rec.saved[self] = (_packed(rec, s) if packed is None else packed, mat)
+        return out.reshape(s.shape[:-1] + (self.out_features,))
+
+    def _rows(self, packed: PackedSpikes) -> np.ndarray:
+        return packed.unpack().reshape(-1, self.in_features)
 
     def _output_again(self, rec: ForwardRecord) -> Tensor:
         """The flattened output of the training forward that saved this
         layer's entry in `rec`: the forward's product again, on the same
-        input values and the same sign or latent matrix, so the forward's
-        bytes. The entry keeps the input widened, for backward to reuse."""
-        in2d, signs = _take(rec, self)
-        in2d = in2d.astype(DTYPE, copy=False)
-        rec.saved[self] = (in2d, signs)
-        return in2d @ signs.T
+        spikes and the same sign or latent matrix, so the forward's bytes.
+        The entry stays for backward."""
+        packed, mat = _take(rec, self)
+        rec.saved[self] = (packed, mat)
+        return self._rows(packed) @ mat.T
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
-        in2d, signs = _take(rec, self)
+        packed, mat = _take(rec, self)
         g2 = g_out.reshape(-1, self.out_features)
-        g_mat = g2.T @ in2d.astype(DTYPE, copy=False)
+        g_mat = g2.T @ self._rows(packed).astype(DTYPE)
         if self.mode == "binary":
-            self.weight.grad += binary.ste_backward(g_mat, self.weight.value, self.ste_clip)
+            self.weight.accumulate(binary.ste_backward(g_mat, self.weight.value, self.ste_clip))
         else:
-            self.weight.grad += g_mat
-        g_in = g2 @ signs
+            self.weight.accumulate(g_mat)
+        g_in = g2 @ mat
         return g_in.reshape(g_out.shape[:-1] + (self.in_features,))
 
     def params(self):
@@ -461,14 +528,18 @@ class BatchNormLayer:
         """The forward's output from its xhat, in a new array."""
         return numeric._scale_shift(xhat, self.gamma.value, self.beta.value)
 
-    def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
+    def backward(self, g_out: Tensor, rec: ForwardRecord | None,
+                 overwrite: bool = False) -> Tensor:
+        """The gradient at the input. With `overwrite` it is written over
+        `g_out`, which the caller then made for this call and does not
+        read again."""
         xhat, _, inv = _take(rec, self)
         axes = tuple(range(g_out.ndim - 1))
-        self.beta.grad += g_out.sum(axis=axes)
+        self.beta.accumulate(g_out.sum(axis=axes))
         tmp = g_out * xhat
-        self.gamma.grad += tmp.sum(axis=axes)
-        g_xhat = g_out * self.gamma.value
-        n = float(np.prod(g_out.shape[:-1]))
+        self.gamma.accumulate(tmp.sum(axis=axes))
+        g_xhat = np.multiply(g_out, self.gamma.value, out=g_out if overwrite else None)
+        n = float(math.prod(g_out.shape[:-1]))
         mean_g = g_xhat.sum(axis=axes) / n
         mean_gx = np.multiply(g_xhat, xhat, out=tmp).sum(axis=axes) / n
         # (g_xhat - mean_g - xhat * mean_gx) * inv
@@ -510,8 +581,8 @@ class LinearHead:
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
         (x,) = _take(rec, self)
-        self.weight.grad += g_out.T @ x
-        self.bias.grad += g_out.sum(axis=0)
+        self.weight.accumulate(g_out.T @ x)
+        self.bias.accumulate(g_out.sum(axis=0))
         return g_out @ self.weight.value
 
     def params(self):
@@ -533,7 +604,7 @@ class LambdaLayer:
     def backward(self, g_out: Tensor, x: Tensor) -> Tensor:
         T = g_out.shape[0]
         axes = tuple(range(1, g_out.ndim))
-        self.scale.grad += (g_out * x).sum(axis=axes).reshape(T, 1, 1)
+        self.scale.accumulate((g_out * x).sum(axis=axes).reshape(T, 1, 1))
         return binary._scale_time(g_out, self.scale.value)
 
     def params(self):
@@ -546,11 +617,12 @@ def _through_bn(g: Tensor, rec: ForwardRecord | None, proj: BinaryLinearLayer,
     `lif`: the gradient at proj's input from `g`, the gradient at the
     output. The forward told bn and lif that their inputs are `rebuilt`,
     and they are, from proj's entry: bn's input, its xhat, and the output
-    of bn that lif read."""
+    of bn that lif read. With `lif`, `g` is written over: pass one made for
+    this call."""
     xhat = bn._normalize_again(rec, proj._output_again(rec).reshape(g.shape))
-    if lif is not None:
+    if lif is not None:  # lif writes the membranes over bn's output, and g_x over g
         g = lif.backward(g, rec=rec, x=bn._output_again(xhat))
-    return proj.backward(bn.backward(g, rec), rec)
+    return proj.backward(bn.backward(g, rec, overwrite=lif is not None), rec)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +652,7 @@ class Conv3x3Layer:
     """3x3 same-padding convolution as im2col + the binary linear kernel.
 
     Its input is a LIF's bool spikes, so the im2col matrix is bool, and a
-    training forward saves it for backward at one byte per element.
+    training forward saves it for backward at one bit per element.
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, rng: Rng, mode: str,
@@ -920,21 +992,24 @@ class BssaBlock:
         return np.ascontiguousarray(x.transpose(0, 1, 3, 2, 4)).reshape(T, B, N, h * d)
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
-        s = self.x_in.forward(x, rec)
-        # Q, K and V read the same spikes: take their rows once, and all
-        # three save the one bool array x_in saves
-        flat = self.q_proj._spikes(s)
-        lead = s.shape[:-1]
-        q, k, v = (  # backward rebuilds each float input (`_through_bn`)
-            lif.forward(bn.forward(proj._product(flat, lead, rec), training, rec, rebuilt=True),
-                        rec, rebuilt=True)
-            for proj, bn, lif in ((self.q_proj, self.q_bn, self.q_lif),
-                                  (self.k_proj, self.k_bn, self.k_lif),
-                                  (self.v_proj, self.v_bn, self.v_lif))
-        )
-        # einsum on two bool arrays is a logical product: widen them first
+        saving = _saving(rec)
+        s = self.q_proj._spikes(self.x_in.forward(x, rec))
+        # Q, K and V read the same spikes: check them once, and all three
+        # save x_in's one packed copy
+        packed = _packed(rec, s) if saving else None
+        fired, kept = [], []
+        for proj, bn, lif in ((self.q_proj, self.q_bn, self.q_lif),
+                              (self.k_proj, self.k_bn, self.k_lif),
+                              (self.v_proj, self.v_bn, self.v_lif)):
+            # backward rebuilds each float input (`_through_bn`)
+            h = bn.forward(proj._product(s, rec, packed), training, rec, rebuilt=True)
+            fired.append(lif.forward(h, rec, rebuilt=True))
+            if saving:
+                kept.append(_packed(rec, fired[-1]))
+        q, k, v = fired
+        # a product of two bool arrays is a logical one: widen them first
         qh, kh, vh = self._split(q, DTYPE), self._split(k, DTYPE), self._split(v, DTYPE)
-        attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
+        attn = self._attention(qh, kh)
         if np.any(attn < 0) or np.any(attn != np.round(attn)):
             raise NumericError(f"{self.name}: attention map is not a nonnegative integer tensor")
         if rec is not None and rec.taps is not None:
@@ -948,17 +1023,24 @@ class BssaBlock:
         ctx = self._context(s_attn.astype(DTYPE, copy=False), vh)[1]
         if rec is not None:
             rec.sops[self] = sops
-        if _saving(rec):
+        if saving:
             # the head splits are re-made in backward; full-precision
-            # attention saves its integer map, which is no spike tensor
-            rec.saved[self] = (q, k, v, s_attn)
+            # attention keeps its integer map, which is no spike tensor
+            rec.saved[self] = (*kept, _packed(rec, s_attn) if self.binary_attn else attn)
         out = self.o_proj.forward(self.o_in.forward(ctx, rec, rebuilt=True), rec)
         return self.o_bn.forward(out, training, rec, rebuilt=True)
 
+    @staticmethod
+    def _attention(qh: Tensor, kh: Tensor) -> Tensor:
+        """The attention map Q K^T of Q's and K's head splits: a sum of
+        {0,1} products, so exact in any order."""
+        return np.matmul(qh, kh.swapaxes(-1, -2))
+
     def _context(self, s_attn: Tensor, vh: Tensor) -> tuple[Tensor, Tensor]:
         """The attention map's product with V's head splits, and the
-        context it scales to (by lambda or attn_scale), heads merged."""
-        ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
+        context it scales to (by lambda or attn_scale), heads merged. The
+        product sums integers (below 2**24), so it is exact in any order."""
+        ctx0 = np.matmul(s_attn, vh)
         ctx = self.lam.forward(ctx0) if self.binary_attn else ctx0 * self.attn_scale
         return ctx0, self._merge(ctx)
 
@@ -970,8 +1052,9 @@ class BssaBlock:
         (`_through_bn`), so each is the forward's bytes."""
         q, k, v, s_attn = _take(rec, self)
         g = _through_bn(g_out, rec, self.o_proj, self.o_bn)
-        vh, s_attn = self._split(v, DTYPE), s_attn.astype(DTYPE, copy=False)
-        qh, kh = self._split(q, DTYPE), self._split(k, DTYPE)
+        vh = self._split(v.unpack(), DTYPE)
+        s_attn = s_attn.unpack().astype(DTYPE) if self.binary_attn else s_attn
+        qh, kh = self._split(q.unpack(), DTYPE), self._split(k.unpack(), DTYPE)
         ctx0, ctx = self._context(s_attn, vh)
         g = self._split(self.o_in.backward(g, rec=rec, x=ctx))
         del ctx
@@ -980,8 +1063,7 @@ class BssaBlock:
             del ctx0
             g_sattn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx0, vh, optimize=True)
             g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx0, optimize=True)
-            attn = np.matmul(qh, kh.swapaxes(-1, -2))  # {0,1} operands: exact in any order
-            g_attn = self.attn_lif.backward(g_sattn, rec=rec, x=attn)
+            g_attn = self.attn_lif.backward(g_sattn, rec=rec, x=self._attention(qh, kh))
         else:
             del ctx0
             g_attn = np.einsum("tbhnd,tbhmd->tbhnm", g, vh, optimize=True) * self.attn_scale

@@ -125,20 +125,25 @@ def _lif(x: Tensor, p: LifParams, keep_membranes: bool = False,
     spikes an earlier run fired on this same x, the run takes each step's
     reset gate from them in place of the threshold compare and fires
     nothing (spikes is None): it rebuilds that run's membranes byte for
-    byte."""
+    byte and writes them over x, so x must be a float array its caller
+    gives up."""
     dt = x.dtype if x.dtype.kind == "f" else np.dtype(DTYPE)
-    spikes = np.empty(x.shape, dtype=np.bool_) if gates is None else None
-    u_pre = np.empty(x.shape, dtype=dt) if keep_membranes else None
-    u, up, tmp = (np.empty(x.shape[1:], dtype=dt) for _ in range(3))
+    if gates is None:
+        spikes = np.empty(x.shape, dtype=np.bool_)
+        u_pre = np.empty(x.shape, dtype=dt) if keep_membranes else None
+    else:
+        spikes, u_pre = None, x  # step t reads x[t] before it writes the membrane there
+    u, tmp = (np.empty(x.shape[1:], dtype=dt) for _ in range(2))
+    up = np.empty(x.shape[1:], dtype=dt) if u_pre is None else None
     tau = dt.type(p.tau)
     vth = dt.type(p.v_threshold)
     hard = p.reset is Reset.HARD
     for t in range(x.shape[0]):
-        if keep_membranes:
+        if u_pre is not None:
             up = u_pre[t, ...]  # [t, ...] is a view even for a 1-D input
         if t:
-            np.multiply(tau, u, out=up)
-            np.add(up, x[t], out=up)  # tau * u + x[t]
+            np.multiply(tau, u, out=tmp)
+            np.add(tmp, x[t], out=up)  # tau * u + x[t]
         else:
             np.add(x[0], 0.0, out=up)  # the membrane starts at +0, and tau * +0 is +0
         if gates is not None:

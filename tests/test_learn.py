@@ -195,6 +195,25 @@ class TestOptimizer:
         for p in lam_params:
             assert (p.value > 0).all()
 
+    def test_a_gradient_no_backward_made_reads_as_zero(self):
+        # without `zero_grads`, a backward with no distillation gradient
+        # leaves the distillation head's gradients unmade: clipping and the
+        # step read them as zeros, as after `zero_grads`
+        x, y = cluster_data(4, n_train=8, n_test=8)[0]
+        nets = []
+        for zero_first in (True, False):
+            net = SpikingTransformer(toy_config("reversible"), seed=12)
+            if zero_first:
+                net.zero_grads()
+            logits, _ = net.forward(x, training=True)
+            net.backward(learn.batch_cross_entropy(logits, y)[1])
+            assert (net.head_dist.weight.grad is None) is not zero_first
+            learn.clip_global_norm(net.named_params(), 1e-3)
+            AdamW(net.named_params(), lr=1e-2, weight_decay=0.1).step()
+            nets.append(net)
+        for (name, p), (_, q) in zip(nets[0].named_params(), nets[1].named_params()):
+            assert p.value.tobytes() == q.value.tobytes(), name
+
     def test_cosine_schedule_endpoints(self):
         sched = CosineSchedule(1.0, 100, min_lr=0.1)
         assert np.isclose(sched.lr_at(0), 1.0)

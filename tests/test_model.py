@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import re
 import signal
@@ -238,16 +240,16 @@ class TestBinaryLinear:
     @pytest.mark.parametrize("mode", ["binary", "full"])
     def test_bool_spikes_match_their_float_image(self, mode):
         # a LIF hands its layers bool spikes: the same product and count as
-        # their float32 zeros and ones, and a training forward saves that
-        # very array, not a copy
+        # their float32 zeros and ones, and a training forward saves the
+        # same spikes, packed, for either
         lyr = BinaryLinearLayer("l", 40, 7, Rng(3), mode=mode)
         s = Rng(4).uniform((2, 3, 40)) < 0.3
         got_rec, want_rec = M.ForwardRecord(saved=True), M.ForwardRecord(saved=True)
         got, want = lyr.forward(s, got_rec), lyr.forward(s.astype(np.float32), want_rec)
         assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes()
         assert got_rec.spikes[lyr] == want_rec.spikes[lyr] == np.count_nonzero(s) > 0
-        in2d, _ = got_rec.saved[lyr]
-        assert in2d.dtype == np.bool_ and np.shares_memory(in2d, s)
+        for rec in (got_rec, want_rec):
+            _bytes_equal(rec.saved[lyr][0].unpack(), s)
 
     def test_width_beyond_float32_exactness_rejected(self):
         with pytest.raises(ConfigError, match="2\\*\\*24"):
@@ -599,6 +601,25 @@ class TestCheckpoint:
         for lyr, s in zip(layers, seeded):
             assert lyr._sign_cache is not s and lyr._sign_cache[0] == 1
 
+    def test_gradients_are_made_at_their_first_use(self, tmp_path):
+        # a model loaded for inference holds no gradient bytes; a training
+        # step's gradients are the same whether `zero_grads` or backward's
+        # first write makes them
+        net = SpikingTransformer(toy_config("reversible"), seed=47)
+        path = tmp_path / "m.bin"
+        save_checkpoint(net, path)
+        loaded = load_checkpoint(path)
+        x, g = Rng(48).normal((4, 64)), Rng(49).normal((4, 10))
+        loaded.forward(x)
+        assert [n for n, p in loaded.named_params() if p.grad is not None] == []
+        net.zero_grads()
+        for model in (net, loaded):
+            logits, dist = model.forward(x, training=True)
+            model.backward(g, g)
+        for (name, p), (_, q) in zip(net.named_params(), loaded.named_params()):
+            assert p.grad.nbytes == p.value.nbytes, name
+            _bytes_equal(q.grad, p.grad)
+
 
 # ---------------------------------------------------------------------------
 # in-place kernels against the plain expressions they replaced, byte for byte
@@ -686,16 +707,21 @@ class TestLifKernel:
         for g in gs:
             rec = M.ForwardRecord(saved=True)
             lif.forward(x, rec)  # each backward consumes one training forward
-            want = _lif_backward_reference(p, *rec.saved[lif], g)
+            u_pre, packed = rec.saved[lif]
+            want = _lif_backward_reference(p, u_pre, packed.unpack(), g)
             if reset is Reset.HARD:  # the reset gate zeroes the carry: -0.0 input gradients
                 assert np.signbit(want[1, 3]).all() and not want[1, 3].any()
-            _bytes_equal(lif.backward(g, rec=rec), want)
+            g_in = g.copy()  # a lone upstream gradient is written over
+            got = lif.backward(g_in, rec=rec)
+            assert got is g_in
+            _bytes_equal(got, want)
         # several upstream gradients: summed from zero in argument order
         rec = M.ForwardRecord(saved=True)
         lif.forward(x, rec)
+        u_pre, packed = rec.saved[lif]
         want = np.zeros_like(gs[0])
         for g in gs:
-            want += _lif_backward_reference(p, *rec.saved[lif], g)
+            want += _lif_backward_reference(p, u_pre, packed.unpack(), g)
         _bytes_equal(lif.backward(*gs, rec=rec), want)
 
     @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
@@ -709,13 +735,28 @@ class TestLifKernel:
         lif = LifLayer(p)
         rec = M.ForwardRecord(saved=True)
         _bytes_equal(lif.forward(x, rec, rebuilt=True), want_s.astype(bool))
-        u_pre, fired = rec.saved[lif]
-        assert u_pre is None and fired.dtype == np.bool_
-        _bytes_equal(neuron._lif(x, p, keep_membranes=True, gates=fired)[1], want_u)
+        u_pre, packed = rec.saved[lif]
+        assert u_pre is None and packed.bits.nbytes == -(-x.size // 8)
+        fired = packed.unpack()
+        _bytes_equal(neuron._lif(x.copy(), p, keep_membranes=True, gates=fired)[1], want_u)
         gs = [Rng(45 + i).normal(x.shape).astype(dtype) for i in range(2)]
         want = _lif_backward_reference(p, want_u, fired, gs[0])
         want += _lif_backward_reference(p, want_u, fired, gs[1])
-        _bytes_equal(lif.backward(*gs, rec=rec, x=x), want)
+        _bytes_equal(lif.backward(*gs, rec=rec, x=x.copy()), want)
+
+    @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [3, 5])
+    def test_rebuild_writes_the_membranes_over_its_input(self, reset, dtype, T):
+        # each step reads its input before it writes the membrane there, so
+        # the membranes come out with the bytes of a rebuild into new memory
+        p = toy_config("residual").lif(reset=reset)
+        x = np.ascontiguousarray(_lif_input(dtype)[:T])
+        want_s, want_u = _lif_forward_reference(p, x)
+        x_in = x.copy()
+        u_pre = neuron._lif(x_in, p, gates=want_s.astype(bool))[1]
+        assert u_pre is x_in
+        _bytes_equal(u_pre, want_u)
 
 
 class TestNonFloatInput:
@@ -1034,9 +1075,10 @@ def _state_snapshot(net):
 
 
 class TestTrainingCaches:
-    """A training forward saves each spike tensor once, as bool, in its
-    `ForwardRecord`, and the backward that reads the record pops every
-    entry. The layers and blocks keep nothing of the call."""
+    """A training forward saves each spike tensor once, packed at one bit
+    per element, in its `ForwardRecord`, and the backward that reads the
+    record pops every entry. The layers and blocks keep nothing of the
+    call."""
 
     NETS = {
         "reversible": (toy_config("reversible"), (6, 64)),
@@ -1065,16 +1107,29 @@ class TestTrainingCaches:
         return out
 
     @pytest.mark.parametrize("kind", list(NETS))
-    def test_spikes_are_kept_once_as_bool(self, kind):
+    def test_spikes_are_kept_once_packed(self, kind, monkeypatch):
+        packbits, packs = np.packbits, []
+        monkeypatch.setattr(np, "packbits", lambda a: packs.append(a.size) or packbits(a))
         net, _, _ = self._training_forward(kind)
+        monkeypatch.undo()
         saved = net._record.saved
+        kept = {id(e) for entry in saved.values() for e in entry
+                if isinstance(e, M.PackedSpikes)}
+        assert len(packs) == len(kept)  # one packing per spike tensor
         rebuilt = self._rebuilt_lifs(net)
+
+        def packed(entry):  # a PackedSpikes at one bit per element, no more
+            assert isinstance(entry, M.PackedSpikes)
+            assert entry.bits.dtype == np.uint8
+            assert entry.bits.nbytes <= -(-math.prod(entry.shape) // 8)
+            return entry
+
         for lif in net.lif_layers():
             if kind == "full_residual" and lif.p.reset is Reset.SOFT:
                 assert lif not in saved  # full-precision attention is not binarized
                 continue
             u_pre, spikes = saved[lif]
-            assert spikes.dtype == np.bool_
+            packed(spikes)
             if lif in rebuilt:  # backward re-runs the recurrence on the rebuilt input
                 assert u_pre is None
             else:  # fed by a stream or the input
@@ -1094,8 +1149,7 @@ class TestTrainingCaches:
         if kind != "conv":
             pairs.append((net.stem.lif, net.stem.linear))
         for lif, lyr in pairs:
-            in2d, _ = saved[lyr]
-            assert in2d.dtype == np.bool_ and np.shares_memory(in2d, saved[lif][1])
+            assert saved[lyr][0] is saved[lif][1]
         for lam in M.walk(net, M.LambdaLayer):  # binary mode only
             assert [n for n in vars(lam) if n.startswith("_")] == []  # no context kept
         for blk in net.bssa_blocks():
@@ -1106,11 +1160,12 @@ class TestTrainingCaches:
                 assert s_attn is saved[blk.attn_lif][1]
             else:  # the integer attention map, which no LIF emits
                 assert s_attn.dtype == np.float32
-        if kind == "conv":  # im2col keeps its own bool copy
+        if kind == "conv":  # im2col keeps its own packed copy
             for lif, conv, _, pool in net.stem.stages:
-                in2d, _ = saved[conv.linear]
-                assert in2d.dtype == np.bool_
-                assert not np.shares_memory(in2d, saved[lif][1])
+                in2d = packed(saved[conv.linear][0])
+                assert in2d is not saved[lif][1]
+                T, B, C, H, W = saved[lif][1].shape
+                assert in2d.shape == (T * B * H * W, C * 9)
                 assert pool is None or saved[pool][0].dtype == np.uint8  # argmax in 0..3
 
     @pytest.mark.parametrize("kind", list(NETS))
@@ -1140,6 +1195,7 @@ class TestTrainingCaches:
         def rebound(before, now):
             return [(o, n) for key, (o, n, v) in before.items() if now[key][2] is not v]
 
+        net.zero_grads()  # gradients are made here, or at their first write
         before = bound()
         logits, dist = net.forward(Rng(81).normal(shape, std=2.0), training=True)
         assert rebound(before, bound()) == []
@@ -1179,6 +1235,7 @@ class TestTrainingCaches:
         tracemalloc.start()
         try:
             net = SpikingTransformer(cfg, seed=85)
+            net.zero_grads()  # the gradients a training step makes
             before = tracemalloc.get_traced_memory()[0]
             learn.train_model(net, (x, y), epochs=1, rng=Rng(86), batch_size=32)
             grown = tracemalloc.get_traced_memory()[0] - before
@@ -1194,14 +1251,17 @@ class TestTrainingCaches:
         # stream with float32 spike caches and head-split copies; bool
         # spikes kept once bring it to about 93. Backward rebuilds the BN
         # inputs and most LIF membranes, in either weight mode, which
-        # leaves about 19 (21 in full mode)
+        # leaves about 19 (21 in full mode). Spikes packed at one bit
+        # each and a backward that writes its hidden-width gradients and
+        # rebuilt membranes in place leave about 10 (12 in full mode)
         T, B, N, D = 2, 16, 8, 32
         peaks = []
         for depth in (1, 3):
             net = SpikingTransformer(toy_config(topology, weight_mode=mode, depth=depth,
                                                 embed_dim=D, timesteps=T, tokens=N), seed=87)
             x, g = Rng(88).normal((B, 64), std=2.0), np.full((B, 10), 0.01, dtype=np.float32)
-            net.forward(x)  # sign caches exist before the measurement
+            net.forward(x)  # sign caches and gradients exist before the measurement
+            net.zero_grads()
             tracemalloc.start()
             try:
                 logits, dist = net.forward(x, training=True)
@@ -1210,7 +1270,27 @@ class TestTrainingCaches:
             finally:
                 tracemalloc.stop()
         per_block = (peaks[1] - peaks[0]) / 2
-        assert per_block <= 30 * T * B * N * D, per_block
+        assert per_block <= 16 * T * B * N * D, per_block
+
+    @pytest.mark.parametrize("mode", ["binary", "full"])
+    def test_conv_stem_step_memory(self, mode):
+        # each conv stage's im2col matrix is kept packed and widened to
+        # float32 only while a product reads it: the step peaked at 6.7 MiB
+        # when backward kept it widened through the BN's and the pool's
+        # backward, and at 5.84 MiB when a step kept every float cache
+        cfg = dataclasses.replace(conv_config(image=16), weight_mode=mode)
+        net = SpikingTransformer(cfg, seed=91)
+        x, g = Rng(92).normal((16, 3, 16, 16), std=2.0), np.full((16, 10), 0.01, np.float32)
+        net.forward(x)  # sign caches and gradients exist before the measurement
+        net.zero_grads()
+        tracemalloc.start()
+        try:
+            logits, dist = net.forward(x, training=True)
+            net.backward(g, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.84 * 2**20, peak / 2**20
 
     def test_calibrate_keeps_no_caches_and_matches_a_training_forward(self):
         cfg = toy_config("reversible", embed_dim=64, timesteps=4, tokens=8)

@@ -55,6 +55,6 @@ def test_traced_training_step_counts_lif_spikes(tracing):
     assert tracer.names.count("model.bn.fwd") == len(list(M.walk(net, M.BatchNormLayer)))
     assert "numeric.batch_norm" not in tracer.names
     # the tracer counts the spikes in the array each LIF forward returns
-    fired = [saved[lif][1] for lif in net.lif_layers()]
+    fired = [saved[lif][1].unpack() for lif in net.lif_layers()]
     assert tracer.spikes == sum(int(np.count_nonzero(f)) for f in fired)
     assert tracer.spike_elements == sum(f.size for f in fired)
