@@ -73,20 +73,26 @@ class TeacherOutput:
 
 @dataclass(frozen=True)
 class LossReport:
+    """The CIE loss of one batch and its gradients wrt each head's logits."""
+
     ce_class: float
     ce_distill: float
     global_loss: float
+    g_class: Tensor
+    g_distill: Tensor
 
 
 def global_loss(y_hat: Tensor, y: Tensor, y_d_hat: Tensor, teacher: TeacherOutput) -> LossReport:
-    """The halved sum of classification CE and hard-label distillation CE."""
+    """The halved sum of classification CE and hard-label distillation CE,
+    and the gradients of that halved sum."""
     y_hat = np.atleast_2d(y_hat)
     y_d_hat = np.atleast_2d(y_d_hat)
     if y_hat.shape[1] != y_d_hat.shape[1] or y_hat.shape[1] != teacher.logits.shape[1]:
         raise ConfigError("class counts disagree between heads and teacher")
-    ce_c, _ = batch_cross_entropy(y_hat, np.atleast_1d(y))
-    ce_d, _ = batch_cross_entropy(y_d_hat, teacher.hard_label)
-    return LossReport(ce_class=ce_c, ce_distill=ce_d, global_loss=(ce_c + ce_d) / 2.0)
+    ce_c, g_c = batch_cross_entropy(y_hat, np.atleast_1d(y))
+    ce_d, g_d = batch_cross_entropy(y_d_hat, teacher.hard_label)
+    return LossReport(ce_class=ce_c, ce_distill=ce_d, global_loss=(ce_c + ce_d) / 2.0,
+                      g_class=0.5 * g_c, g_distill=0.5 * g_d)
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +304,13 @@ def train_epoch(model: SpikingTransformer, data: tuple[Tensor, Tensor],
         xb, yb = x[idx], y[idx]
         model.zero_grads()
         logits, dist_logits = model.forward(xb, training=True)
-        ce_c, g_logits = batch_cross_entropy(logits, yb)
         if distill:
-            t_out = teacher_predict(teacher, xb, ids=idx)
-            ce_d, g_dist = batch_cross_entropy(dist_logits, t_out.hard_label)
-            loss = (ce_c + ce_d) / 2.0
-            g_logits = 0.5 * g_logits
-            g_dist = 0.5 * g_dist
+            rep = global_loss(logits, yb, dist_logits, teacher_predict(teacher, xb, ids=idx))
+            ce_c, ce_d, loss = rep.ce_class, rep.ce_distill, rep.global_loss
+            g_logits, g_dist = rep.g_class, rep.g_distill
         else:
-            ce_d = 0.0
-            g_dist = None
-            loss = ce_c
+            ce_c, g_logits = batch_cross_entropy(logits, yb)
+            ce_d, g_dist, loss = 0.0, None, ce_c
         if not np.isfinite(loss):
             model.discard_record()  # no backward will read the forward's record
             raise TrainingError(f"non-finite loss {loss} in batch {bi} of epoch {epoch}")

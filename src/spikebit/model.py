@@ -15,12 +15,13 @@ decides once, as it is built, how many streams there are and which
 stream each head reads (`SpikingTransformer.stream_heads`); its forward
 and backward then run one path for both topologies.
 
-Each stem, block and the model list their direct parts once, in build
-order, through `parts()`, and `walk` visits them depth first; that order
-is the checkpoint manifest's (arrays and 1-bit images alike).
+The stem, each block and the model list their direct parts once, in
+build order, through `parts()`, and `walk` visits them depth first; that
+order is the checkpoint manifest's (arrays and 1-bit images alike).
 
-Array layout is time-major: activations are (T, B, N, D) for token
-streams and (T, B, C, H, W) inside the convolutional stem. Spikes are
+Array layout is time-major and features last: activations are
+(T, B, N, D) for token streams and (T, B, H, W, C) inside the
+convolutional stem. Spikes are
 bool, one byte each: a LIF returns them so, and a product widens them to
 the float32 zeros and ones it multiplies. Attention maps before
 binarization are nonnegative integers carried in float32 (exact below
@@ -371,7 +372,8 @@ class LifLayer:
             keep = ~spikes[t] if hard else None  # 1 - s; a product widens it
             for i, g in enumerate(g_spikes):
                 g_upre = g[t] * sg
-                g_upre += g_u[i] * keep if hard else g_u[i]
+                # g_u[i] is rebound below, so its buffer takes the product
+                g_upre += np.multiply(g_u[i], keep, out=g_u[i]) if hard else g_u[i]
                 if shared:
                     g_x[t] += g_upre
                 else:
@@ -611,7 +613,7 @@ class LambdaLayer:
         return [(f"{self.name}.scale", self.scale)]
 
 
-def _through_bn(g: Tensor, rec: ForwardRecord | None, proj: BinaryLinearLayer,
+def _through_bn(g: Tensor, rec: ForwardRecord | None, proj: BinaryLinearLayer | Conv3x3Layer,
                 bn: BatchNormLayer, lif: LifLayer | None = None) -> Tensor:
     """Backward through `proj -> bn`, or through `proj -> bn -> lif` with
     `lif`: the gradient at proj's input from `g`, the gradient at the
@@ -630,29 +632,36 @@ def _through_bn(g: Tensor, rec: ForwardRecord | None, proj: BinaryLinearLayer,
 
 
 def _im2col(x: Tensor, k: int, pad: int) -> Tensor:
-    # x: (R, C, H, W) -> (R*H*W, C*k*k) with zero padding, stride 1
-    R, C, H, W = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(R * H * W, C * k * k)
-    return np.ascontiguousarray(cols)
+    # x: (R, H, W, C) -> (R*H*W, C*k*k) with zero padding, stride 1; a row
+    # holds each channel's k x k window in turn
+    R, H, W, C = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    return win.reshape(R * H * W, C * k * k)  # (R, H, W, C, k, k): a copy
 
 
 def _col2im(g_cols: Tensor, shape, k: int, pad: int) -> Tensor:
-    R, C, H, W = shape
+    """The adjoint of `_im2col`: the (R, H, W, C) gradient of its input.
+    It sums into channels-first memory and returns a channels-last view
+    of it: the batch norm backward it reaches sums in memory order, and
+    this order fixes the stem's gradient bytes."""
+    R, H, W, C = shape
     g = g_cols.reshape(R, H, W, C, k, k)
     out = np.zeros((R, C, H + 2 * pad, W + 2 * pad), dtype=g_cols.dtype)
     for di in range(k):
         for dj in range(k):
             out[:, :, di:di + H, dj:dj + W] += g[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
-    return out[:, :, pad:pad + H, pad:pad + W]
+    return out[:, :, pad:pad + H, pad:pad + W].transpose(0, 2, 3, 1)
 
 
 class Conv3x3Layer:
-    """3x3 same-padding convolution as im2col + the binary linear kernel.
+    """3x3 same-padding convolution over (T, B, H, W, C), channels last,
+    as im2col + the binary linear kernel.
 
     Its input is a LIF's bool spikes, so the im2col matrix is bool, and a
     training forward saves it for backward at one bit per element.
+    Backward returns a channels-last view of channels-first memory (see
+    `_col2im`).
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, rng: Rng, mode: str,
@@ -662,29 +671,32 @@ class Conv3x3Layer:
         self.linear = BinaryLinearLayer(name, in_ch * 9, out_ch, rng, mode=mode, ste_clip=ste_clip)
 
     def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
-        T, B, C, H, W = x.shape
-        out = self.linear.forward(_im2col(x.reshape(T * B, C, H, W), 3, 1), rec)
-        return out.reshape(T, B, H, W, self.out_ch).transpose(0, 1, 4, 2, 3)
+        T, B, H, W, C = x.shape
+        out = self.linear.forward(_im2col(x.reshape(T * B, H, W, C), 3, 1), rec)
+        return out.reshape(T, B, H, W, self.out_ch)
+
+    def _output_again(self, rec: ForwardRecord) -> Tensor:
+        return self.linear._output_again(rec)
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
-        T, B, _, H, W = g_out.shape  # same padding: the input's extent
-        g_cols = self.linear.backward(
-            np.ascontiguousarray(g_out.transpose(0, 1, 3, 4, 2)).reshape(-1, self.out_ch), rec
-        )
-        g_x = _col2im(g_cols, (T * B, self.in_ch, H, W), 3, 1)
-        return g_x.reshape(T, B, self.in_ch, H, W)
+        T, B, H, W, _ = g_out.shape  # same padding: the input's extent
+        g_cols = self.linear.backward(g_out, rec)
+        return _col2im(g_cols, (T * B, H, W, self.in_ch), 3, 1).reshape(T, B, H, W, self.in_ch)
 
     def parts(self):
         return (self.linear,)
 
 
 class MaxPool2Layer:
-    """2x2 stride-2 max pool on even extents; gradient routes to the first maximum."""
+    """2x2 stride-2 max pool over (T, B, H, W, C) on even extents. Each
+    window is read in (di, dj) order, and the gradient routes to its first
+    maximum. Backward returns a channels-last view of channels-first
+    memory (see `_col2im`)."""
 
     def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
-        T, B, C, H, W = x.shape
-        xr = x.reshape(T, B, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 3, 5, 4, 6)
-        xr = np.ascontiguousarray(xr).reshape(T, B, C, H // 2, W // 2, 4)
+        T, B, H, W, C = x.shape
+        xr = x.reshape(T, B, H // 2, 2, W // 2, 2, C).transpose(0, 1, 2, 4, 6, 3, 5)
+        xr = xr.reshape(T, B, H // 2, W // 2, C, 4)
         idx = xr.argmax(axis=-1)
         out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
         if _saving(rec):
@@ -693,11 +705,12 @@ class MaxPool2Layer:
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
         (idx,) = _take(rec, self)
-        T, B, C, h, w = g_out.shape
+        T, B, h, w, C = g_out.shape
         g = np.zeros((T, B, C, h, w, 4), dtype=g_out.dtype)
-        np.put_along_axis(g, idx[..., None], g_out[..., None], axis=-1)
+        np.put_along_axis(g, np.moveaxis(idx, -1, 2)[..., None],
+                          np.moveaxis(g_out, -1, 2)[..., None], axis=-1)
         g = g.reshape(T, B, C, h, w, 2, 2).transpose(0, 1, 2, 3, 5, 4, 6)
-        return np.ascontiguousarray(g).reshape(T, B, C, 2 * h, 2 * w)
+        return np.moveaxis(np.ascontiguousarray(g).reshape(T, B, C, 2 * h, 2 * w), 2, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +826,7 @@ class ReversibleState(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# stems
+# the stem
 
 
 def _batch(x: Tensor) -> Tensor:
@@ -832,106 +845,82 @@ def _require_samples(x: Tensor, shape: tuple) -> None:
         raise ShapeError(f"input samples have shape {x.shape[1:]}; the model takes {shape}")
 
 
-class VectorStem:
-    def __init__(self, cfg: ModelConfig, rng: Rng):
-        spec = cfg.stem
-        if spec.in_features % spec.tokens != 0:
-            raise ConfigError(
-                f"in_features {spec.in_features} not divisible by tokens {spec.tokens}"
-            )
-        self.sample_shape = (spec.in_features,)
-        self.tokens = spec.tokens
-        self.chunk = spec.in_features // spec.tokens
-        self.timesteps = cfg.timesteps
-        self.lif = LifLayer(cfg.lif())
-        self.linear = BinaryLinearLayer(
-            "stem.proj", self.chunk, cfg.embed_dim, rng.child(1),
-            mode=cfg.weight_mode, ste_clip=cfg.ste_clip,
-        )
-        self.bn = BatchNormLayer("stem.bn", cfg.embed_dim)
-
-    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
-        _require_samples(x, self.sample_shape)
-        B = x.shape[0]
-        tokens = x.reshape(B, self.tokens, self.chunk)
-        rep = np.broadcast_to(tokens, (self.timesteps,) + tokens.shape).astype(DTYPE)
-        h = self.linear.forward(self.lif.forward(rep, rec), rec)
-        return self.bn.forward(h, training, rec, rebuilt=True)
-
-    def backward(self, g: Tensor, rec: ForwardRecord | None) -> Tensor:
-        """The gradient at the time-replicated input, from the gradient at
-        the embedding."""
-        return self.lif.backward(_through_bn(g, rec, self.linear, self.bn), rec=rec)
-
-    def parts(self):
-        return (self.lif, self.linear, self.bn)
-
-
-class ConvStem:
-    """Patch-splitting stem: four LIF -> binary-conv3x3 -> BN stages with
-    channel doubling up to the embedding dim; the last log2(patch_size)
-    stages end in a stride-2 max pool."""
+class Stem:
+    """Spiking patch splitting (SPS; Zhou et al. 2023, arXiv:2209.15425):
+    `stages` of (lif, product, bn, pool), pool a `MaxPool2Layer` or None,
+    that turn a batch of samples into the (T, B, N, D) embedding. Both
+    input kinds (see `StemSpec`) run one loop each way, features last; the
+    kind decides only what is built and how a sample is shaped: a vector
+    becomes `tokens` chunks, an image (C, H, W) becomes (H, W, C). The
+    first LIF reads the sample replicated over the T timesteps.
+    """
 
     def __init__(self, cfg: ModelConfig, rng: Rng):
         spec = cfg.stem
         D = cfg.embed_dim
-        if D % 8 != 0:
-            raise ConfigError("conv stem needs embed_dim divisible by 8")
-        patch = spec.patch_size
-        if patch & (patch - 1) or patch < 1:
-            raise ConfigError(f"patch_size must be a power of two, got {patch}")
-        n_pool = patch.bit_length() - 1
-        if n_pool > 4:
-            raise ConfigError("patch_size larger than 16 is not supported")
-        if spec.image_size % patch != 0:
-            raise ConfigError(
-                f"image_size {spec.image_size} not divisible by patch_size {patch}"
-            )
-        chans = [spec.in_channels, D // 8, D // 4, D // 2, D]
-        self.stages = []
-        for i in range(4):
-            lif = LifLayer(cfg.lif())
-            conv = Conv3x3Layer(
-                f"stem.stage{i}.conv", chans[i], chans[i + 1], rng.child(10 + i),
-                mode=cfg.weight_mode, ste_clip=cfg.ste_clip,
-            )
-            bn = BatchNormLayer(f"stem.stage{i}.bn", chans[i + 1])
-            pool = MaxPool2Layer() if i >= 4 - n_pool else None
-            self.stages.append((lif, conv, bn, pool))
-        self.sample_shape = (spec.in_channels, spec.image_size, spec.image_size)
+        mode = dict(mode=cfg.weight_mode, ste_clip=cfg.ste_clip)
+        if spec.kind == "vector":
+            if spec.in_features % spec.tokens != 0:
+                raise ConfigError(
+                    f"in_features {spec.in_features} not divisible by tokens {spec.tokens}"
+                )
+            self.sample_shape = (spec.in_features,)
+            self.grid = (spec.tokens,)
+            chunk = spec.in_features // spec.tokens
+            self.stages = [(LifLayer(cfg.lif()),
+                            BinaryLinearLayer("stem.proj", chunk, D, rng.child(1), **mode),
+                            BatchNormLayer("stem.bn", D), None)]
+        elif spec.kind == "conv":
+            if D % 8 != 0:
+                raise ConfigError("conv stem needs embed_dim divisible by 8")
+            patch = spec.patch_size
+            if patch & (patch - 1) or patch < 1:
+                raise ConfigError(f"patch_size must be a power of two, got {patch}")
+            n_pool = patch.bit_length() - 1
+            if n_pool > 4:
+                raise ConfigError("patch_size larger than 16 is not supported")
+            if spec.image_size % patch != 0:
+                raise ConfigError(
+                    f"image_size {spec.image_size} not divisible by patch_size {patch}"
+                )
+            self.sample_shape = (spec.in_channels, spec.image_size, spec.image_size)
+            self.grid = (spec.image_size // patch,) * 2
+            chans = [spec.in_channels, D // 8, D // 4, D // 2, D]
+            self.stages = [(LifLayer(cfg.lif()),
+                            Conv3x3Layer(f"stem.stage{i}.conv", chans[i], chans[i + 1],
+                                         rng.child(10 + i), **mode),
+                            BatchNormLayer(f"stem.stage{i}.bn", chans[i + 1]),
+                            MaxPool2Layer() if i >= 4 - n_pool else None)
+                           for i in range(4)]
+        else:
+            raise ConfigError(f"unknown stem kind {spec.kind!r}")
+        self.kind = spec.kind
         self.timesteps = cfg.timesteps
-        self.tokens = (spec.image_size // patch) ** 2
-        self.embed_dim = D
+        self.tokens = math.prod(self.grid)
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
         _require_samples(x, self.sample_shape)
-        h = np.broadcast_to(x, (self.timesteps,) + x.shape).astype(DTYPE)
-        for lif, conv, bn, pool in self.stages:
-            s = lif.forward(np.ascontiguousarray(h), rec)
-            h = conv.forward(s, rec)
-            # BN over channels: move channel axis last and back
-            h = np.moveaxis(bn.forward(np.moveaxis(h, 2, -1), training, rec, rebuilt=True),
-                            -1, 2)
+        B = x.shape[0]
+        x = x.reshape(B, *self.grid, -1) if self.kind == "vector" else x.transpose(0, 2, 3, 1)
+        # in C order: by default astype lays the broadcast time axis innermost
+        h = np.broadcast_to(x, (self.timesteps,) + x.shape).astype(DTYPE, order="C")
+        for lif, product, bn, pool in self.stages:
+            h = bn.forward(product.forward(lif.forward(h, rec), rec), training, rec, rebuilt=True)
             if pool is not None:
                 h = pool.forward(h, rec)
-        T, B, C, H, W = h.shape
-        return np.ascontiguousarray(h.transpose(0, 1, 3, 4, 2)).reshape(T, B, H * W, C)
+        return h.reshape(h.shape[:2] + (self.tokens, h.shape[-1]))
 
     def backward(self, g: Tensor, rec: ForwardRecord | None) -> Tensor:
         """The gradient at the time-replicated input, from the gradient at
-        the embedding."""
-        T, B, N, C = g.shape
-        side = int(np.sqrt(N))
-        g = g.reshape(T, B, side, side, C).transpose(0, 1, 4, 2, 3)
-        for lif, conv, bn, pool in reversed(self.stages):
+        the embedding. It has the shape of the first LIF's input, features
+        last: (T, B, tokens, in_features // tokens) for a vector stem;
+        (T, B, H, W, C) for a conv stem, where it is a view of
+        channels-first memory (see `_col2im`)."""
+        g = g.reshape(g.shape[:2] + self.grid + g.shape[-1:])
+        for lif, product, bn, pool in reversed(self.stages):
             if pool is not None:
                 g = pool.backward(g, rec)
-            g = np.moveaxis(g, 2, -1)
-            # the BN's input, (T, B, H, W, C) as it was
-            bn._normalize_again(rec, conv.linear._output_again(rec).reshape(g.shape))
-            g = np.moveaxis(bn.backward(g, rec), -1, 2)
-            g = conv.backward(np.ascontiguousarray(g), rec)
-            g = lif.backward(g, rec=rec)
+            g = lif.backward(_through_bn(g, rec, product, bn), rec=rec)
         return g
 
     def parts(self):
@@ -1239,12 +1228,7 @@ class SpikingTransformer:
     def _build(self, cfg: ModelConfig, seed: int, rng: Rng | _BlankRng) -> None:
         self.cfg = cfg
         self.seed = seed
-        if cfg.stem.kind == "conv":
-            self.stem = ConvStem(cfg, rng.child(0))
-        elif cfg.stem.kind == "vector":
-            self.stem = VectorStem(cfg, rng.child(0))
-        else:
-            raise ConfigError(f"unknown stem kind {cfg.stem.kind!r}")
+        self.stem = Stem(cfg, rng.child(0))
         self.reversible = cfg.topology == "reversible"
         cls_blk, streams = (ReversibleBlock, 2) if self.reversible else (ResidualBlock, 1)
         self.blocks = [cls_blk(f"block{i}", cfg, rng.child(100 + i)) for i in range(cfg.depth)]

@@ -169,18 +169,21 @@ def boolean_binarize(x: Tensor) -> Tensor:
 
 
 def _sigmoid(z: Tensor) -> Tensor:
+    """The logistic of `z`, written over `z`'s buffer and one new one:
+    pass an array made for this call."""
     # overflow-safe logistic: exp only ever sees non-positive arguments.
     # Each side evaluates the same expression as the masked two-branch form
     # (1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z)) below), so results are
     # bit-identical to it, without its boolean gathers and scatters. The
     # numerator is max(e, [z >= 0]) with e = exp(-|z|): where z >= 0, e <= 1
     # and the maximum is exactly 1; below, the mask is +0 <= e and the
-    # maximum is e; a NaN e passes through with its payload. The numerator
-    # fills the mask's buffer and the denominator e's: two fresh buffers.
-    e = np.abs(z, out=np.empty_like(z))
+    # maximum is e; a NaN e passes through with its payload. The mask is
+    # taken before e overwrites z; the numerator fills the mask's buffer
+    # and the denominator e's.
+    num = np.greater_equal(z, 0, out=np.empty_like(z))
+    e = np.abs(z, out=z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.greater_equal(z, 0, out=np.empty_like(z))
     np.maximum(e, num, out=num)
     den = np.add(e, 1.0, out=e)
     return np.divide(num, den, out=num)
@@ -199,7 +202,7 @@ def surrogate_relaxation(u_pre: Tensor, p: LifParams) -> Tensor:
     if spec.kind is SurrogateKind.RECTANGULAR:
         return np.clip(d / a + 0.5, 0.0, 1.0)
     if spec.kind is SurrogateKind.SIGMOID:
-        return _sigmoid(a * d)
+        return _sigmoid(np.asarray(a * d))
     if spec.kind is SurrogateKind.ARCTAN:
         return np.arctan(0.5 * np.pi * a * d) / np.pi + 0.5
     raise ConfigError(f"unknown surrogate kind: {spec.kind!r}")

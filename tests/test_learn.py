@@ -236,6 +236,40 @@ class TestTrainLoop:
         assert em.ce_distill == 0.0
         assert em.global_loss == em.ce_class
 
+    def test_distilling_batch_trains_on_global_loss(self, monkeypatch):
+        # one batch: the epoch's losses, and the logit gradients backward
+        # reads, are global_loss's on that batch's logits
+        (x, y), _ = cluster_data(5, n_train=32, n_test=8)
+        net = SpikingTransformer(toy_config("reversible"), seed=14)
+        teacher = SpikingTransformer(toy_config("residual", weight_mode="full"), seed=3)
+        seen = {}
+        forward, backward, predict = net.forward, net.backward, learn.teacher_predict
+
+        def spy_forward(xb, training=False):
+            seen["logits"] = forward(xb, training)
+            return seen["logits"]
+
+        def spy_backward(g_logits, g_dist=None):
+            seen["grads"] = (g_logits, g_dist)
+            return backward(g_logits, g_dist)
+
+        def spy_predict(teacher, xb, ids=None):
+            seen["ids"], seen["teacher"] = ids, predict(teacher, xb, ids)
+            return seen["teacher"]
+
+        monkeypatch.setattr(net, "forward", spy_forward)
+        monkeypatch.setattr(net, "backward", spy_backward)
+        monkeypatch.setattr(learn, "teacher_predict", spy_predict)
+        em = train_epoch(net, (x, y), teacher, AdamW(net.named_params()), Rng(15),
+                         batch_size=32)
+        logits, dist = seen["logits"]
+        rep = global_loss(logits, y[seen["ids"]], dist, seen["teacher"])
+        assert (em.ce_class, em.ce_distill, em.global_loss) == (
+            rep.ce_class, rep.ce_distill, rep.global_loss)
+        g_logits, g_dist = seen["grads"]
+        assert g_logits.tobytes() == rep.g_class.astype(np.float32).tobytes()
+        assert g_dist.tobytes() == rep.g_distill.astype(np.float32).tobytes()
+
     def test_nonfinite_loss_aborts_with_batch_index(self):
         (x, y), _ = cluster_data(6, n_train=32, n_test=8)
         net = SpikingTransformer(toy_config("residual"), seed=16)

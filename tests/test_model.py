@@ -72,12 +72,12 @@ class TestStem:
             assert np.array_equal(first[t], first[0])
 
     def test_stem_seeds_both_streams_identically(self):
-        for cfg, x, stem_cls in (
-            (toy_config("reversible"), Rng(3).normal((2, 64)), M.VectorStem),
-            (conv_config(image=16), Rng(3).normal((2, 3, 16, 16)), M.ConvStem),
+        for cfg, x, kind in (
+            (toy_config("reversible"), Rng(3).normal((2, 64)), "vector"),
+            (conv_config(image=16), Rng(3).normal((2, 3, 16, 16)), "conv"),
         ):
             net = SpikingTransformer(cfg, seed=0)
-            assert type(net.stem) is stem_cls
+            assert type(net.stem) is M.Stem and net.stem.kind == kind
             stem_state, _ = net.run_reversible(x)
             e = net.stem.forward(x, training=False)
             assert np.array_equal(stem_state.x0, e) and np.array_equal(stem_state.x1, e)
@@ -125,6 +125,62 @@ class TestStem:
             )
         with pytest.raises(ConfigError):
             SpikingTransformer(conv_config(image=30, patch=4), seed=0)
+
+    @pytest.mark.parametrize("cfg,x,want", [
+        (toy_config("residual", timesteps=3), Rng(4).normal((5, 64)), (3, 5, 4, 16)),
+        (conv_config(image=16), Rng(4).normal((2, 3, 16, 16)), (2, 2, 16, 16, 3)),
+    ], ids=["vector", "conv"])
+    def test_backward_returns_features_last_input_gradient(self, cfg, x, want):
+        # the gradient at the time-replicated input: token chunks for a
+        # vector, (T, B, H, W, C) for an image
+        stem = M.Stem(cfg, Rng(5))
+        rec = M.ForwardRecord(saved=True)
+        e = stem.forward(x, training=True, rec=rec)
+        g = stem.backward(Rng(6).normal(e.shape), rec)
+        assert g.shape == want and g.dtype == np.float32 and rec.saved == {}
+
+
+class TestConvKernels:
+    def test_col2im_is_the_adjoint_of_im2col(self):
+        # <im2col(x), y> == <x, col2im(y)>, in float64
+        x = Rng(1).normal((3, 5, 6, 4)).astype(np.float64)
+        y = Rng(2).normal((3 * 5 * 6, 4 * 9)).astype(np.float64)
+        lhs = np.vdot(M._im2col(x, 3, 1), y)
+        rhs = np.vdot(x, M._col2im(y, x.shape, 3, 1))
+        assert np.isclose(lhs, rhs, rtol=1e-12)
+
+    def test_im2col_product_is_a_same_padding_convolution(self):
+        R, H, W, C, O = 2, 5, 4, 3, 6
+        x = Rng(3).normal((R, H, W, C)).astype(np.float64)
+        w = Rng(4).normal((O, C, 3, 3)).astype(np.float64)
+        got = (M._im2col(x, 3, 1) @ w.reshape(O, -1).T).reshape(R, H, W, O)
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        want = np.zeros((R, H, W, O))
+        for i in range(H):
+            for j in range(W):
+                for di in range(3):
+                    for dj in range(3):
+                        want[:, i, j] += xp[:, i + di, j + dj] @ w[:, :, di, dj].T
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_max_pool_takes_each_window_maximum(self):
+        x = Rng(5).normal((2, 3, 4, 6, 5))
+        got = M.MaxPool2Layer().forward(x)
+        want = x.reshape(2, 3, 2, 2, 3, 2, 5).max(axis=(3, 5))
+        assert got.shape == (2, 3, 2, 3, 5) and got.tobytes() == want.tobytes()
+
+    def test_max_pool_routes_a_tie_to_the_first_maximum(self):
+        # windows in (di, dj) order: a tie goes to the earlier element
+        x = np.zeros((1, 1, 2, 2, 3), dtype=np.float32)
+        x[0, 0, :, :, 0] = [[1, 1], [1, 1]]   # all four tie: (0, 0)
+        x[0, 0, :, :, 1] = [[0, 2], [2, 0]]   # (0, 1) before (1, 0)
+        x[0, 0, :, :, 2] = [[0, 0], [3, 3]]   # (1, 0) before (1, 1)
+        pool, rec = M.MaxPool2Layer(), M.ForwardRecord(saved=True)
+        assert pool.forward(x, rec).ravel().tolist() == [1, 2, 3]
+        g = pool.backward(np.array([[[[[10, 20, 30]]]]], dtype=np.float32), rec)
+        want = np.zeros_like(x)
+        want[0, 0, 0, 0, 0], want[0, 0, 0, 1, 1], want[0, 0, 1, 0, 2] = 10, 20, 30
+        assert g.shape == x.shape and np.array_equal(g, want)
 
 
 class TestBssa:
@@ -973,17 +1029,21 @@ class TestRebuiltInputs:
     def test_vector_stem_matches_float_cache_reference_bytewise(self):
         cfg = toy_config("residual", timesteps=3)
         x = Rng(63).normal((5, 64), std=2.0)
-        got_stem, ref = M.VectorStem(cfg, Rng(64)), M.VectorStem(cfg, Rng(64))
+        got_stem, ref = M.Stem(cfg, Rng(64)), M.Stem(cfg, Rng(64))
+        ((_, _, got_bn, _),) = got_stem.stages
+        ((lif, linear, bn, pool),) = ref.stages
+        assert pool is None
         rec = M.ForwardRecord(saved=True)
         got_out = got_stem.forward(x, training=True, rec=rec)
-        assert rec.saved[got_stem.bn][0] is None
+        assert rec.saved[got_bn][0] is None
         g_out = Rng(65).normal(got_out.shape)
         got_g = got_stem.backward(g_out, rec)
         rec = M.ForwardRecord(saved=True)
-        rep = np.broadcast_to(x.reshape(5, ref.tokens, ref.chunk), (3, 5, ref.tokens, ref.chunk))
-        want_out = ref.bn.forward(ref.linear.forward(ref.lif.forward(rep.astype(np.float32), rec),
-                                                     rec), True, rec)
-        want_g = ref.lif.backward(ref.linear.backward(ref.bn.backward(g_out, rec), rec), rec=rec)
+        chunk = 64 // ref.tokens
+        rep = np.broadcast_to(x.reshape(5, ref.tokens, chunk), (3, 5, ref.tokens, chunk))
+        want_out = bn.forward(linear.forward(lif.forward(rep.astype(np.float32), rec), rec),
+                              True, rec)
+        want_g = lif.backward(linear.backward(bn.backward(g_out, rec), rec), rec=rec)
         assert got_out.tobytes() == want_out.tobytes()
         assert got_g.shape == rep.shape and got_g.tobytes() == want_g.tobytes()
         _same_grads(got_stem, ref)
@@ -1147,7 +1207,7 @@ class TestTrainingCaches:
         for blk in net.blocks:
             pairs += [(blk.bmlp.lif1, blk.bmlp.fc1), (blk.bmlp.lif2, blk.bmlp.fc2)]
         if kind != "conv":
-            pairs.append((net.stem.lif, net.stem.linear))
+            pairs += [(lif, linear) for lif, linear, _, _ in net.stem.stages]
         for lif, lyr in pairs:
             assert saved[lyr][0] is saved[lif][1]
         for lam in M.walk(net, M.LambdaLayer):  # binary mode only
@@ -1164,7 +1224,7 @@ class TestTrainingCaches:
             for lif, conv, _, pool in net.stem.stages:
                 in2d = packed(saved[conv.linear][0])
                 assert in2d is not saved[lif][1]
-                T, B, C, H, W = saved[lif][1].shape
+                T, B, H, W, C = saved[lif][1].shape
                 assert in2d.shape == (T * B * H * W, C * 9)
                 assert pool is None or saved[pool][0].dtype == np.uint8  # argmax in 0..3
 
