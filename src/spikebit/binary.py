@@ -125,7 +125,7 @@ def packed_linear(spikes: PackedBits, weights: PackedBits) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StandardizationRecord:
     """Mean/spread removed from a latent weight tensor before taking signs."""
 
@@ -133,15 +133,23 @@ class StandardizationRecord:
     std: np.ndarray
 
 
-def _standardize(w: np.ndarray) -> tuple[np.ndarray, StandardizationRecord]:
-    # std as sqrt(var) about the mean already taken: the bytes of
-    # w.std(dtype=float64), one pass fewer
-    mean = np.asarray(w.mean(dtype=np.float64))
-    std = np.asarray(np.sqrt(w.var(dtype=np.float64, mean=mean)))
-    if std == 0:
-        raise DegenerateWeightsError("weight tensor has zero spread; cannot standardize")
-    z = ((w - mean) / std).astype(w.dtype if w.dtype.kind == "f" else DTYPE)
-    return z, StandardizationRecord(mean=mean, std=std)
+def _standardize(w: np.ndarray, record: StandardizationRecord | None = None
+                 ) -> tuple[np.ndarray, StandardizationRecord]:
+    """(w - mean) / std in w's float dtype (float32 for other input), and
+    the record of mean and std, both from w's float64 image. Given the
+    `record` of this same w, it reuses it and takes no statistics."""
+    w64 = w.astype(np.float64, copy=False)
+    if record is None:
+        # std as sqrt(var) about the mean already taken: the bytes of
+        # w.std(), one pass fewer
+        mean = np.asarray(w64.mean())
+        std = np.asarray(np.sqrt(w64.var(mean=mean)))
+        if std == 0:
+            raise DegenerateWeightsError("weight tensor has zero spread; cannot standardize")
+        record = StandardizationRecord(mean=mean, std=std)
+    z = w64 - record.mean
+    z /= record.std
+    return z.astype(w.dtype if w.dtype.kind == "f" else DTYPE, copy=False), record
 
 
 def standardize_latent(w: Tensor) -> Tensor:
@@ -177,10 +185,20 @@ def binarize_weights(w: Tensor) -> tuple[PackedBits, StandardizationRecord]:
 
 def binary_signs(w: Tensor) -> Tensor:
     """Float +-1 image of `binarize_weights` without packing."""
-    return _signs(standardize_latent(w))
+    return latent_signs(w)[0]
 
 
-def ste_backward(grad_out: Tensor, latent: Tensor, clip: float = 1.0) -> Tensor:
+def latent_signs(w: Tensor) -> tuple[Tensor, StandardizationRecord]:
+    """`binary_signs` and the standardization record they came from, which
+    `ste_backward` takes to skip standardizing the same weights again."""
+    w = np.asarray(w, dtype=DTYPE)
+    require_finite(w, "latent weights")
+    z, record = _standardize(w)
+    return _signs(z), record
+
+
+def ste_backward(grad_out: Tensor, latent: Tensor, clip: float = 1.0,
+                 record: StandardizationRecord | None = None) -> Tensor:
     """Straight-through gradient for the sign-of-standardized-weights map.
 
     The sign itself passes gradients unchanged where the standardized
@@ -190,7 +208,9 @@ def ste_backward(grad_out: Tensor, latent: Tensor, clip: float = 1.0) -> Tensor:
 
         J_std^T (grad_out * mask)
 
-    with J_std the Jacobian of w -> (w - mean(w)) / sigma(w).
+    with J_std the Jacobian of w -> (w - mean(w)) / sigma(w). `record`, if
+    given, must be `latent_signs`' record of these very weights; without
+    it the weights are standardized here, to the same bytes.
     """
     latent = np.asarray(latent)
     grad_out = np.asarray(grad_out)
@@ -198,7 +218,7 @@ def ste_backward(grad_out: Tensor, latent: Tensor, clip: float = 1.0) -> Tensor:
         raise ShapeError(
             f"ste_backward shape mismatch: grad {grad_out.shape}, latent {latent.shape}"
         )
-    z, record = _standardize(latent.astype(np.float64))
+    z, record = _standardize(latent.astype(np.float64), record)
     g = grad_out.astype(np.float64) * (np.abs(z) <= clip)
     grad = (g - g.mean() - z * (z * g).mean()) / record.std
     return grad.astype(grad_out.dtype if grad_out.dtype.kind == "f" else DTYPE)

@@ -202,10 +202,22 @@ def teacher_predict(teacher, batch_x: Tensor, ids: Tensor | None = None) -> Teac
 class AdamW:
     """Adaptive moments with decoupled weight decay.
 
-    Decay applies only to matrix-shaped parameters; one-dimensional
-    parameters (biases, BN affine) and the lambda scales are exempt.
-    Parameters flagged positive-only are clipped to a small floor after
-    each step.
+    Decay applies only to matrix-shaped parameters that are not flagged
+    positive-only; one-dimensional parameters (biases, BN affine) and the
+    lambda scales are exempt. Parameters flagged positive-only are clipped
+    to a small floor after each step.
+
+    The optimizer keeps every parameter's value and gradient in two flat
+    float32 arenas: construction copies them in and rebinds each
+    `Param.value` and `Param.grad` to its view (a gradient no backward
+    made yet becomes zeros, as a step would read it). The decayed
+    matrices come first, then the positive-only parameters, so decay and
+    the floor each act on one slice, and a step runs each elementwise
+    operation once over the whole arena. Code that updates a parameter
+    must therefore write into its arrays, not rebind them: a rebound
+    array is no longer the one the optimizer steps. A newer optimizer
+    over the same parameters takes them over in the same way; an older
+    one then steps only its own arena, which no parameter reads.
     """
 
     def __init__(self, named_params: list[tuple[str, Param]], lr: float = 1e-3,
@@ -218,28 +230,63 @@ class AdamW:
         self.weight_decay = weight_decay
         self.positivity_floor = positivity_floor
         self.step_count = 0
-        self.m = [np.zeros_like(p.value) for _, p in self.entries]
-        self.v = [np.zeros_like(p.value) for _, p in self.entries]
+        params = [p for _, p in self.entries]
+        if len({id(p) for p in params}) != len(params):
+            raise ConfigError("AdamW: a parameter is listed twice")
+        decayed = [p for p in params if p.value.ndim >= 2 and not p.positive]
+        positive = [p for p in params if p.positive]
+        rest = [p for p in params if p.value.ndim < 2 and not p.positive]
+        self.decayed = sum(p.value.size for p in decayed)
+        self.positive = slice(self.decayed, self.decayed + sum(p.value.size for p in positive))
+        size = sum(p.value.size for p in params)
+        self.values = np.empty(size, dtype=DTYPE)
+        self.grads = np.zeros(size, dtype=DTYPE)
+        start = 0
+        for p in decayed + positive + rest:
+            stop = start + p.value.size
+            self.values[start:stop] = p.value.reshape(-1)
+            if p.grad is not None:
+                self.grads[start:stop] = p.grad.reshape(-1)
+            p.value = self.values[start:stop].reshape(p.value.shape)
+            p.grad = self.grads[start:stop].reshape(p.value.shape)
+            start = stop
+        self.m = np.zeros(size, dtype=DTYPE)
+        self.v = np.zeros(size, dtype=DTYPE)
 
     def step(self, lr: float | None = None) -> None:
+        """One update of every parameter. Each element sees the operations
+        of the plain per-parameter expressions, in their order:
+
+            m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+            upd = (m / bias1) / (sqrt(v / bias2) + eps) [+ wd * p]
+            p -= lr * upd;  p = max(p, floor) where positive-only
+
+        in place on the arenas, so the bytes are those expressions'."""
         lr = self.lr if lr is None else lr
         b1, b2 = self.betas
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - b1 ** t
         bias2 = 1.0 - b2 ** t
-        for i, (name, p) in enumerate(self.entries):
-            g = p.grad if p.grad is not None else np.zeros_like(p.value)  # none made yet
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / bias1
-            v_hat = self.v[i] / bias2
-            upd = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay and p.value.ndim >= 2:
-                upd = upd + self.weight_decay * p.value
-            p.value -= (lr * upd).astype(DTYPE)
-            if p.positive:
-                np.maximum(p.value, self.positivity_floor, out=p.value)
+        g, m, v = self.grads, self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * g
+        tmp = (1.0 - b2) * g
+        tmp *= g
+        v *= b2
+        v += tmp
+        upd = m / bias1
+        np.divide(v, bias2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        upd /= tmp
+        if self.weight_decay:
+            d = self.decayed
+            upd[:d] += np.multiply(self.weight_decay, self.values[:d], out=tmp[:d])
+        self.values -= np.multiply(lr, upd, out=upd)  # as (lr * upd).astype(float32)
+        floor = self.values[self.positive]
+        np.maximum(floor, self.positivity_floor, out=floor)
+        for _, p in self.entries:
             p.bump()
 
 

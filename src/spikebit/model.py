@@ -387,7 +387,9 @@ class BinaryLinearLayer:
     """Linear layer over the trailing feature axis.
 
     In `binary` mode the latent weights are standardized and signed (the
-    +-1 sign matrix is cached until the next weight update), inputs must
+    +-1 sign matrix is cached until the next weight update, beside the
+    standardization record that backward's straight-through estimator
+    reuses, so a step standardizes each weight once), inputs must
     be {0,1} spikes, and the product is float32 BLAS on the sign matrix.
     That is exact: every partial sum is an integer of magnitude at most
     in_features, which stays below 2**24, so the result equals the packed
@@ -417,15 +419,20 @@ class BinaryLinearLayer:
         self.ste_clip = ste_clip
         std = 1.0 / np.sqrt(in_features)
         self.weight = Param(rng.normal((out_features, in_features), std=std))
-        self._sign_cache = None  # (weight version, +-1 signs)
+        # (weight version, +-1 signs, the StandardizationRecord they came from)
+        self._sign_cache = None
 
     def _binary_signs(self) -> Tensor:
+        return self._signs_and_record()[0]
+
+    def _signs_and_record(self) -> tuple[Tensor, binary.StandardizationRecord]:
+        """The sign matrix of the current weights and its standardization
+        record, from the cache while no optimizer step has bumped them."""
         cached = self._sign_cache
-        if cached is not None and cached[0] == self.weight.version:
-            return cached[1]
-        signs = binary.binary_signs(self.weight.value)
-        self._sign_cache = (self.weight.version, signs)
-        return signs
+        if cached is None or cached[0] != self.weight.version:
+            cached = (self.weight.version, *binary.latent_signs(self.weight.value))
+            self._sign_cache = cached
+        return cached[1:]
 
     def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
         return self._product(self._spikes(x), rec)
@@ -478,7 +485,10 @@ class BinaryLinearLayer:
         g2 = g_out.reshape(-1, self.out_features)
         g_mat = g2.T @ self._rows(packed).astype(DTYPE)
         if self.mode == "binary":
-            self.weight.accumulate(binary.ste_backward(g_mat, self.weight.value, self.ste_clip))
+            # the forward standardized these weights: reuse its record
+            record = self._signs_and_record()[1]
+            self.weight.accumulate(binary.ste_backward(g_mat, self.weight.value, self.ste_clip,
+                                                       record))
         else:
             self.weight.accumulate(g_mat)
         g_in = g2 @ mat
@@ -496,10 +506,17 @@ class BatchNormLayer:
     `rebuilt`: then it saves the two per-channel statistics alone, and
     the caller hands that input back through `_normalize_again` before
     backward runs. A forward on running statistics saves nothing.
+
+    `bound` is the `in_features` of the binary-mode product that feeds
+    the layer, or None: its inputs are then integers of magnitude at most
+    `bound`, and `numeric._batch_norm` takes training statistics from
+    exact integer moments.
     """
 
-    def __init__(self, name: str, channels: int, epsilon: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, name: str, channels: int, epsilon: float = 1e-5, momentum: float = 0.1,
+                 bound: int | None = None):
         self.name = name
+        self.bound = bound
         self.gamma = Param(np.ones(channels, dtype=DTYPE))
         self.beta = Param(np.zeros(channels, dtype=DTYPE))
         self.running_mean = np.zeros(channels, dtype=DTYPE)
@@ -512,7 +529,7 @@ class BatchNormLayer:
                 rebuilt: bool = False) -> Tensor:
         keep = training and _saving(rec)
         out, xhat, mean, inv = numeric._batch_norm(x, self.bn_params(), training,
-                                                   keep and not rebuilt, self.name)
+                                                   keep and not rebuilt, self.name, self.bound)
         if keep:  # without xhat, out has taken over its buffer
             rec.saved[self] = (None if rebuilt else xhat, mean, inv)
         return out
@@ -829,6 +846,13 @@ class ReversibleState(NamedTuple):
 # the stem
 
 
+def _bound(cfg: ModelConfig, in_features: int) -> int | None:
+    """The `BatchNormLayer` bound after a product of `in_features` inputs:
+    in_features in binary mode, None in full mode, whose products are
+    float sums."""
+    return in_features if cfg.weight_mode == "binary" else None
+
+
 def _batch(x: Tensor) -> Tensor:
     """`x` as a float32 batch; raises ShapeError if it has no batch axis
     or no samples, before anything runs on it."""
@@ -869,7 +893,7 @@ class Stem:
             chunk = spec.in_features // spec.tokens
             self.stages = [(LifLayer(cfg.lif()),
                             BinaryLinearLayer("stem.proj", chunk, D, rng.child(1), **mode),
-                            BatchNormLayer("stem.bn", D), None)]
+                            BatchNormLayer("stem.bn", D, bound=_bound(cfg, chunk)), None)]
         elif spec.kind == "conv":
             if D % 8 != 0:
                 raise ConfigError("conv stem needs embed_dim divisible by 8")
@@ -889,7 +913,8 @@ class Stem:
             self.stages = [(LifLayer(cfg.lif()),
                             Conv3x3Layer(f"stem.stage{i}.conv", chans[i], chans[i + 1],
                                          rng.child(10 + i), **mode),
-                            BatchNormLayer(f"stem.stage{i}.bn", chans[i + 1]),
+                            BatchNormLayer(f"stem.stage{i}.bn", chans[i + 1],
+                                           bound=_bound(cfg, 9 * chans[i])),
                             MaxPool2Layer() if i >= 4 - n_pool else None)
                            for i in range(4)]
         else:
@@ -962,10 +987,9 @@ class BssaBlock:
         self.q_proj, self.k_proj, self.v_proj, self.o_proj = (
             mk("q", 1), mk("k", 2), mk("v", 3), mk("o", 4)
         )
-        self.q_bn = BatchNormLayer(f"{name}.q_bn", D)
-        self.k_bn = BatchNormLayer(f"{name}.k_bn", D)
-        self.v_bn = BatchNormLayer(f"{name}.v_bn", D)
-        self.o_bn = BatchNormLayer(f"{name}.o_bn", D)
+        self.q_bn, self.k_bn, self.v_bn, self.o_bn = (
+            BatchNormLayer(f"{name}.{tag}_bn", D, bound=_bound(cfg, D)) for tag in "qkvo"
+        )
         self.q_lif, self.k_lif, self.v_lif = (LifLayer(cfg.lif()) for _ in range(3))
         self.attn_lif = LifLayer(cfg.lif(reset=neuron.Reset.SOFT))
         self.lam = LambdaLayer(f"{name}.lambda", cfg.timesteps) if self.binary_attn else None
@@ -1025,6 +1049,12 @@ class BssaBlock:
         {0,1} products, so exact in any order."""
         return np.matmul(qh, kh.swapaxes(-1, -2))
 
+    @staticmethod
+    def _attention_backward(g_attn: Tensor, qh: Tensor, kh: Tensor) -> tuple[Tensor, Tensor]:
+        """The gradients at Q's and at K's head splits from the gradient at
+        their attention map: g_attn K and g_attn^T Q."""
+        return np.matmul(g_attn, kh), np.matmul(g_attn.swapaxes(-1, -2), qh)
+
     def _context(self, s_attn: Tensor, vh: Tensor) -> tuple[Tensor, Tensor]:
         """The attention map's product with V's head splits, and the
         context it scales to (by lambda or attn_scale), heads merged. The
@@ -1032,6 +1062,13 @@ class BssaBlock:
         ctx0 = np.matmul(s_attn, vh)
         ctx = self.lam.forward(ctx0) if self.binary_attn else ctx0 * self.attn_scale
         return ctx0, self._merge(ctx)
+
+    @staticmethod
+    def _context_backward(g: Tensor, s_attn: Tensor, vh: Tensor) -> tuple[Tensor, Tensor]:
+        """The gradients at the attention map and at V's head splits from
+        the gradient `g` at their product, before its scaling: g V^T and
+        s_attn^T g."""
+        return np.matmul(g, vh.swapaxes(-1, -2)), np.matmul(s_attn.swapaxes(-1, -2), g)
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
         """Every float input a LIF or BN read is rebuilt from the saved
@@ -1050,15 +1087,14 @@ class BssaBlock:
         if self.binary_attn:
             g_ctx0 = self.lam.backward(g, ctx0)
             del ctx0
-            g_sattn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx0, vh, optimize=True)
-            g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx0, optimize=True)
+            g_sattn, g_vh = self._context_backward(g_ctx0, s_attn, vh)
             g_attn = self.attn_lif.backward(g_sattn, rec=rec, x=self._attention(qh, kh))
         else:
             del ctx0
-            g_attn = np.einsum("tbhnd,tbhmd->tbhnm", g, vh, optimize=True) * self.attn_scale
-            g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g, optimize=True) * self.attn_scale
-        g_qh = np.einsum("tbhnm,tbhmd->tbhnd", g_attn, kh, optimize=True)
-        g_kh = np.einsum("tbhnm,tbhnd->tbhmd", g_attn, qh, optimize=True)
+            g_attn, g_vh = self._context_backward(g, s_attn, vh)
+            g_attn *= self.attn_scale
+            g_vh *= self.attn_scale
+        g_qh, g_kh = self._attention_backward(g_attn, qh, kh)
         g_s = [
             _through_bn(self._merge(gh), rec, proj, bn, lif)
             for gh, lif, bn, proj in (
@@ -1085,11 +1121,11 @@ class BmlpBlock:
         self.lif1 = LifLayer(cfg.lif())
         self.fc1 = BinaryLinearLayer(f"{name}.fc1", D, hidden, rng.child(1),
                                      mode=cfg.weight_mode, ste_clip=cfg.ste_clip)
-        self.bn1 = BatchNormLayer(f"{name}.bn1", hidden)
+        self.bn1 = BatchNormLayer(f"{name}.bn1", hidden, bound=_bound(cfg, D))
         self.lif2 = LifLayer(cfg.lif())
         self.fc2 = BinaryLinearLayer(f"{name}.fc2", hidden, D, rng.child(2),
                                      mode=cfg.weight_mode, ste_clip=cfg.ste_clip)
-        self.bn2 = BatchNormLayer(f"{name}.bn2", D)
+        self.bn2 = BatchNormLayer(f"{name}.bn2", D, bound=_bound(cfg, hidden))
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
         h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x, rec), rec), training, rec,

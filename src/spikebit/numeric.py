@@ -21,6 +21,9 @@ DTYPE = np.float32
 
 Tensor = np.ndarray
 
+# float32 holds every integer of magnitude up to 2**24 exactly
+EXACT_FLOAT32 = 1 << 24
+
 
 def require_finite(x: Tensor, what: str = "tensor") -> Tensor:
     if not np.all(np.isfinite(x)):
@@ -95,11 +98,16 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool = False) -> Tensor:
 
 
 def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, keep: bool,
-                what: str) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+                what: str, bound: int | None = None) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Batch norm in x's float dtype, float32 for any other input: (out,
     xhat, mean, inv), with xhat = `_normalize(x, mean, inv)` and out =
     `_scale_shift(xhat, ...)`. Without `keep`, out reuses xhat's buffer.
-    Errors name `what`."""
+    Errors name `what`.
+
+    `bound` says that x holds integers of magnitude at most `bound`, as a
+    binary product of that many {0,1} inputs and +-1 signs does. Where
+    `_exact_moments` can use it, training statistics come from exact
+    integer moments; elsewhere from numpy's float64 two-pass variance."""
     if x.shape[-1] != p.channels:
         raise ShapeError(
             f"{what}: channel mismatch: input has {x.shape[-1]} channels, "
@@ -110,9 +118,13 @@ def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, keep: bool,
     dt = x.dtype
     if training:
         flat = x.reshape(-1, p.channels)
-        mean64 = flat.mean(axis=0, dtype=np.float64, keepdims=True)
-        var = flat.var(axis=0, dtype=np.float64, mean=mean64).astype(dt)  # mean not summed twice
-        mean = mean64[0].astype(dt)
+        n = flat.shape[0]
+        if bound is not None and bound * bound <= EXACT_FLOAT32 and n * bound <= 1 << 26:
+            mean64, var64 = _exact_moments(flat, bound)
+        else:
+            mean64 = flat.mean(axis=0, dtype=np.float64)
+            var64 = flat.var(axis=0, dtype=np.float64, mean=mean64[None])  # mean not summed twice
+        mean, var = mean64.astype(dt), var64.astype(dt)
         m = p.momentum
         p.running_mean[:] = ((1.0 - m) * p.running_mean + m * mean).astype(DTYPE)
         p.running_var[:] = ((1.0 - m) * p.running_var + m * var).astype(DTYPE)
@@ -126,6 +138,36 @@ def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, keep: bool,
     xhat = _normalize(x, mean, inv)
     out = _scale_shift(xhat, p.gamma, p.beta, None if keep else xhat)
     return out, xhat, mean, inv
+
+
+def _exact_moments(flat: Tensor, bound: int) -> tuple[Tensor, Tensor]:
+    """Per-column mean and population variance, in float64, of a (n, C)
+    matrix of integers of magnitude at most `bound`, with bound**2 <= 2**24
+    and n * bound <= 2**26.
+
+    Σx and Σx·x are sums of BLAS products of a ones row with blocks of x
+    and of x·x (exact in x's dtype, since |x| <= 2**12). A block holds at
+    most 2**24 / bound rows for Σx and 2**24 / bound**2 for Σx·x, so every
+    partial sum is an integer of magnitude at most 2**24, exact in
+    float32 in any summation order; the block sums then add exactly in
+    float64. The mean Σx/n is numpy's float64 mean to the byte; the
+    variance (n·Σx·x - (Σx)²)/n² is the true variance correctly rounded
+    once, since both products stay below 2**52."""
+    n = flat.shape[0]
+    s1 = _block_sums(flat, EXACT_FLOAT32 // bound)
+    s2 = _block_sums(flat * flat, EXACT_FLOAT32 // (bound * bound))
+    return s1 / n, (n * s2 - s1 * s1) / float(n * n)
+
+
+def _block_sums(a: Tensor, rows: int) -> Tensor:
+    """Column sums of the (n, C) matrix `a` as float64: a ones row's BLAS
+    product with each block of `rows` rows, added up in float64."""
+    ones = np.ones(min(rows, a.shape[0]), dtype=a.dtype)
+    total = np.zeros(a.shape[1], dtype=np.float64)
+    for start in range(0, a.shape[0], rows):
+        block = a[start:start + rows]
+        total += ones[:len(block)] @ block
+    return total
 
 
 def _normalize(x: Tensor, mean: Tensor, inv: Tensor, out: Tensor | None = None) -> Tensor:

@@ -245,6 +245,16 @@ class TestSteBackward:
         with pytest.raises(ShapeError):
             ste_backward(np.zeros((2, 2)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(3, 5), (64, 256), (3, 8193)])
+    def test_cached_record_gives_the_same_bytes(self, shape):
+        rng = np.random.default_rng(41)
+        w = (rng.normal(size=shape) * 0.3 + 0.1).astype(np.float32)
+        g = rng.normal(size=shape).astype(np.float32)
+        signs, record = binary.latent_signs(w)
+        assert signs.tobytes() == binary_signs(w).tobytes()
+        assert (ste_backward(g, w, 1.0, record).tobytes()
+                == ste_backward(g, w, 1.0).tobytes())
+
 
 class TestLambdaScale:
     def test_identity(self):

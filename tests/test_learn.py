@@ -26,6 +26,7 @@ from spikebit.model import (
     ForwardRecord,
     LambdaLayer,
     LinearHead,
+    Param,
     SpikingTransformer,
 )
 from spikebit.numeric import Rng, finite_diff_grad
@@ -213,6 +214,85 @@ class TestOptimizer:
             nets.append(net)
         for (name, p), (_, q) in zip(nets[0].named_params(), nets[1].named_params()):
             assert p.value.tobytes() == q.value.tobytes(), name
+
+    @staticmethod
+    def _reference_steps(params, grads, steps, lr, wd, b1=0.9, b2=0.999, eps=1e-8,
+                         floor=1e-4):
+        """The per-parameter AdamW loop on copies: values after `steps`."""
+        values = [p.value.copy() for p in params]
+        ms = [np.zeros_like(v) for v in values]
+        vs = [np.zeros_like(v) for v in values]
+        for t in range(1, steps + 1):
+            for i, p in enumerate(params):
+                g = grads[t - 1][i]
+                g = np.zeros_like(values[i]) if g is None else g
+                ms[i] = b1 * ms[i] + (1.0 - b1) * g
+                vs[i] = b2 * vs[i] + (1.0 - b2) * g * g
+                upd = (ms[i] / (1.0 - b1 ** t)) / (np.sqrt(vs[i] / (1.0 - b2 ** t)) + eps)
+                if wd and values[i].ndim >= 2 and not p.positive:
+                    upd = upd + wd * values[i]
+                values[i] -= (lr * upd).astype(np.float32)
+                if p.positive:
+                    np.maximum(values[i], floor, out=values[i])
+        return values
+
+    def test_arena_step_matches_per_parameter_loop_bytewise(self):
+        rng = Rng(61)
+        params = [Param(rng.normal((4, 6))), Param(rng.normal((5,))),
+                  Param(np.ones((3, 1, 1), dtype=np.float32), positive=True),
+                  Param(rng.normal((2, 3, 2))), Param(rng.normal((3, 3)))]
+        # the last parameter never gets a gradient; the lambda-like one
+        # is pushed below its floor
+        grads = [[rng.normal(p.value.shape) for p in params[:-1]] + [None] for _ in range(5)]
+        for step in grads:
+            step[2] = np.full((3, 1, 1), 30.0, dtype=np.float32)
+        want = self._reference_steps(params, grads, 5, lr=0.3, wd=0.1)
+        opt = AdamW([(str(i), p) for i, p in enumerate(params)], lr=0.3, weight_decay=0.1)
+        for step in grads:
+            for p, g in zip(params[:-1], step):
+                p.grad[...] = g
+            opt.step()
+        assert not params[-1].grad.any()
+        assert np.all(params[2].value == np.float32(1e-4))
+        for i, (p, w) in enumerate(zip(params, want)):
+            assert p.value.tobytes() == w.tobytes(), i
+            assert p.version == 5
+
+    def test_lambda_scales_are_not_decayed(self):
+        net = SpikingTransformer(toy_config("reversible"), seed=62)
+        net.zero_grads()
+        AdamW(net.named_params(), lr=0.1, weight_decay=0.5).step()
+        for name, p in net.named_params():
+            if name.endswith("lambda.scale"):
+                assert np.all(p.value == 1.0), name
+        w = net.blocks[0].bmlp.fc1.weight
+        before = w.value.copy()
+        net.zero_grads()
+        AdamW(net.named_params(), lr=0.1, weight_decay=0.5).step()
+        assert w.value.tobytes() == (before - (0.1 * (0.5 * before))).tobytes()
+
+    def test_a_newer_optimizer_takes_the_parameters_over(self):
+        net = SpikingTransformer(toy_config("residual"), seed=63)
+        net.zero_grads()
+        old = AdamW(net.named_params(), lr=1e-2)
+        new = AdamW(net.named_params(), lr=1e-2)
+        for _, p in net.named_params():
+            assert np.shares_memory(p.value, new.values)
+            assert not np.shares_memory(p.value, old.values)
+            p.grad[...] = 1.0
+        before = {n: p.value.copy() for n, p in net.named_params()}
+        old.step()  # steps its own arena only
+        for n, p in net.named_params():
+            assert p.value.tobytes() == before[n].tobytes(), n
+        new.step()
+        assert all((p.value != before[n]).any() for n, p in net.named_params())
+
+    def test_a_parameter_listed_twice_is_refused(self):
+        # a parameter is one slice of the arena; listed twice it would get
+        # two, and read only the last
+        p = Param(np.ones((2, 2), dtype=np.float32))
+        with pytest.raises(ConfigError, match="listed twice"):
+            AdamW([("a", p), ("b", p)])
 
     def test_cosine_schedule_endpoints(self):
         sched = CosineSchedule(1.0, 100, min_lr=0.1)

@@ -227,6 +227,31 @@ class TestBssa:
         x = Rng(7).normal((2, 3, 5, 32))
         assert blk.forward(x, training=False).shape == x.shape
 
+    @pytest.mark.parametrize("mode", ["binary", "full"])
+    def test_attention_backward_products_match_einsum_bytewise(self, mode):
+        # the products backward runs, on a forward's spikes and map, equal
+        # the einsum contractions they replaced
+        cfg = toy_config("residual", weight_mode=mode)
+        blk = BssaBlock("b", cfg, Rng(8))
+        rec = M.ForwardRecord(saved=True)
+        blk.forward(Rng(9).normal((2, 4, 6, 32), std=2.0), training=True, rec=rec)
+        q, k, v, s_attn = (e.unpack() if isinstance(e, M.PackedSpikes) else e
+                           for e in rec.saved[blk])
+        qh, kh, vh = (blk._split(e, np.float32) for e in (q, k, v))
+        s_attn = s_attn.astype(np.float32)
+        g = Rng(10).normal(qh.shape)
+        g_attn = Rng(11).normal(s_attn.shape)
+
+        def einsum(spec, a, b):
+            return np.einsum(spec, a, b, optimize=True)
+
+        got = blk._context_backward(g, s_attn, vh) + blk._attention_backward(g_attn, qh, kh)
+        want = (einsum("tbhnd,tbhmd->tbhnm", g, vh), einsum("tbhnm,tbhnd->tbhmd", s_attn, g),
+                einsum("tbhnm,tbhmd->tbhnd", g_attn, kh), einsum("tbhnm,tbhnd->tbhmd", g_attn, qh))
+        assert s_attn.any() and qh.any()
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
 
 class TestBmlp:
     def test_zero_input_zero_output_with_default_bn(self):
@@ -644,9 +669,11 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         layers = list(loaded.binary_linear_layers())
         seeded = [lyr._sign_cache for lyr in layers]
-        for lyr, (version, signs) in zip(layers, seeded):
-            want = binary_signs(lyr.weight.value)
+        for lyr, (version, signs, record) in zip(layers, seeded):
+            want, want_record = binary.latent_signs(lyr.weight.value)
             assert version == 0 and signs.tobytes() == want.tobytes()
+            assert record.mean.tobytes() == want_record.mean.tobytes()
+            assert record.std.tobytes() == want_record.std.tobytes()
         x, y = Rng(46).normal((4, 64)), np.arange(4)
         loaded.forward(x)  # the first forward reuses the seeded signs
         assert all(lyr._sign_cache is s for lyr, s in zip(layers, seeded))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spikebit import numeric
 from spikebit.errors import NumericError, ShapeError
 from spikebit.numeric import (
     BatchNormParams,
@@ -92,6 +93,64 @@ class TestBatchNorm:
         p.running_var[:] = -1.0
         with pytest.raises(NumericError):
             batch_norm(np.zeros((3, 2), dtype=np.float32), p, training=False)
+
+
+def _binary_product(seed, rows, bound, channels):
+    """(rows, channels) float32 products of random {0,1} spikes with +-1
+    signs over `bound` inputs: integers of magnitude at most `bound`."""
+    rng = np.random.default_rng(seed)
+    spikes = rng.random((rows, bound)) < rng.uniform(0.05, 0.95)
+    signs = np.where(rng.random((channels, bound)) < 0.5, -1.0, 1.0).astype(np.float32)
+    return spikes @ signs.T
+
+
+class TestExactBatchStatistics:
+    """With a bound, training statistics come from exact integer moments;
+    they must give the bytes of numpy's float64 two-pass statistics."""
+
+    def _both(self, x, bound):
+        got_p, want_p = BatchNormParams.create(x.shape[-1]), BatchNormParams.create(x.shape[-1])
+        got = numeric._batch_norm(x, got_p, True, True, "bn", bound)
+        want = numeric._batch_norm(x, want_p, True, True, "bn")
+        return got + (got_p.running_var,), want + (want_p.running_var,)
+
+    @pytest.mark.parametrize("rows,bound,channels", [
+        (512, 32, 32),      # one block for both sums
+        (2048, 64, 256),    # one block
+        (2048, 256, 64),    # Σx·x in eight blocks of 256 rows
+        (2047, 256, 8),     # and a short last block
+    ])
+    def test_exact_moments_match_two_pass_bytewise(self, monkeypatch, rows, bound, channels):
+        calls = []
+        exact = numeric._exact_moments
+        monkeypatch.setattr(numeric, "_exact_moments",
+                            lambda flat, b: calls.append(b) or exact(flat, b))
+        for seed in range(4):
+            x = _binary_product(seed, rows, bound, channels)
+            flat = x.reshape(-1, channels)
+            mean, var = exact(flat, bound)
+            assert mean.tobytes() == flat.mean(axis=0, dtype=np.float64).tobytes()
+            assert (var.astype(np.float32).tobytes()
+                    == flat.var(axis=0, dtype=np.float64).astype(np.float32).tobytes())
+            got, want = self._both(x.reshape(1, rows, channels), bound)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+        assert calls == [bound] * 4
+
+    @pytest.mark.parametrize("rows,bound", [
+        (64, 4097),              # bound**2 > 2**24: x*x may round in float32
+        ((1 << 26) // 4096 + 1, 4096),  # n * bound > 2**26: n*Σx·x may round in float64
+    ])
+    def test_fallback_keeps_two_pass_bytes(self, monkeypatch, rows, bound):
+        def refuse(flat, b):
+            raise AssertionError("exact moments outside their range")
+
+        monkeypatch.setattr(numeric, "_exact_moments", refuse)
+        rng = np.random.default_rng(7)
+        x = rng.integers(-bound, bound + 1, size=(rows, 3)).astype(np.float32)
+        got, want = self._both(x, bound)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestFiniteDiff:
