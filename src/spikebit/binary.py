@@ -178,9 +178,8 @@ def binarize_weights(w: Tensor) -> tuple[PackedBits, StandardizationRecord]:
     w = np.asarray(w, dtype=DTYPE)
     if w.ndim != 2:
         raise ShapeError(f"binarize_weights expects a 2-D matrix, got shape {w.shape}")
-    require_finite(w, "latent weights")
-    z, record = _standardize(w)
-    return pack(_signs(z), ALPHABET_PM1), record
+    signs, record = latent_signs(w)
+    return pack(signs, ALPHABET_PM1), record
 
 
 def binary_signs(w: Tensor) -> Tensor:

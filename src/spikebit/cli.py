@@ -399,9 +399,9 @@ def cmd_train(config_path, seed_override: int | None = None,
     write_effective_config(cfg, out / "effective.ini")
     model = SpikingTransformer(cfg.model, seed=cfg.seed)
     ckpt_path = out / "ckpt-last.bin"
-    metrics_path = out / "metrics.jsonl"
-    if metrics_path.exists():
-        metrics_path.unlink()
+    metrics_path, summary_path = out / "metrics.jsonl", out / "summary.jsonl"
+    for stale in (metrics_path, summary_path):  # both are appended to below
+        stale.unlink(missing_ok=True)
     save_checkpoint(model, ckpt_path)
     log.info("training for %d epochs on %d samples", cfg.epochs, data.x_train.shape[0])
 
@@ -427,7 +427,7 @@ def cmd_train(config_path, seed_override: int | None = None,
         summary["test_accuracy"] = learn.evaluate_accuracy(model, data.x_test, data.y_test)
     if history:
         summary["final_global_loss"] = history[-1].global_loss
-    metrics.write_records(out / "summary.jsonl", [summary])
+    metrics.write_records(summary_path, [summary])
     print(f"trained {cfg.epochs} epochs; final train accuracy "
           f"{summary['final_train_accuracy']:.4f}; artifacts in {out}")
     return 0

@@ -43,19 +43,21 @@ In either weight mode the record keeps little more than those spikes:
 backward rebuilds every float activation it can from them, repeating the
 forward's operations on the same operands, so byte for byte (gradient
 checkpointing, Chen et al. 2016, arXiv:1604.06174, with an exact recompute):
-- a BN after a linear or conv layer keeps its float32 mean and inverse
-  deviation alone. Backward multiplies the layer's saved spikes and its
-  sign or latent matrix again (in binary mode an integer sum, exact in
-  any order) and normalizes with the kept statistics, in the forward's
-  operations (`numeric._normalize`);
-- a LIF fed by such a BN (Q, K, V and the BMLP's second LIF), by the
-  attention map or by the attention context keeps its bool spikes alone.
-  The map and the context are sums of integer products, rebuilt from the
-  saved Q, K, V and attention spikes (or the saved full-precision map).
-  Backward re-runs the membrane recurrence on the rebuilt input, reading
-  each reset gate from the saved spikes (`neuron._lif` with `gates`).
-The other LIFs keep their float32 membranes: those fed by a stream or by
-the input, and the conv stem's, whether a BN or a max pool feeds them.
+- every BN follows a linear or conv layer and keeps its float32 mean and
+  inverse deviation alone. Backward multiplies the layer's saved spikes
+  and its sign or latent matrix again (in binary mode an integer sum,
+  exact in any order) and normalizes with the kept statistics, in the
+  forward's operations (`numeric._normalize`);
+- a LIF fed by an encoder block's BN (Q, K, V and the BMLP's second LIF),
+  by the attention map or by the attention context keeps its bool spikes
+  alone. The map and the context are sums of integer products, rebuilt
+  from the saved Q, K, V and attention spikes (or the saved
+  full-precision map). Backward re-runs the membrane recurrence on the
+  rebuilt input, reading each reset gate from the saved spikes
+  (`neuron._lif` with `gates`).
+The stem's input LIF keeps nothing, as no gradient at the model's input
+is taken. The other LIFs keep their float32 membranes: those fed by a
+stream, and the conv stem's later ones, whether a BN or a pool feeds them.
 
 Backward passes use surrogate gradients through the spike nonlinearity
 and the straight-through estimator through weight signs; the membrane
@@ -320,6 +322,7 @@ class LifLayer:
     weight mode, so is every input from an encoder block's BN or
     attention): then backward takes that input again and re-runs the
     recurrence on it, with the reset gates read from the saved spikes.
+    The stem's input LIF runs without a record and has no backward.
     Backward routes gradients through the surrogate derivative at each
     firing decision and through the decay recurrence, with the reset gate
     held constant.
@@ -480,7 +483,10 @@ class BinaryLinearLayer:
         rec.saved[self] = (packed, mat)
         return self._rows(packed) @ mat.T
 
-    def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
+    def backward(self, g_out: Tensor, rec: ForwardRecord | None,
+                 input_grad: bool = True) -> Tensor | None:
+        """Accumulate the weight gradient; return the input gradient, or
+        None without `input_grad` (the stem's first layer)."""
         packed, mat = _take(rec, self)
         g2 = g_out.reshape(-1, self.out_features)
         g_mat = g2.T @ self._rows(packed).astype(DTYPE)
@@ -491,8 +497,7 @@ class BinaryLinearLayer:
                                                        record))
         else:
             self.weight.accumulate(g_mat)
-        g_in = g2 @ mat
-        return g_in.reshape(g_out.shape[:-1] + (self.in_features,))
+        return (g2 @ mat).reshape(g_out.shape[:-1] + (self.in_features,)) if input_grad else None
 
     def params(self):
         return [(f"{self.name}.weight", self.weight)]
@@ -501,11 +506,10 @@ class BinaryLinearLayer:
 class BatchNormLayer:
     """Per-channel batch normalization over the trailing axis.
 
-    A training forward saves the normalized input xhat, its mean and the
-    inverse deviation for backward, unless the caller says its input is
-    `rebuilt`: then it saves the two per-channel statistics alone, and
-    the caller hands that input back through `_normalize_again` before
-    backward runs. A forward on running statistics saves nothing.
+    A training forward saves the per-channel mean and inverse deviation
+    alone; a forward on running statistics saves nothing. Backward takes
+    xhat from its caller, which rebuilds it with `_normalize_again` from
+    the forward's input (in the model, from the product that fed it).
 
     `bound` is the `in_features` of the binary-mode product that feeds
     the layer, or None: its inputs are then integers of magnitude at most
@@ -525,34 +529,30 @@ class BatchNormLayer:
         self.momentum = momentum
         self.channels = channels
 
-    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None,
-                rebuilt: bool = False) -> Tensor:
-        keep = training and _saving(rec)
-        out, xhat, mean, inv = numeric._batch_norm(x, self.bn_params(), training,
-                                                   keep and not rebuilt, self.name, self.bound)
-        if keep:  # without xhat, out has taken over its buffer
-            rec.saved[self] = (None if rebuilt else xhat, mean, inv)
+    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
+        out, mean, inv = numeric._batch_norm(x, self.bn_params(), training, self.name, self.bound)
+        if training and _saving(rec):
+            rec.saved[self] = (mean, inv)
         return out
 
     def _normalize_again(self, rec: ForwardRecord, x: Tensor) -> Tensor:
         """xhat of the training forward that saved this layer's statistics
         in `rec`, rebuilt in place of `x`, that forward's input, with the
-        forward's operations; the entry keeps it for backward."""
-        _, mean, inv = _take(rec, self)
-        xhat = numeric._normalize(x, mean, inv, out=x)
-        rec.saved[self] = (xhat, mean, inv)
-        return xhat
+        forward's operations; the entry stays for backward."""
+        mean, inv = _take(rec, self)
+        rec.saved[self] = (mean, inv)
+        return numeric._normalize(x, mean, inv, out=x)
 
     def _output_again(self, xhat: Tensor) -> Tensor:
         """The forward's output from its xhat, in a new array."""
         return numeric._scale_shift(xhat, self.gamma.value, self.beta.value)
 
-    def backward(self, g_out: Tensor, rec: ForwardRecord | None,
+    def backward(self, g_out: Tensor, rec: ForwardRecord | None, xhat: Tensor,
                  overwrite: bool = False) -> Tensor:
-        """The gradient at the input. With `overwrite` it is written over
-        `g_out`, which the caller then made for this call and does not
-        read again."""
-        xhat, _, inv = _take(rec, self)
+        """The gradient at the input, given the forward's `xhat` from
+        `_normalize_again`. With `overwrite` it is written over `g_out`,
+        which the caller then made for this call and does not read again."""
+        _, inv = _take(rec, self)
         axes = tuple(range(g_out.ndim - 1))
         self.beta.accumulate(g_out.sum(axis=axes))
         tmp = g_out * xhat
@@ -631,17 +631,18 @@ class LambdaLayer:
 
 
 def _through_bn(g: Tensor, rec: ForwardRecord | None, proj: BinaryLinearLayer | Conv3x3Layer,
-                bn: BatchNormLayer, lif: LifLayer | None = None) -> Tensor:
+                bn: BatchNormLayer, lif: LifLayer | None = None,
+                input_grad: bool = True) -> Tensor | None:
     """Backward through `proj -> bn`, or through `proj -> bn -> lif` with
     `lif`: the gradient at proj's input from `g`, the gradient at the
-    output. The forward told bn and lif that their inputs are `rebuilt`,
-    and they are, from proj's entry: bn's input, its xhat, and the output
-    of bn that lif read. With `lif`, `g` is written over: pass one made for
-    this call."""
+    output, or None without `input_grad` (see `BinaryLinearLayer.backward`).
+    bn's input, its xhat, and the output of bn that lif read (the forward
+    told lif its input is `rebuilt`) are rebuilt from proj's entry. With
+    `lif`, `g` is written over: pass one made for this call."""
     xhat = bn._normalize_again(rec, proj._output_again(rec).reshape(g.shape))
     if lif is not None:  # lif writes the membranes over bn's output, and g_x over g
         g = lif.backward(g, rec=rec, x=bn._output_again(xhat))
-    return proj.backward(bn.backward(g, rec, overwrite=lif is not None), rec)
+    return proj.backward(bn.backward(g, rec, xhat, overwrite=lif is not None), rec, input_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +696,12 @@ class Conv3x3Layer:
     def _output_again(self, rec: ForwardRecord) -> Tensor:
         return self.linear._output_again(rec)
 
-    def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
+    def backward(self, g_out: Tensor, rec: ForwardRecord | None,
+                 input_grad: bool = True) -> Tensor | None:
         T, B, H, W, _ = g_out.shape  # same padding: the input's extent
-        g_cols = self.linear.backward(g_out, rec)
-        return _col2im(g_cols, (T * B, H, W, self.in_ch), 3, 1).reshape(T, B, H, W, self.in_ch)
+        g_cols = self.linear.backward(g_out, rec, input_grad)
+        if input_grad:
+            return _col2im(g_cols, (T * B, H, W, self.in_ch), 3, 1).reshape(T, B, H, W, self.in_ch)
 
     def parts(self):
         return (self.linear,)
@@ -876,7 +879,8 @@ class Stem:
     input kinds (see `StemSpec`) run one loop each way, features last; the
     kind decides only what is built and how a sample is shaped: a vector
     becomes `tokens` chunks, an image (C, H, W) becomes (H, W, C). The
-    first LIF reads the sample replicated over the T timesteps.
+    first LIF reads the sample replicated over the T timesteps; it saves
+    nothing, since backward stops at the first product's weight gradient.
     """
 
     def __init__(self, cfg: ModelConfig, rng: Rng):
@@ -929,24 +933,22 @@ class Stem:
         x = x.reshape(B, *self.grid, -1) if self.kind == "vector" else x.transpose(0, 2, 3, 1)
         # in C order: by default astype lays the broadcast time axis innermost
         h = np.broadcast_to(x, (self.timesteps,) + x.shape).astype(DTYPE, order="C")
-        for lif, product, bn, pool in self.stages:
-            h = bn.forward(product.forward(lif.forward(h, rec), rec), training, rec, rebuilt=True)
+        for i, (lif, product, bn, pool) in enumerate(self.stages):
+            h = bn.forward(product.forward(lif.forward(h, rec if i else None), rec), training, rec)
             if pool is not None:
                 h = pool.forward(h, rec)
         return h.reshape(h.shape[:2] + (self.tokens, h.shape[-1]))
 
-    def backward(self, g: Tensor, rec: ForwardRecord | None) -> Tensor:
-        """The gradient at the time-replicated input, from the gradient at
-        the embedding. It has the shape of the first LIF's input, features
-        last: (T, B, tokens, in_features // tokens) for a vector stem;
-        (T, B, H, W, C) for a conv stem, where it is a view of
-        channels-first memory (see `_col2im`)."""
+    def backward(self, g: Tensor, rec: ForwardRecord | None) -> None:
+        """Accumulate the stem's parameter gradients from the gradient at
+        the embedding; no gradient at the input is taken."""
         g = g.reshape(g.shape[:2] + self.grid + g.shape[-1:])
-        for lif, product, bn, pool in reversed(self.stages):
+        for i, (lif, product, bn, pool) in reversed(list(enumerate(self.stages))):
             if pool is not None:
                 g = pool.backward(g, rec)
-            g = lif.backward(_through_bn(g, rec, product, bn), rec=rec)
-        return g
+            g = _through_bn(g, rec, product, bn, input_grad=i > 0)
+            if i:
+                g = lif.backward(g, rec=rec)
 
     def parts(self):
         return tuple(part for stage in self.stages for part in stage)
@@ -1015,7 +1017,7 @@ class BssaBlock:
                               (self.k_proj, self.k_bn, self.k_lif),
                               (self.v_proj, self.v_bn, self.v_lif)):
             # backward rebuilds each float input (`_through_bn`)
-            h = bn.forward(proj._product(s, rec, packed), training, rec, rebuilt=True)
+            h = bn.forward(proj._product(s, rec, packed), training, rec)
             fired.append(lif.forward(h, rec, rebuilt=True))
             if saving:
                 kept.append(_packed(rec, fired[-1]))
@@ -1041,7 +1043,7 @@ class BssaBlock:
             # attention keeps its integer map, which is no spike tensor
             rec.saved[self] = (*kept, _packed(rec, s_attn) if self.binary_attn else attn)
         out = self.o_proj.forward(self.o_in.forward(ctx, rec, rebuilt=True), rec)
-        return self.o_bn.forward(out, training, rec, rebuilt=True)
+        return self.o_bn.forward(out, training, rec)
 
     @staticmethod
     def _attention(qh: Tensor, kh: Tensor) -> Tensor:
@@ -1128,10 +1130,9 @@ class BmlpBlock:
         self.bn2 = BatchNormLayer(f"{name}.bn2", D, bound=_bound(cfg, hidden))
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
-        h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x, rec), rec), training, rec,
-                             rebuilt=True)
+        h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x, rec), rec), training, rec)
         out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h, rec, rebuilt=True), rec),
-                               training, rec, rebuilt=True)
+                               training, rec)
         if rec is not None and rec.taps is not None:
             rec.taps[self] = out  # the final normalized map, for rep-cap probes
         return out

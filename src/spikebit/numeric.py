@@ -94,15 +94,14 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool = False) -> Tensor:
     statistics in place, in float32. Inference mode uses the stored
     running statistics. Runs the kernel of the model's BN layers.
     """
-    return _batch_norm(np.asarray(x, dtype=DTYPE), p, training, False, "batch_norm")[0]
+    return _batch_norm(np.asarray(x, dtype=DTYPE), p, training, "batch_norm")[0]
 
 
-def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, keep: bool,
-                what: str, bound: int | None = None) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, what: str,
+                bound: int | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Batch norm in x's float dtype, float32 for any other input: (out,
-    xhat, mean, inv), with xhat = `_normalize(x, mean, inv)` and out =
-    `_scale_shift(xhat, ...)`. Without `keep`, out reuses xhat's buffer.
-    Errors name `what`.
+    mean, inv), with out = `_scale_shift(xhat, ...)` written over xhat =
+    `_normalize(x, mean, inv)`. Errors name `what`.
 
     `bound` says that x holds integers of magnitude at most `bound`, as a
     binary product of that many {0,1} inputs and +-1 signs does. Where
@@ -136,8 +135,7 @@ def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, keep: bool,
         raise NumericError(f"{what}: variance + epsilon <= 0 at channel {bad}")
     inv = 1.0 / np.sqrt(denom)
     xhat = _normalize(x, mean, inv)
-    out = _scale_shift(xhat, p.gamma, p.beta, None if keep else xhat)
-    return out, xhat, mean, inv
+    return _scale_shift(xhat, p.gamma, p.beta, out=xhat), mean, inv
 
 
 def _exact_moments(flat: Tensor, bound: int) -> tuple[Tensor, Tensor]:

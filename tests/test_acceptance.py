@@ -180,7 +180,8 @@ def test_criterion_05_gradient_checks():
         rec = ForwardRecord(saved=True)
         h, logits = fwd(rec)
         ce, g = batch_cross_entropy(logits, targets)
-        bn.backward(lam.backward(np.broadcast_to(g / T, (T, B, C)).astype(np.float64), h), rec)
+        g_h = lam.backward(np.broadcast_to(g / T, (T, B, C)).astype(np.float64), h)
+        bn.backward(g_h, rec, bn._normalize_again(rec, x.copy()))
         return ce
 
     err_a = grad_check(loss_a, back_a, params_a, h=1e-5)

@@ -357,6 +357,16 @@ class TestTrainCommand:
         assert (out_a / "metrics.jsonl").read_bytes() == (out_b / "metrics.jsonl").read_bytes()
         assert (out_a / "summary.jsonl").read_bytes() == (out_b / "summary.jsonl").read_bytes()
 
+    def test_a_repeated_run_leaves_a_fresh_runs_artifacts(self, tmp_path):
+        # summary.jsonl was appended to: a second run into one directory
+        # left two summary records beside one epoch of metrics
+        cfg_path, out = write_config(tmp_path, epochs=1)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        fresh = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == fresh
+        assert len(metrics.read_records(out / "summary.jsonl")) == 1
+
     def test_seed_override_changes_artifacts(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, epochs=1)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -447,7 +447,7 @@ class TestGradCheck:
             h, logits = forward(rec)
             ce, g = batch_cross_entropy(logits, targets)
             g_h = np.broadcast_to(g / T, (T, B, C)).astype(np.float64)
-            bn.backward(lam.backward(g_h, h), rec)
+            bn.backward(lam.backward(g_h, h), rec, bn._normalize_again(rec, x.copy()))
             return ce
 
         err = grad_check(loss, backward, params, h=1e-5)

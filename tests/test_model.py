@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_config
-from spikebit import binary, learn, metrics, neuron
+from spikebit import binary, learn, metrics, neuron, numeric
 from spikebit import model as M
 from spikebit.binary import ALPHABET_01, ALPHABET_PM1, binary_signs, pack, packed_linear
 from spikebit.errors import ConfigError, DataError, EncodingError, ShapeError, TrainingError
@@ -130,14 +130,31 @@ class TestStem:
         (toy_config("residual", timesteps=3), Rng(4).normal((5, 64)), (3, 5, 4, 16)),
         (conv_config(image=16), Rng(4).normal((2, 3, 16, 16)), (2, 2, 16, 16, 3)),
     ], ids=["vector", "conv"])
-    def test_backward_returns_features_last_input_gradient(self, cfg, x, want):
-        # the gradient at the time-replicated input: token chunks for a
-        # vector, (T, B, H, W, C) for an image
-        stem = M.Stem(cfg, Rng(5))
+    def test_backward_stops_at_the_first_weight_gradient(self, cfg, x, want):
+        # nothing reads a gradient at the input: the input LIF saves
+        # nothing and backward returns none, and every parameter gradient
+        # equals a backward's that runs down to the input
+        got, ref = M.Stem(cfg, Rng(5)), M.Stem(cfg, Rng(5))
         rec = M.ForwardRecord(saved=True)
-        e = stem.forward(x, training=True, rec=rec)
-        g = stem.backward(Rng(6).normal(e.shape), rec)
+        e = got.forward(x, training=True, rec=rec)
+        assert got.stages[0][0] not in rec.saved
+        assert got.backward(Rng(6).normal(e.shape), rec) is None and rec.saved == {}
+        # the reference: every LIF saves, and backward takes the input gradient
+        rec = M.ForwardRecord(saved=True)
+        h = x.reshape(x.shape[0], *ref.grid, -1) if ref.kind == "vector" else x.transpose(0, 2, 3, 1)
+        h = np.broadcast_to(h, (cfg.timesteps,) + h.shape).astype(np.float32, order="C")
+        for lif, product, bn, pool in ref.stages:
+            h = bn.forward(product.forward(lif.forward(h, rec), rec), True, rec)
+            if pool is not None:
+                h = pool.forward(h, rec)
+        assert h.tobytes() == e.tobytes()
+        g = Rng(6).normal(e.shape).reshape(h.shape)
+        for lif, product, bn, pool in reversed(ref.stages):
+            if pool is not None:
+                g = pool.backward(g, rec)
+            g = lif.backward(M._through_bn(g, rec, product, bn), rec=rec)
         assert g.shape == want and g.dtype == np.float32 and rec.saved == {}
+        _same_grads(got, ref)
 
 
 class TestConvKernels:
@@ -916,7 +933,7 @@ class TestBatchNormKernel:
         if not training:  # running statistics: the forward saves nothing for a backward
             assert rec.saved == {}
             with pytest.raises(TrainingError, match="cached forward"):
-                bn.backward(g, rec)
+                bn.backward(g, rec, xhat)
             return
         m = bn.momentum
         assert bn.running_mean.tobytes() == (
@@ -924,19 +941,21 @@ class TestBatchNormKernel:
         assert bn.running_var.tobytes() == (
             ((1.0 - m) * before[1] + m * var).astype(np.float32)).tobytes()
         want_g, want_gamma, want_beta = _bn_reference_backward(bn, g, xhat, inv)
-        _bytes_equal(bn.backward(g, rec), want_g)
-        _bytes_equal(bn.gamma.grad, want_gamma)
-        _bytes_equal(bn.beta.grad, want_beta)
-        # told its input is rebuilt, a forward keeps the statistics alone;
-        # the caller hands the input back before backward
-        bn.running_mean[:], bn.running_var[:] = before
-        _bytes_equal(bn.forward(x, training, rec, rebuilt=True), want)
-        kept, mean_kept, inv_kept = rec.saved[bn]
-        assert kept is None and mean_kept.shape == inv_kept.shape == (C,)
-        _bytes_equal(bn._normalize_again(rec, x.copy()), xhat)
-        _bytes_equal(bn._output_again(xhat), want)
-        _bytes_equal(bn.backward(g, rec), want_g)
-        _bytes_equal(bn.gamma.grad, want_gamma + want_gamma)
+        # a training forward keeps the statistics alone; the caller hands
+        # its input back, and backward takes the xhat rebuilt from it
+        for steps in (1, 2):
+            mean_kept, inv_kept = rec.saved[bn]
+            _bytes_equal(mean_kept, mean)
+            _bytes_equal(inv_kept, inv)
+            got_xhat = bn._normalize_again(rec, x.copy())
+            _bytes_equal(got_xhat, xhat)
+            _bytes_equal(bn._output_again(got_xhat), want)
+            _bytes_equal(bn.backward(g, rec, got_xhat), want_g)
+            assert rec.saved == {}
+            _bytes_equal(bn.gamma.grad, want_gamma if steps == 1 else want_gamma + want_gamma)
+            _bytes_equal(bn.beta.grad, want_beta if steps == 1 else want_beta + want_beta)
+            bn.running_mean[:], bn.running_var[:] = before
+            _bytes_equal(bn.forward(x, training, rec), want)
 
 
 class TestSharedInputLif:
@@ -944,20 +963,21 @@ class TestSharedInputLif:
         """The BSSA forward and backward with one input LIF per projection."""
         ins = [LifLayer(cfg.lif()) for _ in range(3)]
         rec = M.ForwardRecord(saved=True)
-        outs = []
+        outs, bn_ins = [], []  # each BN's input, kept for its backward
         for lin, proj, bn, lif in zip(ins, (blk.q_proj, blk.k_proj, blk.v_proj),
                                       (blk.q_bn, blk.k_bn, blk.v_bn),
                                       (blk.q_lif, blk.k_lif, blk.v_lif)):
-            outs.append(lif.forward(bn.forward(proj.forward(lin.forward(x, rec), rec),
-                                               True, rec), rec))
+            bn_ins.append(proj.forward(lin.forward(x, rec), rec))
+            outs.append(lif.forward(bn.forward(bn_ins[-1], True, rec), rec))
         qh, kh, vh = (blk._split(a, np.float32) for a in outs)
         attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
         s_attn = blk.attn_lif.forward(attn, rec).astype(np.float32)
         ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
         ctx = blk.lam.forward(ctx0)
-        out = blk.o_bn.forward(blk.o_proj.forward(blk.o_in.forward(blk._merge(ctx), rec), rec),
-                               True, rec)
-        g = blk.o_in.backward(blk.o_proj.backward(blk.o_bn.backward(g_out, rec), rec), rec=rec)
+        o = blk.o_proj.forward(blk.o_in.forward(blk._merge(ctx), rec), rec)
+        out = blk.o_bn.forward(o, True, rec)
+        g = blk.o_bn.backward(g_out, rec, blk.o_bn._normalize_again(rec, o))
+        g = blk.o_in.backward(blk.o_proj.backward(g, rec), rec=rec)
         g_ctx0 = blk.lam.backward(blk._split(g), ctx0)
         g_sattn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx0, vh, optimize=True)
         g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx0, optimize=True)
@@ -965,11 +985,13 @@ class TestSharedInputLif:
         g_qh = np.einsum("tbhnm,tbhmd->tbhnd", g_attn, kh, optimize=True)
         g_kh = np.einsum("tbhnm,tbhnd->tbhmd", g_attn, qh, optimize=True)
         g_x = np.zeros(g_out.shape, dtype=g_out.dtype)
-        for gh, lif, bn, proj, lin in zip((g_qh, g_kh, g_vh), (blk.q_lif, blk.k_lif, blk.v_lif),
-                                          (blk.q_bn, blk.k_bn, blk.v_bn),
-                                          (blk.q_proj, blk.k_proj, blk.v_proj), ins):
-            g_x += lin.backward(proj.backward(bn.backward(lif.backward(blk._merge(gh), rec=rec),
-                                                          rec), rec), rec=rec)
+        for gh, lif, bn, proj, lin, h in zip((g_qh, g_kh, g_vh),
+                                             (blk.q_lif, blk.k_lif, blk.v_lif),
+                                             (blk.q_bn, blk.k_bn, blk.v_bn),
+                                             (blk.q_proj, blk.k_proj, blk.v_proj), ins, bn_ins):
+            g = bn.backward(lif.backward(blk._merge(gh), rec=rec), rec,
+                            bn._normalize_again(rec, h))
+            g_x += lin.backward(proj.backward(g, rec), rec=rec)
         return out, g_x
 
     @pytest.mark.parametrize("seed", [50, 51])
@@ -1001,16 +1023,29 @@ class TestSharedInputLif:
 
 
 def _keep_every_float_cache(monkeypatch):
-    """Make training keep every float cache: every LIF saves its membranes
-    and every BN its xhat, and backward reads those in place of the inputs
-    it rebuilds."""
+    """Make training keep every float cache: every LIF that saves keeps its
+    membranes and every BN the xhat its forward computed, and backward
+    reads those in place of the inputs it rebuilds."""
     lif_forward, bn_forward = LifLayer.forward, BatchNormLayer.forward
+    normalize = numeric._normalize
+    computed, xhats = [], {}
+
+    def normalize_and_copy(*args, **kwargs):
+        xhat = normalize(*args, **kwargs)
+        computed[:] = [xhat.copy()]  # before the forward writes its output over it
+        return xhat
+
+    def bn_forward_keeping_xhat(self, x, training, rec=None):
+        out = bn_forward(self, x, training, rec)
+        if training and M._saving(rec):
+            xhats[self] = computed[0]
+        return out
+
+    monkeypatch.setattr(numeric, "_normalize", normalize_and_copy)
     monkeypatch.setattr(LifLayer, "forward",
                         lambda self, x, rec=None, rebuilt=False: lif_forward(self, x, rec))
-    monkeypatch.setattr(BatchNormLayer, "forward",
-                        lambda self, x, training, rec=None, rebuilt=False:
-                        bn_forward(self, x, training, rec))
-    monkeypatch.setattr(BatchNormLayer, "_normalize_again", lambda self, rec, x: rec.saved[self][0])
+    monkeypatch.setattr(BatchNormLayer, "forward", bn_forward_keeping_xhat)
+    monkeypatch.setattr(BatchNormLayer, "_normalize_again", lambda self, rec, x: xhats.pop(self))
 
 
 def _named_params(part):
@@ -1038,17 +1073,19 @@ class TestRebuiltInputs:
         got_blk, ref = M.BmlpBlock("m", cfg, Rng(62)), M.BmlpBlock("m", cfg, Rng(62))
         rec = M.ForwardRecord(saved=True)
         got_out = got_blk.forward(x, training=True, rec=rec)
-        assert rec.saved[got_blk.bn1][0] is None and rec.saved[got_blk.bn2][0] is None
+        assert len(rec.saved[got_blk.bn1]) == len(rec.saved[got_blk.bn2]) == 2  # (mean, inv)
         assert rec.saved[got_blk.lif2][0] is None and rec.saved[got_blk.lif1][0] is not None
         got_g = got_blk.backward(g_out, rec)
         assert rec.saved == {}
-        # the reference: each layer called on its own keeps every float cache
+        # the reference: each layer called on its own keeps every float
+        # cache, and each BN's input is kept for its backward
         rec = M.ForwardRecord(saved=True)
-        h = ref.bn1.forward(ref.fc1.forward(ref.lif1.forward(x, rec), rec), True, rec)
-        want_out = ref.bn2.forward(ref.fc2.forward(ref.lif2.forward(h, rec), rec), True, rec)
-        g = ref.fc2.backward(ref.bn2.backward(g_out, rec), rec)
-        g = ref.fc1.backward(ref.bn1.backward(ref.lif2.backward(g, rec=rec), rec), rec)
-        want_g = ref.lif1.backward(g, rec=rec)
+        h1 = ref.fc1.forward(ref.lif1.forward(x, rec), rec)
+        h2 = ref.fc2.forward(ref.lif2.forward(ref.bn1.forward(h1, True, rec), rec), rec)
+        want_out = ref.bn2.forward(h2, True, rec)
+        g = ref.fc2.backward(ref.bn2.backward(g_out, rec, ref.bn2._normalize_again(rec, h2)), rec)
+        g = ref.bn1.backward(ref.lif2.backward(g, rec=rec), rec, ref.bn1._normalize_again(rec, h1))
+        want_g = ref.lif1.backward(ref.fc1.backward(g, rec), rec=rec)
         assert got_out.tobytes() == want_out.tobytes()
         assert got_g.tobytes() == want_g.tobytes()
         _same_grads(got_blk, ref)
@@ -1057,22 +1094,25 @@ class TestRebuiltInputs:
         cfg = toy_config("residual", timesteps=3)
         x = Rng(63).normal((5, 64), std=2.0)
         got_stem, ref = M.Stem(cfg, Rng(64)), M.Stem(cfg, Rng(64))
-        ((_, _, got_bn, _),) = got_stem.stages
+        ((got_lif, _, got_bn, _),) = got_stem.stages
         ((lif, linear, bn, pool),) = ref.stages
         assert pool is None
         rec = M.ForwardRecord(saved=True)
         got_out = got_stem.forward(x, training=True, rec=rec)
-        assert rec.saved[got_bn][0] is None
+        assert got_lif not in rec.saved and len(rec.saved[got_bn]) == 2  # (mean, inv)
         g_out = Rng(65).normal(got_out.shape)
-        got_g = got_stem.backward(g_out, rec)
+        assert got_stem.backward(g_out, rec) is None and rec.saved == {}
+        # the reference keeps the membranes and BN's input, and its
+        # backward runs down to the input
         rec = M.ForwardRecord(saved=True)
         chunk = 64 // ref.tokens
         rep = np.broadcast_to(x.reshape(5, ref.tokens, chunk), (3, 5, ref.tokens, chunk))
-        want_out = bn.forward(linear.forward(lif.forward(rep.astype(np.float32), rec), rec),
-                              True, rec)
-        want_g = lif.backward(linear.backward(bn.backward(g_out, rec), rec), rec=rec)
+        h = linear.forward(lif.forward(rep.astype(np.float32), rec), rec)
+        want_out = bn.forward(h, True, rec)
+        g = bn.backward(g_out, rec, bn._normalize_again(rec, h))
+        assert lif.backward(linear.backward(g, rec), rec=rec).shape == rep.shape
+        assert rec.saved == {}
         assert got_out.tobytes() == want_out.tobytes()
-        assert got_g.shape == rep.shape and got_g.tobytes() == want_g.tobytes()
         _same_grads(got_stem, ref)
 
     @pytest.mark.parametrize("kind", ["reversible", "residual", "conv", "full_reversible",
@@ -1211,9 +1251,13 @@ class TestTrainingCaches:
             assert entry.bits.nbytes <= -(-math.prod(entry.shape) // 8)
             return entry
 
+        stem_lif, stem_product = net.stem.stages[0][:2]
         for lif in net.lif_layers():
             if kind == "full_residual" and lif.p.reset is Reset.SOFT:
                 assert lif not in saved  # full-precision attention is not binarized
+                continue
+            if lif is stem_lif:  # no backward reaches it
+                assert lif not in saved
                 continue
             u_pre, spikes = saved[lif]
             packed(spikes)
@@ -1221,22 +1265,22 @@ class TestTrainingCaches:
                 assert u_pre is None
             else:  # fed by a stream or the input
                 assert u_pre.dtype == np.float32 and u_pre.shape == spikes.shape
-        # a BN after a linear or conv layer keeps its statistics alone, in
-        # either weight mode; backward rebuilds its input, the layer's
-        # product, from that layer's entry
+        # a BN keeps its statistics alone, in either weight mode; backward
+        # rebuilds its input, the product before it, from that layer's entry
         for bn in M.walk(net, BatchNormLayer):
-            xhat, mean, inv = saved[bn]
-            assert xhat is None and mean.dtype == inv.dtype == np.float32
+            mean, inv = saved[bn]
+            assert mean.dtype == inv.dtype == np.float32
             assert mean.shape == inv.shape == (bn.channels,)
         pairs = [(blk.x_in, proj) for blk in net.bssa_blocks()
                  for proj in (blk.q_proj, blk.k_proj, blk.v_proj)]
         pairs += [(blk.o_in, blk.o_proj) for blk in net.bssa_blocks()]
         for blk in net.blocks:
             pairs += [(blk.bmlp.lif1, blk.bmlp.fc1), (blk.bmlp.lif2, blk.bmlp.fc2)]
-        if kind != "conv":
-            pairs += [(lif, linear) for lif, linear, _, _ in net.stem.stages]
         for lif, lyr in pairs:
             assert saved[lyr][0] is saved[lif][1]
+        if kind != "conv":  # the stem's product packs its input LIF's spikes itself
+            T, B, N, _ = saved[net][0]
+            assert packed(saved[stem_product][0]).shape == (T, B, N, stem_product.in_features)
         for lam in M.walk(net, M.LambdaLayer):  # binary mode only
             assert [n for n in vars(lam) if n.startswith("_")] == []  # no context kept
         for blk in net.bssa_blocks():
@@ -1248,12 +1292,37 @@ class TestTrainingCaches:
             else:  # the integer attention map, which no LIF emits
                 assert s_attn.dtype == np.float32
         if kind == "conv":  # im2col keeps its own packed copy
+            T, B = saved[net][0][:2]
+            H = W = net.cfg.stem.image_size
             for lif, conv, _, pool in net.stem.stages:
                 in2d = packed(saved[conv.linear][0])
-                assert in2d is not saved[lif][1]
-                T, B, H, W, C = saved[lif][1].shape
-                assert in2d.shape == (T * B * H * W, C * 9)
-                assert pool is None or saved[pool][0].dtype == np.uint8  # argmax in 0..3
+                assert in2d.shape == (T * B * H * W, conv.in_ch * 9)
+                if lif is not stem_lif:
+                    assert in2d is not saved[lif][1]
+                    assert saved[lif][1].shape == (T, B, H, W, conv.in_ch)
+                if pool is not None:
+                    assert saved[pool][0].dtype == np.uint8  # argmax in 0..3
+                    H, W = H // 2, W // 2
+
+    @pytest.mark.parametrize("kind", list(NETS))
+    def test_record_keeps_batch_statistics_alone_and_nothing_of_the_input_lif(self, kind):
+        # at momentum 1 the running statistics are the batch's own, so
+        # each BN entry must be exactly (mean, 1 / sqrt(var + epsilon))
+        cfg, shape = self.NETS[kind]
+        net = SpikingTransformer(cfg, seed=80)
+        bns = list(M.walk(net, BatchNormLayer))
+        for bn in bns:
+            bn.momentum = 1.0
+        net.forward(Rng(81).normal(shape, std=2.0), training=True)
+        saved = net._record.saved
+        assert net.stem.stages[0][0] not in saved
+        for bn in bns:
+            entry = saved[bn]
+            assert type(entry) is tuple and len(entry) == 2, bn.name
+            mean, inv = entry
+            # a mean of -0.0 is stored as 0.0 at momentum 1
+            assert mean.dtype == np.float32 and np.array_equal(mean, bn.running_mean)
+            _bytes_equal(inv, 1.0 / np.sqrt(bn.running_var + np.float32(bn.epsilon)))
 
     @pytest.mark.parametrize("kind", list(NETS))
     def test_backward_frees_every_cache(self, kind):

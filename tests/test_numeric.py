@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -110,8 +112,8 @@ class TestExactBatchStatistics:
 
     def _both(self, x, bound):
         got_p, want_p = BatchNormParams.create(x.shape[-1]), BatchNormParams.create(x.shape[-1])
-        got = numeric._batch_norm(x, got_p, True, True, "bn", bound)
-        want = numeric._batch_norm(x, want_p, True, True, "bn")
+        got = numeric._batch_norm(x, got_p, True, "bn", bound)
+        want = numeric._batch_norm(x, want_p, True, "bn")
         return got + (got_p.running_var,), want + (want_p.running_var,)
 
     @pytest.mark.parametrize("rows,bound,channels", [
@@ -151,6 +153,33 @@ class TestExactBatchStatistics:
         got, want = self._both(x, bound)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+
+    def test_exact_moments_at_their_inclusive_edges(self, monkeypatch):
+        # bound**2 == 2**24 and n * bound == 2**26: the largest block sums
+        # and products the exact path allows
+        bound, n = 4096, 1 << 14
+        alternate = np.arange(n) % 2 == 0
+        columns = [
+            np.full(n, -bound),                      # the most negative values
+            np.full(n, bound),
+            np.where(alternate, -bound, bound),      # the largest variance
+            np.where(alternate, -bound, bound - 1),  # a mean that is no integer
+            np.where(alternate, -bound, 0),
+            np.random.default_rng(8).integers(-bound, bound + 1, size=n),
+        ]
+        x = np.stack(columns, axis=1).astype(np.float32)
+        calls = []
+        exact = numeric._exact_moments
+        monkeypatch.setattr(numeric, "_exact_moments",
+                            lambda flat, b: calls.append(b) or exact(flat, b))
+        numeric._batch_norm(x, BatchNormParams.create(len(columns)), True, "bn", bound)
+        assert calls == [bound]
+        mean, var = exact(x, bound)
+        for j, col in enumerate(columns):
+            s1, s2 = sum(int(v) for v in col), sum(int(v) * int(v) for v in col)
+            assert mean[j] == float(Fraction(s1, n)), j
+            assert var[j] == float(Fraction(n * s2 - s1 * s1, n * n)), j
 
 
 class TestFiniteDiff:

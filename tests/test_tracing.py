@@ -54,7 +54,10 @@ def test_traced_training_step_counts_lif_spikes(tracing):
     assert tracer.names.count("model.lif.fwd") == len(list(net.lif_layers()))
     assert tracer.names.count("model.bn.fwd") == len(list(M.walk(net, M.BatchNormLayer)))
     assert "numeric.batch_norm" not in tracer.names
-    # the tracer counts the spikes in the array each LIF forward returns
-    fired = [saved[lif][1].unpack() for lif in net.lif_layers()]
+    # the tracer counts the spikes in the array each LIF forward returns;
+    # the stem's input LIF saves nothing, and its product saves its spikes
+    stem_lif, stem_product = net.stem.stages[0][:2]
+    fired = [saved[stem_product][0].unpack()]
+    fired += [saved[lif][1].unpack() for lif in net.lif_layers() if lif is not stem_lif]
     assert tracer.spikes == sum(int(np.count_nonzero(f)) for f in fired)
     assert tracer.spike_elements == sum(f.size for f in fired)
