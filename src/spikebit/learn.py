@@ -144,8 +144,8 @@ class TeacherLogitsCache:
     @classmethod
     def load(cls, path) -> "TeacherLogitsCache":
         """Inverse of `save`: n records of (u32 id, c float32 logits) with
-        ids 0..n-1 in order. No records, a short or long payload, or a
-        missing file raises DataError."""
+        ids 0..n-1 in order. No records, a short or long payload, a logit
+        that is not finite, or a missing file raises DataError."""
         with open_input(path, "logits cache") as fh:
             magic = fh.read(len(_CACHE_MAGIC))
             if magic != _CACHE_MAGIC:
@@ -168,6 +168,9 @@ class TeacherLogitsCache:
             raise DataError(
                 f"logits cache out of order: expected id {i}, got {int(records['id'][i])}"
             )
+        bad = np.argwhere(~np.isfinite(records["logits"]))
+        if bad.size:
+            raise DataError(f"logits cache: sample {bad[0][0]} has a logit that is not finite")
         return cls(records["logits"].copy(), data_hash)
 
 

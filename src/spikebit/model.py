@@ -35,9 +35,9 @@ backward unpacks it while it reads it and widens it to the float32 zeros
 and ones the forward multiplied, so the products match byte for byte.
 Every backward pops the entry it reads, so one training forward serves
 one backward. Backward writes in place where it owns the memory: a LIF
-rebuilds its membranes over the rebuilt input and writes its input
-gradient over a lone upstream gradient, and the BN under such a LIF
-writes its input gradient over the LIF's.
+rebuilds its membranes over the input its caller hands back and writes
+its input gradient over a lone upstream gradient, and the BN under such
+a LIF writes its input gradient over the LIF's.
 
 In either weight mode the record keeps little more than those spikes:
 backward rebuilds every float activation it can from them, repeating the
@@ -48,16 +48,17 @@ checkpointing, Chen et al. 2016, arXiv:1604.06174, with an exact recompute):
   and its sign or latent matrix again (in binary mode an integer sum,
   exact in any order) and normalizes with the kept statistics, in the
   forward's operations (`numeric._normalize`);
-- a LIF fed by an encoder block's BN (Q, K, V and the BMLP's second LIF),
-  by the attention map or by the attention context keeps its bool spikes
-  alone. The map and the context are sums of integer products, rebuilt
-  from the saved Q, K, V and attention spikes (or the saved
-  full-precision map). Backward re-runs the membrane recurrence on the
-  rebuilt input, reading each reset gate from the saved spikes
-  (`neuron._lif` with `gates`).
-The stem's input LIF keeps nothing, as no gradient at the model's input
-is taken. The other LIFs keep their float32 membranes: those fed by a
-stream, and the conv stem's later ones, whether a BN or a pool feeds them.
+- every LIF keeps its bool spikes alone. Its backward takes the
+  forward's input from its caller and re-runs the membrane recurrence on
+  it, reading each reset gate from the saved spikes (`neuron._lif` with
+  `gates`). A LIF fed by a BN, by the attention map or by the attention
+  context gets that input rebuilt: the map and the context are sums of
+  integer products, rebuilt from the saved Q, K, V and attention spikes
+  (or the saved full-precision map).
+The float arrays a record keeps are the inputs nothing rebuilds: each
+encoder block keeps the two float32 streams its BSSA and BMLP read, and
+the conv stem keeps each later LIF's input. The stem's input LIF keeps
+nothing, as no gradient at the model's input is taken.
 
 Backward passes use surrogate gradients through the spike nonlinearity
 and the straight-through estimator through weight signs; the membrane
@@ -89,10 +90,6 @@ from .errors import (
     TrainingError,
 )
 from .numeric import DTYPE, BatchNormParams, Rng, Tensor
-
-# float32 holds every integer below 2**24 exactly, so a binary layer's
-# float32 BLAS forward is exact while in_features stays below this.
-EXACT_FEATURES = 2**24
 
 # Binary-mode inference forwards run in sample tiles; this many rows
 # (T * samples * tokens) are in flight across all tile workers, so the
@@ -315,39 +312,31 @@ class LifLayer:
     """LIF population unrolled over the leading time axis.
 
     Forward runs `neuron.lif_run`'s kernel and returns the spikes as bool.
-    A training forward packs that array at one bit per element and saves
-    it for backprop-through-time; the layers it feeds save the same
-    `PackedSpikes` (see `ForwardRecord`). It also saves the pre-reset
-    membranes, unless the caller says its input is `rebuilt` (in either
-    weight mode, so is every input from an encoder block's BN or
-    attention): then backward takes that input again and re-runs the
-    recurrence on it, with the reset gates read from the saved spikes.
-    The stem's input LIF runs without a record and has no backward.
-    Backward routes gradients through the surrogate derivative at each
-    firing decision and through the decay recurrence, with the reset gate
-    held constant.
+    A training forward saves that array alone, packed at one bit per
+    element, for backprop-through-time; the layers it feeds save the same
+    `PackedSpikes` (see `ForwardRecord`). Backward takes the forward's
+    input from its caller and re-runs the recurrence on it, with the reset
+    gates read from the saved spikes, to rebuild the membranes. The stem's
+    input LIF runs without a record and has no backward. Backward routes
+    gradients through the surrogate derivative at each firing decision and
+    through the decay recurrence, with the reset gate held constant.
     """
 
     def __init__(self, params: neuron.LifParams):
         self.p = params
 
-    def forward(self, x: Tensor, rec: ForwardRecord | None = None,
-                rebuilt: bool = False) -> np.ndarray:
-        """Bool spikes of `x`. With `rebuilt`, the caller passes backward
-        this same `x` again, so a training forward saves no membranes."""
-        keep = _saving(rec)
-        spikes, u_pre = neuron._lif(x, self.p, keep and not rebuilt)
-        if keep:
+    def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> np.ndarray:
+        """Bool spikes of `x`."""
+        spikes = neuron._lif(x, self.p)
+        if _saving(rec):
             packed = PackedSpikes(spikes)
             rec.fired = (weakref.ref(spikes), packed)
-            rec.saved[self] = (u_pre, packed)
+            rec.saved[self] = (packed,)
         return spikes
 
-    def backward(self, *g_spikes: Tensor, rec: ForwardRecord | None,
-                 x: Tensor | None = None) -> Tensor:
-        """Gradient with respect to the input current. `x`, the forward's
-        input, is read only after a forward told that its input is
-        `rebuilt`.
+    def backward(self, *g_spikes: Tensor, rec: ForwardRecord | None, x: Tensor) -> Tensor:
+        """Gradient with respect to the input current, given `x`, the
+        forward's input, as a float array.
 
         A population whose spikes feed several layers takes one upstream
         gradient per layer. The surrogate derivative and the reset gate are
@@ -359,10 +348,9 @@ class LifLayer:
         gradient over a lone upstream gradient, which is returned. Pass
         arrays the caller made for this call and does not read again.
         """
-        u_pre, packed = _take(rec, self)
+        (packed,) = _take(rec, self)
         spikes = packed.unpack()
-        if u_pre is None:
-            u_pre = neuron._lif(x, self.p, gates=spikes)[1]
+        u_pre = neuron._lif(x, self.p, gates=spikes)
         T = u_pre.shape[0]
         tau = DTYPE(self.p.tau)
         hard = self.p.reset is neuron.Reset.HARD
@@ -410,7 +398,7 @@ class BinaryLinearLayer:
 
     def __init__(self, name: str, in_features: int, out_features: int, rng: Rng,
                  mode: str = "binary", ste_clip: float = 1.0):
-        if mode == "binary" and in_features >= EXACT_FEATURES:
+        if mode == "binary" and in_features >= numeric.EXACT_FLOAT32:
             raise ConfigError(
                 f"{name}: in_features {in_features} >= 2**24; float32 sums of "
                 f"binary products are no longer exact"
@@ -636,9 +624,9 @@ def _through_bn(g: Tensor, rec: ForwardRecord | None, proj: BinaryLinearLayer | 
     """Backward through `proj -> bn`, or through `proj -> bn -> lif` with
     `lif`: the gradient at proj's input from `g`, the gradient at the
     output, or None without `input_grad` (see `BinaryLinearLayer.backward`).
-    bn's input, its xhat, and the output of bn that lif read (the forward
-    told lif its input is `rebuilt`) are rebuilt from proj's entry. With
-    `lif`, `g` is written over: pass one made for this call."""
+    bn's input, its xhat, and the output of bn that lif read are rebuilt
+    from proj's entry. With `lif`, `g` is written over: pass one made for
+    this call."""
     xhat = bn._normalize_again(rec, proj._output_again(rec).reshape(g.shape))
     if lif is not None:  # lif writes the membranes over bn's output, and g_x over g
         g = lif.backward(g, rec=rec, x=bn._output_again(xhat))
@@ -881,6 +869,8 @@ class Stem:
     becomes `tokens` chunks, an image (C, H, W) becomes (H, W, C). The
     first LIF reads the sample replicated over the T timesteps; it saves
     nothing, since backward stops at the first product's weight gradient.
+    A training forward keeps each later LIF's input, the stage before's
+    output, for that LIF's backward.
     """
 
     def __init__(self, cfg: ModelConfig, rng: Rng):
@@ -933,22 +923,29 @@ class Stem:
         x = x.reshape(B, *self.grid, -1) if self.kind == "vector" else x.transpose(0, 2, 3, 1)
         # in C order: by default astype lays the broadcast time axis innermost
         h = np.broadcast_to(x, (self.timesteps,) + x.shape).astype(DTYPE, order="C")
+        saving = _saving(rec)
+        inputs = []  # each later LIF's input
         for i, (lif, product, bn, pool) in enumerate(self.stages):
+            if i and saving:
+                inputs.append(h)
             h = bn.forward(product.forward(lif.forward(h, rec if i else None), rec), training, rec)
             if pool is not None:
                 h = pool.forward(h, rec)
+        if saving:
+            rec.saved[self] = tuple(inputs)
         return h.reshape(h.shape[:2] + (self.tokens, h.shape[-1]))
 
     def backward(self, g: Tensor, rec: ForwardRecord | None) -> None:
         """Accumulate the stem's parameter gradients from the gradient at
         the embedding; no gradient at the input is taken."""
+        inputs = list(_take(rec, self))
         g = g.reshape(g.shape[:2] + self.grid + g.shape[-1:])
         for i, (lif, product, bn, pool) in reversed(list(enumerate(self.stages))):
             if pool is not None:
                 g = pool.backward(g, rec)
             g = _through_bn(g, rec, product, bn, input_grad=i > 0)
             if i:
-                g = lif.backward(g, rec=rec)
+                g = lif.backward(g, rec=rec, x=inputs.pop())
 
     def parts(self):
         return tuple(part for stage in self.stages for part in stage)
@@ -1018,7 +1015,7 @@ class BssaBlock:
                               (self.v_proj, self.v_bn, self.v_lif)):
             # backward rebuilds each float input (`_through_bn`)
             h = bn.forward(proj._product(s, rec, packed), training, rec)
-            fired.append(lif.forward(h, rec, rebuilt=True))
+            fired.append(lif.forward(h, rec))
             if saving:
                 kept.append(_packed(rec, fired[-1]))
         q, k, v = fired
@@ -1030,7 +1027,7 @@ class BssaBlock:
         if rec is not None and rec.taps is not None:
             rec.taps[self] = attn
         if self.binary_attn:
-            s_attn = self.attn_lif.forward(attn, rec, rebuilt=True)
+            s_attn = self.attn_lif.forward(attn, rec)
             sops = float(np.count_nonzero(q) * attn.shape[-1]
                          + np.count_nonzero(s_attn) * self.head_dim)
         else:
@@ -1042,7 +1039,7 @@ class BssaBlock:
             # the head splits are re-made in backward; full-precision
             # attention keeps its integer map, which is no spike tensor
             rec.saved[self] = (*kept, _packed(rec, s_attn) if self.binary_attn else attn)
-        out = self.o_proj.forward(self.o_in.forward(ctx, rec, rebuilt=True), rec)
+        out = self.o_proj.forward(self.o_in.forward(ctx, rec), rec)
         return self.o_bn.forward(out, training, rec)
 
     @staticmethod
@@ -1072,12 +1069,14 @@ class BssaBlock:
         s_attn^T g."""
         return np.matmul(g, vh.swapaxes(-1, -2)), np.matmul(s_attn.swapaxes(-1, -2), g)
 
-    def backward(self, g_out: Tensor, rec: ForwardRecord | None) -> Tensor:
-        """Every float input a LIF or BN read is rebuilt from the saved
-        spikes and map: the attention map and the context are sums of
-        integer products, scaled as the forward scaled them, and the
-        projections' outputs are their forward products again
-        (`_through_bn`), so each is the forward's bytes."""
+    def backward(self, g_out: Tensor, rec: ForwardRecord | None, x: Tensor) -> Tensor:
+        """The gradient at the block's input, given `x`, the float32 stream
+        the forward read. `x` is written over: the input LIF rebuilds its
+        membranes there. Every other float input a LIF or BN read is
+        rebuilt from the saved spikes and map: the attention map and the
+        context are sums of integer products, scaled as the forward scaled
+        them, and the projections' outputs are their forward products
+        again (`_through_bn`), so each is the forward's bytes."""
         q, k, v, s_attn = _take(rec, self)
         g = _through_bn(g_out, rec, self.o_proj, self.o_bn)
         vh = self._split(v.unpack(), DTYPE)
@@ -1105,7 +1104,7 @@ class BssaBlock:
                 (g_vh, self.v_lif, self.v_bn, self.v_proj),
             )
         ]
-        return self.x_in.backward(*g_s, rec=rec)
+        return self.x_in.backward(*g_s, rec=rec, x=x)
 
     def parts(self):
         return (self.x_in, self.o_in, self.q_proj, self.k_proj, self.v_proj, self.o_proj,
@@ -1131,16 +1130,18 @@ class BmlpBlock:
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
         h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x, rec), rec), training, rec)
-        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h, rec, rebuilt=True), rec),
-                               training, rec)
+        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h, rec), rec), training, rec)
         if rec is not None and rec.taps is not None:
             rec.taps[self] = out  # the final normalized map, for rep-cap probes
         return out
 
-    def backward(self, g: Tensor, rec: ForwardRecord | None) -> Tensor:
+    def backward(self, g: Tensor, rec: ForwardRecord | None, x: Tensor) -> Tensor:
+        """The gradient at the block's input, given `x`, the float32 stream
+        the forward read. `x` is written over: lif1 rebuilds its membranes
+        there. lif2's input is rebuilt from fc1's entry (`_through_bn`)."""
         g = _through_bn(g, rec, self.fc2, self.bn2)
         g = _through_bn(g, rec, self.fc1, self.bn1, self.lif2)
-        return self.lif1.backward(g, rec=rec)
+        return self.lif1.backward(g, rec=rec, x=x)
 
     def parts(self):
         return (self.lif1, self.fc1, self.bn1, self.lif2, self.fc2, self.bn2)
@@ -1149,7 +1150,10 @@ class BmlpBlock:
 class EncoderBlock:
     """A BSSA and a BMLP sub-block, coupled to the encoder's streams by the
     subclass. `forward` and `backward` take and return a tuple of streams
-    (or of their gradients) and never write their input."""
+    (or of their gradients) and never write their input. A training
+    forward keeps the two float32 streams the sub-blocks read, the BSSA's
+    then the BMLP's; backward hands each to its sub-block's backward,
+    which writes over it, and drops it when that returns."""
 
     def __init__(self, name: str, cfg: ModelConfig, rng: Rng):
         self.name = name
@@ -1181,14 +1185,18 @@ class ReversibleBlock(EncoderBlock):
         # borderline spikes. Sub-blocks always evaluate on the float32
         # cast, so both directions see bit-identical inputs.
         x0, x1 = s
-        a = self.bssa.forward(np.ascontiguousarray(x1, dtype=DTYPE), training, rec)
+        xa = np.ascontiguousarray(x1, dtype=DTYPE)
+        a = self.bssa.forward(xa, training, rec)
         x0n = x0 + x1
         x0n *= 0.5
         x0n += a  # a + 0.5 * (x0 + x1), in the state dtype
-        m = self.bmlp.forward(np.ascontiguousarray(x0n, dtype=DTYPE), training, rec)
+        xm = np.ascontiguousarray(x0n, dtype=DTYPE)
+        m = self.bmlp.forward(xm, training, rec)
         x1n = x1 + x0n
         x1n *= 0.5
         x1n += m  # m + 0.5 * (x1 + x0n)
+        if _saving(rec):
+            rec.saved[self] = (xa, xm)
         return ReversibleState(x0n, x1n)
 
     def inverse(self, s: tuple[Tensor, Tensor]) -> ReversibleState:
@@ -1202,8 +1210,9 @@ class ReversibleBlock(EncoderBlock):
     def backward(self, gs: tuple[Tensor, Tensor],
                  rec: ForwardRecord | None) -> tuple[Tensor, Tensor]:
         g0, g1 = gs
-        g0_total = g0 + self.bmlp.backward(g1, rec) + 0.5 * g1
-        g_x1 = 0.5 * g1 + self.bssa.backward(g0_total, rec) + 0.5 * g0_total
+        streams = list(_take(rec, self))  # each dropped as its sub-block's backward returns
+        g0_total = g0 + self.bmlp.backward(g1, rec, streams.pop()) + 0.5 * g1
+        g_x1 = 0.5 * g1 + self.bssa.backward(g0_total, rec, streams.pop()) + 0.5 * g0_total
         return 0.5 * g0_total, g_x1
 
 
@@ -1214,13 +1223,16 @@ class ResidualBlock(EncoderBlock):
     def forward(self, s: tuple[Tensor], training: bool,
                 rec: ForwardRecord | None = None) -> tuple[Tensor]:
         (x,) = s
-        x = x + self.bssa.forward(x, training, rec)
-        return ((x + self.bmlp.forward(x, training, rec)).astype(DTYPE, copy=False),)
+        h = x + self.bssa.forward(x, training, rec)
+        if _saving(rec):
+            rec.saved[self] = (x, h)
+        return ((h + self.bmlp.forward(h, training, rec)).astype(DTYPE, copy=False),)
 
     def backward(self, gs: tuple[Tensor], rec: ForwardRecord | None) -> tuple[Tensor]:
         (g,) = gs
-        g = g + self.bmlp.backward(g, rec)
-        return (g + self.bssa.backward(g, rec),)
+        streams = list(_take(rec, self))  # each dropped as its sub-block's backward returns
+        g = g + self.bmlp.backward(g, rec, streams.pop())
+        return (g + self.bssa.backward(g, rec, streams.pop()),)
 
 
 # ---------------------------------------------------------------------------
@@ -1537,9 +1549,10 @@ def load_checkpoint(path) -> SpikingTransformer:
     must equal the signs of its layer's standardized latent weights, and
     that comparison leaves the layer's sign cache filled for the first
     forward. A truncated, malformed or overlong container, a missing
-    file, 1-bit images whose names, count, shapes or bits do not match
-    the model's binary layers, or latents that cannot be binarized raise
-    DataError."""
+    file, an array holding a value that is not finite, a lambda scale
+    that is not positive, 1-bit images whose names, count, shapes or bits
+    do not match the model's binary layers, or latents that cannot be
+    binarized raise DataError."""
     read = binary.read_exact  # raises DataError on a short read
     with binary.open_input(path, "checkpoint") as fh:
         magic = fh.read(len(SpikingTransformer.CKPT_MAGIC))
@@ -1567,15 +1580,22 @@ def load_checkpoint(path) -> SpikingTransformer:
         names = [e["name"] for e in header["arrays"]]
         if names != [n for n, _ in entries]:
             raise DataError("checkpoint array manifest does not match the model layout")
-        for spec, (_, arr) in zip(header["arrays"], entries):
+        layers = [lyr for lyr in model.binary_linear_layers() if lyr.mode == "binary"]
+        binarized = {f"{lyr.name}.weight" for lyr in layers}  # binarization checks these
+        for spec, (name, arr) in zip(header["arrays"], entries):
             want = tuple(spec["shape"])
             if tuple(arr.shape) != want:
-                raise DataError(f"shape mismatch for {spec['name']}: {want} vs {arr.shape}")
-            raw = read(fh, arr.size * 4, f"checkpoint array {spec['name']}")
+                raise DataError(f"shape mismatch for {name}: {want} vs {arr.shape}")
+            raw = read(fh, arr.size * 4, f"checkpoint array {name}")
             arr[...] = np.frombuffer(raw, dtype="<f4").reshape(arr.shape)
+            if name not in binarized and not np.isfinite(arr).all():
+                raise DataError(f"checkpoint array {name} holds a value that is not finite")
+        for lam in walk(model, LambdaLayer):
+            if not (lam.scale.value > 0).all():
+                raise DataError(f"checkpoint array {lam.name}.scale holds a lambda scale "
+                                f"that is not positive")
         # one image per binary-mode layer, in layer order, each equal to
         # the signs of its weight, which seeds the layer's sign cache
-        layers = [lyr for lyr in model.binary_linear_layers() if lyr.mode == "binary"]
         if [spec["name"] for spec in header["packed"]] != [f"{lyr.name}.packed" for lyr in layers]:
             raise DataError("checkpoint image manifest does not match the model's binary layers")
         for spec, lyr in zip(header["packed"], layers):

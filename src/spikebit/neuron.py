@@ -110,46 +110,39 @@ def lif_run(inputs: Tensor, p: LifParams) -> Tensor:
     if inputs.ndim < 1 or inputs.shape[0] == 0:
         raise ShapeError("lif_run needs at least one timestep")
     require_finite(inputs, "lif_run inputs")
-    return _lif(inputs, p)[0].astype(DTYPE)
+    return _lif(inputs, p).astype(DTYPE)
 
 
-def _lif(x: Tensor, p: LifParams, keep_membranes: bool = False,
-         gates: np.ndarray | None = None) -> tuple[np.ndarray | None, Tensor | None]:
+def _lif(x: Tensor, p: LifParams, gates: np.ndarray | None = None) -> np.ndarray:
     """The LIF dynamics along x's leading time axis from a zero membrane:
     `lif_step`'s operations in the same order, in reused buffers, in x's
-    float dtype. Returns (spikes, pre-reset membranes).
+    float dtype. Returns the spikes, bool, one byte each; the reset reads
+    them as 0.0 or 1.0 in that dtype.
 
-    The spikes are bool, one byte each; the reset reads them as 0.0 or 1.0
-    in that dtype. `keep_membranes` also returns the pre-reset membranes,
-    for backward to keep; they are None otherwise. With `gates`, the bool
-    spikes an earlier run fired on this same x, the run takes each step's
-    reset gate from them in place of the threshold compare and fires
-    nothing (spikes is None): it rebuilds that run's membranes byte for
-    byte and writes them over x, so x must be a float array its caller
-    gives up."""
+    With `gates`, the bool spikes an earlier run fired on this same x, the
+    run takes each step's reset gate from them in place of the threshold
+    compare and fires nothing: it rebuilds that run's pre-reset membranes
+    byte for byte, writes them over x and returns x, so x must be a float
+    array its caller gives up."""
     dt = x.dtype if x.dtype.kind == "f" else np.dtype(DTYPE)
-    if gates is None:
-        spikes = np.empty(x.shape, dtype=np.bool_)
-        u_pre = np.empty(x.shape, dtype=dt) if keep_membranes else None
-    else:
-        spikes, u_pre = None, x  # step t reads x[t] before it writes the membrane there
+    out = np.empty(x.shape, dtype=np.bool_) if gates is None else x
     u, tmp = (np.empty(x.shape[1:], dtype=dt) for _ in range(2))
-    up = np.empty(x.shape[1:], dtype=dt) if u_pre is None else None
+    up = np.empty(x.shape[1:], dtype=dt) if gates is None else None
     tau = dt.type(p.tau)
     vth = dt.type(p.v_threshold)
     hard = p.reset is Reset.HARD
     for t in range(x.shape[0]):
-        if u_pre is not None:
-            up = u_pre[t, ...]  # [t, ...] is a view even for a 1-D input
+        if gates is not None:
+            up = x[t, ...]  # a view even for a 1-D input; step t reads x[t] before it writes here
         if t:
             np.multiply(tau, u, out=tmp)
             np.add(tmp, x[t], out=up)  # tau * u + x[t]
         else:
             np.add(x[0], 0.0, out=up)  # the membrane starts at +0, and tau * +0 is +0
-        if gates is not None:
-            s = gates[t, ...]
+        if gates is None:
+            s = np.greater_equal(up, vth, out=out[t, ...])
         else:
-            s = np.greater_equal(up, vth, out=spikes[t, ...])
+            s = gates[t, ...]
         if t == x.shape[0] - 1:
             break  # no later step reads the reset membrane
         if hard:
@@ -158,7 +151,7 @@ def _lif(x: Tensor, p: LifParams, keep_membranes: bool = False,
         else:
             np.multiply(vth, s, out=tmp, dtype=dt)
             np.subtract(up, tmp, out=u)  # up - vth * s
-    return spikes, u_pre
+    return out
 
 
 def boolean_binarize(x: Tensor) -> Tensor:

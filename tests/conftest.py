@@ -1,5 +1,8 @@
 """Shared fixtures: the toy cluster dataset and the representation-trend
-statistics reused by the module invariants and the acceptance suite."""
+statistics reused by the module invariants and the acceptance suite, and
+a checkpoint editor for the readers' damage tests."""
+
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +24,21 @@ def toy_config(topology: str, weight_mode: str = "binary", depth: int = 2,
         stem=StemSpec(kind="vector", in_features=64, tokens=tokens),
         topology=topology, weight_mode=weight_mode, dual_head=dual_head, **kw,
     )
+
+
+def with_array(raw: bytes, name: str, values) -> bytes:
+    """The checkpoint `raw` with the array `name` replaced by `values`,
+    broadcast to its shape."""
+    header_len = int.from_bytes(raw[6:10], "little")
+    header = json.loads(raw[10:10 + header_len])
+    at = 10 + header_len
+    for spec in header["arrays"]:
+        size = 4 * int(np.prod(spec["shape"]))
+        if spec["name"] == name:
+            blob = np.broadcast_to(np.asarray(values, dtype="<f4"), spec["shape"]).tobytes()
+            return raw[:at] + blob + raw[at + size:]
+        at += size
+    raise KeyError(name)
 
 
 def cluster_data(seed: int, n_train: int = 512, n_test: int = 256, dims: int = 64,

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import with_array
 from spikebit import binary, cli, learn, metrics
 from spikebit.cli import (
     Dataset,
@@ -546,6 +547,22 @@ class TestEvalInspect:
         rc = cli.main(["eval", "--checkpoint", str(path), "--config", str(cfg_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("block0.bssa.o_bn.gamma", np.nan, "holds a value that is not finite"),
+        ("block0.bssa.lambda.scale", 0.0, "holds a lambda scale that is not positive"),
+    ], ids=["nan_gamma", "zero_lambda"])
+    def test_eval_unusable_checkpoint_array_exits_2(self, trained, tmp_path, capsys, name,
+                                                      value, message):
+        # a NaN gamma loaded, and eval printed an accuracy from NaN logits
+        cfg_path, out = trained
+        path = tmp_path / "bad.bin"
+        path.write_bytes(with_array((out / "ckpt-last.bin").read_bytes(), name, value))
+        rc = cli.main(["eval", "--checkpoint", str(path), "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"error: checkpoint array {name} {message}" in captured.err
+        assert "Traceback" not in captured.err
+
     # config floats that JSON reads (it takes NaN and Infinity) but no
     # model can run with, such as a NaN threshold, which never fires
     BAD_FLOATS = {
@@ -699,6 +716,32 @@ class TestPackTeacherLogits:
                        "--config", str(narrow), "--out", str(cache_path)])
         assert rc == 2 and "Traceback" not in capsys.readouterr().err
         assert cache_path.read_bytes() == b"an earlier cache"
+
+    @pytest.mark.parametrize("source", ["checkpoint", "logits-cache"])
+    def test_train_with_a_non_finite_teacher_exits_2(self, trained, tmp_path, capsys, source):
+        cfg_path, out = trained
+        if source == "checkpoint":
+            teacher = tmp_path / "teacher.bin"
+            teacher.write_bytes(with_array((out / "ckpt-last.bin").read_bytes(),
+                                           "block0.bssa.o_bn.gamma", np.nan))
+            want = "checkpoint array block0.bssa.o_bn.gamma holds a value that is not finite"
+        else:
+            teacher = tmp_path / "cache.bin"
+            assert cli.main(["pack-teacher-logits", "--checkpoint", str(out / "ckpt-last.bin"),
+                             "--config", str(cfg_path), "--out", str(teacher)]) == 0
+            cache = learn.TeacherLogitsCache.load(teacher)
+            cache.logits[5, 3] = np.inf
+            cache.save(teacher)
+            want = "logits cache: sample 5 has a logit that is not finite"
+        capsys.readouterr()
+        distill = tmp_path / "distill.ini"
+        distill.write_text(cfg_path.read_text()
+                           + f"\n[teacher]\nsource = {source}\npath = {teacher}\n")
+        run = tmp_path / "d"
+        assert cli.main(["train", "--config", str(distill), "--out", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {want}" in err and "Traceback" not in err
+        assert not run.exists()
 
     def test_cache_dataset_mismatch_rejected(self, tmp_path):
         cfg_path, out = write_config(tmp_path, epochs=0)

@@ -13,8 +13,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import toy_config
+from conftest import toy_config, with_array
 from spikebit import binary, learn, metrics, neuron, numeric
 from spikebit import model as M
 from spikebit.binary import ALPHABET_01, ALPHABET_PM1, binary_signs, pack, packed_linear
@@ -130,7 +132,7 @@ class TestStem:
         (toy_config("residual", timesteps=3), Rng(4).normal((5, 64)), (3, 5, 4, 16)),
         (conv_config(image=16), Rng(4).normal((2, 3, 16, 16)), (2, 2, 16, 16, 3)),
     ], ids=["vector", "conv"])
-    def test_backward_stops_at_the_first_weight_gradient(self, cfg, x, want):
+    def test_backward_stops_at_the_first_weight_gradient(self, cfg, x, want, monkeypatch):
         # nothing reads a gradient at the input: the input LIF saves
         # nothing and backward returns none, and every parameter gradient
         # equals a backward's that runs down to the input
@@ -138,8 +140,11 @@ class TestStem:
         rec = M.ForwardRecord(saved=True)
         e = got.forward(x, training=True, rec=rec)
         assert got.stages[0][0] not in rec.saved
+        assert len(rec.saved[got]) == len(got.stages) - 1  # each later LIF's input
         assert got.backward(Rng(6).normal(e.shape), rec) is None and rec.saved == {}
-        # the reference: every LIF saves, and backward takes the input gradient
+        # the reference: every LIF saves its membranes, and backward takes
+        # the input gradient
+        _keep_every_float_cache(monkeypatch)
         rec = M.ForwardRecord(saved=True)
         h = x.reshape(x.shape[0], *ref.grid, -1) if ref.kind == "vector" else x.transpose(0, 2, 3, 1)
         h = np.broadcast_to(h, (cfg.timesteps,) + h.shape).astype(np.float32, order="C")
@@ -645,19 +650,35 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert checkpoint_bytes(loaded) == path.read_bytes()
 
-    @staticmethod
-    def _with_array(raw: bytes, name: str, values: np.ndarray) -> bytes:
-        """The checkpoint `raw` with the array `name` replaced by `values`."""
-        header_len = int.from_bytes(raw[6:10], "little")
-        header = json.loads(raw[10:10 + header_len])
-        at = 10 + header_len
-        for spec in header["arrays"]:
-            size = 4 * int(np.prod(spec["shape"]))
-            if spec["name"] == name:
-                blob = np.asarray(values, dtype="<f4").reshape(spec["shape"]).tobytes()
-                return raw[:at] + blob + raw[at + size:]
-            at += size
-        raise KeyError(name)
+    @pytest.mark.parametrize("kind,name,value", [
+        ("reversible", "block0.bssa.o_bn.gamma", np.nan),
+        ("reversible", "block1.bmlp.bn1.running_var", np.inf),
+        ("residual", "head_cls.bias", -np.inf),
+        ("full", "block0.bssa.q.weight", np.nan),  # a full-mode latent is not binarized
+        ("conv", "stem.stage2.bn.running_mean", np.nan),
+        ("reversible", "block0.bssa.lambda.scale", np.nan),
+    ], ids=["nan_gamma", "inf_running_var", "ninf_head_bias", "nan_full_latent",
+            "nan_conv_running_mean", "nan_lambda"])
+    def test_non_finite_array_is_data_error(self, tmp_path, kind, name, value):
+        # a NaN gamma loaded, and eval reported an accuracy from NaN logits
+        cfg, _ = self.KINDS[kind]
+        path = tmp_path / "m.bin"
+        path.write_bytes(with_array(checkpoint_bytes(SpikingTransformer(cfg, seed=50)), name,
+                                    value))
+        with pytest.raises(DataError, match=f"checkpoint array {re.escape(name)} holds a value "
+                                            f"that is not finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
+    def test_lambda_scale_that_is_not_positive_is_data_error(self, tmp_path, value):
+        net = SpikingTransformer(toy_config("residual"), seed=51)
+        scale = net.blocks[0].bssa.lam.scale.value.copy()
+        scale[-1] = value  # one timestep's scale
+        path = tmp_path / "m.bin"
+        path.write_bytes(with_array(checkpoint_bytes(net), "block0.bssa.lambda.scale", scale))
+        with pytest.raises(DataError, match="block0.bssa.lambda.scale holds a lambda scale "
+                                            "that is not positive"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("latent", ["constant", "nan"])
     def test_latent_that_cannot_be_binarized_is_data_error(self, tmp_path, latent):
@@ -665,8 +686,7 @@ class TestCheckpoint:
         lyr = next(net.binary_linear_layers())
         value = {"constant": 0.5, "nan": np.nan}[latent]
         path = tmp_path / "m.bin"
-        path.write_bytes(self._with_array(checkpoint_bytes(net), f"{lyr.name}.weight",
-                                          np.full(lyr.weight.value.shape, value)))
+        path.write_bytes(with_array(checkpoint_bytes(net), f"{lyr.name}.weight", value))
         with pytest.raises(DataError, match=f"{lyr.name}.weight cannot be binarized"):
             load_checkpoint(path)
 
@@ -674,8 +694,8 @@ class TestCheckpoint:
         net = SpikingTransformer(toy_config("residual"), seed=44)
         lyr = list(net.binary_linear_layers())[3]
         path = tmp_path / "m.bin"
-        path.write_bytes(self._with_array(checkpoint_bytes(net), f"{lyr.name}.weight",
-                                          -lyr.weight.value))
+        path.write_bytes(with_array(checkpoint_bytes(net), f"{lyr.name}.weight",
+                                    -lyr.weight.value))
         with pytest.raises(DataError, match=f"image {lyr.name}.packed does not match"):
             load_checkpoint(path)
 
@@ -781,7 +801,11 @@ class TestLifKernel:
         _bytes_equal(lif.forward(x), want_s.astype(bool))
         rec = M.ForwardRecord(saved=True)
         _bytes_equal(lif.forward(x, rec), want_s.astype(bool))
-        _bytes_equal(rec.saved[lif][0], want_u)
+        (packed,) = rec.saved[lif]  # the spikes alone, at one bit each
+        assert packed.bits.nbytes == -(-x.size // 8)
+        _bytes_equal(packed.unpack(), want_s.astype(bool))
+        # they rebuild the forward's membranes from its input
+        _bytes_equal(neuron._lif(x.copy(), p, gates=packed.unpack()), want_u)
 
     @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
     def test_forward_and_lif_run_match_lif_step_loop(self, reset):
@@ -800,6 +824,7 @@ class TestLifKernel:
     def test_backward_matches_reference_bytewise(self, reset, dtype):
         p = toy_config("residual").lif(reset=reset)
         x = _lif_input(dtype)
+        want_s, want_u = _lif_forward_reference(p, x)
         lif = LifLayer(p)
         gs = [Rng(42 + i).normal(x.shape).astype(dtype) for i in range(3)]
         for g in gs:
@@ -807,42 +832,44 @@ class TestLifKernel:
         for g in gs:
             rec = M.ForwardRecord(saved=True)
             lif.forward(x, rec)  # each backward consumes one training forward
-            u_pre, packed = rec.saved[lif]
-            want = _lif_backward_reference(p, u_pre, packed.unpack(), g)
+            want = _lif_backward_reference(p, want_u, want_s, g)
             if reset is Reset.HARD:  # the reset gate zeroes the carry: -0.0 input gradients
                 assert np.signbit(want[1, 3]).all() and not want[1, 3].any()
             g_in = g.copy()  # a lone upstream gradient is written over
-            got = lif.backward(g_in, rec=rec)
+            got = lif.backward(g_in, rec=rec, x=x.copy())
             assert got is g_in
             _bytes_equal(got, want)
         # several upstream gradients: summed from zero in argument order
         rec = M.ForwardRecord(saved=True)
         lif.forward(x, rec)
-        u_pre, packed = rec.saved[lif]
         want = np.zeros_like(gs[0])
         for g in gs:
-            want += _lif_backward_reference(p, u_pre, packed.unpack(), g)
-        _bytes_equal(lif.backward(*gs, rec=rec), want)
+            want += _lif_backward_reference(p, want_u, want_s, g)
+        _bytes_equal(lif.backward(*gs, rec=rec, x=x.copy()), want)
 
     @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rebuilt_membranes_match_reference_bytewise(self, reset, dtype):
-        # a forward told its input is rebuilt keeps only the bool spikes;
-        # backward re-runs the recurrence on the input with those reset gates
+        # a training forward keeps only the bool spikes; backward re-runs
+        # the recurrence on the input its caller hands back, with those
+        # reset gates, and writes the membranes over that input
         p = toy_config("residual").lif(reset=reset)
         x = _lif_input(dtype)
         want_s, want_u = _lif_forward_reference(p, x)
         lif = LifLayer(p)
         rec = M.ForwardRecord(saved=True)
-        _bytes_equal(lif.forward(x, rec, rebuilt=True), want_s.astype(bool))
-        u_pre, packed = rec.saved[lif]
-        assert u_pre is None and packed.bits.nbytes == -(-x.size // 8)
+        _bytes_equal(lif.forward(x, rec), want_s.astype(bool))
+        (packed,) = rec.saved[lif]
+        assert packed.bits.nbytes == -(-x.size // 8)
         fired = packed.unpack()
-        _bytes_equal(neuron._lif(x.copy(), p, keep_membranes=True, gates=fired)[1], want_u)
+        _bytes_equal(neuron._lif(x.copy(), p, gates=fired), want_u)
         gs = [Rng(45 + i).normal(x.shape).astype(dtype) for i in range(2)]
         want = _lif_backward_reference(p, want_u, fired, gs[0])
         want += _lif_backward_reference(p, want_u, fired, gs[1])
-        _bytes_equal(lif.backward(*gs, rec=rec, x=x.copy()), want)
+        x_in = x.copy()
+        _bytes_equal(lif.backward(*gs, rec=rec, x=x_in), want)
+        _bytes_equal(x_in, want_u)
+        assert rec.saved == {}
 
     @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -854,7 +881,7 @@ class TestLifKernel:
         x = np.ascontiguousarray(_lif_input(dtype)[:T])
         want_s, want_u = _lif_forward_reference(p, x)
         x_in = x.copy()
-        u_pre = neuron._lif(x_in, p, gates=want_s.astype(bool))[1]
+        u_pre = neuron._lif(x_in, p, gates=want_s.astype(bool))
         assert u_pre is x_in
         _bytes_equal(u_pre, want_u)
 
@@ -868,7 +895,12 @@ class TestNonFloatInput:
         lif = LifLayer(toy_config("residual").lif())
         got, want = M.ForwardRecord(saved=True), M.ForwardRecord(saved=True)
         _bytes_equal(lif.forward(x, got), lif.forward(x32, want))
-        _bytes_equal(got.saved[lif][0], want.saved[lif][0])  # the membranes
+        _bytes_equal(got.saved[lif][0].bits, want.saved[lif][0].bits)  # the packed spikes
+        # handed the float32 cast, backward takes the float32 membranes
+        want_s, want_u = _lif_forward_reference(lif.p, x32)
+        g = Rng(71).normal(x.shape)
+        _bytes_equal(lif.backward(g.copy(), rec=got, x=x32.copy()),
+                     _lif_backward_reference(lif.p, want_u, want_s, g))
         bns = []
         for inp in (x, x32):
             bn = BatchNormLayer("bn", 6)
@@ -960,7 +992,8 @@ class TestBatchNormKernel:
 
 class TestSharedInputLif:
     def _reference_three_lifs(self, blk, cfg, x, g_out):
-        """The BSSA forward and backward with one input LIF per projection."""
+        """The BSSA forward and backward with one input LIF per projection,
+        keeping every float cache (`_keep_every_float_cache`)."""
         ins = [LifLayer(cfg.lif()) for _ in range(3)]
         rec = M.ForwardRecord(saved=True)
         outs, bn_ins = [], []  # each BN's input, kept for its backward
@@ -995,14 +1028,16 @@ class TestSharedInputLif:
         return out, g_x
 
     @pytest.mark.parametrize("seed", [50, 51])
-    def test_gradients_match_three_lif_reference_bytewise(self, seed):
+    def test_gradients_match_three_lif_reference_bytewise(self, seed, monkeypatch):
         cfg = toy_config("residual", timesteps=3)
         x = Rng(seed).normal((3, 4, 5, 32), std=2.0)
         g_out = Rng(seed + 1).normal(x.shape)
         got_blk, ref_blk = BssaBlock("b", cfg, Rng(seed)), BssaBlock("b", cfg, Rng(seed))
         rec = M.ForwardRecord(saved=True)
         got_out = got_blk.forward(x, training=True, rec=rec)
-        got_g = got_blk.backward(g_out, rec)
+        got_g = got_blk.backward(g_out, rec, x.copy())  # written over
+        assert rec.saved == {}
+        _keep_every_float_cache(monkeypatch)
         want_out, want_g = self._reference_three_lifs(ref_blk, cfg, x, g_out)
         assert got_out.tobytes() == want_out.tobytes()
         assert got_g.tobytes() == want_g.tobytes()
@@ -1024,11 +1059,24 @@ class TestSharedInputLif:
 
 def _keep_every_float_cache(monkeypatch):
     """Make training keep every float cache: every LIF that saves keeps its
-    membranes and every BN the xhat its forward computed, and backward
-    reads those in place of the inputs it rebuilds."""
-    lif_forward, bn_forward = LifLayer.forward, BatchNormLayer.forward
-    normalize = numeric._normalize
-    computed, xhats = [], {}
+    membranes, as `_lif_forward_reference` computes them from its input,
+    and every BN the xhat its forward computed; backward reads those in
+    place of the inputs it rebuilds, and a LIF's backward takes no input.
+    Returns the kept membranes by LIF, which backward pops."""
+    lif_forward, lif_backward, bn_forward = LifLayer.forward, LifLayer.backward, BatchNormLayer.forward
+    lif_kernel, normalize = neuron._lif, numeric._normalize
+    computed, xhats, membranes = [], {}, {}
+
+    def lif_forward_keeping_membranes(self, x, rec=None):
+        spikes = lif_forward(self, x, rec)
+        if M._saving(rec):
+            x = x if x.dtype.kind == "f" else x.astype(np.float32)
+            want_s, membranes[self] = _lif_forward_reference(self.p, x)
+            _bytes_equal(spikes, want_s.astype(bool))
+        return spikes
+
+    def lif_backward_reading_membranes(self, *g, rec, x=None):
+        return lif_backward(self, *g, rec=rec, x=membranes.pop(self))
 
     def normalize_and_copy(*args, **kwargs):
         xhat = normalize(*args, **kwargs)
@@ -1041,11 +1089,14 @@ def _keep_every_float_cache(monkeypatch):
             xhats[self] = computed[0]
         return out
 
+    # backward hands the kept membranes to the kernel's rebuild, which returns them
+    monkeypatch.setattr(neuron, "_lif", lambda x, p, gates=None: lif_kernel(x, p) if gates is None else x)
+    monkeypatch.setattr(LifLayer, "forward", lif_forward_keeping_membranes)
+    monkeypatch.setattr(LifLayer, "backward", lif_backward_reading_membranes)
     monkeypatch.setattr(numeric, "_normalize", normalize_and_copy)
-    monkeypatch.setattr(LifLayer, "forward",
-                        lambda self, x, rec=None, rebuilt=False: lif_forward(self, x, rec))
     monkeypatch.setattr(BatchNormLayer, "forward", bn_forward_keeping_xhat)
     monkeypatch.setattr(BatchNormLayer, "_normalize_again", lambda self, rec, x: xhats.pop(self))
+    return membranes
 
 
 def _named_params(part):
@@ -1062,11 +1113,10 @@ def _same_grads(got_part, want_part):
 
 class TestRebuiltInputs:
     """A training forward, in either weight mode, keeps no BN xhat and no
-    membranes of a LIF whose input backward can rebuild; the rebuilt
-    backward must match a reference that keeps every float cache, byte for
-    byte."""
+    LIF membranes; the rebuilt backward must match a reference that keeps
+    every float cache, byte for byte."""
 
-    def test_bmlp_matches_float_cache_reference_bytewise(self):
+    def test_bmlp_matches_float_cache_reference_bytewise(self, monkeypatch):
         cfg = toy_config("residual", timesteps=3)
         x = Rng(60).normal((3, 4, 5, 32), std=2.0)
         g_out = Rng(61).normal(x.shape)
@@ -1074,23 +1124,29 @@ class TestRebuiltInputs:
         rec = M.ForwardRecord(saved=True)
         got_out = got_blk.forward(x, training=True, rec=rec)
         assert len(rec.saved[got_blk.bn1]) == len(rec.saved[got_blk.bn2]) == 2  # (mean, inv)
-        assert rec.saved[got_blk.lif2][0] is None and rec.saved[got_blk.lif1][0] is not None
-        got_g = got_blk.backward(g_out, rec)
+        for lif in (got_blk.lif1, got_blk.lif2):
+            (packed,) = rec.saved[lif]  # the spikes alone
+            assert isinstance(packed, M.PackedSpikes)
+        x_in = x.copy()
+        got_g = got_blk.backward(g_out, rec, x_in)
         assert rec.saved == {}
         # the reference: each layer called on its own keeps every float
         # cache, and each BN's input is kept for its backward
+        membranes = _keep_every_float_cache(monkeypatch)
         rec = M.ForwardRecord(saved=True)
         h1 = ref.fc1.forward(ref.lif1.forward(x, rec), rec)
         h2 = ref.fc2.forward(ref.lif2.forward(ref.bn1.forward(h1, True, rec), rec), rec)
         want_out = ref.bn2.forward(h2, True, rec)
         g = ref.fc2.backward(ref.bn2.backward(g_out, rec, ref.bn2._normalize_again(rec, h2)), rec)
         g = ref.bn1.backward(ref.lif2.backward(g, rec=rec), rec, ref.bn1._normalize_again(rec, h1))
+        want_u = membranes[ref.lif1]
         want_g = ref.lif1.backward(ref.fc1.backward(g, rec), rec=rec)
         assert got_out.tobytes() == want_out.tobytes()
         assert got_g.tobytes() == want_g.tobytes()
+        _bytes_equal(x_in, want_u)  # lif1's membranes, rebuilt over the block's input
         _same_grads(got_blk, ref)
 
-    def test_vector_stem_matches_float_cache_reference_bytewise(self):
+    def test_vector_stem_matches_float_cache_reference_bytewise(self, monkeypatch):
         cfg = toy_config("residual", timesteps=3)
         x = Rng(63).normal((5, 64), std=2.0)
         got_stem, ref = M.Stem(cfg, Rng(64)), M.Stem(cfg, Rng(64))
@@ -1100,10 +1156,12 @@ class TestRebuiltInputs:
         rec = M.ForwardRecord(saved=True)
         got_out = got_stem.forward(x, training=True, rec=rec)
         assert got_lif not in rec.saved and len(rec.saved[got_bn]) == 2  # (mean, inv)
+        assert rec.saved[got_stem] == ()  # no later LIF whose input it keeps
         g_out = Rng(65).normal(got_out.shape)
         assert got_stem.backward(g_out, rec) is None and rec.saved == {}
         # the reference keeps the membranes and BN's input, and its
         # backward runs down to the input
+        _keep_every_float_cache(monkeypatch)
         rec = M.ForwardRecord(saved=True)
         chunk = 64 // ref.tokens
         rep = np.broadcast_to(x.reshape(5, ref.tokens, chunk), (3, 5, ref.tokens, chunk))
@@ -1131,12 +1189,12 @@ class TestRebuiltInputs:
         for reference in (False, True):
             net = SpikingTransformer(cfg, seed=67)
             with monkeypatch.context() as mp:
-                if reference:
-                    _keep_every_float_cache(mp)
+                membranes = _keep_every_float_cache(mp) if reference else {}
                 net.forward(x[:2], training=True)
                 saved = net._record.saved  # full-precision attention has no LIF
-                kept = [saved[lif][0] is not None for lif in net.lif_layers() if lif in saved]
-                assert all(kept) == reference
+                saving = [lif for lif in net.lif_layers() if lif in saved]
+                assert all(len(saved[lif]) == 1 for lif in saving)  # the packed spikes
+                assert set(membranes) == (set(saving) if reference else set())
                 net.backward(*(np.ones((2, 10), np.float32),) * 2)  # drops the record
                 opt = learn.AdamW(net.named_params(), lr=1e-2)
                 learn.train_epoch(net, (x, y), None, opt, Rng(68), batch_size=4)
@@ -1147,6 +1205,36 @@ class TestRebuiltInputs:
             assert p.value.tobytes() == q.value.tobytes(), name
         for (name, a), (_, b) in zip(got.named_buffers(), want.named_buffers()):
             assert a.tobytes() == b.tobytes(), name
+
+
+    @given(T=st.integers(1, 3), D=st.sampled_from([8, 16, 32]), heads=st.sampled_from([1, 2, 4]),
+           tokens=st.sampled_from([1, 2, 4, 8]), depth=st.integers(1, 2),
+           topology=st.sampled_from(["reversible", "residual"]),
+           mode=st.sampled_from(["binary", "full"]), seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_one_training_step_matches_float_cache_reference_at_random_shapes(
+            self, T, D, heads, tokens, depth, topology, mode, seed):
+        cfg = ModelConfig(depth=depth, embed_dim=D, heads=heads, timesteps=T, topology=topology,
+                          weight_mode=mode, stem=StemSpec(kind="vector", in_features=64,
+                                                          tokens=tokens))
+        x = Rng(seed).normal((3, 64), std=2.0)
+        g_cls, g_dist = Rng(seed + 1).normal((3, 10)), Rng(seed + 2).normal((3, 10))
+        nets, outs = [], []
+        for reference in (False, True):
+            net = SpikingTransformer(cfg, seed=seed)
+            with pytest.MonkeyPatch.context() as mp:
+                membranes = _keep_every_float_cache(mp) if reference else {}
+                logits, dist = net.forward(x, training=True)
+                net.backward(g_cls, None if dist is None else g_dist)
+            assert net._record is None and membranes == {}  # backward read every cache
+            nets.append(net)
+            outs.append((logits, dist))
+        (got, got_dist), (want, want_dist) = outs
+        _bytes_equal(got, want)
+        assert (got_dist is None) == (want_dist is None)
+        if got_dist is not None:
+            _bytes_equal(got_dist, want_dist)
+        _same_grads(*nets)
 
 
 class TestCheckpointImages:
@@ -1223,16 +1311,6 @@ class TestTrainingCaches:
     def _backward(net, logits, dist):
         net.backward(np.ones_like(logits), None if dist is None else np.ones_like(dist))
 
-    @staticmethod
-    def _rebuilt_lifs(net):
-        """The LIFs whose input backward rebuilds: those fed by a BN, the
-        attention map or the attention context."""
-        out = set()
-        for blk in net.blocks:
-            bssa, bmlp = blk.parts()
-            out |= {bssa.q_lif, bssa.k_lif, bssa.v_lif, bssa.attn_lif, bssa.o_in, bmlp.lif2}
-        return out
-
     @pytest.mark.parametrize("kind", list(NETS))
     def test_spikes_are_kept_once_packed(self, kind, monkeypatch):
         packbits, packs = np.packbits, []
@@ -1243,7 +1321,6 @@ class TestTrainingCaches:
         kept = {id(e) for entry in saved.values() for e in entry
                 if isinstance(e, M.PackedSpikes)}
         assert len(packs) == len(kept)  # one packing per spike tensor
-        rebuilt = self._rebuilt_lifs(net)
 
         def packed(entry):  # a PackedSpikes at one bit per element, no more
             assert isinstance(entry, M.PackedSpikes)
@@ -1259,12 +1336,27 @@ class TestTrainingCaches:
             if lif is stem_lif:  # no backward reaches it
                 assert lif not in saved
                 continue
-            u_pre, spikes = saved[lif]
-            packed(spikes)
-            if lif in rebuilt:  # backward re-runs the recurrence on the rebuilt input
-                assert u_pre is None
-            else:  # fed by a stream or the input
-                assert u_pre.dtype == np.float32 and u_pre.shape == spikes.shape
+            # every LIF keeps its spikes alone: backward re-runs the
+            # recurrence on the input its caller hands back
+            entry = saved[lif]
+            assert type(entry) is tuple and len(entry) == 1
+            packed(entry[0])
+        # the only activation-sized float arrays kept are the inputs that
+        # nothing rebuilds: each block's two streams (the BSSA's, then the
+        # BMLP's), the conv stem's later LIF inputs, and full-precision
+        # attention's integer map
+        T, B, N, D = saved[net][0]
+        floats = {id(e): e for entry in saved.values() for e in entry
+                  if isinstance(e, np.ndarray) and e.dtype.kind == "f" and e.shape[:2] == (T, B)}
+        want = [e for blk in net.blocks for e in saved[blk]] + list(saved[net.stem])
+        want += [saved[blk][3] for blk in net.bssa_blocks() if not blk.binary_attn]
+        assert sorted(floats) == sorted(id(e) for e in want)
+        for blk in net.blocks:
+            assert len(saved[blk]) == 2
+            for stream in saved[blk]:
+                assert stream.dtype == np.float32 and stream.shape == (T, B, N, D)
+        if kind != "conv":
+            assert saved[net.stem] == ()
         # a BN keeps its statistics alone, in either weight mode; backward
         # rebuilds its input, the product before it, from that layer's entry
         for bn in M.walk(net, BatchNormLayer):
@@ -1277,29 +1369,31 @@ class TestTrainingCaches:
         for blk in net.blocks:
             pairs += [(blk.bmlp.lif1, blk.bmlp.fc1), (blk.bmlp.lif2, blk.bmlp.fc2)]
         for lif, lyr in pairs:
-            assert saved[lyr][0] is saved[lif][1]
+            assert saved[lyr][0] is saved[lif][0]
         if kind != "conv":  # the stem's product packs its input LIF's spikes itself
-            T, B, N, _ = saved[net][0]
             assert packed(saved[stem_product][0]).shape == (T, B, N, stem_product.in_features)
         for lam in M.walk(net, M.LambdaLayer):  # binary mode only
             assert [n for n in vars(lam) if n.startswith("_")] == []  # no context kept
         for blk in net.bssa_blocks():
             q, k, v, s_attn = saved[blk]
-            assert q is saved[blk.q_lif][1] and k is saved[blk.k_lif][1]
-            assert v is saved[blk.v_lif][1]
+            assert q is saved[blk.q_lif][0] and k is saved[blk.k_lif][0]
+            assert v is saved[blk.v_lif][0]
             if blk.binary_attn:
-                assert s_attn is saved[blk.attn_lif][1]
+                assert s_attn is saved[blk.attn_lif][0]
             else:  # the integer attention map, which no LIF emits
                 assert s_attn.dtype == np.float32
         if kind == "conv":  # im2col keeps its own packed copy
-            T, B = saved[net][0][:2]
             H = W = net.cfg.stem.image_size
+            inputs = list(saved[net.stem])
+            assert len(inputs) == len(net.stem.stages) - 1
             for lif, conv, _, pool in net.stem.stages:
                 in2d = packed(saved[conv.linear][0])
                 assert in2d.shape == (T * B * H * W, conv.in_ch * 9)
                 if lif is not stem_lif:
-                    assert in2d is not saved[lif][1]
-                    assert saved[lif][1].shape == (T, B, H, W, conv.in_ch)
+                    assert in2d is not saved[lif][0]
+                    assert saved[lif][0].shape == (T, B, H, W, conv.in_ch)
+                    x = inputs.pop(0)  # the stage before's output, pooled or not
+                    assert x.dtype == np.float32 and x.shape == (T, B, H, W, conv.in_ch)
                 if pool is not None:
                     assert saved[pool][0].dtype == np.uint8  # argmax in 0..3
                     H, W = H // 2, W // 2
@@ -1374,13 +1468,13 @@ class TestTrainingCaches:
         lif = LifLayer(toy_config("residual").lif())
         rec = M.ForwardRecord(saved=True)
         lif.forward(x, rec)
-        lif.backward(x, rec=rec)
+        lif.backward(x, rec=rec, x=x.copy())
         with pytest.raises(TrainingError, match="cached forward"):
-            lif.backward(x, rec=rec)
+            lif.backward(x, rec=rec, x=x.copy())
         for rec in (None, M.ForwardRecord()):  # no record, or one that saves nothing
             lif.forward(x, rec)
             with pytest.raises(TrainingError, match="cached forward"):
-                lif.backward(x, rec=rec)
+                lif.backward(x, rec=rec, x=x.copy())
 
     def test_no_activation_outlives_training(self):
         # depth 4 at train_deep's width: caches that no backward freed kept
@@ -1409,7 +1503,10 @@ class TestTrainingCaches:
         # inputs and most LIF membranes, in either weight mode, which
         # leaves about 19 (21 in full mode). Spikes packed at one bit
         # each and a backward that writes its hidden-width gradients and
-        # rebuilt membranes in place leave about 10 (12 in full mode)
+        # rebuilt membranes in place leave about 10 (12 in full mode).
+        # Every LIF now keeps its spikes alone, and the block keeps the
+        # two streams its input LIFs read in place of their membranes:
+        # the same bytes, so still about 10 (12)
         T, B, N, D = 2, 16, 8, 32
         peaks = []
         for depth in (1, 3):
@@ -1433,7 +1530,9 @@ class TestTrainingCaches:
         # each conv stage's im2col matrix is kept packed and widened to
         # float32 only while a product reads it: the step peaked at 6.7 MiB
         # when backward kept it widened through the BN's and the pool's
-        # backward, and at 5.84 MiB when a step kept every float cache
+        # backward, and at 5.84 MiB when a step kept every float cache. It
+        # peaks at about 5.48 MiB, whether the three later LIFs keep their
+        # membranes or the stem keeps their inputs, pooled or not
         cfg = dataclasses.replace(conv_config(image=16), weight_mode=mode)
         net = SpikingTransformer(cfg, seed=91)
         x, g = Rng(92).normal((16, 3, 16, 16), std=2.0), np.full((16, 10), 0.01, np.float32)

@@ -58,6 +58,6 @@ def test_traced_training_step_counts_lif_spikes(tracing):
     # the stem's input LIF saves nothing, and its product saves its spikes
     stem_lif, stem_product = net.stem.stages[0][:2]
     fired = [saved[stem_product][0].unpack()]
-    fired += [saved[lif][1].unpack() for lif in net.lif_layers() if lif is not stem_lif]
+    fired += [saved[lif][0].unpack() for lif in net.lif_layers() if lif is not stem_lif]
     assert tracer.spikes == sum(int(np.count_nonzero(f)) for f in fired)
     assert tracer.spike_elements == sum(f.size for f in fired)

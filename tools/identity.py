@@ -5,7 +5,9 @@ Prints one JSON line per artifact, each holding sha256 digests (and, for
 criterion 09, the accuracies), after one line describing the machine:
 
 - `variant`: 32 small models, one per stem x weight mode x topology x
-  dual_head x classify_on. Each trains for 2 epochs against a live
+  dual_head x classify_on. The conv stem cuts 8x8 images into 4x4
+  patches, so its last two stages pool and stage 3's LIF reads a pooled
+  input. Each trains for 2 epochs against a live
   full-precision teacher and is then calibrated. Digests cover its
   checkpoint bytes, every parameter gradient left by the last step and
   the inference logits; reversible models add the logits of
@@ -109,7 +111,7 @@ def variants():
 
     stems = {
         "vector": (StemSpec(kind="vector", in_features=64, tokens=4), (64,), 32),
-        "conv": (StemSpec(kind="conv", in_channels=2, image_size=8, patch_size=2), (2, 8, 8), 16),
+        "conv": (StemSpec(kind="conv", in_channels=2, image_size=8, patch_size=4), (2, 8, 8), 16),
     }
     grid = itertools.product(stems, ("binary", "full"), ("reversible", "residual"),
                              (True, False), ("x0", "x1"))
