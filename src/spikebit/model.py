@@ -28,16 +28,17 @@ binarization are nonnegative integers carried in float32 (exact below
 2**24).
 
 A training forward keeps what backward reads in its `ForwardRecord`, not
-on the layers. Each spike tensor is kept once, at one bit per element:
-the LIF that fired it packs the array it returns (`PackedSpikes`), and
-the binary layers and attention block it feeds save that same object;
-backward unpacks it while it reads it and widens it to the float32 zeros
-and ones the forward multiplied, so the products match byte for byte.
-Every backward pops the entry it reads, so one training forward serves
-one backward. Backward writes in place where it owns the memory: a LIF
-rebuilds its membranes over the input its caller hands back and writes
-its input gradient over a lone upstream gradient, and the BN under such
-a LIF writes its input gradient over the LIF's.
+on the layers. Each spike tensor is kept once, at one bit per element
+(`PackedSpikes`), by the layer that reads it: a binary linear or conv
+layer packs the spikes it multiplies (Q, K and V one copy of the spikes
+they share), and the attention block packs Q, K, V and the attention
+spikes. Backward unpacks them while it reads them and widens them to the
+float32 zeros and ones the forward multiplied, so the products match byte
+for byte. Every backward pops the entry it reads, so one training forward
+serves one backward. Backward writes in place where it owns the memory: a
+LIF rebuilds its membranes over the input its caller hands back and
+writes its input gradient over a lone upstream gradient, and the BN under
+such a LIF writes its input gradient over the LIF's.
 
 In either weight mode the record keeps little more than those spikes:
 backward rebuilds every float activation it can from them, repeating the
@@ -48,13 +49,14 @@ checkpointing, Chen et al. 2016, arXiv:1604.06174, with an exact recompute):
   and its sign or latent matrix again (in binary mode an integer sum,
   exact in any order) and normalizes with the kept statistics, in the
   forward's operations (`numeric._normalize`);
-- every LIF keeps its bool spikes alone. Its backward takes the
-  forward's input from its caller and re-runs the membrane recurrence on
-  it, reading each reset gate from the saved spikes (`neuron._lif` with
-  `gates`). A LIF fed by a BN, by the attention map or by the attention
-  context gets that input rebuilt: the map and the context are sums of
-  integer products, rebuilt from the saved Q, K, V and attention spikes
-  (or the saved full-precision map).
+- a LIF keeps nothing. Its backward takes the forward's input and its
+  bool spikes from its caller, which has the spikes from their reader's
+  backward, and re-runs the membrane recurrence on that input, reading
+  each reset gate from the spikes (`neuron._lif` with `gates`). A LIF fed
+  by a BN, by the attention map or by the attention context gets that
+  input rebuilt: the map and the context are sums of integer products,
+  rebuilt from the saved Q, K, V and attention spikes (or the saved
+  full-precision map).
 The float arrays a record keeps are the inputs nothing rebuilds: each
 encoder block keeps the two float32 streams its BSSA and BMLP read, and
 the conv stem keeps each later LIF's input. The stem's input LIF keeps
@@ -73,7 +75,6 @@ import math
 import os
 import struct
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, asdict
 from typing import Iterator, NamedTuple
@@ -182,20 +183,17 @@ class ForwardRecord:
     `SpikingTransformer.probe` returns a batch's record.
 
     `saved` holds every spike tensor once, at one bit per element (a
-    `PackedSpikes`): the LIF that fired it packs it, and the layers it
-    feeds save that same object. `fired` lets them find it: a weak
-    reference to the bool array the last saving LIF forward returned, and
-    that array's `PackedSpikes`.
+    `PackedSpikes`), in the entry of the layer or block that reads it. A
+    LIF has no entry: backward hands it the spikes its reader kept.
     """
 
-    __slots__ = ("spikes", "sops", "taps", "saved", "fired")
+    __slots__ = ("spikes", "sops", "taps", "saved")
 
     def __init__(self, taps: bool = False, saved: bool = False):
         self.spikes: dict = {}
         self.sops: dict = {}
         self.taps: dict | None = {} if taps else None
         self.saved: dict | None = {} if saved else None
-        self.fired: tuple | None = None
 
     @classmethod
     def merged(cls, records: list["ForwardRecord"]) -> "ForwardRecord":
@@ -268,16 +266,6 @@ def _saving(rec: ForwardRecord | None) -> bool:
     return rec is not None and rec.saved is not None
 
 
-def _packed(rec: ForwardRecord, spikes: np.ndarray) -> PackedSpikes:
-    """`spikes` at one bit per element, for a training forward's entry: the
-    `PackedSpikes` of the LIF that fired this same array, or else a new
-    one."""
-    fired = rec.fired
-    if fired is not None and fired[0]() is spikes:
-        return fired[1]
-    return PackedSpikes(spikes)
-
-
 def _take(rec: ForwardRecord | None, owner) -> tuple:
     """The entry a training forward saved for `owner` in `rec`, which this
     removes: a backward consumes its forward. Raises TrainingError when
@@ -311,13 +299,12 @@ def walk(part, kind: type = object) -> Iterator:
 class LifLayer:
     """LIF population unrolled over the leading time axis.
 
-    Forward runs `neuron.lif_run`'s kernel and returns the spikes as bool.
-    A training forward saves that array alone, packed at one bit per
-    element, for backprop-through-time; the layers it feeds save the same
-    `PackedSpikes` (see `ForwardRecord`). Backward takes the forward's
-    input from its caller and re-runs the recurrence on it, with the reset
-    gates read from the saved spikes, to rebuild the membranes. The stem's
-    input LIF runs without a record and has no backward. Backward routes
+    Forward runs `neuron.lif_run`'s kernel and returns the spikes as bool;
+    it keeps nothing, in a training forward too: the layers that read the
+    spikes keep them (see `ForwardRecord`). Backward takes the forward's
+    input and its spikes from its caller and re-runs the recurrence on the
+    input, with the reset gates read from the spikes, to rebuild the
+    membranes. The stem's input LIF has no backward. Backward routes
     gradients through the surrogate derivative at each firing decision and
     through the decay recurrence, with the reset gate held constant.
     """
@@ -325,18 +312,14 @@ class LifLayer:
     def __init__(self, params: neuron.LifParams):
         self.p = params
 
-    def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> np.ndarray:
+    def forward(self, x: Tensor) -> np.ndarray:
         """Bool spikes of `x`."""
-        spikes = neuron._lif(x, self.p)
-        if _saving(rec):
-            packed = PackedSpikes(spikes)
-            rec.fired = (weakref.ref(spikes), packed)
-            rec.saved[self] = (packed,)
-        return spikes
+        return neuron._lif(x, self.p)
 
-    def backward(self, *g_spikes: Tensor, rec: ForwardRecord | None, x: Tensor) -> Tensor:
+    def backward(self, *g_spikes: Tensor, x: Tensor, spikes: np.ndarray) -> Tensor:
         """Gradient with respect to the input current, given `x`, the
-        forward's input, as a float array.
+        forward's input, as a float array, and `spikes`, the bool spikes
+        that forward returned.
 
         A population whose spikes feed several layers takes one upstream
         gradient per layer. The surrogate derivative and the reset gate are
@@ -348,8 +331,6 @@ class LifLayer:
         gradient over a lone upstream gradient, which is returned. Pass
         arrays the caller made for this call and does not read again.
         """
-        (packed,) = _take(rec, self)
-        spikes = packed.unpack()
         u_pre = neuron._lif(x, self.p, gates=spikes)
         T = u_pre.shape[0]
         tau = DTYPE(self.p.tau)
@@ -390,10 +371,11 @@ class BinaryLinearLayer:
 
     Inputs must be spikes in either mode: bool, as a LIF returns them, or
     {0,1} numbers, which `_spikes` checks and turns into bool. A training
-    forward saves the spikes it multiplied at one bit per element, for a
-    LIF's spikes the LIF's own `PackedSpikes`. `_output_again` unpacks
-    them and repeats the product, so the layers it feeds need not save
-    it; backward unpacks and widens them again for the weight gradient.
+    forward packs the spikes it multiplied at one bit per element, and its
+    entry is their only copy in the record. `_output_again` unpacks them
+    and repeats the product, so the layers it feeds need not save it;
+    backward unpacks and widens them again for the weight gradient, and
+    returns them for the LIF that fired them.
     """
 
     def __init__(self, name: str, in_features: int, out_features: int, rng: Rng,
@@ -448,19 +430,15 @@ class BinaryLinearLayer:
     def _product(self, s: np.ndarray, rec: ForwardRecord | None,
                  packed: PackedSpikes | None = None) -> Tensor:
         """The product on bool spikes from `_spikes`. A training forward
-        saves them packed: as `packed` when given, else as `_packed`
-        finds or makes them."""
+        saves them packed: as `packed`, their packed copy, when given."""
         flat = s.reshape(-1, self.in_features)
         if rec is not None:
             rec.spikes[self] = float(np.count_nonzero(flat))
         mat = self._binary_signs() if self.mode == "binary" else self.weight.value
         out = flat @ mat.T  # the bool rows widen to float32 zeros and ones
         if _saving(rec):
-            rec.saved[self] = (_packed(rec, s) if packed is None else packed, mat)
+            rec.saved[self] = (PackedSpikes(s) if packed is None else packed, mat)
         return out.reshape(s.shape[:-1] + (self.out_features,))
-
-    def _rows(self, packed: PackedSpikes) -> np.ndarray:
-        return packed.unpack().reshape(-1, self.in_features)
 
     def _output_again(self, rec: ForwardRecord) -> Tensor:
         """The flattened output of the training forward that saved this
@@ -469,15 +447,17 @@ class BinaryLinearLayer:
         The entry stays for backward."""
         packed, mat = _take(rec, self)
         rec.saved[self] = (packed, mat)
-        return self._rows(packed) @ mat.T
+        return packed.unpack().reshape(-1, self.in_features) @ mat.T
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None,
-                 input_grad: bool = True) -> Tensor | None:
-        """Accumulate the weight gradient; return the input gradient, or
-        None without `input_grad` (the stem's first layer)."""
+                 input_grad: bool = True) -> tuple[Tensor | None, np.ndarray]:
+        """Accumulate the weight gradient. Returns the input gradient, or
+        None without `input_grad` (the stem's first layer), and the bool
+        spikes the forward multiplied, in the shape it read them."""
         packed, mat = _take(rec, self)
+        s = packed.unpack()
         g2 = g_out.reshape(-1, self.out_features)
-        g_mat = g2.T @ self._rows(packed).astype(DTYPE)
+        g_mat = g2.T @ s.reshape(-1, self.in_features).astype(DTYPE)
         if self.mode == "binary":
             # the forward standardized these weights: reuse its record
             record = self._signs_and_record()[1]
@@ -485,7 +465,8 @@ class BinaryLinearLayer:
                                                        record))
         else:
             self.weight.accumulate(g_mat)
-        return (g2 @ mat).reshape(g_out.shape[:-1] + (self.in_features,)) if input_grad else None
+        g_in = (g2 @ mat).reshape(g_out.shape[:-1] + (self.in_features,)) if input_grad else None
+        return g_in, s
 
     def params(self):
         return [(f"{self.name}.weight", self.weight)]
@@ -619,17 +600,17 @@ class LambdaLayer:
 
 
 def _through_bn(g: Tensor, rec: ForwardRecord | None, proj: BinaryLinearLayer | Conv3x3Layer,
-                bn: BatchNormLayer, lif: LifLayer | None = None,
-                input_grad: bool = True) -> Tensor | None:
+                bn: BatchNormLayer, lif: LifLayer | None = None, spikes: np.ndarray | None = None,
+                input_grad: bool = True) -> tuple[Tensor | None, np.ndarray]:
     """Backward through `proj -> bn`, or through `proj -> bn -> lif` with
-    `lif`: the gradient at proj's input from `g`, the gradient at the
-    output, or None without `input_grad` (see `BinaryLinearLayer.backward`).
-    bn's input, its xhat, and the output of bn that lif read are rebuilt
-    from proj's entry. With `lif`, `g` is written over: pass one made for
-    this call."""
+    `lif` and the `spikes` it fired, from the gradient `g` at the output.
+    Returns what `proj.backward` does: the gradient at proj's input, or
+    None without `input_grad`, and the spikes proj read. bn's input, its
+    xhat, and the output of bn that lif read are rebuilt from proj's
+    entry. With `lif`, `g` is written over: pass one made for this call."""
     xhat = bn._normalize_again(rec, proj._output_again(rec).reshape(g.shape))
     if lif is not None:  # lif writes the membranes over bn's output, and g_x over g
-        g = lif.backward(g, rec=rec, x=bn._output_again(xhat))
+        g = lif.backward(g, x=bn._output_again(xhat), spikes=spikes)
     return proj.backward(bn.backward(g, rec, xhat, overwrite=lif is not None), rec, input_grad)
 
 
@@ -665,9 +646,11 @@ class Conv3x3Layer:
     as im2col + the binary linear kernel.
 
     Its input is a LIF's bool spikes, so the im2col matrix is bool, and a
-    training forward saves it for backward at one bit per element.
-    Backward returns a channels-last view of channels-first memory (see
-    `_col2im`).
+    training forward saves it for backward at one bit per element: the
+    record's only copy of those spikes, the centre tap of each window.
+    Backward returns the gradient at the input, a channels-last view of
+    channels-first memory (see `_col2im`), and the input spikes, read from
+    the centre taps.
     """
 
     def __init__(self, name: str, in_ch: int, out_ch: int, rng: Rng, mode: str,
@@ -685,11 +668,12 @@ class Conv3x3Layer:
         return self.linear._output_again(rec)
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None,
-                 input_grad: bool = True) -> Tensor | None:
+                 input_grad: bool = True) -> tuple[Tensor | None, np.ndarray]:
         T, B, H, W, _ = g_out.shape  # same padding: the input's extent
-        g_cols = self.linear.backward(g_out, rec, input_grad)
-        if input_grad:
-            return _col2im(g_cols, (T * B, H, W, self.in_ch), 3, 1).reshape(T, B, H, W, self.in_ch)
+        g_cols, cols = self.linear.backward(g_out, rec, input_grad)
+        g_in = (_col2im(g_cols, (T * B, H, W, self.in_ch), 3, 1).reshape(T, B, H, W, self.in_ch)
+                if input_grad else None)
+        return g_in, cols.reshape(T, B, H, W, self.in_ch, 9)[..., 4]  # each window's centre
 
     def parts(self):
         return (self.linear,)
@@ -867,10 +851,11 @@ class Stem:
     input kinds (see `StemSpec`) run one loop each way, features last; the
     kind decides only what is built and how a sample is shaped: a vector
     becomes `tokens` chunks, an image (C, H, W) becomes (H, W, C). The
-    first LIF reads the sample replicated over the T timesteps; it saves
-    nothing, since backward stops at the first product's weight gradient.
-    A training forward keeps each later LIF's input, the stage before's
-    output, for that LIF's backward.
+    first LIF reads the sample replicated over the T timesteps, and no
+    backward reaches it: backward stops at the first product's weight
+    gradient. A training forward keeps each later LIF's input, the stage
+    before's output, for that LIF's backward, which takes the LIF's spikes
+    from its product's backward.
     """
 
     def __init__(self, cfg: ModelConfig, rng: Rng):
@@ -928,7 +913,7 @@ class Stem:
         for i, (lif, product, bn, pool) in enumerate(self.stages):
             if i and saving:
                 inputs.append(h)
-            h = bn.forward(product.forward(lif.forward(h, rec if i else None), rec), training, rec)
+            h = bn.forward(product.forward(lif.forward(h), rec), training, rec)
             if pool is not None:
                 h = pool.forward(h, rec)
         if saving:
@@ -943,9 +928,10 @@ class Stem:
         for i, (lif, product, bn, pool) in reversed(list(enumerate(self.stages))):
             if pool is not None:
                 g = pool.backward(g, rec)
-            g = _through_bn(g, rec, product, bn, input_grad=i > 0)
+            g, spikes = _through_bn(g, rec, product, bn, input_grad=i > 0)
             if i:
-                g = lif.backward(g, rec=rec, x=inputs.pop())
+                g = lif.backward(g, x=inputs.pop(), spikes=spikes)
+            del spikes  # in the conv stem, a view of this stage's unpacked im2col rows
 
     def parts(self):
         return tuple(part for stage in self.stages for part in stage)
@@ -1005,20 +991,15 @@ class BssaBlock:
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
         saving = _saving(rec)
-        s = self.q_proj._spikes(self.x_in.forward(x, rec))
+        s = self.q_proj._spikes(self.x_in.forward(x))
         # Q, K and V read the same spikes: check them once, and all three
-        # save x_in's one packed copy
-        packed = _packed(rec, s) if saving else None
-        fired, kept = [], []
-        for proj, bn, lif in ((self.q_proj, self.q_bn, self.q_lif),
-                              (self.k_proj, self.k_bn, self.k_lif),
-                              (self.v_proj, self.v_bn, self.v_lif)):
-            # backward rebuilds each float input (`_through_bn`)
-            h = bn.forward(proj._product(s, rec, packed), training, rec)
-            fired.append(lif.forward(h, rec))
-            if saving:
-                kept.append(_packed(rec, fired[-1]))
-        q, k, v = fired
+        # save one packed copy
+        packed = PackedSpikes(s) if saving else None
+        # backward rebuilds each float input (`_through_bn`)
+        q, k, v = (lif.forward(bn.forward(proj._product(s, rec, packed), training, rec))
+                   for proj, bn, lif in ((self.q_proj, self.q_bn, self.q_lif),
+                                         (self.k_proj, self.k_bn, self.k_lif),
+                                         (self.v_proj, self.v_bn, self.v_lif)))
         # a product of two bool arrays is a logical one: widen them first
         qh, kh, vh = self._split(q, DTYPE), self._split(k, DTYPE), self._split(v, DTYPE)
         attn = self._attention(qh, kh)
@@ -1027,7 +1008,7 @@ class BssaBlock:
         if rec is not None and rec.taps is not None:
             rec.taps[self] = attn
         if self.binary_attn:
-            s_attn = self.attn_lif.forward(attn, rec)
+            s_attn = self.attn_lif.forward(attn)
             sops = float(np.count_nonzero(q) * attn.shape[-1]
                          + np.count_nonzero(s_attn) * self.head_dim)
         else:
@@ -1038,8 +1019,9 @@ class BssaBlock:
         if saving:
             # the head splits are re-made in backward; full-precision
             # attention keeps its integer map, which is no spike tensor
-            rec.saved[self] = (*kept, _packed(rec, s_attn) if self.binary_attn else attn)
-        out = self.o_proj.forward(self.o_in.forward(ctx, rec), rec)
+            rec.saved[self] = (*map(PackedSpikes, (q, k, v)),
+                               PackedSpikes(s_attn) if self.binary_attn else attn)
+        out = self.o_proj.forward(self.o_in.forward(ctx), rec)
         return self.o_bn.forward(out, training, rec)
 
     @staticmethod
@@ -1076,35 +1058,39 @@ class BssaBlock:
         rebuilt from the saved spikes and map: the attention map and the
         context are sums of integer products, scaled as the forward scaled
         them, and the projections' outputs are their forward products
-        again (`_through_bn`), so each is the forward's bytes."""
+        again (`_through_bn`), so each is the forward's bytes. Each LIF
+        gets its spikes from their keeper: Q's, K's, V's and the attention
+        spikes from this block's entry, o_in's and x_in's from the backward
+        of a projection they feed."""
         q, k, v, s_attn = _take(rec, self)
-        g = _through_bn(g_out, rec, self.o_proj, self.o_bn)
+        g, o_spikes = _through_bn(g_out, rec, self.o_proj, self.o_bn)
         vh = self._split(v.unpack(), DTYPE)
-        s_attn = s_attn.unpack().astype(DTYPE) if self.binary_attn else s_attn
+        s_attn = s_attn.unpack() if self.binary_attn else s_attn
+        attn_in = s_attn.astype(DTYPE, copy=False)  # the map the context read
         qh, kh = self._split(q.unpack(), DTYPE), self._split(k.unpack(), DTYPE)
-        ctx0, ctx = self._context(s_attn, vh)
-        g = self._split(self.o_in.backward(g, rec=rec, x=ctx))
-        del ctx
+        ctx0, ctx = self._context(attn_in, vh)
+        g = self._split(self.o_in.backward(g, x=ctx, spikes=o_spikes))
+        del ctx, o_spikes
         if self.binary_attn:
             g_ctx0 = self.lam.backward(g, ctx0)
             del ctx0
-            g_sattn, g_vh = self._context_backward(g_ctx0, s_attn, vh)
-            g_attn = self.attn_lif.backward(g_sattn, rec=rec, x=self._attention(qh, kh))
+            g_sattn, g_vh = self._context_backward(g_ctx0, attn_in, vh)
+            g_attn = self.attn_lif.backward(g_sattn, x=self._attention(qh, kh), spikes=s_attn)
         else:
             del ctx0
-            g_attn, g_vh = self._context_backward(g, s_attn, vh)
+            g_attn, g_vh = self._context_backward(g, attn_in, vh)
             g_attn *= self.attn_scale
             g_vh *= self.attn_scale
         g_qh, g_kh = self._attention_backward(g_attn, qh, kh)
-        g_s = [
-            _through_bn(self._merge(gh), rec, proj, bn, lif)
-            for gh, lif, bn, proj in (
-                (g_qh, self.q_lif, self.q_bn, self.q_proj),
-                (g_kh, self.k_lif, self.k_bn, self.k_proj),
-                (g_vh, self.v_lif, self.v_bn, self.v_proj),
-            )
-        ]
-        return self.x_in.backward(*g_s, rec=rec, x=x)
+        # Q, K and V unpacked again: kept as bool since their splits, they
+        # raised train_deep's peak by 0.2 MiB
+        g_s = []
+        for gh, lif, bn, proj, packed in ((g_qh, self.q_lif, self.q_bn, self.q_proj, q),
+                                          (g_kh, self.k_lif, self.k_bn, self.k_proj, k),
+                                          (g_vh, self.v_lif, self.v_bn, self.v_proj, v)):
+            g_x, s = _through_bn(self._merge(gh), rec, proj, bn, lif, packed.unpack())
+            g_s.append(g_x)
+        return self.x_in.backward(*g_s, x=x, spikes=s)  # the spikes Q, K and V read
 
     def parts(self):
         return (self.x_in, self.o_in, self.q_proj, self.k_proj, self.v_proj, self.o_proj,
@@ -1129,8 +1115,8 @@ class BmlpBlock:
         self.bn2 = BatchNormLayer(f"{name}.bn2", D, bound=_bound(cfg, hidden))
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
-        h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x, rec), rec), training, rec)
-        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h, rec), rec), training, rec)
+        h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x), rec), training, rec)
+        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h), rec), training, rec)
         if rec is not None and rec.taps is not None:
             rec.taps[self] = out  # the final normalized map, for rep-cap probes
         return out
@@ -1138,10 +1124,11 @@ class BmlpBlock:
     def backward(self, g: Tensor, rec: ForwardRecord | None, x: Tensor) -> Tensor:
         """The gradient at the block's input, given `x`, the float32 stream
         the forward read. `x` is written over: lif1 rebuilds its membranes
-        there. lif2's input is rebuilt from fc1's entry (`_through_bn`)."""
-        g = _through_bn(g, rec, self.fc2, self.bn2)
-        g = _through_bn(g, rec, self.fc1, self.bn1, self.lif2)
-        return self.lif1.backward(g, rec=rec, x=x)
+        there. lif2's input is rebuilt from fc1's entry (`_through_bn`).
+        Each LIF gets its spikes from the backward of the layer it feeds."""
+        g, spikes = _through_bn(g, rec, self.fc2, self.bn2)
+        g, spikes = _through_bn(g, rec, self.fc1, self.bn1, self.lif2, spikes)
+        return self.lif1.backward(g, x=x, spikes=spikes)
 
     def parts(self):
         return (self.lif1, self.fc1, self.bn1, self.lif2, self.fc2, self.bn2)
@@ -1550,7 +1537,7 @@ def load_checkpoint(path) -> SpikingTransformer:
     that comparison leaves the layer's sign cache filled for the first
     forward. A truncated, malformed or overlong container, a missing
     file, an array holding a value that is not finite, a lambda scale
-    that is not positive, 1-bit images whose names, count, shapes or bits
+    that is not positive, a BN running variance below 0, 1-bit images whose names, count, shapes or bits
     do not match the model's binary layers, or latents that cannot be
     binarized raise DataError."""
     read = binary.read_exact  # raises DataError on a short read
@@ -1594,6 +1581,10 @@ def load_checkpoint(path) -> SpikingTransformer:
             if not (lam.scale.value > 0).all():
                 raise DataError(f"checkpoint array {lam.name}.scale holds a lambda scale "
                                 f"that is not positive")
+        for bn in walk(model, BatchNormLayer):
+            if (bn.running_var < 0).any():
+                raise DataError(f"checkpoint array {bn.name}.running_var holds a variance "
+                                f"below 0")
         # one image per binary-mode layer, in layer order, each equal to
         # the signs of its weight, which seeds the layer's sign cache
         if [spec["name"] for spec in header["packed"]] != [f"{lyr.name}.packed" for lyr in layers]:

@@ -550,10 +550,12 @@ class TestEvalInspect:
     @pytest.mark.parametrize("name,value,message", [
         ("block0.bssa.o_bn.gamma", np.nan, "holds a value that is not finite"),
         ("block0.bssa.lambda.scale", 0.0, "holds a lambda scale that is not positive"),
-    ], ids=["nan_gamma", "zero_lambda"])
+        ("block0.bssa.o_bn.running_var", -1.0, "holds a variance below 0"),
+    ], ids=["nan_gamma", "zero_lambda", "negative_running_var"])
     def test_eval_unusable_checkpoint_array_exits_2(self, trained, tmp_path, capsys, name,
                                                       value, message):
-        # a NaN gamma loaded, and eval printed an accuracy from NaN logits
+        # a NaN gamma loaded, and eval printed an accuracy from NaN logits;
+        # a negative running variance loaded, and eval failed in its forward
         cfg_path, out = trained
         path = tmp_path / "bad.bin"
         path.write_bytes(with_array((out / "ckpt-last.bin").read_bytes(), name, value))

@@ -133,23 +133,25 @@ class TestStem:
         (conv_config(image=16), Rng(4).normal((2, 3, 16, 16)), (2, 2, 16, 16, 3)),
     ], ids=["vector", "conv"])
     def test_backward_stops_at_the_first_weight_gradient(self, cfg, x, want, monkeypatch):
-        # nothing reads a gradient at the input: the input LIF saves
-        # nothing and backward returns none, and every parameter gradient
-        # equals a backward's that runs down to the input
+        # nothing reads a gradient at the input: no LIF saves anything,
+        # backward returns none, and every parameter gradient equals a
+        # backward's that runs down to the input
         got, ref = M.Stem(cfg, Rng(5)), M.Stem(cfg, Rng(5))
         rec = M.ForwardRecord(saved=True)
         e = got.forward(x, training=True, rec=rec)
-        assert got.stages[0][0] not in rec.saved
+        assert not any(isinstance(part, LifLayer) for part in rec.saved)
         assert len(rec.saved[got]) == len(got.stages) - 1  # each later LIF's input
         assert got.backward(Rng(6).normal(e.shape), rec) is None and rec.saved == {}
-        # the reference: every LIF saves its membranes, and backward takes
-        # the input gradient
-        _keep_every_float_cache(monkeypatch)
+        # the reference: every LIF keeps its membranes and spikes, each
+        # product's backward hands its LIF the spikes it read (in the conv
+        # stem the centre taps of its im2col rows), and backward takes the
+        # input gradient
+        kept = _keep_every_float_cache(monkeypatch)
         rec = M.ForwardRecord(saved=True)
         h = x.reshape(x.shape[0], *ref.grid, -1) if ref.kind == "vector" else x.transpose(0, 2, 3, 1)
         h = np.broadcast_to(h, (cfg.timesteps,) + h.shape).astype(np.float32, order="C")
         for lif, product, bn, pool in ref.stages:
-            h = bn.forward(product.forward(lif.forward(h, rec), rec), True, rec)
+            h = bn.forward(product.forward(lif.forward(h), rec), True, rec)
             if pool is not None:
                 h = pool.forward(h, rec)
         assert h.tobytes() == e.tobytes()
@@ -157,8 +159,9 @@ class TestStem:
         for lif, product, bn, pool in reversed(ref.stages):
             if pool is not None:
                 g = pool.backward(g, rec)
-            g = lif.backward(M._through_bn(g, rec, product, bn), rec=rec)
-        assert g.shape == want and g.dtype == np.float32 and rec.saved == {}
+            g, spikes = M._through_bn(g, rec, product, bn)
+            g = lif.backward(g, spikes=spikes)
+        assert g.shape == want and g.dtype == np.float32 and rec.saved == {} and kept == {}
         _same_grads(got, ref)
 
 
@@ -680,6 +683,26 @@ class TestCheckpoint:
                                             "that is not positive"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("kind,name", [
+        ("reversible", "block0.bssa.o_bn.running_var"),
+        ("conv", "stem.stage1.bn.running_var"),
+    ])
+    def test_negative_running_variance_is_data_error(self, tmp_path, kind, name):
+        # a running variance of -1 loaded, and the first forward raised
+        # NumericError; one of zero, either sign, is a variance
+        cfg, shape = self.KINDS[kind]
+        net = SpikingTransformer(cfg, seed=52)
+        var = dict(net.named_buffers())[name].copy()
+        path = tmp_path / "m.bin"
+        var[0], var[-1] = 0.0, -0.0
+        path.write_bytes(with_array(checkpoint_bytes(net), name, var))
+        assert np.isfinite(load_checkpoint(path).forward(Rng(53).normal(shape))[0]).all()
+        var[-1] = -1.0  # one channel's
+        path.write_bytes(with_array(checkpoint_bytes(net), name, var))
+        with pytest.raises(DataError, match=f"checkpoint array {re.escape(name)} holds a "
+                                            f"variance below 0"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("latent", ["constant", "nan"])
     def test_latent_that_cannot_be_binarized_is_data_error(self, tmp_path, latent):
         net = SpikingTransformer(toy_config("reversible"), seed=43)
@@ -798,10 +821,11 @@ class TestLifKernel:
         x = _lif_input(dtype)
         want_s, want_u = _lif_forward_reference(p, x)
         lif = LifLayer(p)
-        _bytes_equal(lif.forward(x), want_s.astype(bool))
-        rec = M.ForwardRecord(saved=True)
-        _bytes_equal(lif.forward(x, rec), want_s.astype(bool))
-        (packed,) = rec.saved[lif]  # the spikes alone, at one bit each
+        spikes = lif.forward(x)
+        _bytes_equal(spikes, want_s.astype(bool))
+        assert vars(lif) == {"p": p}  # the layer keeps nothing of the call
+        # the layer that reads them keeps them at one bit each
+        packed = M.PackedSpikes(spikes)
         assert packed.bits.nbytes == -(-x.size // 8)
         _bytes_equal(packed.unpack(), want_s.astype(bool))
         # they rebuild the forward's membranes from its input
@@ -829,47 +853,43 @@ class TestLifKernel:
         gs = [Rng(42 + i).normal(x.shape).astype(dtype) for i in range(3)]
         for g in gs:
             g[1:, 3, :] = -1.0  # into the saturated row
+        spikes = lif.forward(x)
         for g in gs:
-            rec = M.ForwardRecord(saved=True)
-            lif.forward(x, rec)  # each backward consumes one training forward
             want = _lif_backward_reference(p, want_u, want_s, g)
             if reset is Reset.HARD:  # the reset gate zeroes the carry: -0.0 input gradients
                 assert np.signbit(want[1, 3]).all() and not want[1, 3].any()
             g_in = g.copy()  # a lone upstream gradient is written over
-            got = lif.backward(g_in, rec=rec, x=x.copy())
+            got = lif.backward(g_in, x=x.copy(), spikes=spikes)
             assert got is g_in
             _bytes_equal(got, want)
         # several upstream gradients: summed from zero in argument order
-        rec = M.ForwardRecord(saved=True)
-        lif.forward(x, rec)
         want = np.zeros_like(gs[0])
         for g in gs:
             want += _lif_backward_reference(p, want_u, want_s, g)
-        _bytes_equal(lif.backward(*gs, rec=rec, x=x.copy()), want)
+        _bytes_equal(lif.backward(*gs, x=x.copy(), spikes=spikes), want)
+        _bytes_equal(spikes, want_s.astype(bool))  # backward only reads them
 
     @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rebuilt_membranes_match_reference_bytewise(self, reset, dtype):
-        # a training forward keeps only the bool spikes; backward re-runs
-        # the recurrence on the input its caller hands back, with those
-        # reset gates, and writes the membranes over that input
+        # a LIF keeps nothing; backward re-runs the recurrence on the input
+        # its caller hands back, with the reset gates read from the spikes
+        # it is handed, and writes the membranes over that input
         p = toy_config("residual").lif(reset=reset)
         x = _lif_input(dtype)
         want_s, want_u = _lif_forward_reference(p, x)
         lif = LifLayer(p)
-        rec = M.ForwardRecord(saved=True)
-        _bytes_equal(lif.forward(x, rec), want_s.astype(bool))
-        (packed,) = rec.saved[lif]
-        assert packed.bits.nbytes == -(-x.size // 8)
-        fired = packed.unpack()
+        fired = lif.forward(x)
+        _bytes_equal(fired, want_s.astype(bool))
         _bytes_equal(neuron._lif(x.copy(), p, gates=fired), want_u)
         gs = [Rng(45 + i).normal(x.shape).astype(dtype) for i in range(2)]
         want = _lif_backward_reference(p, want_u, fired, gs[0])
         want += _lif_backward_reference(p, want_u, fired, gs[1])
         x_in = x.copy()
-        _bytes_equal(lif.backward(*gs, rec=rec, x=x_in), want)
+        _bytes_equal(lif.backward(*gs, x=x_in, spikes=fired), want)
         _bytes_equal(x_in, want_u)
-        assert rec.saved == {}
+        _bytes_equal(fired, want_s.astype(bool))
+        assert vars(lif) == {"p": p}
 
     @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -893,13 +913,12 @@ class TestNonFloatInput:
         x = np.round(Rng(70).normal((3, 4, 5, 6), std=2.0)).astype(dtype)
         x32 = x.astype(np.float32)
         lif = LifLayer(toy_config("residual").lif())
-        got, want = M.ForwardRecord(saved=True), M.ForwardRecord(saved=True)
-        _bytes_equal(lif.forward(x, got), lif.forward(x32, want))
-        _bytes_equal(got.saved[lif][0].bits, want.saved[lif][0].bits)  # the packed spikes
+        spikes = lif.forward(x)
+        _bytes_equal(spikes, lif.forward(x32))
         # handed the float32 cast, backward takes the float32 membranes
         want_s, want_u = _lif_forward_reference(lif.p, x32)
         g = Rng(71).normal(x.shape)
-        _bytes_equal(lif.backward(g.copy(), rec=got, x=x32.copy()),
+        _bytes_equal(lif.backward(g.copy(), x=x32.copy(), spikes=spikes),
                      _lif_backward_reference(lif.p, want_u, want_s, g))
         bns = []
         for inp in (x, x32):
@@ -1000,31 +1019,35 @@ class TestSharedInputLif:
         for lin, proj, bn, lif in zip(ins, (blk.q_proj, blk.k_proj, blk.v_proj),
                                       (blk.q_bn, blk.k_bn, blk.v_bn),
                                       (blk.q_lif, blk.k_lif, blk.v_lif)):
-            bn_ins.append(proj.forward(lin.forward(x, rec), rec))
-            outs.append(lif.forward(bn.forward(bn_ins[-1], True, rec), rec))
+            bn_ins.append(proj.forward(lin.forward(x), rec))
+            outs.append(lif.forward(bn.forward(bn_ins[-1], True, rec)))
         qh, kh, vh = (blk._split(a, np.float32) for a in outs)
         attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
-        s_attn = blk.attn_lif.forward(attn, rec).astype(np.float32)
+        fired_attn = blk.attn_lif.forward(attn)
+        s_attn = fired_attn.astype(np.float32)
         ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
         ctx = blk.lam.forward(ctx0)
-        o = blk.o_proj.forward(blk.o_in.forward(blk._merge(ctx), rec), rec)
+        o = blk.o_proj.forward(blk.o_in.forward(blk._merge(ctx)), rec)
         out = blk.o_bn.forward(o, True, rec)
         g = blk.o_bn.backward(g_out, rec, blk.o_bn._normalize_again(rec, o))
-        g = blk.o_in.backward(blk.o_proj.backward(g, rec), rec=rec)
+        g, spikes = blk.o_proj.backward(g, rec)
+        g = blk.o_in.backward(g, spikes=spikes)
         g_ctx0 = blk.lam.backward(blk._split(g), ctx0)
         g_sattn = np.einsum("tbhnd,tbhmd->tbhnm", g_ctx0, vh, optimize=True)
         g_vh = np.einsum("tbhnm,tbhnd->tbhmd", s_attn, g_ctx0, optimize=True)
-        g_attn = blk.attn_lif.backward(g_sattn, rec=rec)
+        g_attn = blk.attn_lif.backward(g_sattn, spikes=fired_attn)
         g_qh = np.einsum("tbhnm,tbhmd->tbhnd", g_attn, kh, optimize=True)
         g_kh = np.einsum("tbhnm,tbhnd->tbhmd", g_attn, qh, optimize=True)
         g_x = np.zeros(g_out.shape, dtype=g_out.dtype)
-        for gh, lif, bn, proj, lin, h in zip((g_qh, g_kh, g_vh),
-                                             (blk.q_lif, blk.k_lif, blk.v_lif),
-                                             (blk.q_bn, blk.k_bn, blk.v_bn),
-                                             (blk.q_proj, blk.k_proj, blk.v_proj), ins, bn_ins):
-            g = bn.backward(lif.backward(blk._merge(gh), rec=rec), rec,
+        for gh, lif, bn, proj, lin, h, fired in zip((g_qh, g_kh, g_vh),
+                                                    (blk.q_lif, blk.k_lif, blk.v_lif),
+                                                    (blk.q_bn, blk.k_bn, blk.v_bn),
+                                                    (blk.q_proj, blk.k_proj, blk.v_proj),
+                                                    ins, bn_ins, outs):
+            g = bn.backward(lif.backward(blk._merge(gh), spikes=fired), rec,
                             bn._normalize_again(rec, h))
-            g_x += lin.backward(proj.backward(g, rec), rec=rec)
+            g, spikes = proj.backward(g, rec)
+            g_x += lin.backward(g, spikes=spikes)
         return out, g_x
 
     @pytest.mark.parametrize("seed", [50, 51])
@@ -1037,8 +1060,9 @@ class TestSharedInputLif:
         got_out = got_blk.forward(x, training=True, rec=rec)
         got_g = got_blk.backward(g_out, rec, x.copy())  # written over
         assert rec.saved == {}
-        _keep_every_float_cache(monkeypatch)
+        kept = _keep_every_float_cache(monkeypatch)
         want_out, want_g = self._reference_three_lifs(ref_blk, cfg, x, g_out)
+        assert kept == {}  # every LIF's backward read its own forward's caches
         assert got_out.tobytes() == want_out.tobytes()
         assert got_g.tobytes() == want_g.tobytes()
         _same_grads(got_blk, ref_blk)
@@ -1058,25 +1082,30 @@ class TestSharedInputLif:
 
 
 def _keep_every_float_cache(monkeypatch):
-    """Make training keep every float cache: every LIF that saves keeps its
-    membranes, as `_lif_forward_reference` computes them from its input,
-    and every BN the xhat its forward computed; backward reads those in
-    place of the inputs it rebuilds, and a LIF's backward takes no input.
-    Returns the kept membranes by LIF, which backward pops."""
+    """Make training keep every float cache: every LIF forward keeps its
+    spikes and its membranes, as `_lif_forward_reference` computes them
+    from its input, and every BN the xhat its forward computed; backward
+    reads those in place of the inputs it rebuilds. A LIF's backward takes
+    no input, and runs on its own kept spikes, after checking any it is
+    handed against them. Returns the kept (spikes, membranes) by LIF,
+    which backward pops."""
     lif_forward, lif_backward, bn_forward = LifLayer.forward, LifLayer.backward, BatchNormLayer.forward
     lif_kernel, normalize = neuron._lif, numeric._normalize
-    computed, xhats, membranes = [], {}, {}
+    computed, xhats, kept = [], {}, {}
 
-    def lif_forward_keeping_membranes(self, x, rec=None):
-        spikes = lif_forward(self, x, rec)
-        if M._saving(rec):
-            x = x if x.dtype.kind == "f" else x.astype(np.float32)
-            want_s, membranes[self] = _lif_forward_reference(self.p, x)
-            _bytes_equal(spikes, want_s.astype(bool))
+    def lif_forward_keeping_membranes(self, x):
+        spikes = lif_forward(self, x)
+        x = x if x.dtype.kind == "f" else x.astype(np.float32)
+        want_s, membranes = _lif_forward_reference(self.p, x)
+        _bytes_equal(spikes, want_s.astype(bool))
+        kept[self] = (spikes.copy(), membranes)
         return spikes
 
-    def lif_backward_reading_membranes(self, *g, rec, x=None):
-        return lif_backward(self, *g, rec=rec, x=membranes.pop(self))
+    def lif_backward_reading_membranes(self, *g, x=None, spikes=None):
+        fired, membranes = kept.pop(self)
+        if spikes is not None:  # the spikes handed over are the ones this LIF fired
+            _bytes_equal(spikes, fired)
+        return lif_backward(self, *g, x=membranes, spikes=fired)
 
     def normalize_and_copy(*args, **kwargs):
         xhat = normalize(*args, **kwargs)
@@ -1096,7 +1125,21 @@ def _keep_every_float_cache(monkeypatch):
     monkeypatch.setattr(numeric, "_normalize", normalize_and_copy)
     monkeypatch.setattr(BatchNormLayer, "forward", bn_forward_keeping_xhat)
     monkeypatch.setattr(BatchNormLayer, "_normalize_again", lambda self, rec, x: xhats.pop(self))
-    return membranes
+    return kept
+
+
+def _fired_spikes(monkeypatch):
+    """Make each LIF forward leave a copy of the spikes it returns in the
+    dict this returns, by LIF; a later forward replaces the copy."""
+    lif_forward, fired = LifLayer.forward, {}
+
+    def forward(self, x):
+        spikes = lif_forward(self, x)
+        fired[self] = spikes.copy()
+        return spikes
+
+    monkeypatch.setattr(LifLayer, "forward", forward)
+    return fired
 
 
 def _named_params(part):
@@ -1124,23 +1167,27 @@ class TestRebuiltInputs:
         rec = M.ForwardRecord(saved=True)
         got_out = got_blk.forward(x, training=True, rec=rec)
         assert len(rec.saved[got_blk.bn1]) == len(rec.saved[got_blk.bn2]) == 2  # (mean, inv)
-        for lif in (got_blk.lif1, got_blk.lif2):
-            (packed,) = rec.saved[lif]  # the spikes alone
-            assert isinstance(packed, M.PackedSpikes)
+        for lif, fc in ((got_blk.lif1, got_blk.fc1), (got_blk.lif2, got_blk.fc2)):
+            assert lif not in rec.saved  # the layer it feeds keeps its spikes
+            assert isinstance(rec.saved[fc][0], M.PackedSpikes)
         x_in = x.copy()
         got_g = got_blk.backward(g_out, rec, x_in)
         assert rec.saved == {}
         # the reference: each layer called on its own keeps every float
         # cache, and each BN's input is kept for its backward
-        membranes = _keep_every_float_cache(monkeypatch)
+        kept = _keep_every_float_cache(monkeypatch)
         rec = M.ForwardRecord(saved=True)
-        h1 = ref.fc1.forward(ref.lif1.forward(x, rec), rec)
-        h2 = ref.fc2.forward(ref.lif2.forward(ref.bn1.forward(h1, True, rec), rec), rec)
+        h1 = ref.fc1.forward(ref.lif1.forward(x), rec)
+        h2 = ref.fc2.forward(ref.lif2.forward(ref.bn1.forward(h1, True, rec)), rec)
         want_out = ref.bn2.forward(h2, True, rec)
-        g = ref.fc2.backward(ref.bn2.backward(g_out, rec, ref.bn2._normalize_again(rec, h2)), rec)
-        g = ref.bn1.backward(ref.lif2.backward(g, rec=rec), rec, ref.bn1._normalize_again(rec, h1))
-        want_u = membranes[ref.lif1]
-        want_g = ref.lif1.backward(ref.fc1.backward(g, rec), rec=rec)
+        g, spikes = ref.fc2.backward(ref.bn2.backward(g_out, rec, ref.bn2._normalize_again(rec, h2)),
+                                     rec)
+        g = ref.bn1.backward(ref.lif2.backward(g, spikes=spikes), rec,
+                             ref.bn1._normalize_again(rec, h1))
+        want_u = kept[ref.lif1][1]
+        g, spikes = ref.fc1.backward(g, rec)
+        want_g = ref.lif1.backward(g, spikes=spikes)
+        assert kept == {}
         assert got_out.tobytes() == want_out.tobytes()
         assert got_g.tobytes() == want_g.tobytes()
         _bytes_equal(x_in, want_u)  # lif1's membranes, rebuilt over the block's input
@@ -1161,15 +1208,16 @@ class TestRebuiltInputs:
         assert got_stem.backward(g_out, rec) is None and rec.saved == {}
         # the reference keeps the membranes and BN's input, and its
         # backward runs down to the input
-        _keep_every_float_cache(monkeypatch)
+        kept = _keep_every_float_cache(monkeypatch)
         rec = M.ForwardRecord(saved=True)
         chunk = 64 // ref.tokens
         rep = np.broadcast_to(x.reshape(5, ref.tokens, chunk), (3, 5, ref.tokens, chunk))
-        h = linear.forward(lif.forward(rep.astype(np.float32), rec), rec)
+        h = linear.forward(lif.forward(rep.astype(np.float32)), rec)
         want_out = bn.forward(h, True, rec)
         g = bn.backward(g_out, rec, bn._normalize_again(rec, h))
-        assert lif.backward(linear.backward(g, rec), rec=rec).shape == rep.shape
-        assert rec.saved == {}
+        g, spikes = linear.backward(g, rec)
+        assert lif.backward(g, spikes=spikes).shape == rep.shape
+        assert rec.saved == {} and kept == {}
         assert got_out.tobytes() == want_out.tobytes()
         _same_grads(got_stem, ref)
 
@@ -1189,13 +1237,16 @@ class TestRebuiltInputs:
         for reference in (False, True):
             net = SpikingTransformer(cfg, seed=67)
             with monkeypatch.context() as mp:
-                membranes = _keep_every_float_cache(mp) if reference else {}
+                kept = _keep_every_float_cache(mp) if reference else {}
                 net.forward(x[:2], training=True)
-                saved = net._record.saved  # full-precision attention has no LIF
-                saving = [lif for lif in net.lif_layers() if lif in saved]
-                assert all(len(saved[lif]) == 1 for lif in saving)  # the packed spikes
-                assert set(membranes) == (set(saving) if reference else set())
+                assert not any(isinstance(part, LifLayer) for part in net._record.saved)
+                # every LIF that fired, which in full mode is all but the
+                # attention LIFs; backward reads all but the stem's input LIF
+                fired = [lif for lif in net.lif_layers()
+                         if cfg.weight_mode == "binary" or lif.p.reset is not Reset.SOFT]
+                assert set(kept) == (set(fired) if reference else set())
                 net.backward(*(np.ones((2, 10), np.float32),) * 2)  # drops the record
+                assert list(kept) == ([net.stem.stages[0][0]] if reference else [])
                 opt = learn.AdamW(net.named_params(), lr=1e-2)
                 learn.train_epoch(net, (x, y), None, opt, Rng(68), batch_size=4)
             nets.append(net)
@@ -1208,25 +1259,34 @@ class TestRebuiltInputs:
 
 
     @given(T=st.integers(1, 3), D=st.sampled_from([8, 16, 32]), heads=st.sampled_from([1, 2, 4]),
-           tokens=st.sampled_from([1, 2, 4, 8]), depth=st.integers(1, 2),
-           topology=st.sampled_from(["reversible", "residual"]),
+           tokens=st.sampled_from([1, 2, 4, 8]),
+           patch=st.one_of(st.none(), st.sampled_from([1, 2, 4])),
+           depth=st.integers(1, 2), topology=st.sampled_from(["reversible", "residual"]),
            mode=st.sampled_from(["binary", "full"]), seed=st.integers(0, 2**16))
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=64, deadline=None, derandomize=True)
     def test_one_training_step_matches_float_cache_reference_at_random_shapes(
-            self, T, D, heads, tokens, depth, topology, mode, seed):
+            self, T, D, heads, tokens, patch, depth, topology, mode, seed):
+        # `patch` None draws a vector stem of `tokens` tokens, else a conv
+        # stem on 8x8 images, whose LIFs get their spikes from im2col rows
+        if patch is None:
+            stem, shape = StemSpec(kind="vector", in_features=64, tokens=tokens), (3, 64)
+        else:
+            stem, shape = StemSpec(kind="conv", in_channels=3, image_size=8,
+                                   patch_size=patch), (3, 3, 8, 8)
         cfg = ModelConfig(depth=depth, embed_dim=D, heads=heads, timesteps=T, topology=topology,
-                          weight_mode=mode, stem=StemSpec(kind="vector", in_features=64,
-                                                          tokens=tokens))
-        x = Rng(seed).normal((3, 64), std=2.0)
+                          weight_mode=mode, stem=stem)
+        x = Rng(seed).normal(shape, std=2.0)
         g_cls, g_dist = Rng(seed + 1).normal((3, 10)), Rng(seed + 2).normal((3, 10))
         nets, outs = [], []
         for reference in (False, True):
             net = SpikingTransformer(cfg, seed=seed)
             with pytest.MonkeyPatch.context() as mp:
-                membranes = _keep_every_float_cache(mp) if reference else {}
+                kept = _keep_every_float_cache(mp) if reference else {}
                 logits, dist = net.forward(x, training=True)
                 net.backward(g_cls, None if dist is None else g_dist)
-            assert net._record is None and membranes == {}  # backward read every cache
+            # backward read every cache but the stem's input LIF's
+            stem_lif = net.stem.stages[0][0]
+            assert net._record is None and list(kept) == ([stem_lif] if reference else [])
             nets.append(net)
             outs.append((logits, dist))
         (got, got_dist), (want, want_dist) = outs
@@ -1315,12 +1375,16 @@ class TestTrainingCaches:
     def test_spikes_are_kept_once_packed(self, kind, monkeypatch):
         packbits, packs = np.packbits, []
         monkeypatch.setattr(np, "packbits", lambda a: packs.append(a.size) or packbits(a))
+        fired = _fired_spikes(monkeypatch)
         net, _, _ = self._training_forward(kind)
         monkeypatch.undo()
         saved = net._record.saved
         kept = {id(e) for entry in saved.values() for e in entry
                 if isinstance(e, M.PackedSpikes)}
         assert len(packs) == len(kept)  # one packing per spike tensor
+        # one spike tensor per LIF that fired, the stem's input LIF and
+        # full-precision attention's unbinarized map included
+        assert len(kept) == len(fired)
 
         def packed(entry):  # a PackedSpikes at one bit per element, no more
             assert isinstance(entry, M.PackedSpikes)
@@ -1328,19 +1392,10 @@ class TestTrainingCaches:
             assert entry.bits.nbytes <= -(-math.prod(entry.shape) // 8)
             return entry
 
+        # a LIF keeps nothing: the layer or block that reads its spikes
+        # keeps them, and backward hands them back to it
+        assert not any(isinstance(part, LifLayer) for part in saved)
         stem_lif, stem_product = net.stem.stages[0][:2]
-        for lif in net.lif_layers():
-            if kind == "full_residual" and lif.p.reset is Reset.SOFT:
-                assert lif not in saved  # full-precision attention is not binarized
-                continue
-            if lif is stem_lif:  # no backward reaches it
-                assert lif not in saved
-                continue
-            # every LIF keeps its spikes alone: backward re-runs the
-            # recurrence on the input its caller hands back
-            entry = saved[lif]
-            assert type(entry) is tuple and len(entry) == 1
-            packed(entry[0])
         # the only activation-sized float arrays kept are the inputs that
         # nothing rebuilds: each block's two streams (the BSSA's, then the
         # BMLP's), the conv stem's later LIF inputs, and full-precision
@@ -1363,40 +1418,69 @@ class TestTrainingCaches:
             mean, inv = saved[bn]
             assert mean.dtype == inv.dtype == np.float32
             assert mean.shape == inv.shape == (bn.channels,)
-        pairs = [(blk.x_in, proj) for blk in net.bssa_blocks()
-                 for proj in (blk.q_proj, blk.k_proj, blk.v_proj)]
-        pairs += [(blk.o_in, blk.o_proj) for blk in net.bssa_blocks()]
+        # each binary layer keeps the spikes of the LIF that feeds it; Q, K
+        # and V keep one copy of x_in's
+        readers = [(blk.x_in, blk.q_proj) for blk in net.bssa_blocks()]
+        readers += [(blk.o_in, blk.o_proj) for blk in net.bssa_blocks()]
         for blk in net.blocks:
-            pairs += [(blk.bmlp.lif1, blk.bmlp.fc1), (blk.bmlp.lif2, blk.bmlp.fc2)]
-        for lif, lyr in pairs:
-            assert saved[lyr][0] is saved[lif][0]
-        if kind != "conv":  # the stem's product packs its input LIF's spikes itself
+            readers += [(blk.bmlp.lif1, blk.bmlp.fc1), (blk.bmlp.lif2, blk.bmlp.fc2)]
+        if kind != "conv":
+            readers.append((stem_lif, stem_product))
             assert packed(saved[stem_product][0]).shape == (T, B, N, stem_product.in_features)
+        for lif, lyr in readers:
+            _bytes_equal(packed(saved[lyr][0]).unpack(), fired[lif])
+        for blk in net.bssa_blocks():
+            assert saved[blk.k_proj][0] is saved[blk.q_proj][0] is saved[blk.v_proj][0]
         for lam in M.walk(net, M.LambdaLayer):  # binary mode only
             assert [n for n in vars(lam) if n.startswith("_")] == []  # no context kept
+        # the attention block keeps Q's, K's, V's and the attention spikes
         for blk in net.bssa_blocks():
             q, k, v, s_attn = saved[blk]
-            assert q is saved[blk.q_lif][0] and k is saved[blk.k_lif][0]
-            assert v is saved[blk.v_lif][0]
+            for lif, entry in ((blk.q_lif, q), (blk.k_lif, k), (blk.v_lif, v)):
+                _bytes_equal(packed(entry).unpack(), fired[lif])
             if blk.binary_attn:
-                assert s_attn is saved[blk.attn_lif][0]
+                _bytes_equal(packed(s_attn).unpack(), fired[blk.attn_lif])
             else:  # the integer attention map, which no LIF emits
-                assert s_attn.dtype == np.float32
-        if kind == "conv":  # im2col keeps its own packed copy
+                assert s_attn.dtype == np.float32 and blk.attn_lif not in fired
+        if kind == "conv":  # each conv keeps its packed im2col matrix alone
             H = W = net.cfg.stem.image_size
             inputs = list(saved[net.stem])
             assert len(inputs) == len(net.stem.stages) - 1
             for lif, conv, _, pool in net.stem.stages:
                 in2d = packed(saved[conv.linear][0])
                 assert in2d.shape == (T * B * H * W, conv.in_ch * 9)
+                # each window's centre tap is the spike its LIF fired there
+                taps = in2d.unpack().reshape(T, B, H, W, conv.in_ch, 9)[..., 4]
+                _bytes_equal(np.ascontiguousarray(taps), fired[lif])
                 if lif is not stem_lif:
-                    assert in2d is not saved[lif][0]
-                    assert saved[lif][0].shape == (T, B, H, W, conv.in_ch)
                     x = inputs.pop(0)  # the stage before's output, pooled or not
                     assert x.dtype == np.float32 and x.shape == (T, B, H, W, conv.in_ch)
                 if pool is not None:
                     assert saved[pool][0].dtype == np.uint8  # argmax in 0..3
                     H, W = H // 2, W // 2
+
+    @pytest.mark.parametrize("kind", list(NETS))
+    def test_each_lif_backward_gets_the_spikes_its_forward_fired(self, kind, monkeypatch):
+        # backward hands every LIF but the stem's input LIF the spikes it
+        # fired, byte for byte, once. In binary mode the LIFs fire pairwise
+        # different spikes, so handing one LIF's spikes to another (K's to
+        # q_lif, say) shows here
+        fired, handed = _fired_spikes(monkeypatch), {}
+        lif_backward = LifLayer.backward
+
+        def backward(self, *g, x, spikes):
+            handed.setdefault(self, []).append(spikes.copy())
+            return lif_backward(self, *g, x=x, spikes=spikes)
+
+        monkeypatch.setattr(LifLayer, "backward", backward)
+        net, logits, dist = self._training_forward(kind)
+        self._backward(net, logits, dist)
+        if kind != "full_residual":  # there o_in fires nothing, and lif1 reads x_in's input
+            assert len({(f.shape, f.tobytes()) for f in fired.values()}) == len(fired)
+        assert set(handed) == set(fired) - {net.stem.stages[0][0]}
+        for lif, spikes in handed.items():
+            assert len(spikes) == 1
+            _bytes_equal(spikes[0], fired[lif])
 
     @pytest.mark.parametrize("kind", list(NETS))
     def test_record_keeps_batch_statistics_alone_and_nothing_of_the_input_lif(self, kind):
@@ -1423,7 +1507,7 @@ class TestTrainingCaches:
         net, logits, dist = self._training_forward(kind)
         rec = net._record
         assert {type(o).__name__ for o in rec.saved} >= {
-            "LifLayer", "BinaryLinearLayer", "BatchNormLayer", "LinearHead", "BssaBlock",
+            "BinaryLinearLayer", "BatchNormLayer", "LinearHead", "BssaBlock",
             "SpikingTransformer"} | ({"MaxPool2Layer"} if kind == "conv" else set())
         self._backward(net, logits, dist)
         assert rec.saved == {} and net._record is None
@@ -1465,16 +1549,6 @@ class TestTrainingCaches:
         net.backward(g, g)
         with pytest.raises(TrainingError, match="cached forward"):
             net.backward(g, g)  # the first backward consumed the caches
-        lif = LifLayer(toy_config("residual").lif())
-        rec = M.ForwardRecord(saved=True)
-        lif.forward(x, rec)
-        lif.backward(x, rec=rec, x=x.copy())
-        with pytest.raises(TrainingError, match="cached forward"):
-            lif.backward(x, rec=rec, x=x.copy())
-        for rec in (None, M.ForwardRecord()):  # no record, or one that saves nothing
-            lif.forward(x, rec)
-            with pytest.raises(TrainingError, match="cached forward"):
-                lif.backward(x, rec=rec, x=x.copy())
 
     def test_no_activation_outlives_training(self):
         # depth 4 at train_deep's width: caches that no backward freed kept
@@ -1504,9 +1578,10 @@ class TestTrainingCaches:
         # leaves about 19 (21 in full mode). Spikes packed at one bit
         # each and a backward that writes its hidden-width gradients and
         # rebuilt membranes in place leave about 10 (12 in full mode).
-        # Every LIF now keeps its spikes alone, and the block keeps the
-        # two streams its input LIFs read in place of their membranes:
-        # the same bytes, so still about 10 (12)
+        # The block keeps the two streams its input LIFs read in place of
+        # their membranes, the same bytes, and each spike tensor is kept
+        # by the layer that reads it, with no LIF entries: still about 10
+        # (12)
         T, B, N, D = 2, 16, 8, 32
         peaks = []
         for depth in (1, 3):
@@ -1531,8 +1606,9 @@ class TestTrainingCaches:
         # float32 only while a product reads it: the step peaked at 6.7 MiB
         # when backward kept it widened through the BN's and the pool's
         # backward, and at 5.84 MiB when a step kept every float cache. It
-        # peaks at about 5.48 MiB, whether the three later LIFs keep their
-        # membranes or the stem keeps their inputs, pooled or not
+        # peaks at about 5.46 MiB: the stem keeps the three later LIFs'
+        # inputs, pooled or not, and their spikes only as the centre taps
+        # of the packed im2col matrices
         cfg = dataclasses.replace(conv_config(image=16), weight_mode=mode)
         net = SpikingTransformer(cfg, seed=91)
         x, g = Rng(92).normal((16, 3, 16, 16), std=2.0), np.full((16, 10), 0.01, np.float32)

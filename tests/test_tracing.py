@@ -55,9 +55,13 @@ def test_traced_training_step_counts_lif_spikes(tracing):
     assert tracer.names.count("model.bn.fwd") == len(list(M.walk(net, M.BatchNormLayer)))
     assert "numeric.batch_norm" not in tracer.names
     # the tracer counts the spikes in the array each LIF forward returns;
-    # the stem's input LIF saves nothing, and its product saves its spikes
-    stem_lif, stem_product = net.stem.stages[0][:2]
-    fired = [saved[stem_product][0].unpack()]
-    fired += [saved[lif][0].unpack() for lif in net.lif_layers() if lif is not stem_lif]
+    # the layer or block that reads a LIF's spikes keeps them
+    fired = [saved[net.stem.stages[0][1]][0]]
+    for blk in net.blocks:
+        bssa, bmlp = blk.bssa, blk.bmlp
+        fired += [saved[bssa.q_proj][0], *saved[bssa], saved[bssa.o_proj][0],
+                  saved[bmlp.fc1][0], saved[bmlp.fc2][0]]
+    fired = [packed.unpack() for packed in fired]
+    assert len(fired) == len(list(net.lif_layers()))
     assert tracer.spikes == sum(int(np.count_nonzero(f)) for f in fired)
     assert tracer.spike_elements == sum(f.size for f in fired)
