@@ -1,4 +1,5 @@
-"""Weight binarization and the bit-packed popcount kernel.
+"""Weight binarization, the bit-packed popcount kernel, and the binary
+container that every file format of the package is written and read in.
 
 Binary weights live in {-1, +1} and spikes in {0, 1}; both are packed one
 bit per element into little-endian 64-bit words (+1 and 1 map to a set
@@ -9,11 +10,19 @@ reduces to pure bitwise work:
 
 which is exact because every spike contributes +1 where the weight bit is
 set and -1 where it is clear.
+
+A binary container is a magic, then sections read whole, then the end of
+the input. `write_container` writes one and `ContainerReader` reads one;
+checkpoints, logits caches, raw datasets and packed-bits images (whose
+layout `write_packed` and `read_packed` hold) all go through the pair, so
+a wrong magic, a short section and trailing bytes are each checked in
+one place, and each raises DataError naming the container.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -263,12 +272,8 @@ def read_exact(fh, n: int, what: str) -> bytes:
     a short read raises DataError naming the section. Reads go in bounded
     chunks, so a corrupt length field costs at most the file's size in
     memory, not `n` bytes."""
-    parts = []
-    left = n
-    while left > 0:
-        part = fh.read(min(left, _READ_CHUNK))
-        if not part:
-            break
+    parts, left = [], n
+    while left > 0 and (part := fh.read(min(left, _READ_CHUNK))):
         parts.append(part)
         left -= len(part)
     raw = b"".join(parts)
@@ -277,44 +282,93 @@ def read_exact(fh, n: int, what: str) -> bytes:
     return raw
 
 
-def open_input(path, what: str):
-    """Open the binary file `what` at `path` for reading; a missing or
-    unreadable file raises DataError naming it."""
-    try:
-        return open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+class ContainerReader:
+    """Context manager reading the binary container `what` (named in every
+    error) from `source`, a path (str or os.PathLike) or the container's
+    bytes: its `magic`, then sections taken whole, then the end of the
+    input.
+
+    Entering checks the magic; a missing or unreadable file or a wrong
+    magic raises DataError. Each section is read through `read_exact`, so
+    a short one raises DataError naming the container and the section. A
+    clean exit rejects trailing bytes."""
+
+    def __init__(self, source, magic: bytes, what: str):
+        self.source, self.magic, self.what = source, magic, what
+
+    def __enter__(self) -> "ContainerReader":
+        src = self.source
+        try:
+            self._fh = io.BytesIO(src) if isinstance(src, bytes) else open(src, "rb")
+        except OSError as exc:
+            raise DataError(f"cannot read {self.what} {src}: {exc.strerror or exc}") from None
+        magic = self._fh.read(len(self.magic))
+        if magic != self.magic:
+            self._fh.close()
+            raise DataError(f"bad {self.what} magic: {magic!r}")
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        with self._fh:
+            if exc_type is None and self._fh.read(1):
+                raise DataError(f"{self.what} has trailing bytes after its last section")
+
+    def read(self, n: int, section: str) -> bytes:
+        return read_exact(self._fh, n, f"{self.what} {section}")
+
+    def unpack(self, fmt: str, section: str) -> tuple:
+        """The next section as the `struct` fields of `fmt`."""
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), section))
+
+    def array(self, dtype, shape: tuple, section: str) -> np.ndarray:
+        """The next section as a read-only array of `shape`: a view of the
+        bytes read, not a copy."""
+        dtype = np.dtype(dtype)
+        raw = self.read(dtype.itemsize * math.prod(shape), section)
+        return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+    @property
+    def left(self) -> int:
+        """Bytes between the next section and the end of the input."""
+        at = self._fh.tell()
+        return self._fh.seek(0, io.SEEK_END) - self._fh.seek(at)
 
 
-def write_packed(path, pb: PackedBits) -> None:
-    """Serialize to the on-disk layout: magic, u32 rows, u32 cols, then
-    rows * words_per_row little-endian u64 words."""
-    with open(path, "wb") as fh:
-        fh.write(packed_bytes(pb))
+def write_container(dest, magic: bytes, *sections) -> None:
+    """Write a binary container, `magic` then each section (bytes, or a
+    C-contiguous array written as its raw bytes), to the file at `dest`,
+    or to `dest` itself when it is an open binary file."""
+    if not hasattr(dest, "write"):
+        with open(dest, "wb") as fh:
+            return write_container(fh, magic, *sections)
+    for part in (magic, *sections):
+        dest.write(part)
 
 
-def read_packed(path) -> PackedBits:
-    """Inverse of `write_packed`. A truncated, malformed or overlong file
-    raises DataError."""
-    with open_input(path, "packed-bits file") as fh:
-        return packed_from_bytes(fh.read())
+def write_packed(dest, pb: PackedBits) -> None:
+    """Write the packed-bits image layout to a path or an open binary file:
+    magic, u32 rows, u32 cols, then rows * words_per_row little-endian
+    u64 words."""
+    write_container(dest, _PACK_MAGIC, struct.pack("<II", pb.rows, pb.cols),
+                    np.ascontiguousarray(pb.words, dtype="<u8"))
 
 
 def packed_bytes(pb: PackedBits) -> bytes:
-    """In-memory serialization identical to the on-disk layout."""
-    return _PACK_MAGIC + struct.pack("<II", pb.rows, pb.cols) + pb.words.astype("<u8").tobytes()
+    """The bytes `write_packed` writes."""
+    buf = io.BytesIO()
+    write_packed(buf, pb)
+    return buf.getvalue()
 
 
-def packed_from_bytes(buf: bytes) -> PackedBits:
-    """Inverse of `packed_bytes`; the buffer must hold exactly one image.
-    A short, malformed or overlong buffer raises DataError."""
-    fh = io.BytesIO(buf)
-    if fh.read(len(_PACK_MAGIC)) != _PACK_MAGIC:
-        raise DataError("bad packed-bits magic")
-    rows, cols = struct.unpack("<II", read_exact(fh, 8, "packed-bits header"))
-    words_per_row = (cols + WORD_BITS - 1) // WORD_BITS
-    raw = read_exact(fh, rows * words_per_row * 8, "packed-bits payload")
-    if fh.read(1):
-        raise DataError("packed-bits image has trailing bytes")
-    words = np.frombuffer(raw, dtype="<u8").reshape(rows, words_per_row).copy()
+def read_packed(source, what: str = "packed-bits image") -> PackedBits:
+    """Inverse of `write_packed`, from a path or a buffer holding exactly
+    one image; `what` names the image in errors. A missing, truncated,
+    malformed or overlong image, or one with a set padding bit (which
+    `packed_linear` would count), raises DataError."""
+    with ContainerReader(source, _PACK_MAGIC, what) as r:
+        rows, cols = r.unpack("<II", "header")
+        words = r.array("<u8", (rows, (cols + WORD_BITS - 1) // WORD_BITS), "payload").copy()
+    tail = cols % WORD_BITS
+    if tail and (words[:, -1] >> np.uint64(tail)).any():
+        raise DataError(f"{what} sets a padding bit past column {cols}")
     return PackedBits(rows=rows, cols=cols, words=words)

@@ -131,37 +131,29 @@ def load_csv_dataset(path, num_classes: int | None = None) -> Dataset:
 
 
 def save_raw_dataset(path, x: Tensor, y: np.ndarray, num_classes: int) -> None:
-    x = np.asarray(x, dtype="<f4")
-    y = np.asarray(y, dtype="<i8")
-    with open(path, "wb") as fh:
-        fh.write(_RAW_MAGIC)
-        fh.write(struct.pack("<III", x.shape[0], x.ndim - 1, num_classes))
-        fh.write(struct.pack(f"<{x.ndim - 1}I", *x.shape[1:]))
-        fh.write(y.tobytes())
-        fh.write(x.tobytes())
+    """Write the raw dataset container: magic, u32 sample count, sample
+    rank and class count, u32 sample shape, int64 labels, then the
+    float32 samples."""
+    x = np.ascontiguousarray(x, dtype="<f4")
+    dims = x.shape[1:]
+    header = struct.pack(f"<III{len(dims)}I", x.shape[0], len(dims), num_classes, *dims)
+    binary.write_container(path, _RAW_MAGIC, header, np.ascontiguousarray(y, dtype="<i8"), x)
 
 
 def load_raw_dataset(path) -> Dataset:
     """Inverse of `save_raw_dataset`. A truncated, malformed or overlong
     file, a missing one, one with no samples, or a feature that is not
     finite raises DataError."""
-    read = binary.read_exact  # raises DataError on a short read
-    with binary.open_input(path, "raw dataset") as fh:
-        magic = fh.read(len(_RAW_MAGIC))
-        if magic != _RAW_MAGIC:
-            raise DataError(f"bad raw dataset magic: {magic!r}")
-        n, ndim, classes = struct.unpack("<III", read(fh, 12, "raw dataset header"))
-        dims = struct.unpack(f"<{ndim}I", read(fh, 4 * ndim, "raw dataset shape"))
-        y = np.frombuffer(read(fh, 8 * n, "raw dataset labels"), dtype="<i8").copy()
-        size = n * math.prod(dims)
-        x = np.frombuffer(read(fh, 4 * size, "raw dataset samples"), dtype="<f4")
-        if fh.read(1):
-            raise DataError("raw dataset has trailing bytes after its samples")
+    with binary.ContainerReader(path, _RAW_MAGIC, "raw dataset") as r:
+        n, ndim, classes = r.unpack("<III", "header")
+        dims = r.unpack(f"<{ndim}I", "shape")
+        y = r.array("<i8", (n,), "labels").copy()
+        x = r.array("<f4", (n, *dims), "samples")
     if n == 0:
         raise DataError("raw dataset holds no samples")
     if y.min() < 0 or y.max() >= classes:
         raise DataError(f"raw dataset labels outside [0, {classes})")
-    x = x.reshape((n,) + dims).copy()
+    x = x.copy()
     _require_finite_features(x, "raw dataset")
     return Dataset(x, y, None, None, classes)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary import open_input, read_exact
+from . import binary
 from .errors import ConfigError, DataError, TrainingError
 from .model import Param, SpikingTransformer
 from .numeric import DTYPE, Rng, Tensor, finite_diff_grad
@@ -130,38 +130,27 @@ class TeacherLogitsCache:
 
     def save(self, path) -> None:
         """Write the cache to the file at `path`, or to `path` itself when
-        it is an open binary file."""
-        if not hasattr(path, "write"):
-            with open(path, "wb") as fh:
-                return self.save(fh)
+        it is an open binary file: magic, u32 n, u32 c, u64 dataset hash,
+        then n records of (u32 id, c float32 logits)."""
         records = np.empty(self.num_samples, dtype=_cache_record(self.num_classes))
         records["id"] = np.arange(self.num_samples)
         records["logits"] = self.logits
-        path.write(_CACHE_MAGIC)
-        path.write(struct.pack("<IIQ", self.num_samples, self.num_classes, self.data_hash))
-        path.write(records.tobytes())
+        binary.write_container(path, _CACHE_MAGIC, struct.pack(
+            "<IIQ", self.num_samples, self.num_classes, self.data_hash), records)
 
     @classmethod
     def load(cls, path) -> "TeacherLogitsCache":
-        """Inverse of `save`: n records of (u32 id, c float32 logits) with
-        ids 0..n-1 in order. No records, a short or long payload, a logit
-        that is not finite, or a missing file raises DataError."""
-        with open_input(path, "logits cache") as fh:
-            magic = fh.read(len(_CACHE_MAGIC))
-            if magic != _CACHE_MAGIC:
-                raise DataError(f"bad logits-cache magic: {magic!r}")
-            n, c, data_hash = struct.unpack("<IIQ", read_exact(fh, 16, "logits-cache header"))
-            raw = fh.read()
-        # checked before numpy builds a record of c classes, which it
-        # refuses (ValueError) once the record's size does not fit a C int
-        if n == 0:
-            raise DataError("logits cache holds no records")
-        if len(raw) != n * (4 + 4 * c):
-            raise DataError(
-                f"logits-cache payload is {len(raw)} bytes; {n} records of {c} classes "
-                f"need {n * (4 + 4 * c)}"
-            )
-        records = np.frombuffer(raw, dtype=_cache_record(c), count=n)
+        """Inverse of `save`, with ids 0..n-1 in order. No records, a short
+        or long payload, a logit that is not finite, or a missing file
+        raises DataError."""
+        with binary.ContainerReader(path, _CACHE_MAGIC, "logits cache") as r:
+            n, c, data_hash = r.unpack("<IIQ", "header")
+            if n == 0:
+                raise DataError("logits cache holds no records")
+            # read whole before numpy builds a record of c classes, which
+            # it refuses (ValueError) once the record's size does not fit a C int
+            raw = r.read(n * (4 + 4 * c), "payload")
+        records = np.frombuffer(raw, dtype=_cache_record(c))
         bad = np.flatnonzero(records["id"] != np.arange(n))
         if bad.size:
             i = int(bad[0])

@@ -154,9 +154,13 @@ def param_counts(cfg: ModelConfig) -> dict:
     head = D * cfg.num_classes + cfg.num_classes
     weight_count = stem_weights + block_weights
     aux_fp = 4 * (stem_bn_ch + block_bn_ch) + lam + head + 2 * lifs
+    dist_head = head if cfg.topology == "reversible" and cfg.dual_head else 0
     out = {
         "weight_params": weight_count,
         "aux_fp_params": aux_fp,
+        # the float32 values a checkpoint stores: the distillation head
+        # too, no LIF constants
+        "state_values": weight_count + aux_fp - 2 * lifs + dist_head,
     }
     if cfg.weight_mode == "binary":
         out["binary_bits"] = weight_count

@@ -1476,10 +1476,11 @@ class SpikingTransformer:
         return entries
 
 
-def checkpoint_bytes(model: SpikingTransformer) -> bytes:
-    """Versioned binary container: magic, JSON header (config, seed, and
-    the array manifest), raw little-endian float32 blobs in manifest
-    order, then the packed 1-bit weight images in the PackedBits layout."""
+def save_checkpoint(model: SpikingTransformer, path) -> None:
+    """Write the versioned binary container to a path or an open binary
+    file: magic, u32 header length, JSON header (config, seed, and the
+    array manifest), raw little-endian float32 blobs in manifest order,
+    then the packed 1-bit weight images in the PackedBits layout."""
     entries = model.state_entries
     packed_entries = []
     for lyr in model.binary_linear_layers():
@@ -1493,21 +1494,17 @@ def checkpoint_bytes(model: SpikingTransformer) -> bytes:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in entries],
         "packed": [{"name": n, "size": len(b)} for n, b in packed_entries],
     }
-    blob = io.BytesIO()
-    blob.write(SpikingTransformer.CKPT_MAGIC)
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    blob.write(struct.pack("<I", len(hb)))
-    blob.write(hb)
-    for _, a in entries:
-        blob.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
-    for _, b in packed_entries:
-        blob.write(b)
-    return blob.getvalue()
+    binary.write_container(path, SpikingTransformer.CKPT_MAGIC, struct.pack("<I", len(hb)), hb,
+                           *(np.ascontiguousarray(a, dtype="<f4") for _, a in entries),
+                           *(b for _, b in packed_entries))
 
 
-def save_checkpoint(model: SpikingTransformer, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(model))
+def checkpoint_bytes(model: SpikingTransformer) -> bytes:
+    """The bytes `save_checkpoint` writes."""
+    buf = io.BytesIO()
+    save_checkpoint(model, buf)
+    return buf.getvalue()
 
 
 def _require_like(value, ref, what: str) -> None:
@@ -1536,18 +1533,16 @@ def load_checkpoint(path) -> SpikingTransformer:
     must equal the signs of its layer's standardized latent weights, and
     that comparison leaves the layer's sign cache filled for the first
     forward. A truncated, malformed or overlong container, a missing
-    file, an array holding a value that is not finite, a lambda scale
-    that is not positive, a BN running variance below 0, 1-bit images whose names, count, shapes or bits
-    do not match the model's binary layers, or latents that cannot be
+    file, a config whose arrays need more bytes than the file holds
+    (checked before any is allocated), an array holding a value that is
+    not finite, a lambda scale that is not positive, a BN running
+    variance below 0, 1-bit images whose names, count, shapes or bits do
+    not match the model's binary layers, or latents that cannot be
     binarized raise DataError."""
-    read = binary.read_exact  # raises DataError on a short read
-    with binary.open_input(path, "checkpoint") as fh:
-        magic = fh.read(len(SpikingTransformer.CKPT_MAGIC))
-        if magic != SpikingTransformer.CKPT_MAGIC:
-            raise DataError(f"bad checkpoint magic: {magic!r}")
-        (hlen,) = struct.unpack("<I", read(fh, 4, "checkpoint header length"))
+    with binary.ContainerReader(path, SpikingTransformer.CKPT_MAGIC, "checkpoint") as r:
+        (hlen,) = r.unpack("<I", "header length")
         try:
-            header = json.loads(read(fh, hlen, "checkpoint header"))
+            header = json.loads(r.read(hlen, "header"))
         except ValueError as exc:
             raise DataError(f"checkpoint header is not valid JSON: {exc}") from None
         if not isinstance(header, dict) or header.get("format") != 1:
@@ -1558,10 +1553,15 @@ def load_checkpoint(path) -> SpikingTransformer:
         }, "checkpoint header")
         if header["seed"] < 0:
             raise DataError(f"checkpoint seed {header['seed']} is negative")
+        from .metrics import param_counts  # metrics imports this module
         try:
-            model = SpikingTransformer._blank(ModelConfig.from_dict(header["config"]),
-                                              header["seed"])
-        except ConfigError as exc:
+            cfg = ModelConfig.from_dict(header["config"])
+            # the arrays the config makes must fit in the file before any is made
+            need = 4 * param_counts(cfg)["state_values"]
+            if need > r.left:
+                raise ConfigError(f"its arrays need {need} bytes, and {r.left} follow the header")
+            model = SpikingTransformer._blank(cfg, header["seed"])
+        except (ConfigError, DataError) as exc:
             raise DataError(f"checkpoint config is invalid: {exc}") from None
         entries = model.state_entries
         names = [e["name"] for e in header["arrays"]]
@@ -1570,11 +1570,10 @@ def load_checkpoint(path) -> SpikingTransformer:
         layers = [lyr for lyr in model.binary_linear_layers() if lyr.mode == "binary"]
         binarized = {f"{lyr.name}.weight" for lyr in layers}  # binarization checks these
         for spec, (name, arr) in zip(header["arrays"], entries):
-            want = tuple(spec["shape"])
-            if tuple(arr.shape) != want:
-                raise DataError(f"shape mismatch for {name}: {want} vs {arr.shape}")
-            raw = read(fh, arr.size * 4, f"checkpoint array {name}")
-            arr[...] = np.frombuffer(raw, dtype="<f4").reshape(arr.shape)
+            if tuple(arr.shape) != tuple(spec["shape"]):
+                raise DataError(f"checkpoint array {name} has shape {tuple(spec['shape'])}, "
+                                f"expected {arr.shape}")
+            arr[...] = r.array("<f4", arr.shape, f"array {name}")
             if name not in binarized and not np.isfinite(arr).all():
                 raise DataError(f"checkpoint array {name} holds a value that is not finite")
         for lam in walk(model, LambdaLayer):
@@ -1590,11 +1589,11 @@ def load_checkpoint(path) -> SpikingTransformer:
         if [spec["name"] for spec in header["packed"]] != [f"{lyr.name}.packed" for lyr in layers]:
             raise DataError("checkpoint image manifest does not match the model's binary layers")
         for spec, lyr in zip(header["packed"], layers):
-            name = spec["name"]
-            pb = binary.packed_from_bytes(read(fh, spec["size"], f"checkpoint image {name}"))
+            name = f"image {spec['name']}"
+            pb = binary.read_packed(r.read(spec["size"], name), f"checkpoint {name}")
             shape = lyr.weight.value.shape
             if (pb.rows, pb.cols) != shape:
-                raise DataError(f"checkpoint image {name} is {pb.rows}x{pb.cols}, "
+                raise DataError(f"checkpoint {name} is {pb.rows}x{pb.cols}, "
                                 f"expected {shape[0]}x{shape[1]}")
             try:
                 signs = lyr._binary_signs()
@@ -1602,8 +1601,6 @@ def load_checkpoint(path) -> SpikingTransformer:
                 raise DataError(f"checkpoint weight {lyr.name}.weight cannot be binarized: "
                                 f"{exc}") from None
             if not np.array_equal(binary.unpack(pb, binary.ALPHABET_PM1), signs):
-                raise DataError(f"checkpoint image {name} does not match the signs of "
+                raise DataError(f"checkpoint {name} does not match the signs of "
                                 f"{lyr.name}.weight")
-        if fh.read(1):
-            raise DataError("checkpoint has trailing bytes after its last section")
     return model

@@ -41,6 +41,16 @@ def with_array(raw: bytes, name: str, values) -> bytes:
     raise KeyError(name)
 
 
+def with_config(raw: bytes, **fields) -> bytes:
+    """The checkpoint `raw` with these fields of its header's config
+    replaced."""
+    header_len = int.from_bytes(raw[6:10], "little")
+    header = json.loads(raw[10:10 + header_len])
+    header["config"].update(fields)
+    hb = json.dumps(header).encode()
+    return raw[:6] + len(hb).to_bytes(4, "little") + hb + raw[10 + header_len:]
+
+
 def cluster_data(seed: int, n_train: int = 512, n_test: int = 256, dims: int = 64,
                  classes: int = 10, spread: float = 1.0, noise: float = 0.85):
     """Gaussian clusters; same construction as the CLI's built-in synthetic

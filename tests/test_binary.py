@@ -16,7 +16,6 @@ from spikebit.binary import (
     binary_signs,
     pack,
     packed_bytes,
-    packed_from_bytes,
     packed_linear,
     read_packed,
     standardize_latent,
@@ -88,19 +87,22 @@ class TestPackUnpack:
         assert again.rows == pb.rows and again.cols == pb.cols
         assert np.array_equal(again.words, pb.words)
         # serialize -> parse -> serialize is byte identical
-        assert packed_bytes(packed_from_bytes(packed_bytes(pb))) == packed_bytes(pb)
+        assert packed_bytes(read_packed(packed_bytes(pb))) == packed_bytes(pb)
 
-    @pytest.mark.parametrize("damage", ["short_header", "short_payload", "trailing_bytes"])
+    @pytest.mark.parametrize("damage", ["short_header", "short_payload", "trailing_bytes",
+                                        "padding_bit"])
     def test_damaged_file_is_data_error(self, tmp_path, damage):
         good = packed_bytes(pack(np.ones((3, 70), dtype=np.float32), ALPHABET_01))
+        # a set bit past column 70 loaded, and packed_linear counted it
         bad = {"short_header": good[:12], "short_payload": good[:-1],
-               "trailing_bytes": good + b"\0\0"}[damage]
+               "trailing_bytes": good + b"\0\0",
+               "padding_bit": good[:-1] + bytes([good[-1] | 0x80])}[damage]
         path = tmp_path / "bits.bin"
         path.write_bytes(bad)
         with pytest.raises(DataError):
             read_packed(path)
         with pytest.raises(DataError):
-            packed_from_bytes(bad)
+            read_packed(bad)
 
 
 class TestPackedLinear:

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import with_array
+from conftest import with_array, with_config
 from spikebit import binary, cli, learn, metrics
 from spikebit.cli import (
     Dataset,
@@ -21,7 +23,13 @@ from spikebit.cli import (
     write_effective_config,
 )
 from spikebit.errors import ConfigError, DataError, TrainingError
-from spikebit.model import ModelConfig, StemSpec, load_checkpoint
+from spikebit.model import (
+    ModelConfig,
+    SpikingTransformer,
+    StemSpec,
+    checkpoint_bytes,
+    load_checkpoint,
+)
 from spikebit.neuron import SurrogateKind, SurrogateSpec
 from spikebit.numeric import Rng
 
@@ -341,6 +349,55 @@ class TestDatasets:
             load_raw_dataset(path)
 
 
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory):
+    """A path to write damaged copies to, and for each binary container
+    format its name -> (the bytes of a small good container, its reader)."""
+    raw_path = tmp_path_factory.mktemp("containers") / "d.bin"
+    save_raw_dataset(raw_path, Rng(60).normal((6, 2, 3)), np.arange(6) % 3, 3)
+    cache = learn.TeacherLogitsCache(Rng(61).normal((5, 3)), 7)
+    cache_path = raw_path.with_name("cache.bin")
+    cache.save(cache_path)
+    net = SpikingTransformer(ModelConfig(depth=1, embed_dim=8, heads=2, timesteps=2,
+                                         num_classes=3, stem=StemSpec(in_features=8, tokens=2)),
+                             seed=62)
+    return raw_path.with_name("bad.bin"), {
+        "checkpoint": (checkpoint_bytes(net), load_checkpoint),
+        "logits cache": (cache_path.read_bytes(), learn.TeacherLogitsCache.load),
+        "raw dataset": (raw_path.read_bytes(), load_raw_dataset),
+        "packed-bits image": (binary.packed_bytes(binary.pack(Rng(63).normal((3, 70)) > 0)),
+                              binary.read_packed),
+    }
+
+
+class TestDamagedContainers:
+    """Each reader of a binary container meets truncated, overlong and
+    bit-flipped copies of a good one: it either loads the copy or raises
+    DataError naming the container, never any other exception."""
+
+    @pytest.mark.parametrize("what", ["checkpoint", "logits cache", "raw dataset",
+                                      "packed-bits image"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_damaged_copy_loads_or_is_data_error_naming_it(self, containers, what, data):
+        path, formats = containers
+        good, read = formats[what]
+        damage = data.draw(st.sampled_from(["cut", "flip", "append"]))
+        if damage == "cut":
+            bad = good[:data.draw(st.integers(0, len(good) - 1))]
+        elif damage == "flip":
+            bit = data.draw(st.integers(0, 8 * len(good) - 1))
+            bad = bytearray(good)
+            bad[bit // 8] ^= 1 << (bit % 8)
+        else:
+            bad = good + bytes([data.draw(st.integers(0, 255))])
+        path.write_bytes(bad)
+        try:
+            read(path)
+        except DataError as exc:
+            assert what in str(exc)
+
+
 class TestTrainCommand:
     def test_zero_epochs_writes_initial_checkpoint(self, tmp_path):
         cfg_path, out = write_config(tmp_path, epochs=0)
@@ -565,6 +622,20 @@ class TestEvalInspect:
         assert f"error: checkpoint array {name} {message}" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("fields", [{"embed_dim": 2**20}, {"timesteps": 2**40}],
+                             ids=["embed_dim", "binary_timesteps"])
+    def test_eval_checkpoint_config_larger_than_the_file_exits_2(self, trained, tmp_path,
+                                                                  capsys, fields):
+        # an embed_dim of 2**20 died with a traceback allocating 4 TiB
+        cfg_path, out = trained
+        path = tmp_path / "bad.bin"
+        path.write_bytes(with_config((out / "ckpt-last.bin").read_bytes(), **fields))
+        rc = cli.main(["eval", "--checkpoint", str(path), "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "error: checkpoint config is invalid: its arrays need" in captured.err
+        assert "Traceback" not in captured.err
+
     # config floats that JSON reads (it takes NaN and Infinity) but no
     # model can run with, such as a NaN threshold, which never fires
     BAD_FLOATS = {
@@ -635,7 +706,7 @@ class TestEvalInspect:
             at += spec["size"]
         assert at == len(raw) and len(images) > 1
         name, first = images[0]
-        pb = binary.packed_from_bytes(first)
+        pb = binary.read_packed(first)
         bogus = binary.packed_bytes(binary.pack(np.ones((1, 1)), binary.ALPHABET_PM1))
         flipped = bytearray(first)
         flipped[16] ^= 0x01  # element (0, 0): the first bit after magic, rows and cols

@@ -146,7 +146,7 @@ class TestTeacher:
         huge = [raw[:10] + struct.pack("<I", c) + raw[14:] for c in (2**31, 2**32 - 1)]
         empty = raw[:6] + struct.pack("<II", 0, 2**31) + raw[14:22]
         for bad, match in [(raw[:12], "header truncated"), (raw[:-3], "payload"),
-                           (raw + b"\0", "payload"), (bytes(swapped), "out of order"),
+                           (raw + b"\0", "trailing bytes"), (bytes(swapped), "out of order"),
                            (huge[0], "payload"), (huge[1], "payload"), (empty, "no records")]:
             path.write_bytes(bad)
             with pytest.raises(DataError, match=match):

@@ -135,6 +135,7 @@ class TestModelSize:
         for cfg in (
             toy_config("reversible"),
             toy_config("residual", depth=3, embed_dim=48, timesteps=4, tokens=8),
+            toy_config("reversible", weight_mode="full", dual_head=False),
             ModelConfig(depth=2, embed_dim=32, heads=2, timesteps=2,
                         stem=StemSpec(kind="conv", in_channels=3, image_size=32, patch_size=4)),
         ):
@@ -142,6 +143,8 @@ class TestModelSize:
             want = param_counts(cfg)["size_mb"]
             got = model_size_mb(net)
             assert got == pytest.approx(want, rel=1e-12), cfg
+            # what load_checkpoint bounds by the file's size before it allocates
+            assert param_counts(cfg)["state_values"] == sum(a.size for _, a in net.state_entries)
 
     def test_full_precision_model_is_roughly_32x_larger(self):
         cfg_b = toy_config("residual", weight_mode="binary")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_config, with_array
+from conftest import toy_config, with_array, with_config
 from spikebit import binary, learn, metrics, neuron, numeric
 from spikebit import model as M
 from spikebit.binary import ALPHABET_01, ALPHABET_PM1, binary_signs, pack, packed_linear
@@ -720,6 +720,22 @@ class TestCheckpoint:
         path.write_bytes(with_array(checkpoint_bytes(net), f"{lyr.name}.weight",
                                     -lyr.weight.value))
         with pytest.raises(DataError, match=f"image {lyr.name}.packed does not match"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("fields", [{"embed_dim": 2**20}, {"timesteps": 2**40}],
+                             ids=["embed_dim", "binary_timesteps"])
+    def test_config_larger_than_the_file_is_data_error_before_allocating(
+            self, tmp_path, monkeypatch, fields):
+        # an embed_dim of 2**20 died allocating 4 TiB of blank weights
+        path = tmp_path / "m.bin"
+        raw = checkpoint_bytes(SpikingTransformer(toy_config("reversible"), seed=54))
+        path.write_bytes(with_config(raw, **fields))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("load_checkpoint built the model")
+        monkeypatch.setattr(SpikingTransformer, "_blank", boom)
+        with pytest.raises(DataError,
+                           match=r"checkpoint config is invalid: its arrays need \d+ bytes"):
             load_checkpoint(path)
 
     def test_load_seeds_the_sign_caches(self, tmp_path):
