@@ -383,6 +383,13 @@ def cmd_train(config_path, seed_override: int | None = None,
         cfg = replace(cfg, seed=seed_override)
     if out_override is not None:
         cfg = replace(cfg, out_dir=out_override)
+    if cfg.teacher_source != "none" and not cfg.model.distills:
+        raise ConfigError(
+            f"teacher.source is {cfg.teacher_source!r}, but the model has no distillation head "
+            f"(topology = {cfg.model.topology}, dual_head = {str(cfg.model.dual_head).lower()}), "
+            f"so training would ignore the teacher; a teacher needs topology = reversible "
+            f"and dual_head = true"
+        )
     data = load_dataset(cfg.dataset, cfg.seed)
     _require_classes(data, cfg.model.num_classes)
     teacher = _load_teacher(cfg, data)

@@ -57,10 +57,16 @@ checkpointing, Chen et al. 2016, arXiv:1604.06174, with an exact recompute):
   input rebuilt: the map and the context are sums of integer products,
   rebuilt from the saved Q, K, V and attention spikes (or the saved
   full-precision map).
-The float arrays a record keeps are the inputs nothing rebuilds: each
-encoder block keeps the two float32 streams its BSSA and BMLP read, and
-the conv stem keeps each later LIF's input. The stem's input LIF keeps
-nothing, as no gradient at the model's input is taken.
+The float arrays a record keeps are the inputs no spikes rebuild: the
+conv stem keeps each later LIF's input, and the model keeps the encoder
+state that enters every k-th block, k = ceil(sqrt(depth)), the first
+being the stem's embedding (the sqrt(n) segments of Chen et al.).
+Backward walks the segments from the last. It replays each segment's
+couplings forward from its kept state (`EncoderBlock.replay`) on the
+sub-block outputs rebuilt from their last product and BN, so it
+recomputes the float32 streams each BSSA and BMLP read, byte for byte,
+and hands each block its two as its backward runs. The stem's input LIF
+keeps nothing, as no gradient at the model's input is taken.
 
 Backward passes use surrogate gradients through the spike nonlinearity
 and the straight-through estimator through weight signs; the membrane
@@ -498,8 +504,13 @@ class BatchNormLayer:
         self.momentum = momentum
         self.channels = channels
 
-    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
-        out, mean, inv = numeric._batch_norm(x, self.bn_params(), training, self.name, self.bound)
+    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None,
+                overwrite: bool = False) -> Tensor:
+        """The normalized, scaled and shifted `x`. With `overwrite` it is
+        written over `x`, which the caller then made for this call and does
+        not read again: in the model, the product the layer before made."""
+        out, mean, inv = numeric._batch_norm(x, self.bn_params(), training, self.name,
+                                             self.bound, overwrite)
         if training and _saving(rec):
             rec.saved[self] = (mean, inv)
         return out
@@ -612,6 +623,15 @@ def _through_bn(g: Tensor, rec: ForwardRecord | None, proj: BinaryLinearLayer | 
     if lif is not None:  # lif writes the membranes over bn's output, and g_x over g
         g = lif.backward(g, x=bn._output_again(xhat), spikes=spikes)
     return proj.backward(bn.backward(g, rec, xhat, overwrite=lif is not None), rec, input_grad)
+
+
+def _output_again(rec: ForwardRecord, proj: BinaryLinearLayer, bn: BatchNormLayer,
+                  shape: tuple) -> Tensor:
+    """The output, in `shape`, of `proj -> bn` in the training forward that
+    saved their entries in `rec`: proj's product again, normalized with
+    bn's kept statistics and scaled, in the forward's operations, so the
+    forward's bytes. Both entries stay for backward."""
+    return bn._output_again(bn._normalize_again(rec, proj._output_again(rec).reshape(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +801,12 @@ class ModelConfig:
             raise ConfigError(f"classify_on must be 'x0' or 'x1', got {self.classify_on!r}")
 
     @property
+    def distills(self) -> bool:
+        """Whether the model has a distillation head, which reads the
+        second stream of a reversible, dual-head model."""
+        return self.topology == "reversible" and self.dual_head
+
+    @property
     def hidden_dim(self) -> int:
         """The BMLP's hidden width."""
         return int(round(self.hidden_ratio * self.embed_dim))
@@ -913,7 +939,7 @@ class Stem:
         for i, (lif, product, bn, pool) in enumerate(self.stages):
             if i and saving:
                 inputs.append(h)
-            h = bn.forward(product.forward(lif.forward(h), rec), training, rec)
+            h = bn.forward(product.forward(lif.forward(h), rec), training, rec, overwrite=True)
             if pool is not None:
                 h = pool.forward(h, rec)
         if saving:
@@ -996,7 +1022,8 @@ class BssaBlock:
         # save one packed copy
         packed = PackedSpikes(s) if saving else None
         # backward rebuilds each float input (`_through_bn`)
-        q, k, v = (lif.forward(bn.forward(proj._product(s, rec, packed), training, rec))
+        q, k, v = (lif.forward(bn.forward(proj._product(s, rec, packed), training, rec,
+                                          overwrite=True))
                    for proj, bn, lif in ((self.q_proj, self.q_bn, self.q_lif),
                                          (self.k_proj, self.k_bn, self.k_lif),
                                          (self.v_proj, self.v_bn, self.v_lif)))
@@ -1022,7 +1049,7 @@ class BssaBlock:
             rec.saved[self] = (*map(PackedSpikes, (q, k, v)),
                                PackedSpikes(s_attn) if self.binary_attn else attn)
         out = self.o_proj.forward(self.o_in.forward(ctx), rec)
-        return self.o_bn.forward(out, training, rec)
+        return self.o_bn.forward(out, training, rec, overwrite=True)
 
     @staticmethod
     def _attention(qh: Tensor, kh: Tensor) -> Tensor:
@@ -1050,6 +1077,11 @@ class BssaBlock:
         the gradient `g` at their product, before its scaling: g V^T and
         s_attn^T g."""
         return np.matmul(g, vh.swapaxes(-1, -2)), np.matmul(s_attn.swapaxes(-1, -2), g)
+
+    def _output_again(self, rec: ForwardRecord, shape: tuple) -> Tensor:
+        """The block's output in the training forward that saved its
+        entries in `rec`, rebuilt from o_proj's and o_bn's, which stay."""
+        return _output_again(rec, self.o_proj, self.o_bn, shape)
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None, x: Tensor) -> Tensor:
         """The gradient at the block's input, given `x`, the float32 stream
@@ -1115,11 +1147,18 @@ class BmlpBlock:
         self.bn2 = BatchNormLayer(f"{name}.bn2", D, bound=_bound(cfg, hidden))
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
-        h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x), rec), training, rec)
-        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h), rec), training, rec)
+        h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x), rec), training, rec,
+                             overwrite=True)
+        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h), rec), training, rec,
+                               overwrite=True)
         if rec is not None and rec.taps is not None:
             rec.taps[self] = out  # the final normalized map, for rep-cap probes
         return out
+
+    def _output_again(self, rec: ForwardRecord, shape: tuple) -> Tensor:
+        """The block's output in the training forward that saved its
+        entries in `rec`, rebuilt from fc2's and bn2's, which stay."""
+        return _output_again(rec, self.fc2, self.bn2, shape)
 
     def backward(self, g: Tensor, rec: ForwardRecord | None, x: Tensor) -> Tensor:
         """The gradient at the block's input, given `x`, the float32 stream
@@ -1136,16 +1175,40 @@ class BmlpBlock:
 
 class EncoderBlock:
     """A BSSA and a BMLP sub-block, coupled to the encoder's streams by the
-    subclass. `forward` and `backward` take and return a tuple of streams
-    (or of their gradients) and never write their input. A training
-    forward keeps the two float32 streams the sub-blocks read, the BSSA's
-    then the BMLP's; backward hands each to its sub-block's backward,
-    which writes over it, and drops it when that returns."""
+    subclass's `_couple`. `forward` and `backward` take and return a tuple
+    of streams (or of their gradients) and never write their input.
+
+    A training forward keeps nothing of the streams: the model keeps the
+    state that enters every k-th block (see `SpikingTransformer`), and
+    `replay` recomputes the streams the sub-blocks read from the state
+    that enters this block. Its coupling runs `_couple`, as the forward's
+    does, on the sub-blocks' outputs rebuilt from their last product and
+    batch norm entries (`BssaBlock._output_again`,
+    `BmlpBlock._output_again`), so it repeats the forward's bytes.
+    Backward takes the list of those two float32 streams, the BSSA's then
+    the BMLP's, and empties it: it pops each for its sub-block's backward,
+    which writes over it, so each is dropped when that returns."""
 
     def __init__(self, name: str, cfg: ModelConfig, rng: Rng):
         self.name = name
         self.bssa = BssaBlock(f"{name}.bssa", cfg, rng.child(1))
         self.bmlp = BmlpBlock(f"{name}.bmlp", cfg, rng.child(2))
+
+    def forward(self, s: tuple[Tensor, ...], training: bool,
+                rec: ForwardRecord | None = None) -> tuple[Tensor, ...]:
+        return self._couple(s, lambda x: self.bssa.forward(x, training, rec),
+                            lambda x: self.bmlp.forward(x, training, rec))[1]
+
+    def replay(self, s: tuple[Tensor, ...], rec: ForwardRecord,
+               last: bool) -> tuple[list[Tensor], tuple[Tensor, ...] | None]:
+        """The two streams the sub-blocks read in the training forward that
+        saved their entries in `rec`, recomputed from `s`, the state that
+        entered the block, and the state the block returned. With `last`
+        the BMLP's output is not rebuilt and the state returned is None:
+        nothing reads the output of a segment's last block. The entries
+        stay for backward."""
+        return self._couple(s, lambda x: self.bssa._output_again(rec, x.shape),
+                            None if last else lambda x: self.bmlp._output_again(rec, x.shape))
 
     def parts(self):
         return (self.bssa, self.bmlp)
@@ -1162,8 +1225,12 @@ class ReversibleBlock(EncoderBlock):
     rounding.
     """
 
-    def forward(self, s: tuple[Tensor, Tensor], training: bool,
-                rec: ForwardRecord | None = None) -> ReversibleState:
+    @staticmethod
+    def _couple(s: tuple[Tensor, Tensor], attend, mlp) -> tuple[list[Tensor],
+                                                                 ReversibleState | None]:
+        """The sub-blocks' input streams (x1, x0') and the output state,
+        with `attend` and `mlp` giving BSSA(x1) and BMLP(x0'), or None for
+        the state without `mlp`."""
         # The coupling algebra follows the state dtype. Training uses
         # float32 states; the reconstruction harness threads float64
         # states because the inverse amplifies stream error by a factor
@@ -1173,18 +1240,19 @@ class ReversibleBlock(EncoderBlock):
         # cast, so both directions see bit-identical inputs.
         x0, x1 = s
         xa = np.ascontiguousarray(x1, dtype=DTYPE)
-        a = self.bssa.forward(xa, training, rec)
+        a = attend(xa)
         x0n = x0 + x1
         x0n *= 0.5
         x0n += a  # a + 0.5 * (x0 + x1), in the state dtype
+        del a
         xm = np.ascontiguousarray(x0n, dtype=DTYPE)
-        m = self.bmlp.forward(xm, training, rec)
+        if mlp is None:
+            return [xa, xm], None
+        m = mlp(xm)
         x1n = x1 + x0n
         x1n *= 0.5
         x1n += m  # m + 0.5 * (x1 + x0n)
-        if _saving(rec):
-            rec.saved[self] = (xa, xm)
-        return ReversibleState(x0n, x1n)
+        return [xa, xm], ReversibleState(x0n, x1n)
 
     def inverse(self, s: tuple[Tensor, Tensor]) -> ReversibleState:
         y0, y1 = s
@@ -1194,10 +1262,9 @@ class ReversibleBlock(EncoderBlock):
         x0 = 2.0 * (y0 - a) - x1
         return ReversibleState(x0, x1)
 
-    def backward(self, gs: tuple[Tensor, Tensor],
-                 rec: ForwardRecord | None) -> tuple[Tensor, Tensor]:
+    def backward(self, gs: tuple[Tensor, Tensor], rec: ForwardRecord | None,
+                 streams: list[Tensor]) -> tuple[Tensor, Tensor]:
         g0, g1 = gs
-        streams = list(_take(rec, self))  # each dropped as its sub-block's backward returns
         g0_total = g0 + self.bmlp.backward(g1, rec, streams.pop()) + 0.5 * g1
         g_x1 = 0.5 * g1 + self.bssa.backward(g0_total, rec, streams.pop()) + 0.5 * g0_total
         return 0.5 * g0_total, g_x1
@@ -1207,17 +1274,20 @@ class ResidualBlock(EncoderBlock):
     """Standard (non-reversible) encoder block on one stream:
     x += BSSA(x); x += BMLP(x)."""
 
-    def forward(self, s: tuple[Tensor], training: bool,
-                rec: ForwardRecord | None = None) -> tuple[Tensor]:
+    @staticmethod
+    def _couple(s: tuple[Tensor], attend, mlp) -> tuple[list[Tensor], tuple[Tensor] | None]:
+        """The sub-blocks' input streams (x, x + BSSA(x)) and the output
+        state, with `attend` and `mlp` giving BSSA and BMLP of their
+        stream, or None for the state without `mlp`."""
         (x,) = s
-        h = x + self.bssa.forward(x, training, rec)
-        if _saving(rec):
-            rec.saved[self] = (x, h)
-        return ((h + self.bmlp.forward(h, training, rec)).astype(DTYPE, copy=False),)
+        h = x + attend(x)
+        if mlp is None:
+            return [x, h], None
+        return [x, h], ((h + mlp(h)).astype(DTYPE, copy=False),)
 
-    def backward(self, gs: tuple[Tensor], rec: ForwardRecord | None) -> tuple[Tensor]:
+    def backward(self, gs: tuple[Tensor], rec: ForwardRecord | None,
+                 streams: list[Tensor]) -> tuple[Tensor]:
         (g,) = gs
-        streams = list(_take(rec, self))  # each dropped as its sub-block's backward returns
         g = g + self.bmlp.backward(g, rec, streams.pop())
         return (g + self.bssa.backward(g, rec, streams.pop()),)
 
@@ -1248,6 +1318,15 @@ class SpikingTransformer:
     reads the other. `forward`, `backward` and `heads_forward` read the
     table, so only `_build` (and `run_reversible`'s check) looks at the
     topology.
+
+    The blocks run in segments of `segment` = ceil(sqrt(depth)) blocks,
+    the last one shorter when the segment does not divide the depth. A
+    training forward keeps the state that enters each segment in the
+    model's record entry, the embedding first; backward replays each
+    segment from its state (`EncoderBlock.replay`), then runs its blocks'
+    backward, the segments from last to first. The record thus holds
+    ceil(depth / segment) states rather than two streams per block, and
+    backward at most one segment's streams besides.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
@@ -1268,10 +1347,11 @@ class SpikingTransformer:
         self.reversible = cfg.topology == "reversible"
         cls_blk, streams = (ReversibleBlock, 2) if self.reversible else (ResidualBlock, 1)
         self.blocks = [cls_blk(f"block{i}", cfg, rng.child(100 + i)) for i in range(cfg.depth)]
+        self.segment = math.isqrt(cfg.depth - 1) + 1  # blocks per replayed segment: ceil(sqrt)
         D = cfg.embed_dim
         self.head_cls = LinearHead("head_cls", D, cfg.num_classes, rng.child(900))
         self.head_dist = (LinearHead("head_dist", D, cfg.num_classes, rng.child(901))
-                          if self.reversible and cfg.dual_head else None)
+                          if cfg.distills else None)
         # the head table: one (head, stream it reads) pair per stream
         c = ("x0", "x1").index(cfg.classify_on) % streams
         self.stream_heads = ((self.head_cls, c), (self.head_dist, 1 - c))[:streams]
@@ -1338,10 +1418,13 @@ class SpikingTransformer:
         e = self.embed(x, training, rec)
         # blocks never write their input state, so the streams share e
         streams = (e,) * len(self.stream_heads)
-        for blk in self.blocks:
+        saving, kept = _saving(rec), []
+        for i, blk in enumerate(self.blocks):
+            if saving and i % self.segment == 0:
+                kept.append(streams)  # the state entering the segment
             streams = blk.forward(streams, training, rec)
-        if _saving(rec):
-            rec.saved[self] = (streams[0].shape,)
+        if saving:
+            rec.saved[self] = tuple(kept)
         return [h.mean(axis=(0, 2)) for h in streams], rec
 
     def _encode_tiled(self, x: Tensor, taps: bool) -> tuple[list[Tensor], ForwardRecord]:
@@ -1381,15 +1464,22 @@ class SpikingTransformer:
         every parameter's `grad`, popping that forward's record as it goes.
         Without a training forward to consume it raises TrainingError."""
         rec, self._record = self._record, None
-        ((T, B, N, D),) = _take(rec, self)
+        kept = list(_take(rec, self))
+        T, B, N, D = kept[0][0].shape
         scale = DTYPE(1.0 / (T * N))
 
         gs = [None] * len(self.stream_heads)
         for (head, i), g in zip(self.stream_heads, (g_logits, g_dist)):
             g = head.backward(g, rec) if head and g is not None else np.zeros((B, D), DTYPE)
             gs[i] = np.broadcast_to(g[None, :, None, :] * scale, (T, B, N, D)).astype(DTYPE)
-        for blk in reversed(self.blocks):
-            gs = blk.backward(gs, rec)
+        for start in reversed(range(0, len(self.blocks), self.segment)):
+            segment = self.blocks[start:start + self.segment]
+            s, streams = kept.pop(), []
+            for blk in segment:  # from the kept state, each block's streams again
+                inputs, s = blk.replay(s, rec, last=blk is segment[-1])
+                streams.append(inputs)
+            for blk in reversed(segment):
+                gs = blk.backward(gs, rec, streams.pop())
         self.stem.backward(sum(gs[1:], gs[0]), rec)  # both streams start as the embedding
 
     def discard_record(self) -> None:

@@ -98,10 +98,13 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool = False) -> Tensor:
 
 
 def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, what: str,
-                bound: int | None = None) -> tuple[Tensor, Tensor, Tensor]:
+                bound: int | None = None,
+                overwrite: bool = False) -> tuple[Tensor, Tensor, Tensor]:
     """Batch norm in x's float dtype, float32 for any other input: (out,
     mean, inv), with out = `_scale_shift(xhat, ...)` written over xhat =
-    `_normalize(x, mean, inv)`. Errors name `what`.
+    `_normalize(x, mean, inv)`. With `overwrite`, xhat is written over x,
+    which the caller then made for this call and does not read again.
+    Errors name `what`.
 
     `bound` says that x holds integers of magnitude at most `bound`, as a
     binary product of that many {0,1} inputs and +-1 signs does. Where
@@ -134,7 +137,7 @@ def _batch_norm(x: Tensor, p: BatchNormParams, training: bool, what: str,
         bad = int(np.flatnonzero(denom <= 0)[0])
         raise NumericError(f"{what}: variance + epsilon <= 0 at channel {bad}")
     inv = 1.0 / np.sqrt(denom)
-    xhat = _normalize(x, mean, inv)
+    xhat = _normalize(x, mean, inv, out=x if overwrite else None)
     return _scale_shift(xhat, p.gamma, p.beta, out=xhat), mean, inv
 
 

@@ -135,6 +135,14 @@ ALL_NON_DEFAULT = RunConfig(
 )
 
 
+def _with_distillation_head(config: str) -> str:
+    """MINI_CONFIG's text with the reversible, dual-head model a teacher
+    needs in place of its residual single-head one."""
+    single = "topology = residual\ndual_head = false"
+    assert single in config
+    return config.replace(single, "topology = reversible\ndual_head = true")
+
+
 def write_config(tmp_path, epochs=1, name="cfg.ini"):
     out = tmp_path / "run"
     cfg = tmp_path / name
@@ -450,6 +458,23 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "error: dataset classes 12 != model classes 10" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model,want", [
+        ("topology = residual\ndual_head = false", "topology = residual, dual_head = false"),
+        ("topology = reversible\ndual_head = false", "topology = reversible, dual_head = false"),
+    ])
+    def test_teacher_for_a_model_without_a_distillation_head_exits_2(self, tmp_path, capsys,
+                                                                     monkeypatch, model, want):
+        # such a model used to load the teacher and train without it
+        cfg_path, out = write_config(tmp_path)
+        text = cfg_path.read_text().replace("topology = residual\ndual_head = false", model)
+        cfg_path.write_text(text + "\n[teacher]\nsource = logits-cache\npath = missing.bin\n")
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("loaded the data"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert ("error: teacher.source is 'logits-cache', but the model has no distillation "
+                f"head ({want})") in err and "Traceback" not in err
         assert not out.exists()
 
     def test_training_error_maps_to_exit_3(self, monkeypatch, tmp_path):
@@ -808,7 +833,7 @@ class TestPackTeacherLogits:
             want = "logits cache: sample 5 has a logit that is not finite"
         capsys.readouterr()
         distill = tmp_path / "distill.ini"
-        distill.write_text(cfg_path.read_text()
+        distill.write_text(_with_distillation_head(cfg_path.read_text())
                            + f"\n[teacher]\nsource = {source}\npath = {teacher}\n")
         run = tmp_path / "d"
         assert cli.main(["train", "--config", str(distill), "--out", str(run)]) == 2
@@ -816,7 +841,7 @@ class TestPackTeacherLogits:
         assert f"error: {want}" in err and "Traceback" not in err
         assert not run.exists()
 
-    def test_cache_dataset_mismatch_rejected(self, tmp_path):
+    def test_cache_dataset_mismatch_rejected(self, tmp_path, capsys):
         cfg_path, out = write_config(tmp_path, epochs=0)
         cli.main(["train", "--config", str(cfg_path)])
         cache_path = tmp_path / "cache.bin"
@@ -825,8 +850,9 @@ class TestPackTeacherLogits:
         # train against the cache built from a different seed's data
         distill_cfg = tmp_path / "distill.ini"
         distill_cfg.write_text(
-            (tmp_path / "cfg.ini").read_text()
+            _with_distillation_head((tmp_path / "cfg.ini").read_text())
             + f"\n[teacher]\nsource = logits-cache\npath = {cache_path}\n"
         )
         assert cli.main(["train", "--config", str(distill_cfg),
                          "--out", str(tmp_path / "d")]) == 2
+        assert "logits cache was built for a different dataset" in capsys.readouterr().err

@@ -1103,9 +1103,12 @@ def _keep_every_float_cache(monkeypatch):
     from its input, and every BN the xhat its forward computed; backward
     reads those in place of the inputs it rebuilds. A LIF's backward takes
     no input, and runs on its own kept spikes, after checking any it is
-    handed against them. Returns the kept (spikes, membranes) by LIF,
-    which backward pops."""
-    lif_forward, lif_backward, bn_forward = LifLayer.forward, LifLayer.backward, BatchNormLayer.forward
+    handed against them. A BN's xhat is read in place of each rebuild
+    until that BN's backward, which drops it: the replay of an encoder
+    block reads o_bn's and bn2's before their backward does. Returns the
+    kept (spikes, membranes) by LIF, which backward pops."""
+    lif_forward, lif_backward = LifLayer.forward, LifLayer.backward
+    bn_forward, bn_backward = BatchNormLayer.forward, BatchNormLayer.backward
     lif_kernel, normalize = neuron._lif, numeric._normalize
     computed, xhats, kept = [], {}, {}
 
@@ -1128,11 +1131,15 @@ def _keep_every_float_cache(monkeypatch):
         computed[:] = [xhat.copy()]  # before the forward writes its output over it
         return xhat
 
-    def bn_forward_keeping_xhat(self, x, training, rec=None):
-        out = bn_forward(self, x, training, rec)
+    def bn_forward_keeping_xhat(self, x, training, rec=None, overwrite=False):
+        out = bn_forward(self, x, training, rec, overwrite)
         if training and M._saving(rec):
             xhats[self] = computed[0]
         return out
+
+    def bn_backward_dropping_xhat(self, g_out, rec, xhat, overwrite=False):
+        assert xhats.pop(self) is xhat  # the kept xhat, which no later rebuild reads
+        return bn_backward(self, g_out, rec, xhat, overwrite)
 
     # backward hands the kept membranes to the kernel's rebuild, which returns them
     monkeypatch.setattr(neuron, "_lif", lambda x, p, gates=None: lif_kernel(x, p) if gates is None else x)
@@ -1140,7 +1147,8 @@ def _keep_every_float_cache(monkeypatch):
     monkeypatch.setattr(LifLayer, "backward", lif_backward_reading_membranes)
     monkeypatch.setattr(numeric, "_normalize", normalize_and_copy)
     monkeypatch.setattr(BatchNormLayer, "forward", bn_forward_keeping_xhat)
-    monkeypatch.setattr(BatchNormLayer, "_normalize_again", lambda self, rec, x: xhats.pop(self))
+    monkeypatch.setattr(BatchNormLayer, "backward", bn_backward_dropping_xhat)
+    monkeypatch.setattr(BatchNormLayer, "_normalize_again", lambda self, rec, x: xhats[self])
     return kept
 
 
@@ -1291,26 +1299,104 @@ class TestRebuiltInputs:
                                    patch_size=patch), (3, 3, 8, 8)
         cfg = ModelConfig(depth=depth, embed_dim=D, heads=heads, timesteps=T, topology=topology,
                           weight_mode=mode, stem=stem)
-        x = Rng(seed).normal(shape, std=2.0)
-        g_cls, g_dist = Rng(seed + 1).normal((3, 10)), Rng(seed + 2).normal((3, 10))
-        nets, outs = [], []
-        for reference in (False, True):
-            net = SpikingTransformer(cfg, seed=seed)
-            with pytest.MonkeyPatch.context() as mp:
-                kept = _keep_every_float_cache(mp) if reference else {}
-                logits, dist = net.forward(x, training=True)
-                net.backward(g_cls, None if dist is None else g_dist)
-            # backward read every cache but the stem's input LIF's
-            stem_lif = net.stem.stages[0][0]
-            assert net._record is None and list(kept) == ([stem_lif] if reference else [])
-            nets.append(net)
-            outs.append((logits, dist))
-        (got, got_dist), (want, want_dist) = outs
-        _bytes_equal(got, want)
-        assert (got_dist is None) == (want_dist is None)
-        if got_dist is not None:
-            _bytes_equal(got_dist, want_dist)
-        _same_grads(*nets)
+        _one_step_against_float_cache_reference(cfg, shape, seed)
+
+    @pytest.mark.parametrize("mode", ["binary", "full"])
+    @pytest.mark.parametrize("topology", ["reversible", "residual"])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 9, 10])
+    def test_one_training_step_matches_float_cache_reference_over_segments(
+            self, depth, topology, mode):
+        # ceil(sqrt(depth)) blocks a segment: one segment (depths 1 and
+        # 2), several whole ones (4 = 2 + 2, 9 = 3 + 3 + 3) and a short
+        # last one (3 = 2 + 1, 5 = 3 + 2, 10 = 4 + 4 + 2)
+        cfg = toy_config(topology, weight_mode=mode, depth=depth, embed_dim=8, tokens=2)
+        _one_step_against_float_cache_reference(cfg, (3, 64), 95 + depth)
+
+
+def _one_step_against_float_cache_reference(cfg, shape, seed):
+    """One training forward and backward of the model of `cfg` on a batch
+    of `shape`, against the reference that keeps every float cache: the
+    logits and every gradient must match byte for byte."""
+    x = Rng(seed).normal(shape, std=2.0)
+    g_cls, g_dist = Rng(seed + 1).normal((shape[0], 10)), Rng(seed + 2).normal((shape[0], 10))
+    nets, outs = [], []
+    for reference in (False, True):
+        net = SpikingTransformer(cfg, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            kept = _keep_every_float_cache(mp) if reference else {}
+            logits, dist = net.forward(x, training=True)
+            net.backward(g_cls, None if dist is None else g_dist)
+        # backward read every cache but the stem's input LIF's
+        stem_lif = net.stem.stages[0][0]
+        assert net._record is None and list(kept) == ([stem_lif] if reference else [])
+        nets.append(net)
+        outs.append((logits, dist))
+    (got, got_dist), (want, want_dist) = outs
+    _bytes_equal(got, want)
+    assert (got_dist is None) == (want_dist is None)
+    if got_dist is not None:
+        _bytes_equal(got_dist, want_dist)
+    _same_grads(*nets)
+
+
+class TestStreamCheckpoints:
+    """A training forward keeps the encoder state that enters every k-th
+    block, k = ceil(sqrt(depth)), and no block keeps its streams."""
+
+    @pytest.mark.parametrize("topology", ["reversible", "residual"])
+    @pytest.mark.parametrize("depth,k", [(1, 1), (2, 2), (3, 2), (4, 2), (5, 3), (8, 3), (9, 3),
+                                         (10, 4), (16, 4)])
+    def test_record_keeps_one_state_per_segment(self, depth, k, topology, monkeypatch):
+        entered, embedded = [], []
+        block_forward, embed = M.EncoderBlock.forward, SpikingTransformer.embed
+        monkeypatch.setattr(M.EncoderBlock, "forward",
+                            lambda blk, s, *a: entered.append(s) or block_forward(blk, s, *a))
+        monkeypatch.setattr(SpikingTransformer, "embed",
+                            lambda net, *a: embedded.append(embed(net, *a)) or embedded[-1])
+        net = SpikingTransformer(toy_config(topology, depth=depth, embed_dim=8, tokens=2), seed=93)
+        net.forward(Rng(94).normal((3, 64), std=2.0), training=True)
+        assert net.segment == k and len(entered) == depth
+        saved = net._record.saved
+        states = saved[net]
+        assert len(states) == -(-depth // k)
+        # the embedding first, which every stream starts as, then the state
+        # that entered each segment's first block
+        (e,) = embedded
+        assert all(stream is e for stream in states[0])
+        for j, state in enumerate(states):
+            assert state is entered[j * k]
+            assert len(state) == (2 if topology == "reversible" else 1)
+            for stream in state:
+                assert stream.dtype == np.float32 and stream.shape == e.shape
+        # no block keeps a stream, and no other entry an array of its shape
+        assert not any(blk in saved for blk in net.blocks)
+        assert not any(isinstance(a, np.ndarray) and a.shape == e.shape
+                       for owner, entry in saved.items() if owner is not net for a in entry)
+
+    @pytest.mark.parametrize("topology", ["reversible", "residual"])
+    def test_backward_replays_each_stream_the_forward_read(self, topology, monkeypatch):
+        # each sub-block's backward gets the bytes its forward read, after
+        # replaying its segment from the kept state; at depth 5 the
+        # segments are blocks 0-2 and 3-4
+        read, handed = {}, {}
+        for sub in (BssaBlock, M.BmlpBlock):
+            monkeypatch.setattr(sub, "forward", _recording(sub.forward, read))
+            monkeypatch.setattr(sub, "backward", _recording(sub.backward, handed, arg=2))
+        net = SpikingTransformer(toy_config(topology, depth=5, embed_dim=8, tokens=2), seed=96)
+        logits, dist = net.forward(Rng(97).normal((3, 64), std=2.0), training=True)
+        net.backward(np.ones_like(logits), None if dist is None else np.ones_like(dist))
+        assert len(read) == len(handed) == 10
+        for sub, x in read.items():
+            _bytes_equal(handed[sub], x)
+
+
+def _recording(method, seen, arg=0):
+    """`method`, leaving a copy of its argument after `self` at `arg` in
+    `seen`, by the object it was called on."""
+    def call(self, *args, **kwargs):
+        seen[self] = args[arg].copy()
+        return method(self, *args, **kwargs)
+    return call
 
 
 class TestCheckpointImages:
@@ -1413,18 +1499,21 @@ class TestTrainingCaches:
         assert not any(isinstance(part, LifLayer) for part in saved)
         stem_lif, stem_product = net.stem.stages[0][:2]
         # the only activation-sized float arrays kept are the inputs that
-        # nothing rebuilds: each block's two streams (the BSSA's, then the
-        # BMLP's), the conv stem's later LIF inputs, and full-precision
-        # attention's integer map
-        T, B, N, D = saved[net][0]
+        # nothing rebuilds: the encoder state entering each replayed
+        # segment (the model's entry, see TestStreamCheckpoints), the conv
+        # stem's later LIF inputs, and full-precision attention's integer
+        # map. No block keeps its streams
+        states = saved[net]
+        T, B, N, D = states[0][0].shape
         floats = {id(e): e for entry in saved.values() for e in entry
                   if isinstance(e, np.ndarray) and e.dtype.kind == "f" and e.shape[:2] == (T, B)}
-        want = [e for blk in net.blocks for e in saved[blk]] + list(saved[net.stem])
+        want = list(saved[net.stem])
         want += [saved[blk][3] for blk in net.bssa_blocks() if not blk.binary_attn]
         assert sorted(floats) == sorted(id(e) for e in want)
-        for blk in net.blocks:
-            assert len(saved[blk]) == 2
-            for stream in saved[blk]:
+        assert not any(blk in saved for blk in net.blocks)
+        for state in states:
+            assert len(state) == len(net.stream_heads)
+            for stream in state:
                 assert stream.dtype == np.float32 and stream.shape == (T, B, N, D)
         if kind != "conv":
             assert saved[net.stem] == ()
@@ -1597,7 +1686,8 @@ class TestTrainingCaches:
         # The block keeps the two streams its input LIFs read in place of
         # their membranes, the same bytes, and each spike tensor is kept
         # by the layer that reads it, with no LIF entries: still about 10
-        # (12)
+        # (12). No block keeps its streams and the model keeps one state
+        # per segment of ceil(sqrt(depth)) blocks: about 5 (6)
         T, B, N, D = 2, 16, 8, 32
         peaks = []
         for depth in (1, 3):
@@ -1614,7 +1704,7 @@ class TestTrainingCaches:
             finally:
                 tracemalloc.stop()
         per_block = (peaks[1] - peaks[0]) / 2
-        assert per_block <= 16 * T * B * N * D, per_block
+        assert per_block <= 8 * T * B * N * D, per_block
 
     @pytest.mark.parametrize("mode", ["binary", "full"])
     def test_conv_stem_step_memory(self, mode):
