@@ -504,13 +504,12 @@ class BatchNormLayer:
         self.momentum = momentum
         self.channels = channels
 
-    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None,
-                overwrite: bool = False) -> Tensor:
-        """The normalized, scaled and shifted `x`. With `overwrite` it is
-        written over `x`, which the caller then made for this call and does
-        not read again: in the model, the product the layer before made."""
+    def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
+        """The normalized, scaled and shifted `x`, written over a float `x`:
+        the caller made it for this call and does not read it again (in the
+        model, the product the layer before made)."""
         out, mean, inv = numeric._batch_norm(x, self.bn_params(), training, self.name,
-                                             self.bound, overwrite)
+                                             self.bound, overwrite=True)
         if training and _saving(rec):
             rec.saved[self] = (mean, inv)
         return out
@@ -619,19 +618,19 @@ def _through_bn(g: Tensor, rec: ForwardRecord | None, proj: BinaryLinearLayer | 
     None without `input_grad`, and the spikes proj read. bn's input, its
     xhat, and the output of bn that lif read are rebuilt from proj's
     entry. With `lif`, `g` is written over: pass one made for this call."""
-    xhat = bn._normalize_again(rec, proj._output_again(rec).reshape(g.shape))
+    xhat = _xhat_again(rec, proj, bn, g.shape)
     if lif is not None:  # lif writes the membranes over bn's output, and g_x over g
         g = lif.backward(g, x=bn._output_again(xhat), spikes=spikes)
     return proj.backward(bn.backward(g, rec, xhat, overwrite=lif is not None), rec, input_grad)
 
 
-def _output_again(rec: ForwardRecord, proj: BinaryLinearLayer, bn: BatchNormLayer,
-                  shape: tuple) -> Tensor:
-    """The output, in `shape`, of `proj -> bn` in the training forward that
+def _xhat_again(rec: ForwardRecord, proj: BinaryLinearLayer | Conv3x3Layer, bn: BatchNormLayer,
+                shape: tuple) -> Tensor:
+    """bn's xhat, in `shape`, of `proj -> bn` in the training forward that
     saved their entries in `rec`: proj's product again, normalized with
-    bn's kept statistics and scaled, in the forward's operations, so the
-    forward's bytes. Both entries stay for backward."""
-    return bn._output_again(bn._normalize_again(rec, proj._output_again(rec).reshape(shape)))
+    bn's kept statistics in the forward's operations, so the forward's
+    bytes. Both entries stay for backward."""
+    return bn._normalize_again(rec, proj._output_again(rec).reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +938,7 @@ class Stem:
         for i, (lif, product, bn, pool) in enumerate(self.stages):
             if i and saving:
                 inputs.append(h)
-            h = bn.forward(product.forward(lif.forward(h), rec), training, rec, overwrite=True)
+            h = bn.forward(product.forward(lif.forward(h), rec), training, rec)
             if pool is not None:
                 h = pool.forward(h, rec)
         if saving:
@@ -1022,8 +1021,7 @@ class BssaBlock:
         # save one packed copy
         packed = PackedSpikes(s) if saving else None
         # backward rebuilds each float input (`_through_bn`)
-        q, k, v = (lif.forward(bn.forward(proj._product(s, rec, packed), training, rec,
-                                          overwrite=True))
+        q, k, v = (lif.forward(bn.forward(proj._product(s, rec, packed), training, rec))
                    for proj, bn, lif in ((self.q_proj, self.q_bn, self.q_lif),
                                          (self.k_proj, self.k_bn, self.k_lif),
                                          (self.v_proj, self.v_bn, self.v_lif)))
@@ -1049,7 +1047,7 @@ class BssaBlock:
             rec.saved[self] = (*map(PackedSpikes, (q, k, v)),
                                PackedSpikes(s_attn) if self.binary_attn else attn)
         out = self.o_proj.forward(self.o_in.forward(ctx), rec)
-        return self.o_bn.forward(out, training, rec, overwrite=True)
+        return self.o_bn.forward(out, training, rec)
 
     @staticmethod
     def _attention(qh: Tensor, kh: Tensor) -> Tensor:
@@ -1077,11 +1075,6 @@ class BssaBlock:
         the gradient `g` at their product, before its scaling: g V^T and
         s_attn^T g."""
         return np.matmul(g, vh.swapaxes(-1, -2)), np.matmul(s_attn.swapaxes(-1, -2), g)
-
-    def _output_again(self, rec: ForwardRecord, shape: tuple) -> Tensor:
-        """The block's output in the training forward that saved its
-        entries in `rec`, rebuilt from o_proj's and o_bn's, which stay."""
-        return _output_again(rec, self.o_proj, self.o_bn, shape)
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None, x: Tensor) -> Tensor:
         """The gradient at the block's input, given `x`, the float32 stream
@@ -1147,18 +1140,11 @@ class BmlpBlock:
         self.bn2 = BatchNormLayer(f"{name}.bn2", D, bound=_bound(cfg, hidden))
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
-        h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x), rec), training, rec,
-                             overwrite=True)
-        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h), rec), training, rec,
-                               overwrite=True)
+        h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x), rec), training, rec)
+        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h), rec), training, rec)
         if rec is not None and rec.taps is not None:
             rec.taps[self] = out  # the final normalized map, for rep-cap probes
         return out
-
-    def _output_again(self, rec: ForwardRecord, shape: tuple) -> Tensor:
-        """The block's output in the training forward that saved its
-        entries in `rec`, rebuilt from fc2's and bn2's, which stay."""
-        return _output_again(rec, self.fc2, self.bn2, shape)
 
     def backward(self, g: Tensor, rec: ForwardRecord | None, x: Tensor) -> Tensor:
         """The gradient at the block's input, given `x`, the float32 stream
@@ -1183,8 +1169,8 @@ class EncoderBlock:
     `replay` recomputes the streams the sub-blocks read from the state
     that enters this block. Its coupling runs `_couple`, as the forward's
     does, on the sub-blocks' outputs rebuilt from their last product and
-    batch norm entries (`BssaBlock._output_again`,
-    `BmlpBlock._output_again`), so it repeats the forward's bytes.
+    batch norm entries (o_proj -> o_bn, fc2 -> bn2; `_xhat_again`), so
+    it repeats the forward's bytes.
     Backward takes the list of those two float32 streams, the BSSA's then
     the BMLP's, and empties it: it pops each for its sub-block's backward,
     which writes over it, so each is dropped when that returns."""
@@ -1207,8 +1193,11 @@ class EncoderBlock:
         the BMLP's output is not rebuilt and the state returned is None:
         nothing reads the output of a segment's last block. The entries
         stay for backward."""
-        return self._couple(s, lambda x: self.bssa._output_again(rec, x.shape),
-                            None if last else lambda x: self.bmlp._output_again(rec, x.shape))
+        def output(proj, bn):  # the sub-block's output, from its last product and BN
+            return lambda x: bn._output_again(_xhat_again(rec, proj, bn, x.shape))
+
+        return self._couple(s, output(self.bssa.o_proj, self.bssa.o_bn),
+                            None if last else output(self.bmlp.fc2, self.bmlp.bn2))
 
     def parts(self):
         return (self.bssa, self.bmlp)

@@ -168,7 +168,7 @@ def test_criterion_05_gradient_checks():
     params_a = bn.params() + lam.params()
 
     def fwd(rec):
-        h = bn.forward(x, training=True, rec=rec)
+        h = bn.forward(x.copy(), training=True, rec=rec)
         return h, lam.forward(h).mean(axis=0)
 
     def loss_a():

@@ -434,7 +434,7 @@ class TestGradCheck:
         params = bn.params() + lam.params()
 
         def forward(rec):
-            h = bn.forward(x, training=True, rec=rec)
+            h = bn.forward(x.copy(), training=True, rec=rec)
             return h, lam.forward(h).mean(axis=0)  # pool time -> (B, C) logits
 
         def loss():

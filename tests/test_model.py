@@ -988,7 +988,10 @@ class TestBatchNormKernel:
         rec = M.ForwardRecord(saved=True)
         for fwd_rec in (None, rec):
             bn.running_mean[:], bn.running_var[:] = before
-            _bytes_equal(bn.forward(x, training, fwd_rec), want)
+            x_in = x.copy()
+            out = bn.forward(x_in, training, fwd_rec)
+            _bytes_equal(out, want)
+            assert out is x_in  # written over its input
         if dtype is np.float32:  # numeric.batch_norm works in float32
             p = BatchNormParams(bn.gamma.value, bn.beta.value, before[0].copy(), before[1].copy())
             _bytes_equal(batch_norm(x, p, training), want)
@@ -1022,7 +1025,7 @@ class TestBatchNormKernel:
             _bytes_equal(bn.gamma.grad, want_gamma if steps == 1 else want_gamma + want_gamma)
             _bytes_equal(bn.beta.grad, want_beta if steps == 1 else want_beta + want_beta)
             bn.running_mean[:], bn.running_var[:] = before
-            _bytes_equal(bn.forward(x, training, rec), want)
+            _bytes_equal(bn.forward(x.copy(), training, rec), want)
 
 
 class TestSharedInputLif:
@@ -1036,7 +1039,7 @@ class TestSharedInputLif:
                                       (blk.q_bn, blk.k_bn, blk.v_bn),
                                       (blk.q_lif, blk.k_lif, blk.v_lif)):
             bn_ins.append(proj.forward(lin.forward(x), rec))
-            outs.append(lif.forward(bn.forward(bn_ins[-1], True, rec)))
+            outs.append(lif.forward(bn.forward(bn_ins[-1].copy(), True, rec)))
         qh, kh, vh = (blk._split(a, np.float32) for a in outs)
         attn = np.einsum("tbhnd,tbhmd->tbhnm", qh, kh, optimize=True)
         fired_attn = blk.attn_lif.forward(attn)
@@ -1044,7 +1047,7 @@ class TestSharedInputLif:
         ctx0 = np.einsum("tbhnm,tbhmd->tbhnd", s_attn, vh, optimize=True)
         ctx = blk.lam.forward(ctx0)
         o = blk.o_proj.forward(blk.o_in.forward(blk._merge(ctx)), rec)
-        out = blk.o_bn.forward(o, True, rec)
+        out = blk.o_bn.forward(o.copy(), True, rec)
         g = blk.o_bn.backward(g_out, rec, blk.o_bn._normalize_again(rec, o))
         g, spikes = blk.o_proj.backward(g, rec)
         g = blk.o_in.backward(g, spikes=spikes)
@@ -1131,8 +1134,8 @@ def _keep_every_float_cache(monkeypatch):
         computed[:] = [xhat.copy()]  # before the forward writes its output over it
         return xhat
 
-    def bn_forward_keeping_xhat(self, x, training, rec=None, overwrite=False):
-        out = bn_forward(self, x, training, rec, overwrite)
+    def bn_forward_keeping_xhat(self, x, training, rec=None):
+        out = bn_forward(self, x, training, rec)
         if training and M._saving(rec):
             xhats[self] = computed[0]
         return out
@@ -1202,8 +1205,8 @@ class TestRebuiltInputs:
         kept = _keep_every_float_cache(monkeypatch)
         rec = M.ForwardRecord(saved=True)
         h1 = ref.fc1.forward(ref.lif1.forward(x), rec)
-        h2 = ref.fc2.forward(ref.lif2.forward(ref.bn1.forward(h1, True, rec)), rec)
-        want_out = ref.bn2.forward(h2, True, rec)
+        h2 = ref.fc2.forward(ref.lif2.forward(ref.bn1.forward(h1.copy(), True, rec)), rec)
+        want_out = ref.bn2.forward(h2.copy(), True, rec)
         g, spikes = ref.fc2.backward(ref.bn2.backward(g_out, rec, ref.bn2._normalize_again(rec, h2)),
                                      rec)
         g = ref.bn1.backward(ref.lif2.backward(g, spikes=spikes), rec,
@@ -1237,7 +1240,7 @@ class TestRebuiltInputs:
         chunk = 64 // ref.tokens
         rep = np.broadcast_to(x.reshape(5, ref.tokens, chunk), (3, 5, ref.tokens, chunk))
         h = linear.forward(lif.forward(rep.astype(np.float32)), rec)
-        want_out = bn.forward(h, True, rec)
+        want_out = bn.forward(h.copy(), True, rec)
         g = bn.backward(g_out, rec, bn._normalize_again(rec, h))
         g, spikes = linear.backward(g, rec)
         assert lif.backward(g, spikes=spikes).shape == rep.shape

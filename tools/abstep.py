@@ -12,7 +12,7 @@ the tool's own noise.
 
 The workload's shapes come from `perfbench/configs/<workload>.ini` beside
 this tool, read by each tree's own `cli.parse_config`, and its data from
-the config's synthetic dataset at `--seed`:
+the config's synthetic dataset at perfbench's seed, 3:
 
 - `train_toy`, `train_deep`: one step of the training loop
   (`learn.train_epoch` over one batch of `batch_size` samples: forward,
@@ -24,12 +24,14 @@ the config's synthetic dataset at `--seed`:
   imported tree makes its own inference tile pool; the steps run one
   tree at a time, so the two pools never run at once.
 
-Before timing, both trees build the model from the same seed and run one
-step. The tool checks that their logits and, for training, every
-parameter gradient are equal byte for byte, and prints whether they
-are. It then warms each tree up and times `--pairs` pairs of steps, A
-then B and B then A in turn, so each step's neighbour is the other
-tree's. It prints the machine, the median step time of each tree, the
+Both trees build the model from the same seed. Before timing, each runs
+its first step, the one the timed steps repeat, and the tool checks that
+what it leaves is equal byte for byte in both trees, and prints whether
+it is: for eval_wide the logits; for training the step's losses and
+accuracy, every parameter, gradient and running statistic after the
+update, and the updated model's logits on the batch. It then warms each
+tree up with 3 more steps and times `--pairs` pairs of steps, A then B
+and B then A in turn, so each step's neighbour is the other tree's. It prints the machine, the median step time of each tree, the
 median B/A ratio of the pairs with its quartiles and a bootstrap 95%
 interval of that median, and in how many pairs B was faster. A ratio
 below 1 means B is faster. The last line holds the same in JSON.
@@ -61,6 +63,8 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "perfbench" / "configs"
 WORKLOADS = ("train_toy", "train_deep", "eval_wide")
 EVAL_BATCH = 128  # as `spikebit eval` scores a batch
+SEED = 3  # model and data seed, as perfbench's
+WARMUP = 3  # untimed steps per tree after the checked one
 BOOTSTRAP = 4000  # resamples behind the interval
 
 
@@ -82,12 +86,12 @@ def load_tree(src: Path, name: str) -> SimpleNamespace:
 class Runner:
     """One tree's model and step for a workload."""
 
-    def __init__(self, tree: SimpleNamespace, workload: str, seed: int, data, teacher_logits):
+    def __init__(self, tree: SimpleNamespace, workload: str, data, teacher_logits):
         self.tree = tree
         cfg = tree.cli.parse_config(CONFIGS / f"{workload}.ini")
         self.cfg = cfg
         self.train = workload != "eval_wide"
-        self.net = tree.model.SpikingTransformer(cfg.model, seed=seed)
+        self.net = tree.model.SpikingTransformer(cfg.model, seed=SEED)
         x, y = data.x_train, data.y_train
         if self.train:
             b = cfg.batch_size
@@ -98,37 +102,41 @@ class Runner:
                                  for i in range(0, b * len(self.batches), b)]
             self.opt = tree.learn.AdamW(self.net.named_params(), lr=cfg.lr,
                                         weight_decay=cfg.weight_decay)
-            self.rng = tree.numeric.Rng(seed)
+            self.rng = tree.numeric.Rng(SEED)
         else:
             self.net.calibrate(x[:EVAL_BATCH])
             self.batch = data.x_test[:EVAL_BATCH]
         self.steps = 0
 
-    def first_step(self) -> dict:
-        """Logits and gradients of one step of a fresh model, by name."""
+    def _run(self):
+        """One step: the epoch's metrics for training, else the logits."""
+        i = self.steps
+        self.steps += 1
         if not self.train:
-            return {"logits": self.net.forward(self.batch, training=False)[0]}
-        xb, yb = self.batches[0]
-        self.net.zero_grads()
-        logits, dist = self.net.forward(xb, training=True)
-        ce = self.tree.learn.batch_cross_entropy
-        self.net.backward(ce(logits, yb)[1].astype(np.float32),
-                          None if dist is None else ce(dist, yb)[1].astype(np.float32))
-        out = {"logits": logits, "distillation logits": dist}
-        out.update((f"gradient {n}", p.grad) for n, p in self.net.named_params())
-        return out
+            return self.net.forward(self.batch, training=False)[0]
+        b = i % len(self.batches)
+        return self.tree.learn.train_epoch(self.net, self.batches[b], self.teachers[b], self.opt,
+                                           self.rng, batch_size=self.cfg.batch_size,
+                                           clip_norm=self.cfg.clip_norm, epoch=i)
+
+    def checked_step(self) -> dict:
+        """One step, as the timed ones run, and the arrays it leaves, by
+        name (see the module docstring)."""
+        m = self._run()
+        if not self.train:
+            return {"logits": m}
+        found = {"losses and accuracy": np.array([m.ce_class, m.ce_distill, m.global_loss,
+                                                  m.accuracy])}
+        for n, p in self.net.named_params():
+            found[f"parameter {n}"], found[f"gradient {n}"] = p.value, p.grad
+        found.update((f"running statistic {n}", b) for n, b in self.net.named_buffers())
+        found["logits after the step"] = self.net.forward(self.batches[0][0], training=False)[0]
+        return found
 
     def step(self) -> float:
         """Seconds of one step."""
         t0 = time.perf_counter()
-        if self.train:
-            i = self.steps % len(self.batches)
-            self.tree.learn.train_epoch(self.net, self.batches[i], self.teachers[i], self.opt,
-                                        self.rng, batch_size=self.cfg.batch_size,
-                                        clip_norm=self.cfg.clip_norm, epoch=self.steps)
-        else:
-            self.net.forward(self.batch, training=False)
-        self.steps += 1
+        self._run()
         return time.perf_counter() - t0
 
 
@@ -181,39 +189,34 @@ def main(argv=None) -> int:
     ap.add_argument("--b", default=here, help="src/ directory of tree B (default: this tree's)")
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--pairs", type=int, default=40, help="pairs of timed steps (default 40)")
-    ap.add_argument("--warmup", type=int, default=3, help="untimed steps per tree (default 3)")
-    ap.add_argument("--seed", type=int, default=3, help="model and data seed (default 3)")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.warmup < 0:
-        ap.error("--pairs must be >= 1 and --warmup >= 0")
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
 
     trees = [load_tree(Path(src).resolve(), f"spikebit_{tag}")
              for src, tag in ((args.a, "a"), (args.b, "b"))]
     a_cli = trees[0].cli
     cfg = a_cli.parse_config(CONFIGS / f"{args.workload}.ini")
-    data = a_cli.load_dataset(cfg.dataset, args.seed)
+    data = a_cli.load_dataset(cfg.dataset, SEED)
     teacher_logits = None
     if cfg.teacher_source != "none":
         tcfg = a_cli.parse_config(CONFIGS / "teacher.ini")
-        teacher = trees[0].model.SpikingTransformer(tcfg.model, seed=args.seed)
+        teacher = trees[0].model.SpikingTransformer(tcfg.model, seed=SEED)
         teacher_logits = trees[0].learn.build_logits_cache(teacher, data.x_train,
                                                            data.y_train).logits
 
     print("machine " + json.dumps(machine(), sort_keys=True))
     print(f"A {args.a}\nB {args.b}")
-    runners = [Runner(t, args.workload, args.seed, data, teacher_logits) for t in trees]
-    diff = differences(*(r.first_step() for r in runners))
-    what = "logits" if args.workload == "eval_wide" else "logits and gradients"
+    runners = [Runner(t, args.workload, data, teacher_logits) for t in trees]
+    diff = differences(*(r.checked_step() for r in runners))
     if diff:
-        print(f"check: the trees' {what} DIFFER: {', '.join(diff[:5])}"
+        print(f"check: the trees' first steps DIFFER: {', '.join(diff[:5])}"
               f"{' ...' if len(diff) > 5 else ''}")
     else:
-        print(f"check: the trees' {what} are equal, byte for byte")
+        print("check: the trees' first steps are equal, byte for byte")
 
-    # fresh models, so that both time the same sequence of steps
-    runners = [Runner(t, args.workload, args.seed, data, teacher_logits) for t in trees]
     for r in runners:
-        for _ in range(args.warmup):
+        for _ in range(WARMUP):
             r.step()
     times = np.empty((args.pairs, 2))
     for i in range(args.pairs):
@@ -222,7 +225,7 @@ def main(argv=None) -> int:
     ratios = times[:, 1] / times[:, 0]
     s = summary(ratios)
     unit = "step" if runners[0].train else "forward of 128 samples"
-    print(f"{args.workload}: {args.pairs} pairs after {args.warmup} warm-up steps each; "
+    print(f"{args.workload}: {args.pairs} pairs after {1 + WARMUP} untimed steps each; "
           f"median ms per {unit}: A {1e3 * np.median(times[:, 0]):.2f}, "
           f"B {1e3 * np.median(times[:, 1]):.2f}")
     print(f"B/A: median {s['median']:.4f}, quartiles [{s['quartiles'][0]:.4f}, "
