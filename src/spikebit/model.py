@@ -37,8 +37,14 @@ float32 zeros and ones the forward multiplied, so the products match byte
 for byte. Every backward pops the entry it reads, so one training forward
 serves one backward. Backward writes in place where it owns the memory: a
 LIF rebuilds its membranes over the input its caller hands back and
-writes its input gradient over a lone upstream gradient, and the BN under
-such a LIF writes its input gradient over the LIF's.
+writes its input gradient over a lone upstream gradient, with the decayed
+carry in one buffer of its own, and the BN under such a LIF writes its
+input gradient over the LIF's. Both passes hold each float array only
+until its last reader has run: a layer's output goes straight to the
+next layer rather than to a name (bn1's output dies once lif2 has
+fired), and the attention block's forward context and backward head
+gradients come from helpers (`_attend`, `_head_grads`) whose Q, K, V,
+head splits, map, spikes and gradients die as they return.
 
 In either weight mode the record keeps little more than those spikes:
 backward rebuilds every float activation it can from them, repeating the
@@ -335,27 +341,33 @@ class LifLayer:
 
         Writes in place: the rebuilt membranes over `x`, and the input
         gradient over a lone upstream gradient, which is returned. Pass
-        arrays the caller made for this call and does not read again.
+        arrays the caller made for this call and does not read again. A
+        lone gradient's step t writes g[t] * sg, plus the carry, over g[t],
+        and the decayed carry tau * g_x[t] into the carry's own buffer, so
+        no step allocates a product or copies one.
         """
         u_pre = neuron._lif(x, self.p, gates=spikes)
-        T = u_pre.shape[0]
         tau = DTYPE(self.p.tau)
         hard = self.p.reset is neuron.Reset.HARD
-        shared = len(g_spikes) > 1
-        # step t reads g[t] before it writes g_x[t]
-        g_x = np.zeros_like(g_spikes[0]) if shared else g_spikes[0]
+        if len(g_spikes) == 1:
+            # step t reads g[t] before it writes g_x[t] over it
+            g_x = g_spikes[0]
+            g_u = np.zeros(g_x.shape[1:], dtype=g_x.dtype)
+            for t in range(u_pre.shape[0] - 1, -1, -1):
+                g_t = np.multiply(g_x[t], neuron.surrogate_grad(u_pre[t], self.p), out=g_x[t, ...])
+                g_t += np.multiply(g_u, ~spikes[t], out=g_u) if hard else g_u  # keep = 1 - s
+                np.multiply(tau, g_t, out=g_u)
+            return g_x
+        g_x = np.zeros_like(g_spikes[0])
         g_u = [np.zeros(g.shape[1:], dtype=g.dtype) for g in g_spikes]
-        for t in range(T - 1, -1, -1):
+        for t in range(u_pre.shape[0] - 1, -1, -1):
             sg = neuron.surrogate_grad(u_pre[t], self.p)
             keep = ~spikes[t] if hard else None  # 1 - s; a product widens it
             for i, g in enumerate(g_spikes):
                 g_upre = g[t] * sg
                 # g_u[i] is rebound below, so its buffer takes the product
                 g_upre += np.multiply(g_u[i], keep, out=g_u[i]) if hard else g_u[i]
-                if shared:
-                    g_x[t] += g_upre
-                else:
-                    g_x[t] = g_upre
+                g_x[t] += g_upre
                 g_u[i] = np.multiply(tau, g_upre, out=g_upre)
             del sg, keep  # before the next step's surrogate makes its own
         return g_x
@@ -530,16 +542,17 @@ class BatchNormLayer:
                  overwrite: bool = False) -> Tensor:
         """The gradient at the input, given the forward's `xhat` from
         `_normalize_again`. With `overwrite` it is written over `g_out`,
-        which the caller then made for this call and does not read again."""
+        which the caller then made for this call and does not read again.
+        The four per-channel sums run `numeric._column_sums`, so each is
+        `ndarray.sum`'s bytes in any layout of `g_out`."""
         _, inv = _take(rec, self)
-        axes = tuple(range(g_out.ndim - 1))
-        self.beta.accumulate(g_out.sum(axis=axes))
+        self.beta.accumulate(numeric._column_sums(g_out))
         tmp = g_out * xhat
-        self.gamma.accumulate(tmp.sum(axis=axes))
+        self.gamma.accumulate(numeric._column_sums(tmp))
         g_xhat = np.multiply(g_out, self.gamma.value, out=g_out if overwrite else None)
         n = float(math.prod(g_out.shape[:-1]))
-        mean_g = g_xhat.sum(axis=axes) / n
-        mean_gx = np.multiply(g_xhat, xhat, out=tmp).sum(axis=axes) / n
+        mean_g = numeric._column_sums(g_xhat) / n
+        mean_gx = numeric._column_sums(np.multiply(g_xhat, xhat, out=tmp)) / n
         # (g_xhat - mean_g - xhat * mean_gx) * inv
         g_xhat -= mean_g
         g_xhat -= np.multiply(xhat, mean_gx, out=tmp)
@@ -1015,6 +1028,15 @@ class BssaBlock:
         return np.ascontiguousarray(x.transpose(0, 1, 3, 2, 4)).reshape(T, B, N, h * d)
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
+        # the context is an argument alone, so it dies once o_in has fired
+        return self.o_bn.forward(self.o_proj.forward(self.o_in.forward(
+            self._attend(x, training, rec)), rec), training, rec)
+
+    def _attend(self, x: Tensor, training: bool, rec: ForwardRecord | None) -> Tensor:
+        """The attention context of the stream `x`, heads merged. Q, K and
+        V, their head splits, the attention map and its spikes live in
+        this call alone, so they die once the context exists; a training
+        forward packs them first."""
         saving = _saving(rec)
         s = self.q_proj._spikes(self.x_in.forward(x))
         # Q, K and V read the same spikes: check them once, and all three
@@ -1026,8 +1048,7 @@ class BssaBlock:
                                          (self.k_proj, self.k_bn, self.k_lif),
                                          (self.v_proj, self.v_bn, self.v_lif)))
         # a product of two bool arrays is a logical one: widen them first
-        qh, kh, vh = self._split(q, DTYPE), self._split(k, DTYPE), self._split(v, DTYPE)
-        attn = self._attention(qh, kh)
+        attn = self._attention(self._split(q, DTYPE), self._split(k, DTYPE))
         if np.any(attn < 0) or np.any(attn != np.round(attn)):
             raise NumericError(f"{self.name}: attention map is not a nonnegative integer tensor")
         if rec is not None and rec.taps is not None:
@@ -1038,7 +1059,6 @@ class BssaBlock:
                          + np.count_nonzero(s_attn) * self.head_dim)
         else:
             s_attn, sops = attn, 0.0
-        ctx = self._context(s_attn.astype(DTYPE, copy=False), vh)[1]
         if rec is not None:
             rec.sops[self] = sops
         if saving:
@@ -1046,8 +1066,7 @@ class BssaBlock:
             # attention keeps its integer map, which is no spike tensor
             rec.saved[self] = (*map(PackedSpikes, (q, k, v)),
                                PackedSpikes(s_attn) if self.binary_attn else attn)
-        out = self.o_proj.forward(self.o_in.forward(ctx), rec)
-        return self.o_bn.forward(out, training, rec)
+        return self._context(s_attn.astype(DTYPE, copy=False), self._split(v, DTYPE))[1]
 
     @staticmethod
     def _attention(qh: Tensor, kh: Tensor) -> Tensor:
@@ -1087,35 +1106,46 @@ class BssaBlock:
         gets its spikes from their keeper: Q's, K's, V's and the attention
         spikes from this block's entry, o_in's and x_in's from the backward
         of a projection they feed."""
+        (q, k, v), g_heads = self._head_grads(g_out, rec)
+        # each head gradient is popped as its projection's backward runs,
+        # so it dies once merged; Q, K and V unpacked again: kept as bool
+        # since their splits, they raised train_deep's peak by 0.2 MiB
+        g_s = []
+        for lif, bn, proj, packed in ((self.q_lif, self.q_bn, self.q_proj, q),
+                                      (self.k_lif, self.k_bn, self.k_proj, k),
+                                      (self.v_lif, self.v_bn, self.v_proj, v)):
+            g_x, s = _through_bn(self._merge(g_heads.pop(0)), rec, proj, bn, lif,
+                                 packed.unpack())
+            g_s.append(g_x)
+        return self.x_in.backward(*g_s, x=x, spikes=s)  # the spikes Q, K and V read
+
+    def _head_grads(self, g_out: Tensor,
+                    rec: ForwardRecord) -> tuple[tuple[PackedSpikes, ...], list[Tensor]]:
+        """Q's, K's and V's packed spikes from the block's entry, which
+        this pops, and the gradients at their head splits, in that order,
+        from the gradient at the block's output. The head splits, the map,
+        the context and their gradients live in this call alone, so they
+        die before the projections' backward runs."""
         q, k, v, s_attn = _take(rec, self)
         g, o_spikes = _through_bn(g_out, rec, self.o_proj, self.o_bn)
         vh = self._split(v.unpack(), DTYPE)
         s_attn = s_attn.unpack() if self.binary_attn else s_attn
         attn_in = s_attn.astype(DTYPE, copy=False)  # the map the context read
-        qh, kh = self._split(q.unpack(), DTYPE), self._split(k.unpack(), DTYPE)
         ctx0, ctx = self._context(attn_in, vh)
         g = self._split(self.o_in.backward(g, x=ctx, spikes=o_spikes))
         del ctx, o_spikes
         if self.binary_attn:
-            g_ctx0 = self.lam.backward(g, ctx0)
-            del ctx0
-            g_sattn, g_vh = self._context_backward(g_ctx0, attn_in, vh)
-            g_attn = self.attn_lif.backward(g_sattn, x=self._attention(qh, kh), spikes=s_attn)
+            g = self.lam.backward(g, ctx0)  # at the product, before lambda scaled it
+        del ctx0
+        g_attn, g_vh = self._context_backward(g, attn_in, vh)
+        del g, vh, attn_in
+        qh, kh = self._split(q.unpack(), DTYPE), self._split(k.unpack(), DTYPE)
+        if self.binary_attn:
+            g_attn = self.attn_lif.backward(g_attn, x=self._attention(qh, kh), spikes=s_attn)
         else:
-            del ctx0
-            g_attn, g_vh = self._context_backward(g, attn_in, vh)
             g_attn *= self.attn_scale
             g_vh *= self.attn_scale
-        g_qh, g_kh = self._attention_backward(g_attn, qh, kh)
-        # Q, K and V unpacked again: kept as bool since their splits, they
-        # raised train_deep's peak by 0.2 MiB
-        g_s = []
-        for gh, lif, bn, proj, packed in ((g_qh, self.q_lif, self.q_bn, self.q_proj, q),
-                                          (g_kh, self.k_lif, self.k_bn, self.k_proj, k),
-                                          (g_vh, self.v_lif, self.v_bn, self.v_proj, v)):
-            g_x, s = _through_bn(self._merge(gh), rec, proj, bn, lif, packed.unpack())
-            g_s.append(g_x)
-        return self.x_in.backward(*g_s, x=x, spikes=s)  # the spikes Q, K and V read
+        return (q, k, v), [*self._attention_backward(g_attn, qh, kh), g_vh]
 
     def parts(self):
         return (self.x_in, self.o_in, self.q_proj, self.k_proj, self.v_proj, self.o_proj,
@@ -1140,8 +1170,10 @@ class BmlpBlock:
         self.bn2 = BatchNormLayer(f"{name}.bn2", D, bound=_bound(cfg, hidden))
 
     def forward(self, x: Tensor, training: bool, rec: ForwardRecord | None = None) -> Tensor:
-        h = self.bn1.forward(self.fc1.forward(self.lif1.forward(x), rec), training, rec)
-        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(h), rec), training, rec)
+        # no name holds an activation: bn1's output, the float hidden map,
+        # dies once lif2 has fired, before fc2's product widens the spikes
+        out = self.bn2.forward(self.fc2.forward(self.lif2.forward(self.bn1.forward(
+            self.fc1.forward(self.lif1.forward(x), rec), training, rec)), rec), training, rec)
         if rec is not None and rec.taps is not None:
             rec.taps[self] = out  # the final normalized map, for rep-cap probes
         return out
@@ -1404,9 +1436,9 @@ class SpikingTransformer:
         """Stem and encoder blocks on one batch or tile, writing to `rec`.
         Returns the time/token mean of each stream (x0, x1 or the
         residual stream) and `rec`."""
-        e = self.embed(x, training, rec)
-        # blocks never write their input state, so the streams share e
-        streams = (e,) * len(self.stream_heads)
+        # blocks never write their input state, so the streams share the
+        # embedding, which dies with the first block's state unless kept
+        streams = (self.embed(x, training, rec),) * len(self.stream_heads)
         saving, kept = _saving(rec), []
         for i, blk in enumerate(self.blocks):
             if saving and i % self.segment == 0:

@@ -115,18 +115,23 @@ def lif_run(inputs: Tensor, p: LifParams) -> Tensor:
 
 def _lif(x: Tensor, p: LifParams, gates: np.ndarray | None = None) -> np.ndarray:
     """The LIF dynamics along x's leading time axis from a zero membrane:
-    `lif_step`'s operations in the same order, in reused buffers, in x's
-    float dtype. Returns the spikes, bool, one byte each; the reset reads
-    them as 0.0 or 1.0 in that dtype.
+    `lif_step`'s operations in the same order, in x's float dtype, on two
+    reused slab buffers, the membrane `u` and the pre-reset membrane `up`.
+    Each step decays `u` in place, adds x[t] into `up`, writes the reset
+    mask (hard: 1 - s) or the threshold to subtract (soft: vth * s) into
+    `u`, then folds `up` into it (hard: `u *= up`, the product's operands
+    in the other order, which rounds alike; soft: `u = up - u`). Returns
+    the spikes, bool, one byte each; the reset reads them as 0.0 or 1.0
+    in that dtype.
 
     With `gates`, the bool spikes an earlier run fired on this same x, the
     run takes each step's reset gate from them in place of the threshold
     compare and fires nothing: it rebuilds that run's pre-reset membranes
-    byte for byte, writes them over x and returns x, so x must be a float
-    array its caller gives up."""
+    byte for byte, writes them over x (`up` is then x[t]) and returns x,
+    so x must be a float array its caller gives up."""
     dt = x.dtype if x.dtype.kind == "f" else np.dtype(DTYPE)
     out = np.empty(x.shape, dtype=np.bool_) if gates is None else x
-    u, tmp = (np.empty(x.shape[1:], dtype=dt) for _ in range(2))
+    u = np.empty(x.shape[1:], dtype=dt)
     up = np.empty(x.shape[1:], dtype=dt) if gates is None else None
     tau = dt.type(p.tau)
     vth = dt.type(p.v_threshold)
@@ -135,8 +140,8 @@ def _lif(x: Tensor, p: LifParams, gates: np.ndarray | None = None) -> np.ndarray
         if gates is not None:
             up = x[t, ...]  # a view even for a 1-D input; step t reads x[t] before it writes here
         if t:
-            np.multiply(tau, u, out=tmp)
-            np.add(tmp, x[t], out=up)  # tau * u + x[t]
+            u *= tau
+            np.add(u, x[t], out=up)  # tau * u + x[t]
         else:
             np.add(x[0], 0.0, out=up)  # the membrane starts at +0, and tau * +0 is +0
         if gates is None:
@@ -146,11 +151,11 @@ def _lif(x: Tensor, p: LifParams, gates: np.ndarray | None = None) -> np.ndarray
         if t == x.shape[0] - 1:
             break  # no later step reads the reset membrane
         if hard:
-            np.subtract(1.0, s, out=tmp, dtype=dt)
-            np.multiply(tmp, up, out=u)  # (1 - s) * up
+            np.subtract(1.0, s, out=u, dtype=dt)
+            u *= up  # (1 - s) * up
         else:
-            np.multiply(vth, s, out=tmp, dtype=dt)
-            np.subtract(up, tmp, out=u)  # up - vth * s
+            np.multiply(vth, s, out=u, dtype=dt)
+            np.subtract(up, u, out=u)  # up - vth * s
     return out
 
 

@@ -171,6 +171,21 @@ def _block_sums(a: Tensor, rows: int) -> Tensor:
     return total
 
 
+def _column_sums(a: Tensor) -> Tensor:
+    """The sums of `a` over every axis but the last, in `a.sum`'s bytes.
+
+    numpy sums a C-contiguous (R, C) matrix over its rows one row at a
+    time, through a slow outer loop; einsum adds the same rows in the same
+    order several times faster. Other layouts keep `a.sum`, which sums in
+    memory order, so its order cannot be matched in general; a single
+    channel keeps it too, since its rows are contiguous and numpy then
+    sums them pairwise."""
+    C = a.shape[-1]
+    if a.flags.c_contiguous and C > 1:
+        return np.einsum("ij->j", a.reshape(-1, C))
+    return a.sum(axis=tuple(range(a.ndim - 1)))
+
+
 def _normalize(x: Tensor, mean: Tensor, inv: Tensor, out: Tensor | None = None) -> Tensor:
     """(x - mean) * inv, in `out` or a new array: batch norm's xhat.
     Backward passes that rebuild xhat from a forward's input and

@@ -1,11 +1,13 @@
 """Shared fixtures: the toy cluster dataset and the representation-trend
-statistics reused by the module invariants and the acceptance suite, and
-a checkpoint editor for the readers' damage tests."""
+statistics reused by the module invariants and the acceptance suite, a
+checkpoint editor for the readers' damage tests, and the shapes and
+gradient layouts the batch norm tests draw."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from spikebit import metrics
 from spikebit.model import ModelConfig, SpikingTransformer, StemSpec
@@ -24,6 +26,29 @@ def toy_config(topology: str, weight_mode: str = "binary", depth: int = 2,
         stem=StemSpec(kind="vector", in_features=64, tokens=tokens),
         topology=topology, weight_mode=weight_mode, dual_head=dual_head, **kw,
     )
+
+
+def often_small(high: int):
+    """A count from 1 to `high`, drawn as 1, 2 or `high` about half the
+    time."""
+    return st.one_of(st.sampled_from([1, 2, high]), st.integers(1, high))
+
+
+# the memory layouts of the gradients a batch norm backward reads
+LAYOUTS = ("C", "channels-first", "broadcast")
+
+
+def in_layout(a: np.ndarray, layout: str, scale) -> np.ndarray:
+    """An array of the (T, B, N, C) `a`'s shape and dtype in `layout`:
+    "C", a in C order; "channels-first", a as a channels-last view of
+    channels-first memory, as the conv stem's gradients are; "broadcast",
+    a[0, :, 0] times `scale` broadcast over time and tokens and cast, as
+    `SpikingTransformer.backward` seeds its stream gradients."""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "channels-first":
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 2)), 2, -1)
+    return np.broadcast_to(a[0, :, 0][None, :, None, :] * scale, a.shape).astype(a.dtype)
 
 
 def with_array(raw: bytes, name: str, values) -> bytes:

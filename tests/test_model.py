@@ -10,13 +10,14 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_config, with_array, with_config
+from conftest import LAYOUTS, in_layout, often_small, toy_config, with_array, with_config
 from spikebit import binary, learn, metrics, neuron, numeric
 from spikebit import model as M
 from spikebit.binary import ALPHABET_01, ALPHABET_PM1, binary_signs, pack, packed_linear
@@ -1027,6 +1028,33 @@ class TestBatchNormKernel:
             bn.running_mean[:], bn.running_var[:] = before
             _bytes_equal(bn.forward(x.copy(), training, rec), want)
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_backward_matches_reference_bytewise_at_random_shapes(self, data):
+        # the column sums take einsum on C-order gradients and numpy's
+        # reduce on the other layouts; both give the reference's bytes
+        T, N = data.draw(often_small(4)), data.draw(often_small(16))
+        B = data.draw(often_small(max(1, 4096 // (T * N))))
+        C = data.draw(often_small(300))
+        layout = data.draw(st.sampled_from(LAYOUTS))
+        overwrite = data.draw(st.booleans())
+        r = Rng(data.draw(st.integers(0, 2**31 - 1)))
+        bn = BatchNormLayer("bn", C)
+        bn.gamma.value = 1.0 + r.normal((C,), std=0.5)
+        x = r.normal((T, B, N, C), std=2.0) + 0.7
+        rec = M.ForwardRecord(saved=True)
+        bn.forward(x.copy(), True, rec)
+        inv = rec.saved[bn][1]
+        xhat = bn._normalize_again(rec, x.copy())
+        g = in_layout(r.normal(x.shape), layout, np.float32(1.0 / (T * N)))
+        want_g, want_gamma, want_beta = _bn_reference_backward(bn, g, xhat, inv)
+        got = bn.backward(g, rec, xhat, overwrite=overwrite)  # g is not read again
+        assert (got is g) == overwrite
+        _bytes_equal(got, want_g)
+        zeros = np.zeros(C, dtype=np.float32)  # where the gradients start
+        _bytes_equal(bn.gamma.grad, zeros + want_gamma)
+        _bytes_equal(bn.beta.grad, zeros + want_beta)
+
 
 class TestSharedInputLif:
     def _reference_three_lifs(self, blk, cfg, x, g_out):
@@ -1751,6 +1779,90 @@ class TestTrainingCaches:
         ref.forward(x, training=True)
         for (name, got), (_, want) in zip(net.named_buffers(), ref.named_buffers()):
             assert got.tobytes() == want.tobytes(), name
+
+
+class TestActivationLifetimes:
+    """Each float activation dies once its last reader has run: a weak
+    reference to it, and to each array it views, is dead when the layer
+    after that reader starts."""
+
+    X = (2, 3, 4, 32)  # (T, B, N, D) of toy_config's blocks
+
+    @staticmethod
+    def _track(monkeypatch, obj, name, refs, handed=False):
+        """Wrap `obj.name` so that it leaves in `refs` a weak reference to
+        each array it returns (with `handed`, each array it is handed) and
+        to each array that one views."""
+        fn = getattr(obj, name)
+
+        def tracked(*args):
+            out = fn(*args)
+            for arr in args if handed else out if isinstance(out, tuple) else (out,):
+                while isinstance(arr, np.ndarray):
+                    refs.append(weakref.ref(arr))
+                    arr = arr.base
+            return out
+
+        monkeypatch.setattr(obj, name, tracked)
+
+    @staticmethod
+    def _dead_at(monkeypatch, obj, name, refs):
+        """Wrap `obj.name` so that it asserts, as it starts, that `refs` is
+        not empty and every reference in it is dead; returns the list of
+        its calls."""
+        fn, calls = getattr(obj, name), []
+
+        def checked(*args, **kwargs):
+            assert refs and all(ref() is None for ref in refs)
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(obj, name, checked)
+        return calls
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_bn1_output_dies_before_fc2_multiplies(self, training, monkeypatch):
+        blk = M.BmlpBlock("m", toy_config("reversible"), Rng(90))
+        refs = []
+        self._track(monkeypatch, blk.bn1, "forward", refs)
+        calls = self._dead_at(monkeypatch, blk.fc2, "_product", refs)
+        blk.forward(Rng(91).normal(self.X, std=2.0), training, M.ForwardRecord(saved=training))
+        assert calls == ["_product"]
+
+    @pytest.mark.parametrize("mode,training", [("binary", False), ("full", False),
+                                               ("binary", True)])
+    def test_attention_arrays_die_before_o_proj_multiplies(self, mode, training, monkeypatch):
+        # Q, K and V, their head splits, the map and its spikes, and the
+        # context once o_in has fired; a full-mode training forward keeps
+        # its map for backward
+        blk = BssaBlock("b", toy_config("reversible", weight_mode=mode), Rng(92))
+        refs = []
+        for obj, name in ((blk, "_split"), (blk, "_attention"), (blk, "_context"),
+                          (blk.q_lif, "forward"), (blk.k_lif, "forward"),
+                          (blk.v_lif, "forward"), (blk.attn_lif, "forward")):
+            self._track(monkeypatch, obj, name, refs)
+        calls = self._dead_at(monkeypatch, blk.o_proj, "_product", refs)
+        blk.forward(Rng(93).normal(self.X, std=2.0), training, M.ForwardRecord(saved=training))
+        assert calls == ["_product"]
+
+    @pytest.mark.parametrize("mode", ["binary", "full"])
+    def test_attention_backward_arrays_die_before_the_projections_backward(
+            self, mode, monkeypatch):
+        # the head splits, the map, the context and the gradients at the
+        # map and the context die before q_proj's backward, the first
+        blk = BssaBlock("b", toy_config("reversible", weight_mode=mode), Rng(94))
+        x = Rng(95).normal(self.X, std=2.0)
+        rec = M.ForwardRecord(saved=True)
+        blk.forward(x, True, rec)
+        refs = []
+        if mode == "full":  # the integer map the record keeps
+            refs.append(weakref.ref(rec.saved[blk][-1]))
+        for name in ("_split", "_attention", "_context"):
+            self._track(monkeypatch, blk, name, refs)
+        self._track(monkeypatch, blk, "_attention_backward", refs, handed=True)
+        calls = self._dead_at(monkeypatch, blk.q_proj, "backward", refs)
+        blk.backward(Rng(96).normal(self.X), rec, x.copy())
+        assert calls == ["backward"]
 
 
 class TestTiledInference:

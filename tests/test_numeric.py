@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import LAYOUTS, in_layout, often_small
 from spikebit import numeric
 from spikebit.errors import NumericError, ShapeError
 from spikebit.numeric import (
@@ -180,6 +183,32 @@ class TestExactBatchStatistics:
             s1, s2 = sum(int(v) for v in col), sum(int(v) * int(v) for v in col)
             assert mean[j] == float(Fraction(s1, n)), j
             assert var[j] == float(Fraction(n * s2 - s1 * s1, n * n)), j
+
+
+class TestColumnSums:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_match_ndarray_sum_bytewise(self, data):
+        # finite values and signed zeros: numpy's reduce warns on an
+        # overflow or an inf - inf, which einsum does not
+        T, N = data.draw(often_small(4)), data.draw(often_small(16))
+        B = data.draw(often_small(max(1, 4096 // (T * N))))
+        C = data.draw(often_small(300))
+        layout = data.draw(st.sampled_from(LAYOUTS))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (T, B, N, C)
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, size=shape)
+        zeros = rng.random(shape) < 0.2
+        a[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
+        a = in_layout(a.astype(dtype), layout, dtype(0.25))
+        if layout == "C":
+            assert a.flags.c_contiguous
+        want = a.sum(axis=(0, 1, 2))
+        got = numeric._column_sums(a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got = numeric._column_sums(np.ascontiguousarray(a).reshape(-1, C))  # the flat matrix
+        assert got.tobytes() == np.ascontiguousarray(a).reshape(-1, C).sum(axis=0).tobytes()
 
 
 class TestFiniteDiff:
