@@ -169,10 +169,11 @@ def standardize_latent(w: Tensor) -> Tensor:
     return z
 
 
-def _signs(z: np.ndarray) -> Tensor:
-    """+1 where z >= 0 (-0.0 included), -1 elsewhere, as float32: the
-    compare writes 1.0/0.0 straight into the output, then 2s - 1."""
-    s = np.greater_equal(z, 0, out=np.empty(z.shape, dtype=DTYPE))
+def _signs(z: np.ndarray) -> np.ndarray:
+    """+1 where z >= 0 (-0.0 included), -1 elsewhere, as int8, one byte
+    per weight: the compare writes 1/0 straight into the output, then
+    2s - 1 in place."""
+    s = np.greater_equal(z, 0, out=np.empty(z.shape, dtype=np.int8))
     s *= 2
     s -= 1
     return s
@@ -191,14 +192,15 @@ def binarize_weights(w: Tensor) -> tuple[PackedBits, StandardizationRecord]:
     return pack(signs, ALPHABET_PM1), record
 
 
-def binary_signs(w: Tensor) -> Tensor:
-    """Float +-1 image of `binarize_weights` without packing."""
+def binary_signs(w: Tensor) -> np.ndarray:
+    """The int8 +-1 image of `binarize_weights` without packing."""
     return latent_signs(w)[0]
 
 
-def latent_signs(w: Tensor) -> tuple[Tensor, StandardizationRecord]:
-    """`binary_signs` and the standardization record they came from, which
-    `ste_backward` takes to skip standardizing the same weights again."""
+def latent_signs(w: Tensor) -> tuple[np.ndarray, StandardizationRecord]:
+    """`binary_signs` (int8 +-1) and the standardization record they came
+    from, which `ste_backward` takes to skip standardizing the same
+    weights again."""
     w = np.asarray(w, dtype=DTYPE)
     require_finite(w, "latent weights")
     z, record = _standardize(w)

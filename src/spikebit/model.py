@@ -246,7 +246,8 @@ class Param:
     `grad` is None until `zero_grad` or the first `accumulate` makes it, so
     a model that only runs inference holds no gradients. `version`
     increments on every optimizer update so binary-weight sign matrices can
-    be cached between updates and invalidated on change.
+    be cached between updates and invalidated on change, and so a backward
+    can check that its forward read the weights it still sees.
     """
 
     __slots__ = ("value", "grad", "version", "positive")
@@ -376,11 +377,12 @@ class LifLayer:
 class BinaryLinearLayer:
     """Linear layer over the trailing feature axis.
 
-    In `binary` mode the latent weights are standardized and signed (the
-    +-1 sign matrix is cached until the next weight update, beside the
-    standardization record that backward's straight-through estimator
-    reuses, so a step standardizes each weight once), inputs must
-    be {0,1} spikes, and the product is float32 BLAS on the sign matrix.
+    In `binary` mode the latent weights are standardized and signed. The
+    +-1 sign matrix is cached as int8, one byte per weight, until the next
+    weight update, beside the standardization record that backward's
+    straight-through estimator reuses, so a step standardizes each weight
+    once. Inputs must be {0,1} spikes, and the product is float32 BLAS on
+    the signs, which `_matrix` widens to float32 for that one product.
     That is exact: every partial sum is an integer of magnitude at most
     in_features, which stays below 2**24, so the result equals the packed
     AND/popcount kernel's (`binary.packed_linear`, the 1-bit storage
@@ -390,10 +392,12 @@ class BinaryLinearLayer:
     Inputs must be spikes in either mode: bool, as a LIF returns them, or
     {0,1} numbers, which `_spikes` checks and turns into bool. A training
     forward packs the spikes it multiplied at one bit per element, and its
-    entry is their only copy in the record. `_output_again` unpacks them
-    and repeats the product, so the layers it feeds need not save it;
-    backward unpacks and widens them again for the weight gradient, and
-    returns them for the LIF that fired them.
+    entry holds them, their only copy in the record, and the weight
+    version it multiplied. `_output_again` unpacks them and repeats the
+    product, so the layers it feeds need not save it; backward unpacks
+    and widens them again for the weight gradient, and returns them for
+    the LIF that fired them. Both raise TrainingError when the weights
+    were updated after the forward.
     """
 
     def __init__(self, name: str, in_features: int, out_features: int, rng: Rng,
@@ -410,20 +414,29 @@ class BinaryLinearLayer:
         self.ste_clip = ste_clip
         std = 1.0 / np.sqrt(in_features)
         self.weight = Param(rng.normal((out_features, in_features), std=std))
-        # (weight version, +-1 signs, the StandardizationRecord they came from)
+        # (weight version, int8 +-1 signs, the StandardizationRecord they came from)
         self._sign_cache = None
 
-    def _binary_signs(self) -> Tensor:
+    def _binary_signs(self) -> np.ndarray:
         return self._signs_and_record()[0]
 
-    def _signs_and_record(self) -> tuple[Tensor, binary.StandardizationRecord]:
-        """The sign matrix of the current weights and its standardization
-        record, from the cache while no optimizer step has bumped them."""
+    def _signs_and_record(self) -> tuple[np.ndarray, binary.StandardizationRecord]:
+        """The int8 sign matrix of the current weights and its
+        standardization record, from the cache while no optimizer step has
+        bumped them."""
         cached = self._sign_cache
         if cached is None or cached[0] != self.weight.version:
             cached = (self.weight.version, *binary.latent_signs(self.weight.value))
             self._sign_cache = cached
         return cached[1:]
+
+    def _matrix(self) -> Tensor:
+        """The float32 matrix a product reads: in binary mode the cached
+        signs widened for that one product, a copy that dies with it; in
+        full mode the latent weights."""
+        if self.mode == "binary":
+            return self._binary_signs().astype(DTYPE)
+        return self.weight.value
 
     def forward(self, x: Tensor, rec: ForwardRecord | None = None) -> Tensor:
         return self._product(self._spikes(x), rec)
@@ -452,28 +465,40 @@ class BinaryLinearLayer:
         flat = s.reshape(-1, self.in_features)
         if rec is not None:
             rec.spikes[self] = float(np.count_nonzero(flat))
-        mat = self._binary_signs() if self.mode == "binary" else self.weight.value
-        out = flat @ mat.T  # the bool rows widen to float32 zeros and ones
+        out = flat @ self._matrix().T  # the bool rows widen to float32 zeros and ones
         if _saving(rec):
-            rec.saved[self] = (PackedSpikes(s) if packed is None else packed, mat)
+            rec.saved[self] = (PackedSpikes(s) if packed is None else packed,
+                               self.weight.version)
         return out.reshape(s.shape[:-1] + (self.out_features,))
+
+    def _packed(self, rec: ForwardRecord) -> PackedSpikes:
+        """The packed spikes of this layer's entry in `rec`, which this
+        removes. Raises TrainingError when the weights were updated after
+        the forward that saved it: its product read the old ones."""
+        packed, version = _take(rec, self)
+        if version != self.weight.version:
+            raise TrainingError(
+                f"{self.name}: weights updated between the forward and its backward "
+                f"(version {version}, now {self.weight.version}); run backward before "
+                f"the optimizer step"
+            )
+        return packed
 
     def _output_again(self, rec: ForwardRecord) -> Tensor:
         """The flattened output of the training forward that saved this
         layer's entry in `rec`: the forward's product again, on the same
         spikes and the same sign or latent matrix, so the forward's bytes.
         The entry stays for backward."""
-        packed, mat = _take(rec, self)
-        rec.saved[self] = (packed, mat)
-        return packed.unpack().reshape(-1, self.in_features) @ mat.T
+        packed = self._packed(rec)
+        rec.saved[self] = (packed, self.weight.version)
+        return packed.unpack().reshape(-1, self.in_features) @ self._matrix().T
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None,
                  input_grad: bool = True) -> tuple[Tensor | None, np.ndarray]:
         """Accumulate the weight gradient. Returns the input gradient, or
         None without `input_grad` (the stem's first layer), and the bool
         spikes the forward multiplied, in the shape it read them."""
-        packed, mat = _take(rec, self)
-        s = packed.unpack()
+        s = self._packed(rec).unpack()
         g2 = g_out.reshape(-1, self.out_features)
         g_mat = g2.T @ s.reshape(-1, self.in_features).astype(DTYPE)
         if self.mode == "binary":
@@ -483,7 +508,8 @@ class BinaryLinearLayer:
                                                        record))
         else:
             self.weight.accumulate(g_mat)
-        g_in = (g2 @ mat).reshape(g_out.shape[:-1] + (self.in_features,)) if input_grad else None
+        g_in = ((g2 @ self._matrix()).reshape(g_out.shape[:-1] + (self.in_features,))
+                if input_grad else None)
         return g_in, s
 
     def params(self):

@@ -202,9 +202,9 @@ class TestBinarizeWeights:
                 np.concatenate([v, -v], axis=1)]  # a zero-mean matrix: exact zeros in z
         for w in mats:
             z = standardize_latent(w)
-            want = np.where(z >= 0, 1.0, -1.0).astype(np.float32)
+            want = np.where(z >= 0, 1, -1).astype(np.int8)
             got = binary_signs(w)
-            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+            assert got.dtype == np.int8 and got.tobytes() == want.tobytes()
             pb, _ = binarize_weights(w)
             assert np.array_equal(pb.words, pack(want, ALPHABET_PM1).words)
         assert (z == 0).any()

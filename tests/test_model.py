@@ -362,6 +362,71 @@ class TestBinaryLinear:
         with pytest.raises(ConfigError, match="2\\*\\*24"):
             BinaryLinearLayer("l", 2**24, 1, Rng(0))
 
+    @pytest.mark.parametrize("mode", ["binary", "full"])
+    def test_weight_update_after_the_forward_is_a_training_error(self, mode):
+        # the entry records the weight version its product read; a rebuild
+        # or a backward on later weights would mix two versions
+        lyr = BinaryLinearLayer("l", 40, 7, Rng(5), mode=mode)
+        for rebuild in (lyr._output_again, lambda r: lyr.backward(np.ones((3, 7), np.float32), r)):
+            rec = M.ForwardRecord(saved=True)
+            lyr.forward(Rng(6).uniform((3, 40)) < 0.3, rec)
+            lyr.weight.bump()
+            with pytest.raises(TrainingError, match=r"^l: weights updated between the forward"):
+                rebuild(rec)
+
+
+class TestSignCaches:
+    """A binary layer keeps its weight signs as int8, one byte per weight,
+    in `_sign_cache`, its only copy of them; each product widens them to
+    float32 for that call alone."""
+
+    @staticmethod
+    def _assert_one_byte_signs(net):
+        layers = [lyr for lyr in net.binary_linear_layers() if lyr.mode == "binary"]
+        assert layers
+        for lyr in layers:
+            version, signs, _ = lyr._sign_cache
+            w = lyr.weight
+            assert version == w.version, lyr.name
+            assert signs.dtype == np.int8 and signs.shape == w.value.shape, lyr.name
+            assert signs.nbytes == w.value.size and (np.abs(signs) == 1).all(), lyr.name
+            _bytes_equal(signs, binary_signs(w.value))
+
+    @pytest.mark.parametrize("kind", ["vector", "conv"])
+    def test_after_load_checkpoint(self, kind, tmp_path):
+        cfg = conv_config(image=16) if kind == "conv" else toy_config("reversible")
+        save_checkpoint(SpikingTransformer(cfg, seed=48), tmp_path / "m.bin")
+        self._assert_one_byte_signs(load_checkpoint(tmp_path / "m.bin"))
+
+    def test_after_a_training_step(self):
+        net = SpikingTransformer(toy_config("reversible"), seed=49)
+        x, y = Rng(50).normal((8, 64), std=2.0), np.arange(8) % 10
+        learn.train_model(net, (x, y), epochs=1, rng=Rng(51), batch_size=8)
+        assert all(p.version == 1 for _, p in net.named_params())
+        net.forward(x[:1])  # the step invalidated them; a forward signs again
+        self._assert_one_byte_signs(net)
+
+    def test_after_a_tiled_inference_forward(self, monkeypatch):
+        net = SpikingTransformer(toy_config("reversible"), seed=52)
+        monkeypatch.setattr(M, "_infer_workers", lambda: 2)  # the pool pre-fills the caches
+        tile = TestTiledInference._tile(net, 2)
+        net.forward(Rng(53).normal((2 * tile + 3, 64), std=2.0))
+        self._assert_one_byte_signs(net)
+
+    @pytest.mark.parametrize("mode", ["binary", "full"])
+    def test_record_holds_no_weight_sized_array(self, mode):
+        net = SpikingTransformer(toy_config("reversible", weight_mode=mode), seed=54)
+        net.forward(Rng(55).normal((4, 64), std=2.0), training=True)
+        saved = net._record.saved
+        shapes = {lyr.weight.value.shape for lyr in net.binary_linear_layers()}
+        for lyr in net.binary_linear_layers():
+            packed, version = saved[lyr]
+            assert isinstance(packed, M.PackedSpikes) and version == lyr.weight.version
+        arrays = [e for entry in saved.values() for e in entry if isinstance(e, np.ndarray)]
+        arrays += [e for entry in saved.values() for state in entry if isinstance(state, tuple)
+                   for e in state]  # the model's kept encoder states
+        assert arrays and not any(a.shape in shapes for a in arrays)
+
 
 class TestReversible:
     def _states(self, seed=13, shape=(2, 2, 4, 32)):
@@ -1686,6 +1751,19 @@ class TestTrainingCaches:
         with pytest.raises(TrainingError, match="cached forward"):
             net.backward(g, g)  # the first backward consumed the caches
 
+    @pytest.mark.parametrize("mode", ["binary", "full"])
+    def test_weight_update_between_forward_and_backward_raises(self, mode):
+        net = SpikingTransformer(toy_config("reversible", weight_mode=mode), seed=82)
+        x, g = Rng(83).normal((4, 64)), np.ones((4, 10), dtype=np.float32)
+        net.zero_grads()
+        net.forward(x, training=True)
+        learn.AdamW(net.named_params(), lr=1e-2).step()
+        names = "|".join(re.escape(lyr.name) for lyr in net.binary_linear_layers())
+        with pytest.raises(TrainingError,
+                           match=rf"^({names}): weights updated between the forward and its "
+                                 rf"backward \(version 0, now 1\)"):
+            net.backward(g, g)
+
     def test_no_activation_outlives_training(self):
         # depth 4 at train_deep's width: caches that no backward freed kept
         # every activation of the last step, 90 times the parameter bytes
@@ -1702,7 +1780,7 @@ class TestTrainingCaches:
         finally:
             tracemalloc.stop()
         params = sum(p.value.nbytes for _, p in net.named_params())
-        # what stays: the float32 sign caches of the binary weights
+        # what stays: the int8 sign caches of the binary weights
         assert grown <= 2 * params, (grown, params)
 
     @pytest.mark.parametrize("topology,mode", [("reversible", "binary"), ("residual", "full")])
@@ -1772,7 +1850,10 @@ class TestTrainingCaches:
         finally:
             tracemalloc.stop()
         assert [(o, n) for o, n, v in _cache_fields(net) if v is not None] == []
-        assert grown <= sum(p.value.nbytes for _, p in net.named_params()), grown
+        # what stays: the sign caches, one byte per binary weight, and per
+        # layer their array header and standardization record (about 0.5 KiB)
+        layers = list(net.binary_linear_layers())
+        assert grown <= sum(lyr.weight.value.size + 1024 for lyr in layers), grown
         # the running statistics of a training forward at momentum 1
         for bn in M.walk(ref, BatchNormLayer):
             bn.momentum = 1.0
@@ -1844,6 +1925,32 @@ class TestActivationLifetimes:
         calls = self._dead_at(monkeypatch, blk.o_proj, "_product", refs)
         blk.forward(Rng(93).normal(self.X, std=2.0), training, M.ForwardRecord(saved=training))
         assert calls == ["_product"]
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_widened_signs_die_before_the_next_layer_starts(self, training, monkeypatch):
+        # the float32 matrix a product widens from the int8 signs lives
+        # for that product alone
+        blk = M.BmlpBlock("m", toy_config("reversible"), Rng(97))
+        refs = []
+        self._track(monkeypatch, blk.fc1, "_matrix", refs)
+        calls = self._dead_at(monkeypatch, blk.bn1, "forward", refs)
+        blk.forward(Rng(98).normal(self.X, std=2.0), training, M.ForwardRecord(saved=training))
+        assert calls == ["forward"]
+
+    def test_widened_signs_die_before_the_next_layers_backward(self, monkeypatch):
+        # fc2's rebuilt product and its input gradient, and fc1's rebuilt
+        # product, each widen the signs; all three copies are dead when
+        # lif2's backward starts
+        blk = M.BmlpBlock("m", toy_config("reversible"), Rng(99))
+        x = Rng(100).normal(self.X, std=2.0)
+        rec = M.ForwardRecord(saved=True)
+        blk.forward(x, True, rec)
+        refs = []
+        for fc in (blk.fc1, blk.fc2):
+            self._track(monkeypatch, fc, "_matrix", refs)
+        calls = self._dead_at(monkeypatch, blk.lif2, "backward", refs)
+        blk.backward(Rng(101).normal(self.X), rec, x.copy())
+        assert calls == ["backward"] and len(refs) == 4  # and fc1's backward after it
 
     @pytest.mark.parametrize("mode", ["binary", "full"])
     def test_attention_backward_arrays_die_before_the_projections_backward(
