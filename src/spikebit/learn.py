@@ -327,13 +327,19 @@ def train_epoch(model: SpikingTransformer, data: tuple[Tensor, Tensor],
                 epoch: int = 0) -> EpochMetrics:
     """One pass over shuffled data with the CIE objective.
 
-    With a teacher and a distillation head the loss is the halved CE sum;
-    otherwise plain classification CE. A non-finite loss aborts with the
-    batch index in the message.
+    With a teacher the loss is the halved CE sum; without one, plain
+    classification CE. A teacher given to a model with no distillation
+    head raises ConfigError before the first batch. A non-finite loss
+    aborts with the batch index in the message.
     """
     x, y = data
     n = x.shape[0]
-    distill = teacher is not None and model.head_dist is not None
+    distill = teacher is not None
+    if distill and model.head_dist is None:
+        raise ConfigError(
+            f"a teacher needs a distillation head, but the model has none "
+            f"(topology = {model.cfg.topology}, dual_head = {str(model.cfg.dual_head).lower()})"
+        )
     order = rng.child(1000 + epoch).permutation(n)
     sum_c = sum_d = 0.0
     correct = 0

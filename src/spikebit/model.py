@@ -86,8 +86,7 @@ import json
 import math
 import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Iterator, NamedTuple
 
@@ -110,7 +109,8 @@ from .numeric import DTYPE, BatchNormParams, Rng, Tensor
 # eval_wide benchmark; see forward.
 INFER_TILE_ROWS = 1024
 
-# Tiles run on at most this many threads. Two were measured on a 2-vCPU
+# Tiles run on at most this many threads, which each tiled forward
+# starts and stops before it returns. Two were measured on a 2-vCPU
 # host; four workers with 256-row tiles were slower there.
 INFER_MAX_WORKERS = 2
 
@@ -135,11 +135,6 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"
 HEAP_PRIME_BYTES = 16 << 20
 np.empty(HEAP_PRIME_BYTES, np.uint8)
 
-# One tile pool per process, created by the first forward that needs it,
-# so the thread cap holds however many models are loaded.
-_tile_pool: ThreadPoolExecutor | None = None
-_tile_pool_lock = threading.Lock()
-
 
 def _infer_workers() -> int:
     """Threads for inference tiles: the CPUs this process may run on
@@ -160,25 +155,6 @@ def _infer_workers() -> int:
     blas = next((int(v) for v in map(os.environ.get, BLAS_THREAD_VARS)
                  if v and v.isdigit() and int(v) > 0), cpus)
     return max(1, min(cpus // blas, INFER_MAX_WORKERS))
-
-
-def _tile_executor(workers: int) -> ThreadPoolExecutor:
-    global _tile_pool
-    with _tile_pool_lock:
-        if _tile_pool is None:
-            _tile_pool = ThreadPoolExecutor(workers, thread_name_prefix="spikebit-tile")
-        return _tile_pool
-
-
-def _forget_tile_pool() -> None:
-    # A forked child inherits the pool but none of its threads, so work
-    # submitted to it would never run; the child makes its own.
-    global _tile_pool, _tile_pool_lock
-    _tile_pool, _tile_pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_tile_pool)
 
 
 class ForwardRecord:
@@ -340,37 +316,31 @@ class LifLayer:
         recurrence, and the input gradients are summed from zero in
         argument order, exactly as summing separate backward calls would.
 
-        Writes in place: the rebuilt membranes over `x`, and the input
-        gradient over a lone upstream gradient, which is returned. Pass
+        Writes in place: the rebuilt membranes over `x`, and each upstream
+        gradient's input gradient over it; a lone one is returned. Pass
         arrays the caller made for this call and does not read again. A
-        lone gradient's step t writes g[t] * sg, plus the carry, over g[t],
-        and the decayed carry tau * g_x[t] into the carry's own buffer, so
-        no step allocates a product or copies one.
+        gradient's step t writes g[t] * sg, plus the carry, over g[t], and
+        the decayed carry tau * g[t] into that gradient's own carry buffer,
+        so no step allocates a product or copies one.
         """
         u_pre = neuron._lif(x, self.p, gates=spikes)
         tau = DTYPE(self.p.tau)
         hard = self.p.reset is neuron.Reset.HARD
-        if len(g_spikes) == 1:
-            # step t reads g[t] before it writes g_x[t] over it
-            g_x = g_spikes[0]
-            g_u = np.zeros(g_x.shape[1:], dtype=g_x.dtype)
-            for t in range(u_pre.shape[0] - 1, -1, -1):
-                g_t = np.multiply(g_x[t], neuron.surrogate_grad(u_pre[t], self.p), out=g_x[t, ...])
-                g_t += np.multiply(g_u, ~spikes[t], out=g_u) if hard else g_u  # keep = 1 - s
-                np.multiply(tau, g_t, out=g_u)
-            return g_x
-        g_x = np.zeros_like(g_spikes[0])
-        g_u = [np.zeros(g.shape[1:], dtype=g.dtype) for g in g_spikes]
+        carries = [np.zeros(g.shape[1:], dtype=g.dtype) for g in g_spikes]
         for t in range(u_pre.shape[0] - 1, -1, -1):
             sg = neuron.surrogate_grad(u_pre[t], self.p)
             keep = ~spikes[t] if hard else None  # 1 - s; a product widens it
-            for i, g in enumerate(g_spikes):
-                g_upre = g[t] * sg
-                # g_u[i] is rebound below, so its buffer takes the product
-                g_upre += np.multiply(g_u[i], keep, out=g_u[i]) if hard else g_u[i]
-                g_x[t] += g_upre
-                g_u[i] = np.multiply(tau, g_upre, out=g_upre)
+            for g, carry in zip(g_spikes, carries):
+                g_t = g[t]  # read before the input gradient is written over it
+                g_t *= sg
+                g_t += np.multiply(carry, keep, out=carry) if hard else carry
+                np.multiply(tau, g_t, out=carry)
             del sg, keep  # before the next step's surrogate makes its own
+        if len(g_spikes) == 1:
+            return g_spikes[0]
+        g_x = np.zeros_like(g_spikes[0])
+        for g in g_spikes:
+            g_x += g
         return g_x
 
 
@@ -1477,7 +1447,9 @@ class SpikingTransformer:
     def _encode_tiled(self, x: Tensor, taps: bool) -> tuple[list[Tensor], ForwardRecord]:
         """`_encode` for binary-mode inference, one sample tile at a time.
         With one worker, or one tile, the tiles run inline on the calling
-        thread. Pooled means are concatenated along the batch axis and
+        thread; otherwise on `workers` threads that this call starts and
+        stops, so none outlives it. The first failure in tile order is
+        raised. Pooled means are concatenated along the batch axis and
         the tile records merged, both in tile order."""
         workers = _infer_workers()
         tile = max(1, INFER_TILE_ROWS // workers // (self.cfg.timesteps * self.stem.tokens))
@@ -1487,14 +1459,12 @@ class SpikingTransformer:
         else:
             for lyr in self.binary_linear_layers():
                 lyr._binary_signs()  # tiles only read the sign caches
-            pool = _tile_executor(workers)
-            futures = [pool.submit(self._encode, t, False, ForwardRecord(taps)) for t in tiles]
+            pool = ThreadPoolExecutor(workers, thread_name_prefix="spikebit-tile")
             try:
+                futures = [pool.submit(self._encode, t, False, ForwardRecord(taps)) for t in tiles]
                 results = [f.result() for f in futures]  # the first failure in tile order
             finally:
-                for f in futures:
-                    f.cancel()
-                wait(futures)  # no tile outlives the call
+                pool.shutdown(cancel_futures=True)  # no tile outlives the call
         pooled = [np.concatenate(stream) for stream in zip(*(p for p, _ in results))]
         return pooled, ForwardRecord.merged([r for _, r in results])
 

@@ -350,6 +350,22 @@ class TestTrainLoop:
         assert g_logits.tobytes() == rep.g_class.astype(np.float32).tobytes()
         assert g_dist.tobytes() == rep.g_distill.astype(np.float32).tobytes()
 
+    @pytest.mark.parametrize("topology,dual_head", [("residual", True), ("reversible", False)])
+    def test_teacher_without_distillation_head_raises_before_training(self, topology,
+                                                                      dual_head):
+        (x, y), _ = cluster_data(5, n_train=32, n_test=8)
+        net = SpikingTransformer(toy_config(topology, dual_head=dual_head), seed=14)
+        assert net.head_dist is None
+        teacher = SpikingTransformer(toy_config("residual", weight_mode="full"), seed=3)
+        before = [(n, p.value.copy()) for n, p in net.named_params()]
+        with pytest.raises(ConfigError, match=f"topology = {topology}, dual_head = "
+                                              f"{str(dual_head).lower()}"):
+            train_epoch(net, (x, y), teacher, AdamW(net.named_params(), lr=1e-2), Rng(15),
+                        batch_size=32)
+        assert all(p.value.tobytes() == v.tobytes()
+                   for (_, p), (_, v) in zip(net.named_params(), before))
+        assert net._record is None
+
     def test_nonfinite_loss_aborts_with_batch_index(self):
         (x, y), _ = cluster_data(6, n_train=32, n_test=8)
         net = SpikingTransformer(toy_config("residual"), seed=16)

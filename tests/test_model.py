@@ -408,7 +408,7 @@ class TestSignCaches:
 
     def test_after_a_tiled_inference_forward(self, monkeypatch):
         net = SpikingTransformer(toy_config("reversible"), seed=52)
-        monkeypatch.setattr(M, "_infer_workers", lambda: 2)  # the pool pre-fills the caches
+        monkeypatch.setattr(M, "_infer_workers", lambda: 2)  # the tiled path pre-fills the caches
         tile = TestTiledInference._tile(net, 2)
         net.forward(Rng(53).normal((2 * tile + 3, 64), std=2.0))
         self._assert_one_byte_signs(net)
@@ -2034,7 +2034,7 @@ class TestTiledInference:
     def test_only_binary_inference_is_tiled(self, mode, training, tiled, monkeypatch):
         net = SpikingTransformer(toy_config("reversible", weight_mode=mode), seed=62)
         stem_forward = net.stem.forward
-        for workers in (1, 2):  # inline, then on the pool
+        for workers in (1, 2):  # inline, then on tile threads
             monkeypatch.setattr(M, "_infer_workers", lambda w=workers: w)
             tile = self._tile(net, workers)
             seen = []
@@ -2065,7 +2065,7 @@ class TestTiledInference:
         ref = peak(tile)
         for workers in (1, 2):
             monkeypatch.setattr(M, "_infer_workers", lambda w=workers: w)
-            net.forward(x)  # the pool exists before the measurement
+            net.forward(x)  # a warm-up forward before the measurement
             got = peak(8 * tile)
             assert got <= 1.5 * ref, (workers, got, ref)
 
@@ -2132,7 +2132,7 @@ print(statistics.median(faults[1:]))
         peaks = {}
         for workers in (1, 2):
             monkeypatch.setattr(M, "_infer_workers", lambda w=workers: w)
-            net.forward(x)  # sign caches and the pool exist before the measurement
+            net.forward(x)  # sign caches exist before the measurement
             tracemalloc.start()
             net.forward(x)
             peaks[workers] = tracemalloc.get_traced_memory()[1]
@@ -2146,35 +2146,39 @@ print(statistics.median(faults[1:]))
         monkeypatch.setattr(M, "_infer_workers", lambda: 1)
         want = self._outputs(net, x)
         monkeypatch.setattr(M, "_infer_workers", lambda: 4)
-        monkeypatch.setattr(M, "_tile_pool", None)  # a private 4-thread pool
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             got = [self._outputs(net, x) for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
-            if M._tile_pool is not None:
-                M._tile_pool.shutdown()
         assert all(g == want for g in got)
 
-    def test_one_capped_pool_serves_every_forward(self, monkeypatch):
+    @staticmethod
+    def _tile_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("spikebit-tile")]
+
+    def test_each_forward_runs_its_tiles_on_its_own_threads(self, monkeypatch):
         monkeypatch.setattr(M, "_infer_workers", lambda: 2)
         net = SpikingTransformer(toy_config("residual"), seed=66)
         x = Rng(67).normal((5 * self._tile(net, 2), 64), std=2.0)
-        net.forward(x)
-        pool = M._tile_pool
-        net.forward(x)
-        SpikingTransformer(toy_config("reversible"), seed=68).forward(x)
-        assert pool is not None and M._tile_pool is pool
-        workers = [t for t in threading.enumerate() if t.name.startswith("spikebit-tile")]
-        assert 1 <= len(workers) <= M.INFER_MAX_WORKERS
+        stem_forward = net.stem.forward
+        for _ in range(2):
+            names = []
+            net.stem.forward = lambda x, *a: (names.append(threading.current_thread().name)
+                                              or stem_forward(x, *a))
+            net.forward(x)
+            assert len(names) == 5
+            assert all(n.startswith("spikebit-tile") for n in names), names
+            assert 1 <= len(set(names)) <= M._infer_workers()
+            assert not self._tile_threads()  # none outlives the forward
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_runs_tiles_on_its_own_pool(self, monkeypatch):
         monkeypatch.setattr(M, "_infer_workers", lambda: 2)
         net = SpikingTransformer(toy_config("reversible"), seed=74)
         x = Rng(75).normal((3 * self._tile(net, 2), 64), std=2.0)
-        want, _ = net.forward(x)  # the pool's threads exist before the fork
+        want, _ = net.forward(x)  # tile threads ran, and stopped, before the fork
         read_end, write_end = os.pipe()
         pid = os.fork()
         if pid == 0:  # child: answer within the alarm or die silently
@@ -2221,3 +2225,4 @@ print(statistics.median(faults[1:]))
             net.forward(x)
         assert info.value is errors[1]
         assert running[0] == 0
+        assert not self._tile_threads()

@@ -20,9 +20,7 @@ the config's synthetic dataset at perfbench's seed, 3:
   train_toy distils from a logits cache of an untrained model of
   `teacher.ini`, computed once by tree A and given to both;
 - `eval_wide`: one inference forward of 128 held-out samples of a model
-  calibrated on 128 training samples, as `spikebit eval` runs it. Each
-  imported tree makes its own inference tile pool; the steps run one
-  tree at a time, so the two pools never run at once.
+  calibrated on 128 training samples, as `spikebit eval` runs it.
 
 Both trees build the model from the same seed. Before timing, each runs
 its first step, the one the timed steps repeat, and the tool checks that

@@ -7,8 +7,8 @@ criterion 09, the accuracies), after one line describing the machine:
 - `variant`: 32 small models, one per stem x weight mode x topology x
   dual_head x classify_on. The conv stem cuts 8x8 images into 4x4
   patches, so its last two stages pool and stage 3's LIF reads a pooled
-  input. Each trains for 2 epochs against a live
-  full-precision teacher and is then calibrated. Digests cover its
+  input. Each trains for 2 epochs, against a live full-precision
+  teacher if it has a distillation head, and is then calibrated. Digests cover its
   checkpoint bytes, every parameter gradient left by the last step and
   the inference logits; reversible models add the logits of
   `heads_forward` and the state `invert` rebuilds.
@@ -122,7 +122,7 @@ def variants():
                           classify_on=classify_on, **common)
         teacher = SpikingTransformer(
             ModelConfig(weight_mode="full", topology="residual", dual_head=False, **common),
-            seed=500 + i)
+            seed=500 + i) if cfg.distills else None  # only a distillation head reads it
         x, y = _data(Rng(600 + i), 48, shape, 5)
         x_test, _ = _data(Rng(700 + i), 160, shape, 5)
         net = SpikingTransformer(cfg, seed=800 + i)
