@@ -335,11 +335,8 @@ def train_epoch(model: SpikingTransformer, data: tuple[Tensor, Tensor],
     x, y = data
     n = x.shape[0]
     distill = teacher is not None
-    if distill and model.head_dist is None:
-        raise ConfigError(
-            f"a teacher needs a distillation head, but the model has none "
-            f"(topology = {model.cfg.topology}, dual_head = {str(model.cfg.dual_head).lower()})"
-        )
+    if distill:
+        model.require_distillation_head("a teacher")
     order = rng.child(1000 + epoch).permutation(n)
     sum_c = sum_d = 0.0
     correct = 0

@@ -1383,24 +1383,24 @@ class SpikingTransformer:
         """Classification logits and distillation logits (None without a
         distillation head) for a batch of samples.
 
-        A binary-mode inference forward (not training) runs the
-        stem and the encoder blocks over sample tiles, then the heads once
-        on the whole batch's pooled means. The tiles run on
-        `_infer_workers()` threads (at most INFER_MAX_WORKERS, and one
+        An inference forward (not training) runs the stem and the
+        encoder blocks over sample tiles (`_infer`), then the heads once
+        on the whole batch's pooled means. In binary mode the tiles run
+        on `_infer_workers()` threads (at most INFER_MAX_WORKERS, and one
         unless BLAS runs on fewer threads than there are CPUs), and
         INFER_TILE_ROWS rows (T * samples * tokens) are in flight across
         them, so each worker's tile holds INFER_TILE_ROWS // workers
-        rows. This is bit-identical to one
-        full-batch pass on one thread: every binary-layer and attention
-        product is an exact integer sum, so BLAS blocking cannot round it;
-        BN with running statistics, the LIFs, the stream updates and the
-        time/token mean work sample by sample; and tiles write their
-        counts and taps to their own `ForwardRecord`, which are merged in
-        tile order. The heads stay untiled because their float32 BLAS
-        product can round differently at another row count; full-mode
-        models stay untiled for the same reason, since their layer
-        products are float sums. Training forwards run untiled on the
-        calling thread; the model holds their record until `backward`.
+        rows. This is bit-identical to one full-batch pass on one thread:
+        every binary-layer and attention product is an exact integer sum,
+        so BLAS blocking cannot round it; BN with running statistics, the
+        LIFs, the stream updates and the time/token mean work sample by
+        sample; and tiles write their counts and taps to their own
+        `ForwardRecord`, which are merged in tile order. The heads stay
+        untiled because their float32 BLAS product can round differently
+        at another row count; a full-mode batch is one tile, run inline,
+        for the same reason, since its layer products are float sums.
+        Training forwards run untiled on the calling thread; the model
+        holds their record until `backward`.
 
         An inference forward writes no per-call state on the model; its
         counts and taps are `probe`'s, which runs the same `_infer`.
@@ -1418,14 +1418,9 @@ class SpikingTransformer:
         """The `ForwardRecord` of an inference forward over a batch, without
         the heads: spikes per binary layer, synaptic ops per BSSA block
         and, with `taps`, each BSSA attention map and BMLP output, all
-        covering the whole batch."""
+        covering the whole batch, merged from its tiles as `forward`
+        runs them."""
         return self._infer(_batch(x), taps)[1]
-
-    def _infer(self, x: Tensor, taps: bool) -> tuple[list[Tensor], ForwardRecord]:
-        """`_encode` for inference: tiled in binary mode, whole in full mode."""
-        if self.cfg.weight_mode != "binary":
-            return self._encode(x, False, ForwardRecord(taps))
-        return self._encode_tiled(x, taps)
 
     def _encode(self, x: Tensor, training: bool,
                 rec: ForwardRecord) -> tuple[list[Tensor], ForwardRecord]:
@@ -1444,15 +1439,17 @@ class SpikingTransformer:
             rec.saved[self] = tuple(kept)
         return [h.mean(axis=(0, 2)) for h in streams], rec
 
-    def _encode_tiled(self, x: Tensor, taps: bool) -> tuple[list[Tensor], ForwardRecord]:
-        """`_encode` for binary-mode inference, one sample tile at a time.
-        With one worker, or one tile, the tiles run inline on the calling
-        thread; otherwise on `workers` threads that this call starts and
-        stops, so none outlives it. The first failure in tile order is
-        raised. Pooled means are concatenated along the batch axis and
-        the tile records merged, both in tile order."""
+    def _infer(self, x: Tensor, taps: bool) -> tuple[list[Tensor], ForwardRecord]:
+        """`_encode` for inference, one sample tile at a time; a full-mode
+        batch is one tile (see `forward`). With one worker, or one tile,
+        the tiles run inline on the calling thread; otherwise on `workers`
+        threads that this call starts and stops, so none outlives it. The
+        first failure in tile order is raised. Pooled means are
+        concatenated along the batch axis and the tile records merged,
+        both in tile order."""
         workers = _infer_workers()
-        tile = max(1, INFER_TILE_ROWS // workers // (self.cfg.timesteps * self.stem.tokens))
+        tile = (max(1, INFER_TILE_ROWS // workers // (self.cfg.timesteps * self.stem.tokens))
+                if self.cfg.weight_mode == "binary" else x.shape[0])
         tiles = [x[start:start + tile] for start in range(0, x.shape[0], tile)]
         if workers == 1 or len(tiles) == 1:
             results = [self._encode(t, False, ForwardRecord(taps)) for t in tiles]
@@ -1476,10 +1473,22 @@ class SpikingTransformer:
                   for head, i in self.stream_heads]
         return (*logits, None)[:2]
 
+    def require_distillation_head(self, what: str) -> None:
+        """Raise ConfigError, naming `what` (such as "a teacher"), when the
+        model has no distillation head to take it."""
+        if self.head_dist is None:
+            raise ConfigError(f"{what} needs a distillation head, but the model has none "
+                              f"(topology = {self.cfg.topology}, dual_head = "
+                              f"{str(self.cfg.dual_head).lower()})")
+
     def backward(self, g_logits: Tensor, g_dist: Tensor | None = None) -> None:
         """Backprop the logit gradients of the last training forward into
         every parameter's `grad`, popping that forward's record as it goes.
-        Without a training forward to consume it raises TrainingError."""
+        Without a training forward to consume it raises TrainingError; a
+        `g_dist` given to a model without a distillation head raises
+        ConfigError and leaves the record for `discard_record`."""
+        if g_dist is not None:
+            self.require_distillation_head("a distillation gradient")
         rec, self._record = self._record, None
         kept = list(_take(rec, self))
         T, B, N, D = kept[0][0].shape
@@ -1487,7 +1496,7 @@ class SpikingTransformer:
 
         gs = [None] * len(self.stream_heads)
         for (head, i), g in zip(self.stream_heads, (g_logits, g_dist)):
-            g = head.backward(g, rec) if head and g is not None else np.zeros((B, D), DTYPE)
+            g = head.backward(g, rec) if g is not None else np.zeros((B, D), DTYPE)
             gs[i] = np.broadcast_to(g[None, :, None, :] * scale, (T, B, N, D)).astype(DTYPE)
         for start in reversed(range(0, len(self.blocks), self.segment)):
             segment = self.blocks[start:start + self.segment]

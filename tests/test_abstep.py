@@ -8,14 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "abstep.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 @pytest.fixture
-def abstep():
+def abstep(monkeypatch):
     """The tool as a module; the trees it imports are forgotten after."""
+    monkeypatch.syspath_prepend(str(TOOLS))  # as a script sees its own directory
     before = set(sys.modules)
-    spec = importlib.util.spec_from_file_location("abstep", TOOL)
+    spec = importlib.util.spec_from_file_location("abstep", TOOLS / "abstep.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     yield module

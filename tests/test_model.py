@@ -543,6 +543,23 @@ class TestHeads:
                       if hasattr(part, "params") for _, p in part.params()]
         assert bmlp_grads == [classify_on == "x1"] * len(bmlp_grads)
 
+    @pytest.mark.parametrize("topology,dual_head", [("residual", True), ("reversible", False)])
+    def test_distillation_gradient_without_distillation_head_raises(self, topology,
+                                                                     dual_head):
+        """A `g_dist` no head can take raises before backward reads the
+        record, so the gradients and the record stay as they were."""
+        net = SpikingTransformer(toy_config(topology, dual_head=dual_head), seed=37)
+        assert net.head_dist is None
+        g = Rng(38).normal((3, 10))
+        net.forward(Rng(39).normal((3, 64)), training=True)
+        net.zero_grads()
+        record = net._record
+        with pytest.raises(ConfigError, match=f"distillation gradient .*topology = {topology}, "
+                                              f"dual_head = {str(dual_head).lower()}"):
+            net.backward(g, 1000 * g)
+        assert net._record is record and record.saved
+        assert not any(p.grad.any() for _, p in net.named_params())
+
 
 class TestModelPlumbing:
     def test_forward_is_deterministic_given_seed(self):
@@ -1365,7 +1382,8 @@ class TestRebuiltInputs:
                 fired = [lif for lif in net.lif_layers()
                          if cfg.weight_mode == "binary" or lif.p.reset is not Reset.SOFT]
                 assert set(kept) == (set(fired) if reference else set())
-                net.backward(*(np.ones((2, 10), np.float32),) * 2)  # drops the record
+                g = np.ones((2, 10), np.float32)
+                net.backward(g, g if cfg.distills else None)  # drops the record
                 assert list(kept) == ([net.stem.stages[0][0]] if reference else [])
                 opt = learn.AdamW(net.named_params(), lr=1e-2)
                 learn.train_epoch(net, (x, y), None, opt, Rng(68), batch_size=4)

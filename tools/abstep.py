@@ -29,56 +29,46 @@ it is: for eval_wide the logits; for training the step's losses and
 accuracy, every parameter, gradient and running statistic after the
 update, and the updated model's logits on the batch. It then warms each
 tree up with 3 more steps and times `--pairs` pairs of steps, A then B
-and B then A in turn, so each step's neighbour is the other tree's. It prints the machine, the median step time of each tree, the
-median B/A ratio of the pairs with its quartiles and a bootstrap 95%
-interval of that median, and in how many pairs B was faster. A ratio
-below 1 means B is faster. The last line holds the same in JSON.
+and B then A in turn, so each step's neighbour is the other tree's.
 
-The exit status is 1 when the trees' logits or gradients differ, else 0;
-the timings decide nothing. BLAS runs on one thread, as in perfbench.
+The first line is `machine ` and the machine record in JSON
+(`harness.machine`, with the inference tile workers of A and B). Then
+come the check, the median step time of each tree, the median B/A ratio
+of the pairs with its quartiles and a bootstrap 95% interval of that
+median, and in how many pairs B was faster. A ratio below 1 means B is
+faster. The last line holds the same in JSON.
+
+The exit status is 1 when the trees' logits or gradients differ, 2 when
+`--a` or `--b` holds no spikebit package, else 0; the timings decide
+nothing. Run as a script, the tool runs BLAS on one thread, as perfbench
+does (see `harness`).
 """
 
 from __future__ import annotations
 
-import os
-
-# One BLAS thread, as perfbench runs: set before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import harness  # first: BLAS on one thread before numpy loads
 
 import argparse
 import importlib
-import importlib.util
 import json
 import sys
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
-CONFIGS = ROOT / "perfbench" / "configs"
-WORKLOADS = ("train_toy", "train_deep", "eval_wide")
+CONFIGS = harness.ROOT / "perfbench" / "configs"
 EVAL_BATCH = 128  # as `spikebit eval` scores a batch
-SEED = 3  # model and data seed, as perfbench's
 WARMUP = 3  # untimed steps per tree after the checked one
 BOOTSTRAP = 4000  # resamples behind the interval
 
 
-def load_tree(src: Path, name: str) -> SimpleNamespace:
+def load_tree(src: str, name: str) -> SimpleNamespace:
     """The spikebit package under `src`, imported as `name`, and its
     cli, learn, model and numeric modules."""
-    init = src / "spikebit" / "__init__.py"
-    if not init.is_file():
-        sys.exit(f"error: no spikebit package under {src}")
-    spec = importlib.util.spec_from_file_location(name, init,
-                                                  submodule_search_locations=[str(init.parent)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return SimpleNamespace(**{mod: importlib.import_module(f"{name}.{mod}")
-                              for mod in ("cli", "learn", "model", "numeric")})
+    package = harness.import_tree(src, name)
+    return SimpleNamespace(package=package, **{mod: importlib.import_module(f"{name}.{mod}")
+                                               for mod in ("cli", "learn", "model", "numeric")})
 
 
 class Runner:
@@ -89,7 +79,7 @@ class Runner:
         cfg = tree.cli.parse_config(CONFIGS / f"{workload}.ini")
         self.cfg = cfg
         self.train = workload != "eval_wide"
-        self.net = tree.model.SpikingTransformer(cfg.model, seed=SEED)
+        self.net = tree.model.SpikingTransformer(cfg.model, seed=harness.SEED)
         x, y = data.x_train, data.y_train
         if self.train:
             b = cfg.batch_size
@@ -100,7 +90,7 @@ class Runner:
                                  for i in range(0, b * len(self.batches), b)]
             self.opt = tree.learn.AdamW(self.net.named_params(), lr=cfg.lr,
                                         weight_decay=cfg.weight_decay)
-            self.rng = tree.numeric.Rng(SEED)
+            self.rng = tree.numeric.Rng(harness.SEED)
         else:
             self.net.calibrate(x[:EVAL_BATCH])
             self.batch = data.x_test[:EVAL_BATCH]
@@ -164,46 +154,29 @@ def summary(ratios: np.ndarray, seed: int = 0) -> dict:
             "b_faster": int((ratios < 1).sum()), "pairs": int(ratios.size)}
 
 
-def machine() -> dict:
-    cpu = ""
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")),
-                       "")
-    except OSError:
-        pass
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {"python": sys.version.split()[0], "numpy": np.__version__,
-            "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
-            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "cpu": cpu,
-            "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count()}
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    here = str(ROOT / "src")
+    here = str(harness.ROOT / "src")
     ap.add_argument("--a", default=here, help="src/ directory of tree A (default: this tree's)")
     ap.add_argument("--b", default=here, help="src/ directory of tree B (default: this tree's)")
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--workload", required=True, choices=harness.WORKLOADS)
     ap.add_argument("--pairs", type=int, default=40, help="pairs of timed steps (default 40)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
-    trees = [load_tree(Path(src).resolve(), f"spikebit_{tag}")
-             for src, tag in ((args.a, "a"), (args.b, "b"))]
+    trees = [load_tree(src, f"spikebit_{tag}") for src, tag in ((args.a, "a"), (args.b, "b"))]
     a_cli = trees[0].cli
     cfg = a_cli.parse_config(CONFIGS / f"{args.workload}.ini")
-    data = a_cli.load_dataset(cfg.dataset, SEED)
+    data = a_cli.load_dataset(cfg.dataset, harness.SEED)
     teacher_logits = None
     if cfg.teacher_source != "none":
         tcfg = a_cli.parse_config(CONFIGS / "teacher.ini")
-        teacher = trees[0].model.SpikingTransformer(tcfg.model, seed=SEED)
+        teacher = trees[0].model.SpikingTransformer(tcfg.model, seed=harness.SEED)
         teacher_logits = trees[0].learn.build_logits_cache(teacher, data.x_train,
                                                            data.y_train).logits
 
-    print("machine " + json.dumps(machine(), sort_keys=True))
+    print("machine " + json.dumps(harness.machine(*(t.package for t in trees)), sort_keys=True))
     print(f"A {args.a}\nB {args.b}")
     runners = [Runner(t, args.workload, data, teacher_logits) for t in trees]
     diff = differences(*(r.checked_step() for r in runners))

@@ -2,16 +2,17 @@
 code leaves every number bit-identical.
 
 Prints one JSON line per artifact, each holding sha256 digests (and, for
-criterion 09, the accuracies), after one line describing the machine:
+criterion 09, the accuracies), after a first line `{"machine": ...}`
+that holds the machine record (`harness.machine`):
 
 - `variant`: 32 small models, one per stem x weight mode x topology x
   dual_head x classify_on. The conv stem cuts 8x8 images into 4x4
   patches, so its last two stages pool and stage 3's LIF reads a pooled
   input. Each trains for 2 epochs, against a live full-precision
-  teacher if it has a distillation head, and is then calibrated. Digests cover its
-  checkpoint bytes, every parameter gradient left by the last step and
-  the inference logits; reversible models add the logits of
-  `heads_forward` and the state `invert` rebuilds.
+  teacher if it has a distillation head, and is then calibrated.
+  Digests cover its checkpoint bytes, every parameter gradient left by
+  the last step and the inference logits; reversible models add the
+  logits of `heads_forward` and the state `invert` rebuilds.
 - `criterion10`: the bytes of `ckpt-last.bin`, `metrics.jsonl` and
   `summary.jsonl` from criterion 10's `spikebit train` run
   (`effective.ini` records its output path, so it is left out).
@@ -24,10 +25,11 @@ criterion 09, the accuracies), after one line describing the machine:
   belongs to: its `fingerprint` (a per-unit digest, so it does not
   depend on the time budget), `heldout_accuracy` and `correct`.
 
-The digests depend on the machine (numpy, its BLAS build and thread
-count, the CPU), so compare two trees on one machine. The tool imports
-`spikebit` from the `src/` beside it; `--src` points it at another
-tree's, such as an export of the commit before a change:
+The digests depend on the machine (numpy, its BLAS build, the CPU), so
+compare two trees on one machine. Run as a script, the tool runs BLAS on
+one thread (see `harness`). It imports `spikebit` from the `src/` beside
+it; `--src` points it at another tree's, such as an export of the commit
+before a change, and exits 2 when that holds no spikebit package:
 
     mkdir /tmp/base && git archive HEAD | tar -x -C /tmp/base
     python tools/identity.py --full --src /tmp/base/src > base.jsonl
@@ -39,14 +41,14 @@ It is a check to run by hand, not a test: it asserts nothing.
 
 from __future__ import annotations
 
+import harness  # first: BLAS on one thread before numpy loads
+
 import argparse
 import contextlib
 import hashlib
 import io
 import itertools
 import json
-import os
-import platform
 import subprocess
 import sys
 import tempfile
@@ -57,7 +59,6 @@ import numpy as np
 VARIANT_EPOCHS = 2
 C09_SEEDS_QUICK = (0,)
 C09_SEEDS_FULL = (0, 1, 2, 3, 4)
-PERFBENCH_WORKLOADS = ("train_toy", "train_deep", "eval_wide")
 PERFBENCH_SEEDS = (3, 11)
 
 
@@ -77,25 +78,6 @@ def _sha(*arrays) -> str:
 
 def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True), flush=True)
-
-
-def machine() -> dict:
-    blas = {}
-    try:
-        deps = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = {k: deps.get(k) for k in ("name", "version")}
-    except (KeyError, TypeError):  # numpy builds differ in what they report
-        pass
-    cpu = platform.processor() or platform.machine()
-    with contextlib.suppress(OSError):
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                cpu = line.split(":", 1)[1].strip()
-                break
-    threads = {v: os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                                          "OMP_NUM_THREADS") if v in os.environ}
-    return {"machine": {"python": platform.python_version(), "numpy": np.__version__,
-                        "blas": blas, "blas_threads": threads, "cpu": cpu}}
 
 
 def _data(rng, n: int, shape: tuple, classes: int):
@@ -223,17 +205,17 @@ def main(argv=None) -> int:
     ap.add_argument("--full", action="store_true",
                     help="run criterion 09 for seeds 0-4 instead of seed 0 (about 80 s more), "
                          "and the perfbench runs")
-    ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+    ap.add_argument("--src", default=str(harness.ROOT / "src"),
                     help="the src/ directory to import spikebit from")
     args = ap.parse_args(argv)
-    sys.path.insert(0, args.src)
-    _emit(machine())
+    tree = harness.import_tree(args.src)  # the `spikebit` every artifact below imports
+    _emit({"machine": harness.machine(tree)})
     variants()
     criterion10()
     for seed in C09_SEEDS_FULL if args.full else C09_SEEDS_QUICK:
         criterion09(seed)
     if args.full:
-        for workload, seed in itertools.product(PERFBENCH_WORKLOADS, PERFBENCH_SEEDS):
+        for workload, seed in itertools.product(harness.WORKLOADS, PERFBENCH_SEEDS):
             perfbench(Path(args.src).resolve(), workload, seed)
     return 0
 

@@ -29,17 +29,16 @@ because one-time allocations of the process's first training step land
 inside the tracemalloc window. `perfbench/run.py` measures after its
 timed set-ups, so it never sees them either.
 
-BLAS runs on one thread, as in perfbench. Each line holds the workload,
-seed, depth and `peak_mib`.
+Run as a script, the tool runs BLAS on one thread, as perfbench does
+(see `harness`). The first line is `{"machine": ...}`, the machine
+record (`harness.machine`, with the tree's inference tile workers); each
+later line holds the workload, seed, depth and `peak_mib`. A `--src`
+that holds no spikebit package exits 2.
 """
 
 from __future__ import annotations
 
-import os
-
-# One BLAS thread, as perfbench runs: set before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import harness  # first: BLAS on one thread before numpy loads
 
 import argparse
 import json
@@ -47,41 +46,34 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SEED = 3  # perfbench's benchmark seed
 DEPTHS = (1, 2, 4, 8, 16)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
+    parser.add_argument("--src", default=str(harness.ROOT / "src"),
                         help="src/ directory of the tree to measure (default: this tree's)")
-    parser.add_argument("--workload", required=True,
-                        choices=("train_toy", "train_deep", "eval_wide"))
+    parser.add_argument("--workload", required=True, choices=harness.WORKLOADS)
     parser.add_argument("--depths", type=int, nargs="+", default=list(DEPTHS),
                         help="model depths to measure (default: 1 2 4 8 16)")
     args = parser.parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "spikebit" / "__init__.py").is_file():
-        parser.error(f"no spikebit package under {src}")
     if min(args.depths) < 1:
         parser.error("depths must be positive")
-    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
-    import spikebit
+    tree = harness.import_tree(args.src)  # perfbench's workloads import it as spikebit
+    sys.path.insert(0, str(harness.ROOT / "perfbench"))
     import workloads as wk
 
-    if Path(spikebit.__file__).resolve().parent != src / "spikebit":
-        sys.exit(f"error: imported spikebit from {spikebit.__file__}, not from {src}")
+    print(json.dumps({"machine": harness.machine(tree)}, sort_keys=True), flush=True)
     wl = wk.WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory(prefix="spikebit-peak-") as tmp:
         wk.WORK = Path(tmp)  # where `prepare` makes this tree's inputs
         out = Path(tmp) / "out"
         out.mkdir()
-        prep = wk.prepare(wl, SEED)
-        wk.peak_mib(wl, SEED, prep, out, depth=args.depths[0])  # the warm-up, dropped
+        prep = wk.prepare(wl, harness.SEED)
+        wk.peak_mib(wl, harness.SEED, prep, out, depth=args.depths[0])  # the warm-up, dropped
         for depth in args.depths:
-            peak = wk.peak_mib(wl, SEED, prep, out, depth=depth)
-            print(json.dumps({"workload": wl.name, "seed": SEED, "depth": depth,
+            peak = wk.peak_mib(wl, harness.SEED, prep, out, depth=depth)
+            print(json.dumps({"workload": wl.name, "seed": harness.SEED, "depth": depth,
                               "peak_mib": round(peak, 4)}), flush=True)
     return 0
 
