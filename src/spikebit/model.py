@@ -10,7 +10,9 @@ closed-form inverse, and the standard residual baseline.
 
 The encoder state is a tuple of streams in both topologies: (x0, x1) in
 reversible (a `ReversibleState`) and (x,) in residual. Every encoder
-block's forward and backward take and return such a tuple. The model
+block's forward and backward take and return such a tuple; the model
+hands a forward the state as a list where nothing else keeps it, and a
+reversible block then drops x0 once x0 + x1 exists. The model
 decides once, as it is built, how many streams there are and which
 stream each head reads (`SpikingTransformer.stream_heads`); its forward
 and backward then run one path for both topologies.
@@ -36,11 +38,18 @@ spikes. Backward unpacks them while it reads them and widens them to the
 float32 zeros and ones the forward multiplied, so the products match byte
 for byte. Every backward pops the entry it reads, so one training forward
 serves one backward. Backward writes in place where it owns the memory: a
-LIF rebuilds its membranes over the input its caller hands back and
-writes its input gradient over a lone upstream gradient, with the decayed
-carry in one buffer of its own, and the BN under such a LIF writes its
-input gradient over the LIF's. Both passes hold each float array only
-until its last reader has run: a layer's output goes straight to the
+LIF rebuilds its membranes over the input its caller hands back, then
+computes each step's surrogate derivative over that step's spent
+membranes and each decayed carry over the next step's, and writes its
+input gradient over a lone upstream gradient; the BN under such a LIF
+writes its input gradient over the LIF's and its last product over its
+xhat. So a backward through proj -> bn -> lif holds two float arrays of
+their size: the gradient, and proj's product again, which holds bn's
+output, then the LIF's membranes, then bn's xhat, rebuilt from an exact
+int8 or int16 copy of the product (float32 in full mode; `_through_bn`).
+Both passes hold each float array only until its last reader has run: a
+reversible block drops x0 once x0 + x1 exists, unless a record keeps the
+state (`ReversibleBlock._couple`), a layer's output goes straight to the
 next layer rather than to a name (bn1's output dies once lif2 has
 fired), and the attention block's forward context and backward head
 gradients come from helpers (`_attend`, `_head_grads`) whose Q, K, V,
@@ -318,24 +327,37 @@ class LifLayer:
 
         Writes in place: the rebuilt membranes over `x`, and each upstream
         gradient's input gradient over it; a lone one is returned. Pass
-        arrays the caller made for this call and does not read again. A
-        gradient's step t writes g[t] * sg, plus the carry, over g[t], and
-        the decayed carry tau * g[t] into that gradient's own carry buffer,
-        so no step allocates a product or copies one.
+        arrays the caller made for this call and does not read again; `x`
+        is scratch once backward returns. Step t computes its surrogate
+        derivative over the membranes of step t (`neuron._surrogate_grad`),
+        which no later step reads, and writes g[t] * sg, plus the carry,
+        over g[t]. A gradient's carry into step t, tau * g[t + 1] times the
+        reset gate, is formed in the spent slab of step t + 1, one gradient
+        at a time, so backward allocates no carry buffer and no step a
+        product. The last step adds +0 in place of a carry, as a zero carry
+        would: a -0 gradient comes out +0.
         """
+        if any(g.dtype != x.dtype for g in g_spikes):  # a carry takes a slab of x
+            raise ShapeError(f"LIF backward: gradient dtypes {[g.dtype.name for g in g_spikes]} "
+                             f"differ from the input's {x.dtype.name}")
         u_pre = neuron._lif(x, self.p, gates=spikes)
         tau = DTYPE(self.p.tau)
         hard = self.p.reset is neuron.Reset.HARD
-        carries = [np.zeros(g.shape[1:], dtype=g.dtype) for g in g_spikes]
-        for t in range(u_pre.shape[0] - 1, -1, -1):
-            sg = neuron.surrogate_grad(u_pre[t], self.p)
-            keep = ~spikes[t] if hard else None  # 1 - s; a product widens it
-            for g, carry in zip(g_spikes, carries):
-                g_t = g[t]  # read before the input gradient is written over it
+        last = u_pre.shape[0] - 1
+        for t in range(last, -1, -1):
+            sg = neuron._surrogate_grad(u_pre[t, ...], self.p)  # over step t's membranes
+            keep = ~spikes[t] if hard and t < last else None  # 1 - s; a product widens it
+            for g in g_spikes:
+                g_t = g[t, ...]  # read before the input gradient is written over it
                 g_t *= sg
-                g_t += np.multiply(carry, keep, out=carry) if hard else carry
-                np.multiply(tau, g_t, out=carry)
-            del sg, keep  # before the next step's surrogate makes its own
+                if t == last:
+                    g_t += 0.0  # no carry yet: -0 comes out +0
+                    continue
+                carry = np.multiply(tau, g[t + 1, ...], out=u_pre[t + 1, ...])  # a spent slab
+                if hard:
+                    carry *= keep
+                g_t += carry
+            del keep  # before the next step's surrogate allocates
         if len(g_spikes) == 1:
             return g_spikes[0]
         g_x = np.zeros_like(g_spikes[0])
@@ -522,36 +544,49 @@ class BatchNormLayer:
             rec.saved[self] = (mean, inv)
         return out
 
-    def _normalize_again(self, rec: ForwardRecord, x: Tensor) -> Tensor:
+    def _normalize_again(self, rec: ForwardRecord, x: Tensor, out: Tensor | None = None) -> Tensor:
         """xhat of the training forward that saved this layer's statistics
-        in `rec`, rebuilt in place of `x`, that forward's input, with the
-        forward's operations; the entry stays for backward."""
+        in `rec`, rebuilt from `x`, that forward's input or `_narrowed`'s
+        copy of it, with the forward's operations: into `out`, or over a
+        float `x` without it. The entry stays for backward."""
         mean, inv = _take(rec, self)
         rec.saved[self] = (mean, inv)
-        return numeric._normalize(x, mean, inv, out=x)
+        return numeric._normalize(x, mean, inv, out=x if out is None else out)
 
-    def _output_again(self, xhat: Tensor) -> Tensor:
-        """The forward's output from its xhat, in a new array."""
-        return numeric._scale_shift(xhat, self.gamma.value, self.beta.value)
+    def _narrowed(self, x: Tensor) -> np.ndarray:
+        """A copy of `x`, this layer's float32 input, in the fewest bytes
+        that hold it exactly: below a binary product of `bound` < 2**7
+        inputs int8, of `bound` < 2**15 int16, else (full mode, where
+        `bound` is None) float32. `_normalize_again` rebuilds xhat from it
+        to the byte."""
+        if self.bound is not None and self.bound < 1 << 15:
+            return x.astype(np.int8 if self.bound < 1 << 7 else np.int16)
+        return x.copy()
+
+    def _output_again(self, xhat: Tensor, out: Tensor | None = None) -> Tensor:
+        """The forward's output from its xhat, in `out` or a new array."""
+        return numeric._scale_shift(xhat, self.gamma.value, self.beta.value, out=out)
 
     def backward(self, g_out: Tensor, rec: ForwardRecord | None, xhat: Tensor,
                  overwrite: bool = False) -> Tensor:
         """The gradient at the input, given the forward's `xhat` from
         `_normalize_again`. With `overwrite` it is written over `g_out`,
-        which the caller then made for this call and does not read again.
-        The four per-channel sums run `numeric._column_sums`, so each is
-        `ndarray.sum`'s bytes in any layout of `g_out`."""
+        and xhat * mean(g_xhat * xhat) over `xhat`: the caller made both
+        for this call and does not read them again. The per-channel sums
+        run `numeric._column_sums` and `numeric._product_column_sums`, so
+        each is `ndarray.sum`'s bytes in any layout of `g_out`; with both
+        C-contiguous, a backward that overwrites allocates no array of
+        their size."""
         _, inv = _take(rec, self)
         self.beta.accumulate(numeric._column_sums(g_out))
-        tmp = g_out * xhat
-        self.gamma.accumulate(numeric._column_sums(tmp))
+        self.gamma.accumulate(numeric._product_column_sums(g_out, xhat))
         g_xhat = np.multiply(g_out, self.gamma.value, out=g_out if overwrite else None)
         n = float(math.prod(g_out.shape[:-1]))
         mean_g = numeric._column_sums(g_xhat) / n
-        mean_gx = numeric._column_sums(np.multiply(g_xhat, xhat, out=tmp)) / n
+        mean_gx = numeric._product_column_sums(g_xhat, xhat) / n
         # (g_xhat - mean_g - xhat * mean_gx) * inv
         g_xhat -= mean_g
-        g_xhat -= np.multiply(xhat, mean_gx, out=tmp)
+        g_xhat -= np.multiply(xhat, mean_gx, out=xhat if overwrite else None)
         g_xhat *= inv
         return g_xhat
 
@@ -626,10 +661,24 @@ def _through_bn(g: Tensor, rec: ForwardRecord | None, proj: BinaryLinearLayer | 
     Returns what `proj.backward` does: the gradient at proj's input, or
     None without `input_grad`, and the spikes proj read. bn's input, its
     xhat, and the output of bn that lif read are rebuilt from proj's
-    entry. With `lif`, `g` is written over: pass one made for this call."""
-    xhat = _xhat_again(rec, proj, bn, g.shape)
-    if lif is not None:  # lif writes the membranes over bn's output, and g_x over g
-        g = lif.backward(g, x=bn._output_again(xhat), spikes=spikes)
+    entry. With `lif`, `g` is written over: pass one made for this call.
+
+    With `lif`, the backward holds two float arrays of g's size: g and
+    proj's product again. bn's input waits as its exact integers
+    (`BatchNormLayer._narrowed`: int8 or int16 in binary mode, a float32
+    copy in full mode) while bn's output is built over the product, lif
+    rebuilds its membranes there and writes g_x over g; xhat is then
+    rebuilt from the integers into that spent buffer, and bn's backward
+    writes over both."""
+    x = proj._output_again(rec).reshape(g.shape)  # bn's input again
+    if lif is None:
+        xhat = bn._normalize_again(rec, x)
+    else:
+        held = bn._narrowed(x)
+        g = lif.backward(g, x=bn._output_again(bn._normalize_again(rec, x), out=x),
+                         spikes=spikes)
+        xhat = bn._normalize_again(rec, held, out=x)  # over the spent membranes
+        del held
     return proj.backward(bn.backward(g, rec, xhat, overwrite=lif is not None), rec, input_grad)
 
 
@@ -1190,7 +1239,9 @@ class BmlpBlock:
 class EncoderBlock:
     """A BSSA and a BMLP sub-block, coupled to the encoder's streams by the
     subclass's `_couple`. `forward` and `backward` take and return a tuple
-    of streams (or of their gradients) and never write their input.
+    of streams (or of their gradients) and never write their input's
+    arrays. `forward` also takes the state as a list that the caller hands
+    over, whose entries `_couple` may clear once it has read them.
 
     A training forward keeps nothing of the streams: the model keeps the
     state that enters every k-th block (see `SpikingTransformer`), and
@@ -1247,7 +1298,8 @@ class ReversibleBlock(EncoderBlock):
                                                                  ReversibleState | None]:
         """The sub-blocks' input streams (x1, x0') and the output state,
         with `attend` and `mlp` giving BSSA(x1) and BMLP(x0'), or None for
-        the state without `mlp`."""
+        the state without `mlp`. A state handed over as a list loses x0
+        once x0 + x1 exists, so x0 is freed before the BMLP runs."""
         # The coupling algebra follows the state dtype. Training uses
         # float32 states; the reconstruction harness threads float64
         # states because the inverse amplifies stream error by a factor
@@ -1259,6 +1311,8 @@ class ReversibleBlock(EncoderBlock):
         xa = np.ascontiguousarray(x1, dtype=DTYPE)
         a = attend(xa)
         x0n = x0 + x1
+        if isinstance(s, list):  # handed over: x0 dies before the BMLP runs
+            s[0] = x0 = None
         x0n *= 0.5
         x0n += a  # a + 0.5 * (x0 + x1), in the state dtype
         del a
@@ -1428,13 +1482,18 @@ class SpikingTransformer:
         Returns the time/token mean of each stream (x0, x1 or the
         residual stream) and `rec`."""
         # blocks never write their input state, so the streams share the
-        # embedding, which dies with the first block's state unless kept
-        streams = (self.embed(x, training, rec),) * len(self.stream_heads)
+        # embedding, which dies with the first block's state unless kept.
+        # Each block is handed the state as a list, which it may clear as
+        # it reads it (see `ReversibleBlock._couple`), but for the state
+        # entering a segment in a training forward, a tuple that the
+        # record keeps
+        streams = [self.embed(x, training, rec)] * len(self.stream_heads)
         saving, kept = _saving(rec), []
         for i, blk in enumerate(self.blocks):
             if saving and i % self.segment == 0:
+                streams = tuple(streams)
                 kept.append(streams)  # the state entering the segment
-            streams = blk.forward(streams, training, rec)
+            streams = list(blk.forward(streams, training, rec))
         if saving:
             rec.saved[self] = tuple(kept)
         return [h.mean(axis=(0, 2)) for h in streams], rec

@@ -208,19 +208,32 @@ def surrogate_relaxation(u_pre: Tensor, p: LifParams) -> Tensor:
 
 def surrogate_grad(u_pre: Tensor, p: LifParams) -> Tensor:
     """Elementwise derivative of `surrogate_relaxation` at u_pre."""
-    u = np.asarray(u_pre, dtype=np.result_type(u_pre, DTYPE))
-    d = u - p.v_threshold
+    return _surrogate_grad(np.array(u_pre, dtype=np.result_type(u_pre, DTYPE)), p)
+
+
+def _surrogate_grad(u: np.ndarray, p: LifParams) -> np.ndarray:
+    """`surrogate_grad` of the float array `u`, written over `u`, which is
+    returned: pass an array made for this call. The sigmoid kind takes one
+    more buffer of u's size while it runs."""
+    d = np.subtract(u, p.v_threshold, out=u)
     spec = p.surrogate
     a = spec.width_or_alpha
     if spec.kind is SurrogateKind.RECTANGULAR:
-        return (np.abs(d) <= 0.5 * a).astype(u.dtype) / a
+        # (|d| <= a / 2) / a, the window's mask cast to d's dtype in place
+        np.less_equal(np.abs(d, out=d), 0.5 * a, out=d)
+        d /= a
+        return d
     if spec.kind is SurrogateKind.SIGMOID:
         # a * s * (1 - s), with s = sigmoid(a * d), in place on d and s
-        d = np.multiply(d, a, out=np.asarray(d))
+        d *= a
         s = _sigmoid(d)
         one_minus = np.subtract(1.0, s, out=d)
         np.multiply(s, a, out=s)
-        return np.multiply(s, one_minus, out=s)
+        return np.multiply(s, one_minus, out=one_minus)
     if spec.kind is SurrogateKind.ARCTAN:
-        return (0.5 * a) / (1.0 + (0.5 * np.pi * a * d) ** 2)
+        # (a / 2) / (1 + (pi / 2 * a * d)**2)
+        np.multiply(0.5 * np.pi * a, d, out=d)
+        np.square(d, out=d)
+        np.add(1.0, d, out=d)
+        return np.divide(0.5 * a, d, out=d)
     raise ConfigError(f"unknown surrogate kind: {spec.kind!r}")

@@ -186,10 +186,24 @@ def _column_sums(a: Tensor) -> Tensor:
     return a.sum(axis=tuple(range(a.ndim - 1)))
 
 
+def _product_column_sums(a: Tensor, b: Tensor) -> Tensor:
+    """`_column_sums(a * b)`, in its bytes, for two arrays of one shape.
+
+    Where both are C-contiguous with more than one channel, einsum takes
+    each row's products and adds them into the sums in that same order,
+    without making the product array; other layouts, and a single
+    channel, make it and keep `_column_sums`."""
+    C = a.shape[-1]
+    if a.flags.c_contiguous and b.flags.c_contiguous and C > 1:
+        return np.einsum("ij,ij->j", a.reshape(-1, C), b.reshape(-1, C))
+    return _column_sums(a * b)
+
+
 def _normalize(x: Tensor, mean: Tensor, inv: Tensor, out: Tensor | None = None) -> Tensor:
     """(x - mean) * inv, in `out` or a new array: batch norm's xhat.
     Backward passes that rebuild xhat from a forward's input and
-    statistics run this too, so they get the forward's bytes."""
+    statistics run this too, so they get the forward's bytes; an integer
+    copy of that input widens exactly, so it gives them as well."""
     xhat = np.subtract(x, mean, out=out)
     xhat *= inv
     return xhat

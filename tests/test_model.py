@@ -969,11 +969,41 @@ class TestLifKernel:
         _bytes_equal(spikes, want_s.astype(bool))  # backward only reads them
 
     @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
+    @pytest.mark.parametrize("n_grads", [1, 3])
+    def test_last_step_turns_negative_zero_gradients_positive(self, reset, n_grads):
+        # the last step has no carry; it adds +0 as a zero carry did, so a
+        # -0 gradient (or one the saturated surrogate zeroes) comes out +0
+        p = toy_config("residual").lif(reset=reset)
+        x = Rng(48).normal((4, 7, 9), std=1.5)
+        x[-1, 3] = 20.0  # saturates the surrogate: its derivative rounds to 0
+        spikes = LifLayer(p).forward(x)
+        gs = [Rng(49 + i).normal(x.shape) for i in range(n_grads)]
+        for g in gs:
+            g[-1] = -0.0
+            g[-1, 3] = -1.0  # -1 * 0 is -0
+        got = LifLayer(p).backward(*(g.copy() for g in gs), x=x.copy(), spikes=spikes)
+        assert not got[-1].any() and not np.signbit(got[-1]).any()
+        u_pre = _lif_forward_reference(p, x)[1]
+        want = np.zeros_like(x) if n_grads > 1 else -np.zeros_like(x)
+        for g in gs:
+            want += _lif_backward_reference(p, u_pre, spikes, g)
+        _bytes_equal(got, want)
+
+    def test_gradient_of_another_dtype_than_the_input_raises(self):
+        # each carry is formed in a slab of the input's buffer
+        p = toy_config("residual").lif()
+        x = _lif_input(np.float32)
+        spikes, g = LifLayer(p).forward(x), Rng(49).normal(x.shape).astype(np.float64)
+        with pytest.raises(ShapeError, match="float64.*float32"):
+            LifLayer(p).backward(g, x=x.copy(), spikes=spikes)
+
+    @pytest.mark.parametrize("reset", [Reset.HARD, Reset.SOFT])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rebuilt_membranes_match_reference_bytewise(self, reset, dtype):
         # a LIF keeps nothing; backward re-runs the recurrence on the input
         # its caller hands back, with the reset gates read from the spikes
-        # it is handed, and writes the membranes over that input
+        # it is handed, writes the membranes over that input and then uses
+        # it as scratch
         p = toy_config("residual").lif(reset=reset)
         x = _lif_input(dtype)
         want_s, want_u = _lif_forward_reference(p, x)
@@ -986,7 +1016,14 @@ class TestLifKernel:
         want += _lif_backward_reference(p, want_u, fired, gs[1])
         x_in = x.copy()
         _bytes_equal(lif.backward(*gs, x=x_in, spikes=fired), want)
-        _bytes_equal(x_in, want_u)
+        # x is scratch once backward returns: step 0's slab holds step 0's
+        # surrogate derivative, and each later slab the carry out of it of
+        # the last gradient, whose input gradient gs[-1] now holds
+        _bytes_equal(x_in[0], neuron.surrogate_grad(want_u[0], p))
+        carry = np.float32(p.tau) * gs[-1][1:]
+        if reset is Reset.HARD:
+            carry *= ~fired[:-1]
+        _bytes_equal(x_in[1:], carry)
         _bytes_equal(fired, want_s.astype(bool))
         assert vars(lif) == {"p": p}
 
@@ -1110,6 +1147,31 @@ class TestBatchNormKernel:
             bn.running_mean[:], bn.running_var[:] = before
             _bytes_equal(bn.forward(x.copy(), training, rec), want)
 
+    def test_overwriting_backward_allocates_no_array_of_its_size(self):
+        # C-order g and xhat: the sums are fused products, g_x is written
+        # over g and xhat * mean(g_xhat * xhat) over xhat
+        C = 256
+        bn = BatchNormLayer("bn", C)
+        r = Rng(47)
+        bn.gamma.value = 1.0 + r.normal((C,), std=0.5)
+        x = r.normal((4, 32, 16, C), std=2.0) + 0.7
+        rec = M.ForwardRecord(saved=True)
+        bn.forward(x.copy(), True, rec)
+        inv = rec.saved[bn][1]
+        xhat = bn._normalize_again(rec, x.copy())
+        g = r.normal(x.shape)
+        want_g, want_gamma, want_beta = _bn_reference_backward(bn, g, xhat, inv)
+        tracemalloc.start()
+        try:
+            got = bn.backward(g, rec, xhat, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is g and peak < g.nbytes // 8, peak
+        _bytes_equal(got, want_g)
+        _bytes_equal(bn.gamma.grad, want_gamma)
+        _bytes_equal(bn.beta.grad, want_beta)
+
     @given(st.data())
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_backward_matches_reference_bytewise_at_random_shapes(self, data):
@@ -1218,8 +1280,10 @@ def _keep_every_float_cache(monkeypatch):
     no input, and runs on its own kept spikes, after checking any it is
     handed against them. A BN's xhat is read in place of each rebuild
     until that BN's backward, which drops it: the replay of an encoder
-    block reads o_bn's and bn2's before their backward does. Returns the
-    kept (spikes, membranes) by LIF, which backward pops."""
+    block reads o_bn's and bn2's before their backward does. Backward
+    writes over kept membranes and xhats as over the ones it rebuilds, once
+    it has dropped them. Returns the kept (spikes, membranes) by LIF, which
+    backward pops."""
     lif_forward, lif_backward = LifLayer.forward, LifLayer.backward
     bn_forward, bn_backward = BatchNormLayer.forward, BatchNormLayer.backward
     lif_kernel, normalize = neuron._lif, numeric._normalize
@@ -1261,7 +1325,8 @@ def _keep_every_float_cache(monkeypatch):
     monkeypatch.setattr(numeric, "_normalize", normalize_and_copy)
     monkeypatch.setattr(BatchNormLayer, "forward", bn_forward_keeping_xhat)
     monkeypatch.setattr(BatchNormLayer, "backward", bn_backward_dropping_xhat)
-    monkeypatch.setattr(BatchNormLayer, "_normalize_again", lambda self, rec, x: xhats[self])
+    monkeypatch.setattr(BatchNormLayer, "_normalize_again",
+                        lambda self, rec, x, out=None: xhats[self])
     return kept
 
 
@@ -1327,7 +1392,9 @@ class TestRebuiltInputs:
         assert kept == {}
         assert got_out.tobytes() == want_out.tobytes()
         assert got_g.tobytes() == want_g.tobytes()
-        _bytes_equal(x_in, want_u)  # lif1's membranes, rebuilt over the block's input
+        # lif1's backward ran on the membranes it rebuilt over the block's
+        # input and on the reference's kept ones, and leaves the same scratch
+        _bytes_equal(x_in, want_u)
         _same_grads(got_blk, ref)
 
     def test_vector_stem_matches_float_cache_reference_bytewise(self, monkeypatch):
@@ -1833,6 +1900,36 @@ class TestTrainingCaches:
         per_block = (peaks[1] - peaks[0]) / 2
         assert per_block <= 8 * T * B * N * D, per_block
 
+    def test_training_step_peak_at_train_deep_widths(self):
+        # depth 1 at train_deep's widths (D = 64, hidden 256, T = 4, batch
+        # 32, 16 tokens), in units of one hidden-width float32 map (2 MiB).
+        # The step peaks in lif2's backward, which holds two such maps (the
+        # gradient at lif2's spikes, and fc1's product again: bn1's output,
+        # then lif2's membranes, then xhat), a quarter map each for bn1's
+        # input as int8, lif2's bool spikes and one step's sigmoid buffer,
+        # and about one map of stream-width arrays (a quarter map each):
+        # the two stream gradients, the replayed streams and the record.
+        # That is about 3.9 maps (3.83 measured). A backward with bn1's
+        # output in a map of its own, per-gradient carry buffers and BN
+        # backward's g * xhat temporary peaked at 5.07
+        cfg = ModelConfig(depth=1, embed_dim=64, heads=2, timesteps=4,
+                          stem=StemSpec(kind="vector", in_features=256, tokens=16))
+        T, B, N = cfg.timesteps, 32, cfg.stem.tokens
+        net = SpikingTransformer(cfg, seed=3)
+        x, g = Rng(4).normal((B, 256), std=2.0), np.full((B, 10), 0.01, dtype=np.float32)
+        net.forward(x)  # sign caches and gradients exist before the measurement
+        net.zero_grads()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            net.forward(x, training=True)
+            net.backward(g, g)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        maps = peak / (T * B * N * cfg.hidden_dim * 4)
+        assert maps <= 4.25, maps
+
     @pytest.mark.parametrize("mode", ["binary", "full"])
     def test_conv_stem_step_memory(self, mode):
         # each conv stage's im2col matrix is kept packed and widened to
@@ -1943,6 +2040,24 @@ class TestActivationLifetimes:
         calls = self._dead_at(monkeypatch, blk.o_proj, "_product", refs)
         blk.forward(Rng(93).normal(self.X, std=2.0), training, M.ForwardRecord(saved=training))
         assert calls == ["_product"]
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_x0_dies_before_the_bmlp_runs_unless_kept(self, training, monkeypatch):
+        # depth 3 runs segments of 2 blocks: a training record keeps the
+        # states entering blocks 0 and 2. Block 0's x0 is the embedding,
+        # which x1 is too; any other x0 is freed once x0 + x1 exists
+        net = SpikingTransformer(toy_config("reversible", depth=3, embed_dim=8, tokens=2),
+                                 seed=102)
+        x0_refs, alive = [], []
+        block_forward = M.EncoderBlock.forward
+        monkeypatch.setattr(M.EncoderBlock, "forward", lambda blk, s, *a: (
+            x0_refs.append(weakref.ref(s[0])) or block_forward(blk, s, *a)))
+        for blk in net.blocks:
+            bmlp_forward = blk.bmlp.forward
+            monkeypatch.setattr(blk.bmlp, "forward", lambda *a, f=bmlp_forward: (
+                alive.append(x0_refs[-1]() is not None) or f(*a)))
+        net.forward(Rng(103).normal((3, 64), std=2.0), training=training)
+        assert alive == ([True, False, True] if training else [True, False, False])
 
     @pytest.mark.parametrize("training", [False, True])
     def test_widened_signs_die_before_the_next_layer_starts(self, training, monkeypatch):

@@ -190,6 +190,31 @@ class TestSurrogates:
         # a 0-d input gives the same value
         assert surrogate_grad(u[6], p) == want[6]
 
+    @pytest.mark.parametrize("kind", list(SurrogateKind))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_kernel_matches_surrogate_grad_on_a_copy_bytewise(self, kind, dtype):
+        # the kernel LIF backward runs over spent membranes writes the
+        # derivative over its input and returns that array, with the bytes
+        # `surrogate_grad` gives, signed zeros and NaN payloads included
+        uint = np.dtype(dtype).str.replace("f", "u")
+        info = np.finfo(dtype)
+        inf_bits, sign_bit = np.array([np.inf, -0.0], dtype=dtype).view(uint)
+        nans = np.array([s | inf_bits | pl for s in (0, sign_bit)
+                         for pl in (1, 0x1234, 1 << (info.nmant - 1))], dtype=uint).view(dtype)
+        special = np.array([0.0, -0.0, 1.0, -1.0, 3.0, -3.0, np.inf, -np.inf], dtype=dtype)
+        u = np.concatenate([special, nans, np.linspace(-30.0, 30.0, 6001).astype(dtype),
+                            Rng(5).normal((2000,), std=3.0).astype(dtype)])
+        p = LifParams(surrogate=SurrogateSpec(kind, 2.0))
+        u_in = np.stack([np.full_like(u, 0.75), u])  # backward hands it step slabs
+        with np.errstate(all="ignore"):
+            want = surrogate_grad(u, p)
+            got = neuron._surrogate_grad(u_in[1], p)
+        assert got.base is u_in and np.shares_memory(got, u_in[1])
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert (u_in[0] == 0.75).all()  # the other slab untouched
+        with np.errstate(all="ignore"):
+            assert surrogate_grad(u, p).tobytes() == want.tobytes()  # on a copy: u as it was
+
     def test_symmetry_about_threshold(self):
         for kind in SurrogateKind:
             p = LifParams(surrogate=SurrogateSpec(kind, 2.0))

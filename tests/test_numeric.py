@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -209,6 +210,32 @@ class TestColumnSums:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         got = numeric._column_sums(np.ascontiguousarray(a).reshape(-1, C))  # the flat matrix
         assert got.tobytes() == np.ascontiguousarray(a).reshape(-1, C).sum(axis=0).tobytes()
+
+
+    @pytest.mark.parametrize("layout,C", [("C", 37), ("broadcast", 37), ("C", 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_product_sums_match_column_sums_of_the_product_bytewise(self, layout, C, dtype):
+        # C order takes einsum's two-operand sum, with no product array;
+        # the seeded stream gradient's broadcast layout and a single
+        # channel make the product and sum it as before
+        rng = np.random.default_rng(7)
+        shape = (4, 9, 16, C)
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, size=shape)
+        zeros = rng.random(shape) < 0.2
+        a[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
+        a = in_layout(a.astype(dtype), layout, dtype(0.25))
+        b = rng.standard_normal(shape).astype(dtype)
+        assert a.flags.c_contiguous == (layout == "C")
+        want = numeric._column_sums(a * b)
+        tracemalloc.start()
+        try:
+            got = numeric._product_column_sums(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if layout == "C" and C > 1:
+            assert peak < a.nbytes // 8, peak  # no array of the operands' size
 
 
 class TestFiniteDiff:

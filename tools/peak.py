@@ -27,7 +27,11 @@ and drops it. The first peak measured in a fresh process reads high:
 train_toy's first read 3.17 MiB where later ones read 2.50, most likely
 because one-time allocations of the process's first training step land
 inside the tracemalloc window. `perfbench/run.py` measures after its
-timed set-ups, so it never sees them either.
+timed set-ups, so it never sees them either. Each measurement, the
+warm-up included, starts after a `gc.collect()`: otherwise a cyclic
+collection of garbage left by imports and earlier work may or may not
+land inside the window, and two trees read train_toy at depth 2 0.4%
+apart for that alone.
 
 Run as a script, the tool runs BLAS on one thread, as perfbench does
 (see `harness`). The first line is `{"machine": ...}`, the machine
@@ -41,6 +45,7 @@ from __future__ import annotations
 import harness  # first: BLAS on one thread before numpy loads
 
 import argparse
+import gc
 import json
 import sys
 import tempfile
@@ -70,9 +75,14 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(tmp) / "out"
         out.mkdir()
         prep = wk.prepare(wl, harness.SEED)
-        wk.peak_mib(wl, harness.SEED, prep, out, depth=args.depths[0])  # the warm-up, dropped
+
+        def measure(depth: int) -> float:
+            gc.collect()  # no cyclic garbage of earlier work is freed inside the window
+            return wk.peak_mib(wl, harness.SEED, prep, out, depth=depth)
+
+        measure(args.depths[0])  # the warm-up, dropped
         for depth in args.depths:
-            peak = wk.peak_mib(wl, harness.SEED, prep, out, depth=depth)
+            peak = measure(depth)
             print(json.dumps({"workload": wl.name, "seed": harness.SEED, "depth": depth,
                               "peak_mib": round(peak, 4)}), flush=True)
     return 0
